@@ -13,17 +13,35 @@ With trivial M the centralizer Weyl group coincides with the full Weyl group,
 so the w' loop is provably redundant; both the torus check and the general
 check then share the same specialized scan, which keeps their verdicts and
 certificates bit-identical.
+
+The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
+basis vector of Lie(A), transported Lie(A) and Lie(D) by the LCM of its
+denominators changes no rank, and makes the evaluation matrix of w the sum
+E(w) = sum_k T_k[p_k] of small integer matrices tabulated once per factor k
+and permutation p_k; its rank is decided by fraction-free elimination.  Only
+the dependence of the certificate, computed once for the hit, is rational.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Optional, Sequence
 
-from .linalg import Subspace, Vec, _kernel_vectors, dot, rank, transpose, vec
+from .linalg import (
+    Subspace,
+    Vec,
+    _kernel_vectors,
+    clear_denominators,
+    dot,
+    primitive_vector,
+    rank,
+    transpose,
+    vec,
+)
 from .rootdata import (
     CartanSpace,
     Functional,
@@ -39,9 +57,9 @@ from .weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
-    enumerate_weyl,
     identity_centralizer_element,
     weyl_inverse,
+    weyl_order,
 )
 
 
@@ -150,28 +168,12 @@ def dependence_coefficients(functionals: Sequence[Functional],
     kern = _kernel_vectors(transpose(evaluation), k)
     if not kern:
         return None
-    c = list(kern[0])
-    lead = next(x for x in c if x != 0)
-    if lead < 0:
+    c = kern[0]
+    if all(e.denominator == 1 for row in evaluation for e in row):
+        c = primitive_vector(c)
+    if next(x for x in c if x != 0) < 0:
         c = [-x for x in c]
-    integral = all(e.denominator == 1 for row in evaluation for e in row)
-    if integral:
-        lcm = 1
-        for x in c:
-            g = _gcd(lcm, x.denominator)
-            lcm = lcm // g * x.denominator
-        ints = [int(x * lcm) for x in c]
-        g = 0
-        for x in ints:
-            g = _gcd(g, abs(x))
-        return tuple(x // g for x in ints)
     return tuple(c)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _subsets_by_size(r: int) -> list[tuple[int, ...]]:
@@ -181,16 +183,94 @@ def _subsets_by_size(r: int) -> list[tuple[int, ...]]:
     return out
 
 
+# --- integer evaluation kernel ----------------------------------------------
+
+IntMat = tuple[tuple[int, ...], ...]
+
+
+def _weyl_digits(idx: int, base: int, m: int) -> list[int]:
+    """Per-factor permutation indices of the idx-th element of
+    `enumerate_weyl` (factor 1 is the most significant digit)."""
+    digits = [0] * m
+    for k in range(m - 1, -1, -1):
+        idx, digits[k] = divmod(idx, base)
+    return digits
+
+
+def _nth_permutation(n: int, d: int) -> tuple[int, ...]:
+    """The d-th permutation of range(n) in lexicographic order."""
+    pool = list(range(n))
+    out = []
+    for k in range(n - 1, -1, -1):
+        q, d = divmod(d, math.factorial(k))
+        out.append(pool.pop(q))
+    return tuple(out)
+
+
+def _weyl_by_index(spec: GroupSpec, idx: int) -> WeylElement:
+    digits = _weyl_digits(idx, math.factorial(spec.n), spec.m)
+    return WeylElement(tuple(_nth_permutation(spec.n, d) for d in digits))
+
+
+def _factor_tables(spec: GroupSpec, basis: Sequence[Vec]) -> list[list[IntMat]]:
+    """T[k][d][i][b]: factor k's share of n*w(chi_{i+1}) evaluated on basis
+    vector b (scaled to integers) when w permutes factor k by the d-th
+    permutation in `enumerate_weyl` order."""
+    n, r = spec.n, spec.rank
+    scaled = [clear_denominators(v) for v in basis]
+    perms = list(itertools.permutations(range(n)))
+    tables = []
+    for k in range(spec.m):
+        blocks = [v[k * n:(k + 1) * n] for v in scaled]
+        tables.append([
+            tuple(tuple(sum((n - i if j < i else -i) * blk[p[j]] for j in range(n))
+                        for blk in blocks)
+                  for i in range(1, r + 1))
+            for p in perms])
+    return tables
+
+
+def _mat_add(a: IntMat, b: IntMat) -> IntMat:
+    return tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+
+
+def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
+    """E(w) = sum_k T_k[p_k]."""
+    total = tables[0][digits[0]]
+    for table, d in zip(tables[1:], digits[1:]):
+        total = _mat_add(total, table[d])
+    return total
+
+
+def _evaluations(tables: list[list[IntMat]], start: int, end: int):
+    """(index, E(w)) for the Weyl elements start..end-1 in `enumerate_weyl`
+    order; the partial sums over leading factors are kept while only later
+    digits change."""
+    m, base = len(tables), len(tables[0])
+    digits = _weyl_digits(start, base, m)
+    sums: list[IntMat] = [()] * m
+    stale = 0  # first factor whose partial sum is out of date
+    for idx in range(start, end):
+        for j in range(stale, m):
+            entry = tables[j][digits[j]]
+            sums[j] = _mat_add(sums[j - 1], entry) if j else entry
+        yield idx, sums[-1]
+        stale = m - 1
+        while stale >= 0 and digits[stale] == base - 1:
+            digits[stale] = 0
+            stale -= 1
+        if stale < 0:
+            return
+        digits[stale] += 1
+
+
 # --- torus scan (trivial M) --------------------------------------------------
 
-def _minimal_dependent_subset(func_vectors: list[Vec], basis: Sequence[Vec],
-                              r: int) -> tuple[int, ...]:
+def _minimal_dependent_subset(evaluation: IntMat, r: int) -> tuple[int, ...]:
     """Smallest (cardinality, then lexicographic) dependent subset, 1-based."""
-    evaluation = [[dot(f, b) for b in basis] for f in func_vectors]
     for s in range(1, r + 1):
         for subset in itertools.combinations(range(r), s):
-            sub = [evaluation[i] for i in subset]
-            if rank(sub) < s:
+            if rank([evaluation[i] for i in subset]) < s:
                 return tuple(i + 1 for i in subset)
     raise AssertionError("dependent family has no dependent subset")
 
@@ -201,16 +281,11 @@ def act_on_functional_vec(w: WeylElement, f: Functional) -> Vec:
 
 def _torus_chunk(args) -> Optional[tuple[int, tuple[int, ...]]]:
     spec, a_basis, start, end = args
-    space = CartanSpace(spec)
     r = spec.rank
-    chis = [fundamental_weight(space, i) for i in range(1, r + 1)]
-    for idx, w in enumerate(itertools.islice(enumerate_weyl(spec), start, end),
-                            start):
-        funcs = [act_on_functional_vec(w, chi) for chi in chis]
-        evaluation = [[dot(f, b) for b in a_basis.basis] for f in funcs]
+    for idx, evaluation in _evaluations(_factor_tables(spec, a_basis.basis),
+                                        start, end):
         if rank(evaluation) < r:
-            subset = _minimal_dependent_subset(funcs, a_basis.basis, r)
-            return idx, subset
+            return idx, _minimal_dependent_subset(evaluation, r)
     return None
 
 
@@ -245,7 +320,7 @@ def check_torus(spec: GroupSpec, a_basis: Subspace, workers: int = 1) -> Verdict
     for v in a_basis.basis:
         if not space.contains(v):
             raise ConfigError("Lie(A) basis vector is not trace zero per factor")
-    total = _weyl_order(spec)
+    total = weyl_order(spec)
     hits = _run_chunks(_torus_chunk,
                        [(spec, a_basis, lo, hi) for lo, hi in _split_ranges(total, workers)],
                        workers)
@@ -262,18 +337,6 @@ def check_torus(spec: GroupSpec, a_basis: Subspace, workers: int = 1) -> Verdict
         return Verdict.not_uniformly_nondivergent(cert)
     pairs = (2 ** r - 1) * total
     return Verdict.uniformly_nondivergent(SearchStats(pairs, pairs, total))
-
-
-def _weyl_order(spec: GroupSpec) -> int:
-    from .weyl import weyl_order
-    return weyl_order(spec)
-
-
-def _weyl_by_index(spec: GroupSpec, idx: int) -> WeylElement:
-    for i, w in enumerate(enumerate_weyl(spec)):
-        if i == idx:
-            return w
-    raise IndexError(idx)
 
 
 def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
@@ -314,39 +377,25 @@ def _general_chunk(args):
     """
     config, start, end = args
     spec = config.spec
-    space = CartanSpace(spec)
     r = spec.rank
     subsets = _subsets_by_size(r)
-    weyl_list = list(enumerate_weyl(spec))
-    total_w = len(weyl_list)
-    chis = [fundamental_weight(space, i) for i in range(1, r + 1)]
+    base = math.factorial(spec.n)
+    total_w = weyl_order(spec)
     # Validated w' map the span of Lie(D) onto itself, so the Lie(D) audit is
     # independent of w'; only Lie(A) needs the w'-transported basis.
-    transported_a = [_transport_subspace(config.a_basis, wp)
-                     for wp in config.centralizer_weyl]
+    d_tables = _factor_tables(spec, config.d_basis.basis)
+    a_tables = [_factor_tables(spec, _transport_subspace(config.a_basis, wp).basis)
+                for wp in config.centralizer_weyl]
     good_cuts_cache: dict[int, set[int]] = {}
-    funcs_cache: dict[int, list[Vec]] = {}
-    d_eval_cache: dict[int, list[list[Fraction]]] = {}
-    a_eval_cache: dict[tuple[int, int], list[list[Fraction]]] = {}
+    eval_cache: dict[int, tuple[IntMat, list[IntMat]]] = {}
 
-    def funcs(w_idx: int) -> list[Vec]:
-        if w_idx not in funcs_cache:
-            w = weyl_list[w_idx]
-            funcs_cache[w_idx] = [act_on_functional_vec(w, chi) for chi in chis]
-        return funcs_cache[w_idx]
-
-    def d_eval(w_idx: int) -> list[list[Fraction]]:
-        if w_idx not in d_eval_cache:
-            d_eval_cache[w_idx] = [[dot(f, b) for b in config.d_basis.basis]
-                                   for f in funcs(w_idx)]
-        return d_eval_cache[w_idx]
-
-    def a_eval(w_idx: int, wp_idx: int) -> list[list[Fraction]]:
-        key = (w_idx, wp_idx)
-        if key not in a_eval_cache:
-            a_eval_cache[key] = [[dot(f, b) for b in transported_a[wp_idx].basis]
-                                 for f in funcs(w_idx)]
-        return a_eval_cache[key]
+    def evaluations(w_idx: int) -> tuple[IntMat, list[IntMat]]:
+        """E(w) on Lie(D) and on each w'-transported Lie(A)."""
+        if w_idx not in eval_cache:
+            digits = _weyl_digits(w_idx, base, spec.m)
+            eval_cache[w_idx] = (_evaluation(d_tables, digits),
+                                 [_evaluation(t, digits) for t in a_tables])
+        return eval_cache[w_idx]
 
     cert_hit = None
     audit_hit = None
@@ -356,16 +405,17 @@ def _general_chunk(args):
         subset = subsets[si]
         if w_idx not in good_cuts_cache:
             good_cuts_cache[w_idx] = _good_cuts(spec, config.m_generators,
-                                                weyl_list[w_idx])
+                                                _weyl_by_index(spec, w_idx))
         if not set(subset) <= good_cuts_cache[w_idx]:
             continue
         admissible += 1
         rows = [i - 1 for i in subset]
-        if rank([d_eval(w_idx)[i] for i in rows]) < len(subset):
+        d_eval, a_evals = evaluations(w_idx)
+        if rank([d_eval[i] for i in rows]) < len(subset):
             audit_hit = (gidx, subset, w_idx, 0)
             return cert_hit, audit_hit, admissible
-        for wp_idx in range(len(config.centralizer_weyl)):
-            if rank([a_eval(w_idx, wp_idx)[i] for i in rows]) < len(subset):
+        for wp_idx, a_eval in enumerate(a_evals):
+            if rank([a_eval[i] for i in rows]) < len(subset):
                 cert_hit = (gidx, subset, w_idx, wp_idx)
                 return cert_hit, audit_hit, admissible
     return cert_hit, audit_hit, admissible
@@ -387,7 +437,7 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     if not config.m_generators:
         return check_torus(spec, config.a_basis, workers=workers)
     r = spec.rank
-    total = (2 ** r - 1) * _weyl_order(spec)
+    total = (2 ** r - 1) * weyl_order(spec)
     results = _run_chunks(_general_chunk,
                           [(config, lo, hi) for lo, hi in _split_ranges(total, workers)],
                           workers)
@@ -413,7 +463,7 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
         return Verdict.not_uniformly_nondivergent(cert)
     admissible = sum(adm for _, _, adm in results)
     return Verdict.uniformly_nondivergent(SearchStats(total, admissible,
-                                                      _weyl_order(spec)))
+                                                      weyl_order(spec)))
 
 
 def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:

@@ -3,13 +3,15 @@ positive definite form, strict-inequality feasibility by Fourier-Motzkin
 elimination, and invariance dimension of H-form regions.
 
 Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
-immutable, and no floating point is used.  Subspaces are stored with a
-canonical reduced-echelon basis so equality of spans is plain `==`.
+immutable, and no floating point is used.  `rank` clears denominators row by
+row and eliminates fraction-free over the integers.  Subspaces are stored with
+a canonical reduced-echelon basis so equality of spans is plain `==`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -87,9 +89,41 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], lis
     return work, pivots
 
 
+def clear_denominators(v: Sequence) -> list[int]:
+    """The rational vector times the LCM of its denominators."""
+    if all(type(e) is int for e in v):
+        return list(v)
+    fracs = [Fraction(e) for e in v]
+    scale = math.lcm(*(e.denominator for e in fracs))
+    return [e.numerator * (scale // e.denominator) for e in fracs]
+
+
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over the rationals."""
-    return len(_rref(m)[1])
+    """Exact rank over the rationals.
+
+    Scaling a row by a nonzero integer keeps the rank, so each row is cleared
+    of denominators and the integer matrix is reduced by Bareiss's
+    fraction-free elimination: after k pivots every entry is a (k+1)-minor,
+    so the division by the previous pivot is exact.
+    """
+    rows = [r for r in map(clear_denominators, m) if any(r)]
+    done, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[done], rows[pr] = rows[pr], rows[done]
+        pivot_row = rows[done]
+        pv = pivot_row[c]
+        for i in range(done + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pv
+        done += 1
+        if done == len(rows):
+            break
+    return done
 
 
 def _kernel_vectors(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
@@ -365,21 +399,14 @@ def integral_kernel_vector(m: Sequence[Sequence[int]]) -> Optional[tuple[int, ..
     kern = _kernel_vectors(rows, ncols)
     if not kern:
         return None
-    v = kern[0]
-    lcm = 1
-    for e in v:
-        lcm = lcm * e.denominator // _gcd(lcm, e.denominator)
-    ints = [int(e * lcm) for e in v]
-    g = 0
-    for e in ints:
-        g = _gcd(g, abs(e))
+    return primitive_vector(kern[0])
+
+
+def primitive_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
+    """The nonzero rational vector scaled to coprime integers, same direction."""
+    ints = clear_denominators(v)
+    g = math.gcd(*ints)
     return tuple(e // g for e in ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def project_subspace(w: Subspace, u: Subspace, form: BilinearForm) -> Subspace:

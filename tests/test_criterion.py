@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from nondiv import criterion
 from nondiv.criterion import (
     ConfigError,
     ConfigInconsistencyError,
@@ -34,6 +36,51 @@ from helpers import (
     so21_d_vectors,
     torus_config,
 )
+
+
+class TestIntegerEvaluation:
+    """E(w) = sum_k T_k[p_k], divided by n and the basis scales, is the
+    rational evaluation matrix [w(chi_i)(b)]."""
+
+    @staticmethod
+    def _trace_zero_basis(rng, n, m, dim):
+        basis = []
+        for _ in range(dim):
+            v = []
+            for _ in range(m):
+                block = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                mean = sum(block, F(0)) / n
+                v.extend(x - mean for x in block)
+            basis.append(tuple(v))
+        return basis
+
+    def test_weyl_index_decode(self):
+        spec = GroupSpec(3, 2)
+        for idx, w in enumerate(enumerate_weyl(spec)):
+            assert criterion._weyl_by_index(spec, idx) == w
+
+    def test_evaluation_matches_rational_dot(self):
+        rng = random.Random(2209)
+        for _ in range(40):
+            n, m = rng.randint(2, 4), rng.randint(1, 3)
+            spec = GroupSpec(n, m)
+            space = CartanSpace(spec)
+            basis = self._trace_zero_basis(rng, n, m, rng.randint(0, 3))
+            scales = [math.lcm(*(x.denominator for x in b)) for b in basis]
+            tables = criterion._factor_tables(spec, basis)
+            base, total = math.factorial(n), math.factorial(n) ** m
+            start = rng.randrange(total)
+            end = min(total, start + rng.randint(1, 30))
+            for idx, summed in criterion._evaluations(tables, start, end):
+                digits = criterion._weyl_digits(idx, base, m)
+                evaluation = criterion._evaluation(tables, digits)
+                assert summed == evaluation
+                w = criterion._weyl_by_index(spec, idx)
+                for i in range(1, spec.rank + 1):
+                    f = act_on_functional(w, fundamental_weight(space, i)).vector
+                    assert all(isinstance(e, int) for e in evaluation[i - 1])
+                    assert [F(e, n * s) for e, s in zip(evaluation[i - 1], scales)] \
+                        == [dot(f, b) for b in basis]
 
 
 class TestCheckTorus:

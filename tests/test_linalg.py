@@ -46,6 +46,62 @@ class TestRank:
     def test_rank_transpose(self, rows):
         assert rank(rows) == rank(transpose(rows))
 
+    def test_empty(self):
+        assert rank([]) == 0
+        assert rank([[], []]) == 0
+
+    def test_pivotless_column_is_skipped(self):
+        assert rank([[0, 1, 2], [0, 2, 4], [0, 0, 0], [3, 0, 1]]) == 2
+
+    def test_mixed_ints_and_rationals(self):
+        assert rank([[F(1, 3), 1], [1, 3]]) == 1
+        assert rank([[F(1, 3), 1], [1, F(3, 1) + F(1, 10 ** 30)]]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_elimination(self, data):
+        rows = data.draw(st.integers(0, 6), label="rows")
+        cols = data.draw(st.integers(0, 6), label="cols")
+        if data.draw(st.booleans(), label="low rank"):
+            # a product through `inner` dimensions has rank at most `inner`
+            inner = data.draw(st.integers(0, 3), label="inner")
+            left = data.draw(_matrix(rows, inner))
+            right = data.draw(_matrix(inner, cols))
+            m = [[sum((row[t] * right[t][j] for t in range(inner)), 0)
+                  for j in range(cols)] for row in left]
+        else:
+            m = data.draw(_matrix(rows, cols))
+        assert rank(m) == _fraction_rank(m)
+
+
+_BIG = 10 ** 30
+_entries = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=10 ** 6),
+    st.sampled_from([0, 0, 1, -1, F(1, 2)]),
+)
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _fraction_rank(m):
+    """Plain Gaussian elimination over Fractions."""
+    work = [[F(e) for e in row] for row in m]
+    done = 0
+    for c in range(len(work[0]) if work else 0):
+        p = next((i for i in range(done, len(work)) if work[i][c] != 0), None)
+        if p is None:
+            continue
+        work[done], work[p] = work[p], work[done]
+        for i in range(done + 1, len(work)):
+            f = work[i][c] / work[done][c]
+            work[i] = [a - f * b for a, b in zip(work[i], work[done])]
+        done += 1
+    return done
+
 
 class TestKernel:
     def test_proportional(self):
