@@ -1,18 +1,24 @@
 """Decision engine for uniform nondivergence of H = A*M acting on the
 arithmetic quotient of an SL_n product.
 
-The search enumerates nonempty index subsets I (by cardinality then
-lexicographic), Weyl elements w (lexicographic), and validated centralizer
-Weyl representatives w' (list order).  A pair (I, w) is admissible when the
-conjugated M generators land in both the standard and the opposite parabolic
-at every cut in I; the first admissible triple whose transported fundamental
-weights become dependent on Lie(A) yields a replayable certificate, and
-exhaustion proves uniform nondivergence.
+The search runs in one order: nonempty index subsets I (by cardinality,
+then lexicographic), then Weyl elements w (`enumerate_weyl` order), then
+validated centralizer Weyl representatives w' (list order).  A pair (I, w)
+is admissible when the conjugated M generators land in both the standard
+and the opposite parabolic at every cut in I, i.e. when I lies in the set
+G(w) of admissible cuts of w; the least admissible triple whose transported
+fundamental weights become dependent on Lie(A) yields a replayable
+certificate, and exhaustion proves uniform nondivergence.  Trivial M is the
+case G(w) = all cuts, Lie(D) = the full Cartan space and w' = {id}.
 
-With trivial M the centralizer Weyl group coincides with the full Weyl group,
-so the w' loop is provably redundant; both the torus check and the general
-check then share the same specialized scan, which keeps their verdicts and
-certificates bit-identical.
+A subset of G(w) can be dependent only when the whole family
+{w(chi_i) : i in G(w)} is, so one rank test per (w, w') rules out every
+admissible subset at once, and subsets are searched only behind a dependent
+family.  Transported Lie(A) lies in Lie(D), so weights dependent on Lie(D)
+are dependent for every w'; the Lie(D) audit therefore runs only on the
+least subset hit at a w.  Workers split the Weyl range; each reports its least
+(subset, w, w') key and the coordinator takes the minimum, so every worker
+count gives the same verdict and certificate.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
 basis vector of Lie(A), transported Lie(A) and Lie(D) by the LCM of its
@@ -242,51 +248,8 @@ def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
     return total
 
 
-def _evaluations(tables: list[list[IntMat]], start: int, end: int):
-    """(index, E(w)) for the Weyl elements start..end-1 in `enumerate_weyl`
-    order; the partial sums over leading factors are kept while only later
-    digits change."""
-    m, base = len(tables), len(tables[0])
-    digits = _weyl_digits(start, base, m)
-    sums: list[IntMat] = [()] * m
-    stale = 0  # first factor whose partial sum is out of date
-    for idx in range(start, end):
-        for j in range(stale, m):
-            entry = tables[j][digits[j]]
-            sums[j] = _mat_add(sums[j - 1], entry) if j else entry
-        yield idx, sums[-1]
-        stale = m - 1
-        while stale >= 0 and digits[stale] == base - 1:
-            digits[stale] = 0
-            stale -= 1
-        if stale < 0:
-            return
-        digits[stale] += 1
-
-
-# --- torus scan (trivial M) --------------------------------------------------
-
-def _minimal_dependent_subset(evaluation: IntMat, r: int) -> tuple[int, ...]:
-    """Smallest (cardinality, then lexicographic) dependent subset, 1-based."""
-    for s in range(1, r + 1):
-        for subset in itertools.combinations(range(r), s):
-            if rank([evaluation[i] for i in subset]) < s:
-                return tuple(i + 1 for i in subset)
-    raise AssertionError("dependent family has no dependent subset")
-
-
 def act_on_functional_vec(w: WeylElement, f: Functional) -> Vec:
     return act_on_functional(w, f).vector
-
-
-def _torus_chunk(args) -> Optional[tuple[int, tuple[int, ...]]]:
-    spec, a_basis, start, end = args
-    r = spec.rank
-    for idx, evaluation in _evaluations(_factor_tables(spec, a_basis.basis),
-                                        start, end):
-        if rank(evaluation) < r:
-            return idx, _minimal_dependent_subset(evaluation, r)
-    return None
 
 
 def _split_ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -313,30 +276,11 @@ def _run_chunks(fn, payloads, workers: int):
 
 def check_torus(spec: GroupSpec, a_basis: Subspace, workers: int = 1) -> Verdict:
     """Torus criterion: nondivergent iff every Weyl image of the fundamental
-    weight family stays independent as functionals on Lie(A)."""
-    space = CartanSpace(spec)
-    if a_basis.ambient_dim != space.ambient_dim:
-        raise ConfigError("Lie(A) has wrong ambient dimension")
-    for v in a_basis.basis:
-        if not space.contains(v):
-            raise ConfigError("Lie(A) basis vector is not trace zero per factor")
-    total = weyl_order(spec)
-    hits = _run_chunks(_torus_chunk,
-                       [(spec, a_basis, lo, hi) for lo, hi in _split_ranges(total, workers)],
-                       workers)
-    hits = [h for h in hits if h is not None]
-    r = spec.rank
-    if hits:
-        w_idx, subset = min(hits)
-        w = _weyl_by_index(spec, w_idx)
-        chis = [fundamental_weight(space, i) for i in subset]
-        funcs = [Functional(act_on_functional_vec(w, chi)) for chi in chis]
-        coeffs = dependence_coefficients(funcs, a_basis)
-        cert = _build_certificate(spec, subset, w, identity_centralizer_element(spec),
-                                  0, coeffs)
-        return Verdict.not_uniformly_nondivergent(cert)
-    pairs = (2 ** r - 1) * total
-    return Verdict.uniformly_nondivergent(SearchStats(pairs, pairs, total))
+    weight family stays independent as functionals on Lie(A).  This is the
+    general check with trivial M, Lie(D) the full Cartan space and w' = {id}."""
+    config = GroupConfig(spec, (), CartanSpace(spec).full_subspace(), a_basis,
+                         (identity_centralizer_element(spec),))
+    return check_general(config, workers=workers)
 
 
 def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
@@ -353,72 +297,77 @@ def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
                        dependence, integer_dependence)
 
 
-# --- general scan (nontrivial M) ---------------------------------------------
+# --- the scan ---------------------------------------------------------------
 
-def _good_cuts(spec: GroupSpec, gens: Sequence[LieElement], w: WeylElement) -> set[int]:
+def _good_cuts(space: CartanSpace, gens: Sequence[LieElement],
+               w: WeylElement) -> tuple[int, ...]:
     """Cuts where every conjugated generator is block diagonal (both sides)."""
-    space = CartanSpace(spec)
     w_inv = weyl_inverse(w)
     moved = [act_on_lie(w_inv, g) for g in gens]
-    good = set()
-    for i in range(1, spec.rank + 1):
-        if all(parabolic_contains(space, [i], g, ParabolicSide.STANDARD)
-               and parabolic_contains(space, [i], g, ParabolicSide.OPPOSITE)
-               for g in moved):
-            good.add(i)
-    return good
+    return tuple(i for i in range(1, space.spec.rank + 1)
+                 if all(parabolic_contains(space, [i], g, ParabolicSide.STANDARD)
+                        and parabolic_contains(space, [i], g, ParabolicSide.OPPOSITE)
+                        for g in moved))
 
 
-def _general_chunk(args):
-    """Scan a contiguous range of the (I, w) pair space.
+def _first_dependent(evaluation: IntMat, cuts: tuple[int, ...],
+                     subset_index: dict, bound: int) -> Optional[int]:
+    """Index of the first subset of `cuts`, below `bound`, whose rows of the
+    evaluation are dependent, or None."""
+    if rank([evaluation[i - 1] for i in cuts]) == len(cuts):
+        return None
+    for size in range(1, len(cuts) + 1):
+        for subset in itertools.combinations(cuts, size):
+            si = subset_index[subset]
+            if si >= bound:
+                return None
+            if rank([evaluation[i - 1] for i in subset]) < size:
+                return si
+    return None
 
-    Returns (first_certificate_hit, first_audit_violation, admissible_count)
-    where hits are (global_index, subset, w_index, w_prime_index) tuples.
+
+def _scan_chunk(args):
+    """Scan the Weyl elements start..end-1.
+
+    Returns (key, admissible_count): key is the least (subset index, w index,
+    w' index) hit in the range, with w' index -1 for a Lie(D) audit
+    violation, or None.  The count is complete only when no hit was found.
     """
     config, start, end = args
     spec = config.spec
-    r = spec.rank
-    subsets = _subsets_by_size(r)
+    space = CartanSpace(spec)
+    subsets = _subsets_by_size(spec.rank)
+    subset_index = {s: k for k, s in enumerate(subsets)}
     base = math.factorial(spec.n)
-    total_w = weyl_order(spec)
     # Validated w' map the span of Lie(D) onto itself, so the Lie(D) audit is
     # independent of w'; only Lie(A) needs the w'-transported basis.
     d_tables = _factor_tables(spec, config.d_basis.basis)
     a_tables = [_factor_tables(spec, _transport_subspace(config.a_basis, wp).basis)
                 for wp in config.centralizer_weyl]
-    good_cuts_cache: dict[int, set[int]] = {}
-    eval_cache: dict[int, tuple[IntMat, list[IntMat]]] = {}
-
-    def evaluations(w_idx: int) -> tuple[IntMat, list[IntMat]]:
-        """E(w) on Lie(D) and on each w'-transported Lie(A)."""
-        if w_idx not in eval_cache:
-            digits = _weyl_digits(w_idx, base, spec.m)
-            eval_cache[w_idx] = (_evaluation(d_tables, digits),
-                                 [_evaluation(t, digits) for t in a_tables])
-        return eval_cache[w_idx]
-
-    cert_hit = None
-    audit_hit = None
+    best = None
     admissible = 0
-    for gidx in range(start, end):
-        si, w_idx = divmod(gidx, total_w)
-        subset = subsets[si]
-        if w_idx not in good_cuts_cache:
-            good_cuts_cache[w_idx] = _good_cuts(spec, config.m_generators,
-                                                _weyl_by_index(spec, w_idx))
-        if not set(subset) <= good_cuts_cache[w_idx]:
+    for w_idx in range(start, end):
+        digits = _weyl_digits(w_idx, base, spec.m)
+        w = WeylElement(tuple(_nth_permutation(spec.n, d) for d in digits))
+        cuts = _good_cuts(space, config.m_generators, w)
+        if not cuts:
             continue
-        admissible += 1
-        rows = [i - 1 for i in subset]
-        d_eval, a_evals = evaluations(w_idx)
-        if rank([d_eval[i] for i in rows]) < len(subset):
-            audit_hit = (gidx, subset, w_idx, 0)
-            return cert_hit, audit_hit, admissible
-        for wp_idx, a_eval in enumerate(a_evals):
-            if rank([a_eval[i] for i in rows]) < len(subset):
-                cert_hit = (gidx, subset, w_idx, wp_idx)
-                return cert_hit, audit_hit, admissible
-    return cert_hit, audit_hit, admissible
+        admissible += 2 ** len(cuts) - 1
+        # A later w' can hit an earlier subset, so every w' is tried.
+        for wp_idx, tables in enumerate(a_tables):
+            bound = best[0] if best else len(subsets)
+            si = _first_dependent(_evaluation(tables, digits), cuts,
+                                  subset_index, bound)
+            if si is not None:
+                best = (si, w_idx, wp_idx)
+        if best and best[1] == w_idx:
+            rows = _evaluation(d_tables, digits)
+            subset = subsets[best[0]]
+            if rank([rows[i - 1] for i in subset]) < len(subset):
+                best = (best[0], w_idx, -1)
+            if best[0] == 0:
+                break  # no later w can hit the first subset earlier
+    return best, admissible
 
 
 def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subspace:
@@ -431,39 +380,34 @@ def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subsp
 
 
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
-    """Full criterion for H = A*M; dispatches to the torus scan when M is trivial."""
+    """Full criterion for H = A*M: the first admissible (I, w, w') in the
+    documented order whose transported weights are dependent on Lie(A)."""
     config.validate()
     spec = config.spec
-    if not config.m_generators:
-        return check_torus(spec, config.a_basis, workers=workers)
-    r = spec.rank
-    total = (2 ** r - 1) * weyl_order(spec)
-    results = _run_chunks(_general_chunk,
-                          [(config, lo, hi) for lo, hi in _split_ranges(total, workers)],
+    total_w = weyl_order(spec)
+    results = _run_chunks(_scan_chunk,
+                          [(config, lo, hi) for lo, hi in _split_ranges(total_w, workers)],
                           workers)
-    cert_hits = [c for c, _, _ in results if c is not None]
-    audit_hits = [a for _, a, _ in results if a is not None]
-    best_cert = min(cert_hits) if cert_hits else None
-    best_audit = min(audit_hits) if audit_hits else None
-    if best_audit is not None and (best_cert is None or best_audit[0] < best_cert[0]):
-        gidx, subset, w_idx, wp_idx = best_audit
+    hits = [key for key, _ in results if key is not None]
+    if not hits:
+        pairs = (2 ** spec.rank - 1) * total_w
+        admissible = sum(adm for _, adm in results)
+        return Verdict.uniformly_nondivergent(SearchStats(pairs, admissible, total_w))
+    si, w_idx, wp_idx = min(hits)
+    subset = _subsets_by_size(spec.rank)[si]
+    if wp_idx < 0:
         raise ConfigInconsistencyError(
             f"transported weights {subset} are dependent on Lie(D) for an "
-            f"admissible pair (Weyl #{w_idx}, centralizer #{wp_idx}); "
+            f"admissible pair (Weyl #{w_idx}); "
             "Lie(D) is not maximal in the centralizer of M as declared")
-    if best_cert is not None:
-        _, subset, w_idx, wp_idx = best_cert
-        space = CartanSpace(spec)
-        w = _weyl_by_index(spec, w_idx)
-        wp = config.centralizer_weyl[wp_idx]
-        funcs = [Functional(act_on_functional_vec(w, fundamental_weight(space, i)))
-                 for i in subset]
-        coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
-        cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
-        return Verdict.not_uniformly_nondivergent(cert)
-    admissible = sum(adm for _, _, adm in results)
-    return Verdict.uniformly_nondivergent(SearchStats(total, admissible,
-                                                      weyl_order(spec)))
+    space = CartanSpace(spec)
+    w = _weyl_by_index(spec, w_idx)
+    wp = config.centralizer_weyl[wp_idx]
+    funcs = [Functional(act_on_functional_vec(w, fundamental_weight(space, i)))
+             for i in subset]
+    coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
+    cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
+    return Verdict.not_uniformly_nondivergent(cert)
 
 
 def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:

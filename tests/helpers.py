@@ -1,5 +1,7 @@
 """Shared builders for test configurations."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 from nondiv import (
@@ -7,13 +9,14 @@ from nondiv import (
     GroupConfig,
     GroupSpec,
     LieElement,
+    SearchStats,
     Subspace,
     centralizer_weyl_validate,
     identity_centralizer_element,
     signed_permutation_matrix,
 )
 
-import itertools
+from first_hit import dependence_vanishes, first_hit
 
 
 def full_cartan_vectors(n, m):
@@ -48,6 +51,28 @@ def torus_config(spec, a_basis):
     space = CartanSpace(spec)
     return GroupConfig(spec, (), space.full_subspace(), a_basis,
                        (identity_centralizer_element(spec),))
+
+
+def assert_first_hit(config, verdict):
+    """The verdict is the engine-free oracle's: the same first (I, w, w') with
+    a dependence that vanishes, or the same statistics when there is none."""
+    n, m = config.spec.n, config.spec.m
+    a = config.a_basis.basis
+    mats = [e.matrices for e in config.centralizer_weyl]
+    subset, perms, wp_index, admissible = first_hit(
+        n, m, [g.factors for g in config.m_generators], a, mats)
+    if subset is None:
+        assert verdict.nondivergent
+        weyl_order = math.factorial(n) ** m
+        assert verdict.stats == SearchStats((2 ** (n - 1) - 1) * weyl_order,
+                                            admissible, weyl_order)
+        return
+    cert = verdict.certificate
+    assert (cert.subset, cert.w.perms, cert.w_prime_index) == (subset, perms, wp_index)
+    for coeffs in (cert.dependence, cert.integer_dependence):
+        if coeffs is not None:
+            assert any(coeffs)
+            assert dependence_vanishes(n, m, a, mats[wp_index], subset, perms, coeffs)
 
 
 def _zero_matrix(n):
@@ -101,6 +126,18 @@ def so21_config(a_vectors):
     cws = tuple(centralizer_weyl_validate(spec, gens, d, so21_centralizer_elements()))
     a = Subspace.span(8, a_vectors)
     return GroupConfig(spec, gens, d, a, cws)
+
+
+def sl2_swap_config(a_vectors):
+    """SL_4 with M = SL_2 in the lower-right block, Lie(D) its centralizer
+    torus and w' = [id, the signed swap of e_1 and e_2]."""
+    spec = GroupSpec(4, 1)
+    gens = sl_block_generators(4, 1, 0, 2, 2)
+    d = Subspace.span(4, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))
+    eye = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
+    cws = tuple(centralizer_weyl_validate(
+        spec, gens, d, [(eye,), (signed_permutation_matrix((1, 0, 2, 3)),)]))
+    return GroupConfig(spec, gens, d, Subspace.span(4, a_vectors), cws)
 
 
 def sl_block_generators(n, m, factor, pos, size, diagonal=False):

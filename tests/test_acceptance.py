@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, check_torus, replay_certificate
 from nondiv.lattice import QuadraticOrder, orbit_probe
 from nondiv.linalg import (
@@ -37,10 +38,14 @@ from nondiv.witness import (
 )
 
 from helpers import (
+    assert_first_hit,
     block_centralizer_torus_vectors,
     delta_line_subspace,
     delta_vectors,
+    sl2_swap_config,
     sl_block_generators,
+    so21_config,
+    so21_d_vectors,
     torus_config,
 )
 
@@ -103,9 +108,12 @@ def test_criterion_3_a_equals_d_property():
 
 
 def test_criterion_4_trivial_m_equivalence():
+    """Certificates are the first (I, w, w') of an engine-free oracle, for
+    trivial M and for nontrivial M alike."""
     rng = random.Random(0xBEEF)
     shapes = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
-    for i in range(100):
+    configs = []
+    for _ in range(100):
         n, m = rng.choice(shapes)
         spec = GroupSpec(n, m)
         space = CartanSpace(spec)
@@ -115,11 +123,34 @@ def test_criterion_4_trivial_m_equivalence():
             raw = [F(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(spec.ambient_dim)]
             vecs.append(space.trace_zero_part(raw))
-        a = Subspace.span(spec.ambient_dim, vecs)
-        torus = check_torus(spec, a)
-        general = check_general(torus_config(spec, a))
-        assert torus == general, (i, n, m)
-    _line(4, "100 random subspaces: general check bit-identical to torus check")
+        configs.append(torus_config(spec, Subspace.span(spec.ambient_dim, vecs)))
+    # Sums of coroots e_a - e_b, one per factor: the least subset often sits
+    # at a later w than the first dependent w, which tells the orders apart.
+    for _ in range(30):
+        n, m = rng.choice(shapes)
+        vecs = []
+        for _ in range(rng.randint(1, m * (n - 1))):
+            v = [F(0)] * (n * m)
+            for k in range(m):
+                a, b = rng.sample(range(n), 2)
+                c = rng.choice([1, -1, 2])
+                v[k * n + a] += c
+                v[k * n + b] -= c
+            vecs.append(v)
+        configs.append(torus_config(GroupSpec(n, m), Subspace.span(n * m, vecs)))
+    factor2_line = [tuple([F(0)] * 4 + [F(1), F(-1), F(0), F(0)])]
+    configs += [so21_config(factor2_line), so21_config(so21_d_vectors()[1:3]),
+                sl2_swap_config([[F(-2), F(0), F(1), F(1)]]),
+                sl2_swap_config([[F(1), F(-1), F(0), F(0)]])]
+    configs += [build_config(parse_problem(path.read_text(encoding="utf-8"), str(path)))
+                for path in sorted(CONFIGS.glob("example2*.cfg"))]
+    verdicts = [check_general(config) for config in configs]
+    for config, verdict in zip(configs, verdicts):
+        assert_first_hit(config, verdict)
+    assert {v.nondivergent for v in verdicts[:130]} == {True, False}
+    assert any(v.certificate and v.certificate.w_prime_index for v in verdicts)
+    _line(4, f"{len(configs)} configs (130 with trivial M): certificate = first "
+             "(I, w, w') of an engine-free oracle")
 
 
 def test_criterion_5_linear_algebra_suites():

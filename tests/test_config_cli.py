@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nondiv import cli, witness
 from nondiv.config import build_config, parse_problem, serialize_problem
 from nondiv.criterion import ConfigError
 
@@ -135,6 +136,16 @@ class TestCliCertify:
         assert data["witness"]["checks"]["certificate_replay"] is True
         assert data["witness"]["sigma0"] == [1]
         assert data["witness"]["v"] == ["1", "-1", "-1", "1"]
+
+    def test_certificate_that_does_not_replay_exits_3(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(witness, "replay_certificate", lambda config, cert: False)
+        out = tmp_path / "r.json"
+        code = cli.main(["certify", str(CONFIGS / "example1-m2.cfg"),
+                         "--workers", "1", "--output", str(out)])
+        assert code == 3
+        assert "does not replay" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nondivergent_certify_exits_0(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,9 +1,8 @@
 """Independent-oracle cross-checks: every core primitive is compared against
 an implementation that shares no code with the engine (sympy exact ranks and
-nullspaces, an LP relaxation for strict feasibility, and a from-scratch
-enumeration of the torus criterion)."""
+nullspaces, an LP relaxation for strict feasibility, and the from-scratch
+first-hit enumeration in `first_hit.py`)."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -21,6 +20,8 @@ from nondiv.linalg import (
 )
 from nondiv.rootdata import CartanSpace, GroupSpec, LieElement
 from nondiv.weyl import WeylElement, act_on_lie, signed_permutation_matrix
+
+from helpers import assert_first_hit, torus_config
 
 
 def _sym(x: F):
@@ -108,26 +109,6 @@ def test_orthant_confirms_sampled_points():
     assert confirmed >= 50
 
 
-def _torus_oracle(n, m, basis_vectors):
-    """From-scratch enumeration with sympy: no shared engine code."""
-    basis = [[_sym(e) for e in v] for v in basis_vectors]
-    for perms in itertools.product(list(itertools.permutations(range(n))),
-                                   repeat=m):
-        rows = []
-        for i in range(1, n):
-            row = []
-            for b in basis:
-                val = sympy.Integer(0)
-                for k, p in enumerate(perms):
-                    for j in range(i):
-                        val += b[k * n + p[j]]
-                row.append(val)
-            rows.append(row)
-        if sympy.Matrix(rows).rank() < n - 1:
-            return False
-    return True
-
-
 def test_torus_criterion_matches_independent_oracle():
     rng = random.Random(13579)
     for t in range(40):
@@ -139,7 +120,7 @@ def test_torus_criterion_matches_independent_oracle():
             raw = [F(rng.randint(-3, 3)) for _ in range(n * m)]
             vecs.append(space.trace_zero_part(raw))
         a = Subspace.span(n * m, vecs)
-        assert check_torus(spec, a).nondivergent == _torus_oracle(n, m, a.basis)
+        assert_first_hit(torus_config(spec, a), check_torus(spec, a))
 
 
 def test_lie_action_matches_explicit_conjugation():
