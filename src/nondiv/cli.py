@@ -170,8 +170,11 @@ def cmd_probe(args) -> int:
         order = QuadraticOrder(settings.d)
     except ValueError as exc:
         return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
-    seq = realize_divergence_sequence(verdict.certificate, witness, config,
-                                      settings.n_values)
+    try:
+        seq = realize_divergence_sequence(verdict.certificate, witness, config,
+                                          settings.n_values)
+    except ExactCheckFailedError as exc:
+        return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
     sampler = HSampler.default(config, seed=seed)
     decay = decay_dict(decay_table(seq, sampler, config))
     probe_rows = []

@@ -34,7 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -266,6 +265,7 @@ def _split_ranges(total: int, workers: int) -> list[tuple[int, int]]:
 def _run_chunks(fn, payloads, workers: int):
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from multiprocessing import get_context
     try:
         ctx = get_context("fork")
     except ValueError:  # platform without fork: scan sequentially

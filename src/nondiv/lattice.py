@@ -2,16 +2,20 @@
 as module lattices and measures shortest nonzero vectors along torus orbits.
 
 The probe is corroborative: certificates come from the exact criterion, and
-this module only demonstrates the predicted escape on a finite grid.
+this module only demonstrates the predicted escape on a finite grid.  It is
+the only float code besides the witness realization; numpy is imported
+inside the functions that use it, so commands that never probe do not load
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _is_squarefree(d: int) -> bool:
@@ -48,6 +52,7 @@ class ModuleLattice:
 
     @property
     def covolume(self) -> float:
+        import numpy as np
         return abs(np.linalg.det(self.basis))
 
     def normalized(self) -> "ModuleLattice":
@@ -61,6 +66,7 @@ def embed_lattice(order: QuadraticOrder, n: int,
 
     Column order: e_1..e_n then sqrt(d) e_1..sqrt(d) e_n.
     """
+    import numpy as np
     g1, g2 = np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=float)
     if g1.shape != (n, n) or g2.shape != (n, n):
         raise ValueError("g must be a pair of n x n matrices")
@@ -77,6 +83,7 @@ def embed_lattice(order: QuadraticOrder, n: int,
 
 def _size_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LLL-style reduction on columns; returns (reduced, unimodular transform)."""
+    import numpy as np
     b = basis.copy()
     dim = b.shape[1]
     u = np.eye(dim, dtype=np.int64)
@@ -121,6 +128,7 @@ def _enumerate_minimum(basis: np.ndarray, bound_sq: float) -> tuple[float, np.nd
     Returns (min norm squared, integer coefficient vector).  The bound must be
     attained by some lattice vector (e.g. a basis column).
     """
+    import numpy as np
     dim = basis.shape[1]
     gram = basis.T @ basis
     chol = np.linalg.cholesky(gram)  # gram = chol @ chol.T
@@ -166,6 +174,7 @@ def shortest_vector(lat: ModuleLattice) -> float:
     The basis is size-reduced first; the reduced shortest column certifies a
     sufficient enumeration bound.
     """
+    import numpy as np
     reduced, transform = _size_reduce(lat.basis)
     col_norms = np.sum(reduced * reduced, axis=0)
     bound_sq = float(np.min(col_norms))
@@ -189,6 +198,7 @@ def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence[np.ndarray],
     Torus samples are determinant-one pairs (diag(e^t, e^-t), diag(e^t, e^-t))
     over the symmetric grid of t values.
     """
+    import numpy as np
     if n != 2:
         raise ValueError("the orbit probe samples the diagonal line of SL_2 pairs")
     ts = np.linspace(-grid_radius, grid_radius, grid_points)

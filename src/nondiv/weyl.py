@@ -167,20 +167,26 @@ class CentralizerWeylElement:
 
     def _conjugate_diagonal(self, v: Vec, left: tuple[Mat, ...],
                             right: tuple[Mat, ...]) -> Vec:
+        """Diagonal of l diag(v) r per factor, y[i][j] = sum_t l[i][t] v_t r[t][j],
+        summed over the nonzero factors only; every off-diagonal entry of y
+        must vanish."""
         n = len(self.matrices[0])
         out: list[Fraction] = []
         for k, (l, r) in enumerate(zip(left, right)):
-            block = v[k * n:(k + 1) * n]
-            diag = tuple(tuple(block[i] if i == j else Fraction(0)
-                               for j in range(n)) for i in range(n))
-            y = mat_mul(mat_mul(l, diag), r)
-            for i in range(n):
-                for j in range(n):
-                    if i != j and y[i][j] != 0:
-                        raise ValueError(
-                            "conjugated Cartan vector is not diagonal; "
-                            "vector is outside the normalized torus")
-            out.extend(y[i][i] for i in range(n))
+            block = [(t, v[k * n + t]) for t in range(n) if v[k * n + t] != 0]
+            for i, l_i in enumerate(l):
+                y_i = [Fraction(0)] * n
+                for t, v_t in block:
+                    if l_i[t] != 0:
+                        c = l_i[t] * v_t
+                        for j, r_tj in enumerate(r[t]):
+                            if r_tj != 0:
+                                y_i[j] += c * r_tj
+                if any(y_i[j] != 0 for j in range(n) if j != i):
+                    raise ValueError(
+                        "conjugated Cartan vector is not diagonal; "
+                        "vector is outside the normalized torus")
+                out.append(y_i[i])
         return tuple(out)
 
     def transport(self, v: Vec) -> Vec:

@@ -6,6 +6,11 @@ projection U' of the transported Lie(A), the divergence sequence
 g_N = w' exp(N v) w, and a two-part verification: the exact part re-checks the
 rational conditions that carry the universal quantifier over H, the numeric
 part samples H and measures wedge-line norm decay along h * g_N.
+
+Only the numeric part uses floats.  numpy is imported inside the functions
+that realize matrices over the reals, and scipy only for the exponentials of
+Lie(M) words in `HSampler.default`, so the exact pipeline (certificate
+replay, escape data, `check_witness_exact`) loads neither.
 """
 
 from __future__ import annotations
@@ -15,10 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-from scipy.linalg import expm
+from typing import TYPE_CHECKING, Sequence
 
 from .criterion import Certificate, GroupConfig, replay_certificate
 from .linalg import (
@@ -41,6 +43,9 @@ from .rootdata import (
     weight_of_nilradical,
 )
 from .weyl import act_on_functional, signed_permutation_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotProperError(RuntimeError):
@@ -133,10 +138,12 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
 # --- realization over the reals ---------------------------------------------
 
 def _np_factors(x: LieElement) -> list[np.ndarray]:
+    import numpy as np
     return [np.array([[float(e) for e in row] for row in f]) for f in x.factors]
 
 
 def _np_mat(m) -> np.ndarray:
+    import numpy as np
     return np.array([[float(e) for e in row] for row in m])
 
 
@@ -145,6 +152,7 @@ def realize_weyl_matrices(w) -> list[np.ndarray]:
 
 
 def _exp_cartan(space: CartanSpace, v: Sequence, scale: float = 1.0) -> list[np.ndarray]:
+    import numpy as np
     n = space.spec.n
     out = []
     for k in range(space.spec.m):
@@ -157,6 +165,7 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                                 config: GroupConfig,
                                 n_values: Sequence[int]) -> DivergenceSequence:
     """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N."""
+    import numpy as np
     space = CartanSpace(config.spec)
     w_mats = realize_weyl_matrices(cert.w)
     wp_mats = [_np_mat(f) for f in cert.w_prime.matrices]
@@ -178,6 +187,7 @@ def wedge_norm(line: WedgeLine, g: Sequence[np.ndarray]) -> float:
     The ambient inner product makes matrix units orthonormal in each factor;
     no wedge space is materialized, only a d x d determinant.
     """
+    import numpy as np
     g_inv = [np.linalg.inv(f) for f in g]
     moved = []
     for b in line.basis:
@@ -222,6 +232,7 @@ class HSampler:
     def default(cls, config: GroupConfig, grid_radius: int = 5,
                 grid_points: int = 21, n_words: int = 8,
                 max_word_len: int = 3, seed: int = 0x5EED) -> "HSampler":
+        import numpy as np
         space = CartanSpace(config.spec)
         basis = config.a_basis.basis
         if grid_points < 2:
@@ -245,6 +256,7 @@ class HSampler:
         labels = ["id"]
         gens = config.m_generators
         if gens:
+            from scipy.linalg import expm
             rng = random.Random(seed)
             gen_mats = [_np_factors(g) for g in gens]
             for _ in range(n_words):

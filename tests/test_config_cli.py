@@ -190,6 +190,20 @@ class TestCliProbe:
         assert res.returncode == 4
         assert "nondivergent" in res.stderr
 
+    def test_drifted_realization_exits_3(self, tmp_path, monkeypatch, capsys):
+        exp_cartan = witness._exp_cartan
+
+        def drifted(space, v, scale=1.0):
+            return [2 * e for e in exp_cartan(space, v, scale)]
+
+        monkeypatch.setattr(witness, "_exp_cartan", drifted)
+        out = tmp_path / "r.json"
+        code = cli.main(["probe", str(CONFIGS / "example1-m2.cfg"),
+                         "--workers", "1", "--output", str(out)])
+        assert code == 3
+        assert "determinant drifted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_probe_section_exits_2(self):
         res = run_cli("probe", str(CONFIGS / "example1-m3.cfg"))
         assert res.returncode == 2
@@ -239,3 +253,39 @@ class TestExitCodeStability:
             assert res.returncode == 10
             reports.append(stripped_report(out))
         assert reports[0] == reports[1]
+
+
+FOOTPRINT_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from nondiv import cli
+
+configs, tmp = sys.argv[1], sys.argv[2]
+
+def heavy():
+    return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
+
+codes = []
+with redirect_stdout(io.StringIO()):
+    for name in ("example1-m2.cfg", "example2-line.cfg"):
+        report = f"{tmp}/{name}.json"
+        codes.append(cli.main(["check", f"{configs}/{name}", "--workers", "1"]))
+        codes.append(cli.main(["certify", f"{configs}/{name}", "--workers", "1",
+                               "--output", report]))
+        codes.append(cli.main(["replay", report]))
+    exact = heavy()
+    codes.append(cli.main(["probe", f"{configs}/example1-m2.cfg", "--workers", "1"]))
+print(json.dumps({"codes": codes, "exact": exact, "probe": heavy()}))
+"""
+
+
+class TestImportFootprint:
+    def test_exact_commands_load_neither_numpy_nor_scipy(self, tmp_path):
+        res = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
+                              str(CONFIGS), str(tmp_path)],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        seen = json.loads(res.stdout.splitlines()[-1])
+        assert seen["codes"] == [10, 10, 0, 10, 10, 0, 10]
+        assert seen["exact"] == []
+        assert seen["probe"] == ["numpy"]

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nondiv.linalg import Subspace, det, dot
-from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement
+from nondiv.linalg import Subspace, det, dot, mat
+from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
 from nondiv.weyl import (
     CentralizerWeylElement,
     InvalidCentralizerWeyl,
@@ -196,9 +197,11 @@ class TestCentralizerValidation:
         spec = GroupSpec(4, 2)
         gens = so21_generators()
         d = Subspace.span(8, so21_d_vectors())
-        validated = centralizer_weyl_validate(spec, gens, d,
-                                              so21_centralizer_elements())
+        candidates = so21_centralizer_elements()
+        validated = centralizer_weyl_validate(spec, gens, d, candidates)
         assert len(validated) == 24
+        assert [e.matrices for e in validated] == [
+            tuple(mat(f) for f in c) for c in candidates]
 
     def test_so21_rejects_factor1_swap(self):
         spec = GroupSpec(4, 2)
@@ -226,3 +229,104 @@ class TestCentralizerValidation:
             [[[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]])
         with pytest.raises(ValueError):
             rot.transport((F(1), F(-1)))
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+nonzero_rationals = rationals.filter(bool)
+
+
+def conjugate_reference(l, block, r):
+    """l diag(block) r by dense matrix products."""
+    n = len(block)
+    diag = tuple(tuple(block[i] if i == j else F(0) for j in range(n))
+                 for i in range(n))
+    return mat_mul(mat_mul(l, diag), r)
+
+
+def transport_reference(left, v, right):
+    """Concatenated diagonals, or None if some block image is not diagonal."""
+    n = len(left[0])
+    out = []
+    for k, (l, r) in enumerate(zip(left, right)):
+        y = conjugate_reference(l, v[k * n:(k + 1) * n], r)
+        if any(y[i][j] != 0 for i in range(n) for j in range(n) if i != j):
+            return None
+        out.extend(y[i][i] for i in range(n))
+    return tuple(out)
+
+
+@st.composite
+def invertible(draw, n, allowed=lambda i, j: True):
+    """A random rational matrix, nonzero exactly where `allowed`, with det != 0."""
+    rows = [[draw(nonzero_rationals) if allowed(i, j) else F(0) for j in range(n)]
+            for i in range(n)]
+    assume(det(rows) != 0)
+    return mat(rows)
+
+
+@st.composite
+def conjugation_case(draw, structured):
+    """(factor matrices, Cartan vector).  A structured factor is P B with P a
+    signed permutation and B dense on the groups of equal entries of its
+    block of v, so its image of v is diagonal; other factors have a random
+    pattern of nonzero off-diagonal entries (dense, triangular, ...)."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 2))
+    factors, v = [], []
+    for _ in range(m):
+        groups = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        values = draw(st.lists(rationals, min_size=n, max_size=n))
+        v.extend(values[g] for g in groups)
+        if structured:
+            b = draw(invertible(n, lambda i, j: groups[i] == groups[j]))
+            perm = draw(st.permutations(range(n)))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            p = [[F(signs[i]) if perm[i] == j else F(0) for j in range(n)]
+                 for i in range(n)]
+            factors.append(mat_mul(mat(p), b))
+        else:
+            mask = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+            factors.append(draw(invertible(n, lambda i, j: i == j or mask[i * n + j])))
+    return factors, tuple(v)
+
+
+class TestTransport:
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(conjugation_case))
+    def test_matches_dense_reference(self, case):
+        factors, v = case
+        elem = CentralizerWeylElement.build(factors)
+        for method, left, right in (
+                (elem.transport, elem.matrices, elem.inverses),
+                (elem.transport_inverse, elem.inverses, elem.matrices)):
+            expected = transport_reference(left, v, right)
+            if expected is None:
+                with pytest.raises(ValueError, match="not diagonal"):
+                    method(v)
+            else:
+                assert method(v) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(conjugation_case(structured=True))
+    def test_diagonal_image(self, case):
+        factors, v = case
+        elem = CentralizerWeylElement.build(factors)
+        image = elem.transport(v)
+        assert image == transport_reference(elem.matrices, v, elem.inverses)
+        assert elem.transport_inverse(image) == v
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda n: st.tuples(invertible(n), st.lists(rationals, min_size=n,
+                                                    max_size=n, unique=True))))
+    def test_dense_factor_moves_regular_vector_off_the_diagonal(self, case):
+        # with distinct entries in v, l diag(v) l^-1 is diagonal only when
+        # every row of l has one nonzero entry
+        l, v = case
+        elem = CentralizerWeylElement.build([l])
+        assert transport_reference(elem.matrices, v, elem.inverses) is None
+        assert transport_reference(elem.inverses, v, elem.matrices) is None
+        with pytest.raises(ValueError, match="not diagonal"):
+            elem.transport(tuple(v))
+        with pytest.raises(ValueError, match="not diagonal"):
+            elem.transport_inverse(tuple(v))
