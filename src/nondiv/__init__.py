@@ -11,7 +11,6 @@ from .linalg import (
     fm_feasible,
     integral_kernel_vector,
     invdim,
-    kernel_basis,
     orthant_meets_subspace,
     project_subspace,
     rank,
@@ -26,7 +25,6 @@ from .rootdata import (
     fundamental_weight,
     nilradical_basis,
     parabolic_contains,
-    simple_root,
     weight_of_nilradical,
 )
 from .weyl import (

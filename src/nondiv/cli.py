@@ -14,9 +14,8 @@ import sys
 import time
 
 from .config import build_config, parse_problem
-from .criterion import ConfigError, ConfigInconsistencyError, check_general, replay_certificate
+from .criterion import ConfigInconsistencyError, check_general, replay_certificate
 from .lattice import QuadraticOrder, orbit_probe
-from .linalg import dot, orthant_meets_subspace
 from .report import (
     REPORT_FORMAT,
     build_report,
@@ -67,131 +66,68 @@ def _load(path: str):
     return text, problem, build_config(problem)
 
 
-def _witness_audit(config, verdict):
-    """Rebuild the exact escape data, which replays the certificate first;
-    raises on failure."""
-    witness = build_escape_witness(verdict.certificate, config)
-    check_witness_exact(witness)
-    checks = {
-        "certificate_replay": True,
-        "projection_proper": witness.u_prime.dim < witness.u_space.dim,
-        "orthant_missed": not orthant_meets_subspace(
-            witness.u_vectors, witness.sigma0, witness.u_prime),
-        "weight_values_exceed_one": all(
-            abs(dot(u, witness.v)) > 1 for u in witness.u_vectors),
-    }
-    return witness, checks
-
-
-def cmd_check(args) -> int:
+def cmd_pipeline(args) -> int:
+    """check, certify and probe: load -> check -> audit and witness -> probe
+    -> emit, stopping at the stage the command asks for."""
+    command = args.command
     try:
         text, problem, config = _load(args.path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
+    if command == "probe":
+        if problem.probe is None:
+            return _fail("probe requested but the [probe] section is missing",
+                         EXIT_CONFIG_ERROR)
+        if config.spec.n != 2 or config.spec.m != 2:
+            return _fail("the lattice probe supports n = 2, m = 2 instances only",
+                         EXIT_CONFIG_ERROR)
     t0 = time.perf_counter()
     try:
         verdict = check_general(config, workers=args.workers)
     except ConfigInconsistencyError as exc:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     code = EXIT_NONDIVERGENT if verdict.nondivergent else EXIT_DIVERGENT
-    report = build_report(args.path, text, verdict,
-                          timing={"seconds": time.perf_counter() - t0,
-                                  "workers": args.workers},
-                          exit_code=code)
-    _emit(report, args.output)
-    return code
-
-
-def cmd_certify(args) -> int:
-    try:
-        text, problem, config = _load(args.path)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    t0 = time.perf_counter()
-    try:
-        verdict = check_general(config, workers=args.workers)
-    except ConfigInconsistencyError as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    witness_info = None
-    if verdict.certificate is not None:
+    sections = {}
+    if command == "probe" and verdict.nondivergent:
+        code = EXIT_PROBE_MISMATCH
+    elif command != "check" and not verdict.nondivergent:
+        cert = verdict.certificate
         try:
-            witness, checks = _witness_audit(config, verdict)
+            witness = build_escape_witness(cert, config)
+            check_witness_exact(witness)
         except (ExactCheckFailedError, NotProperError, NoMissedOrthantError,
                 ValueError) as exc:
             return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
-        witness_info = witness_dict(witness, checks)
-    code = EXIT_NONDIVERGENT if verdict.nondivergent else EXIT_DIVERGENT
-    report = build_report(args.path, text, verdict, witness=witness_info,
+        sections["witness"] = witness_dict(witness)
+        if command == "probe":
+            settings = problem.probe
+            seed = args.seed if args.seed is not None else settings.seed
+            try:
+                order = QuadraticOrder(settings.d)
+            except ValueError as exc:
+                return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
+            try:
+                seq = realize_divergence_sequence(cert, witness, config,
+                                                  settings.n_values)
+            except ExactCheckFailedError as exc:
+                return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
+            sampler = HSampler.default(config, seed=seed)
+            sections["decay"] = decay_dict(decay_table(seq, sampler, config))
+            rows = [(n_val, orbit_probe(order, 2, mats,
+                                        grid_radius=settings.grid_radius,
+                                        grid_points=settings.grid_points))
+                    for n_val, mats in zip(seq.n_values, seq.elements)]
+            sections["probe"] = probe_dict(settings.d, settings.grid_radius,
+                                           settings.grid_points, seed, rows)
+    report = build_report(args.path, text, verdict, **sections,
                           timing={"seconds": time.perf_counter() - t0,
                                   "workers": args.workers},
                           exit_code=code)
     _emit(report, args.output)
-    return code
-
-
-def cmd_probe(args) -> int:
-    try:
-        text, problem, config = _load(args.path)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    except (ConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    if problem.probe is None:
-        return _fail("probe requested but the [probe] section is missing",
-                     EXIT_CONFIG_ERROR)
-    if config.spec.n != 2 or config.spec.m != 2:
-        return _fail("the lattice probe supports n = 2, m = 2 instances only",
-                     EXIT_CONFIG_ERROR)
-    t0 = time.perf_counter()
-    try:
-        verdict = check_general(config, workers=args.workers)
-    except ConfigInconsistencyError as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
-    if verdict.nondivergent:
-        report = build_report(args.path, text, verdict,
-                              timing={"seconds": time.perf_counter() - t0,
-                                      "workers": args.workers},
-                              exit_code=EXIT_PROBE_MISMATCH)
-        _emit(report, args.output)
+    if code == EXIT_PROBE_MISMATCH:
         return _fail("probe follows the divergence witness, but the verdict "
                      "is uniformly nondivergent", EXIT_PROBE_MISMATCH)
-    try:
-        witness, checks = _witness_audit(config, verdict)
-    except (ExactCheckFailedError, NotProperError, NoMissedOrthantError,
-            ValueError) as exc:
-        return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
-    settings = problem.probe
-    seed = args.seed if args.seed is not None else settings.seed
-    try:
-        order = QuadraticOrder(settings.d)
-    except ValueError as exc:
-        return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
-    try:
-        seq = realize_divergence_sequence(verdict.certificate, witness, config,
-                                          settings.n_values)
-    except ExactCheckFailedError as exc:
-        return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
-    sampler = HSampler.default(config, seed=seed)
-    decay = decay_dict(decay_table(seq, sampler, config))
-    probe_rows = []
-    for n_val, mats in zip(seq.n_values, seq.elements):
-        stats = orbit_probe(order, 2, mats, grid_radius=settings.grid_radius,
-                            grid_points=settings.grid_points)
-        probe_rows.append((n_val, stats))
-    report = build_report(
-        args.path, text, verdict,
-        witness=witness_dict(witness, checks),
-        decay=decay,
-        probe=probe_dict(settings.d, settings.grid_radius, settings.grid_points,
-                         seed, probe_rows),
-        timing={"seconds": time.perf_counter() - t0, "workers": args.workers},
-        exit_code=EXIT_DIVERGENT)
-    _emit(report, args.output)
-    return EXIT_DIVERGENT
+    return code
 
 
 def cmd_replay(args) -> int:
@@ -218,7 +154,7 @@ def cmd_replay(args) -> int:
         problem = parse_problem(content, "<embedded>")
         config = build_config(problem)
         verdict = check_general(config, workers=1)
-    except (ConfigError, ConfigInconsistencyError, ValueError) as exc:
+    except (ConfigInconsistencyError, ValueError) as exc:
         return _fail(f"embedded configuration no longer checks out: {exc}",
                      EXIT_AUDIT_FAILED)
     fresh = verdict_fields(verdict)
@@ -253,26 +189,26 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check", help="decide the verdict")
     add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_pipeline)
 
     p_certify = sub.add_parser("certify",
                                help="decide, replay the certificate, and audit the witness")
     add_common(p_certify)
-    p_certify.set_defaults(func=cmd_certify)
+    p_certify.set_defaults(func=cmd_pipeline)
 
     p_probe = sub.add_parser("probe",
                              help="lattice-probe corroboration along the witness sequence")
     add_common(p_probe)
     p_probe.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                          help="override the H-sampler seed")
-    p_probe.set_defaults(func=cmd_probe)
+    p_probe.set_defaults(func=cmd_pipeline)
 
     p_replay = sub.add_parser("replay", help="re-run a report and compare bit for bit")
     p_replay.add_argument("path", help="report JSON file")
     p_replay.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
+    if getattr(args, "workers", 1) < 1:
         return _fail("--workers must be at least 1", EXIT_CONFIG_ERROR)
     return args.func(args)
 

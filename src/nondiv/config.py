@@ -217,17 +217,11 @@ def build_config(problem: ProblemFile) -> GroupConfig:
                                                  problem.centralizer_elements))
         except InvalidCentralizerWeyl as exc:
             raise ConfigError(f"[centralizer-weyl]: {exc}")
-    config = GroupConfig(spec, problem.m_generators, d, a, cw)
-    config.validate()
-    return config
+    return GroupConfig(spec, problem.m_generators, d, a, cw)
 
 
 def _frac_str(x: Fraction) -> str:
     return str(x)
-
-
-def _vec_json(v) -> str:
-    return json.dumps([_frac_str(e) for e in v])
 
 
 def _mat_json_obj(m) -> list:

@@ -118,13 +118,17 @@ class Verdict:
 @dataclass(frozen=True)
 class GroupConfig:
     """Full problem instance: group family, Lie(M) generators, Lie(D), Lie(A),
-    and validated centralizer Weyl representatives."""
+    and validated centralizer Weyl representatives.  Construction runs
+    `validate`, so every instance has passed it."""
 
     spec: GroupSpec
     m_generators: tuple[LieElement, ...]
     d_basis: Subspace
     a_basis: Subspace
     centralizer_weyl: tuple[CentralizerWeylElement, ...]
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         space = CartanSpace(self.spec)
@@ -245,10 +249,6 @@ def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
     for table, d in zip(tables[1:], digits[1:]):
         total = _mat_add(total, table[d])
     return total
-
-
-def act_on_functional_vec(w: WeylElement, f: Functional) -> Vec:
-    return act_on_functional(w, f).vector
 
 
 def _split_ranges(total: int, workers: int) -> list[tuple[int, int]]:
@@ -382,7 +382,6 @@ def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subsp
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     """Full criterion for H = A*M: the first admissible (I, w, w') in the
     documented order whose transported weights are dependent on Lie(A)."""
-    config.validate()
     spec = config.spec
     total_w = weyl_order(spec)
     results = _run_chunks(_scan_chunk,
@@ -403,8 +402,7 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     space = CartanSpace(spec)
     w = _weyl_by_index(spec, w_idx)
     wp = config.centralizer_weyl[wp_idx]
-    funcs = [Functional(act_on_functional_vec(w, fundamental_weight(space, i)))
-             for i in subset]
+    funcs = [act_on_functional(w, fundamental_weight(space, i)) for i in subset]
     coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
     cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)
@@ -420,7 +418,11 @@ def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:
     if (not subset or list(subset) != sorted(set(subset))
             or subset[0] < 1 or subset[-1] > r):
         return False
-    if len(cert.dependence) != len(subset) or all(c == 0 for c in cert.dependence):
+    coefficient_vectors = [cert.dependence]
+    if cert.integer_dependence is not None:
+        coefficient_vectors.append(cert.integer_dependence)
+    if any(len(coeffs) != len(subset) or all(c == 0 for c in coeffs)
+           for coeffs in coefficient_vectors):
         return False
     if not (0 <= cert.w_prime_index < len(config.centralizer_weyl)):
         return False
@@ -434,23 +436,12 @@ def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:
                 return False
             if not parabolic_contains(space, subset, moved, ParabolicSide.OPPOSITE):
                 return False
-        funcs = [act_on_functional_vec(cert.w, fundamental_weight(space, i))
+        funcs = [act_on_functional(cert.w, fundamental_weight(space, i)).vector
                  for i in subset]
-        for b in config.a_basis.basis:
-            tb = cert.w_prime.transport_inverse(b)
-            total = sum((c * dot(f, tb) for c, f in zip(cert.dependence, funcs)),
-                        Fraction(0))
-            if total != 0:
-                return False
-        if cert.integer_dependence is not None:
-            ints = cert.integer_dependence
-            if len(ints) != len(subset) or all(c == 0 for c in ints):
-                return False
-            for b in config.a_basis.basis:
-                tb = cert.w_prime.transport_inverse(b)
-                total = sum((c * dot(f, tb) for c, f in zip(ints, funcs)),
-                            Fraction(0))
-                if total != 0:
+        transported = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
+        for coeffs in coefficient_vectors:
+            for tb in transported:
+                if sum((c * dot(f, tb) for c, f in zip(coeffs, funcs)), Fraction(0)) != 0:
                     return False
     except (ValueError, IndexError):
         return False

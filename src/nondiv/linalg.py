@@ -46,9 +46,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
 def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
     return tuple(c * x for x in a)
 
@@ -275,11 +272,6 @@ class BilinearForm:
     def standard(cls, n: int) -> "BilinearForm":
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def scaled(cls, n: int, c) -> "BilinearForm":
-        c = Fraction(c)
-        return cls(tuple(tuple(c * Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
     @property
     def dim(self) -> int:
         return len(self.gram)
@@ -301,9 +293,6 @@ class Orthant:
     def __post_init__(self):
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("orthant signs must be +1 or -1")
-
-    def __len__(self) -> int:
-        return len(self.signs)
 
 
 @dataclass(frozen=True)
@@ -375,13 +364,6 @@ def fm_feasible(constraints: Sequence[tuple[Sequence[Fraction], Fraction, bool]]
 
 
 # --- spec'd operations -------------------------------------------------------
-
-def kernel_basis(m: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Canonical basis of the rational null space (empty iff injective)."""
-    rows = mat(m)
-    ncols = len(rows[0]) if rows else 0
-    return Subspace.span(ncols, _kernel_vectors(rows, ncols))
-
 
 def integral_kernel_vector(m: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """A nonzero integer kernel vector with coprime entries, or None.

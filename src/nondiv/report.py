@@ -82,7 +82,14 @@ def verdict_fields(verdict: Verdict) -> dict:
     }
 
 
-def witness_dict(witness: EscapeWitness, checks: dict) -> dict:
+# The exact conditions `check_witness_exact` enforces after
+# `build_escape_witness` has replayed the certificate.  Any failure exits 3
+# and writes no report, so a written report lists each one as passed.
+WITNESS_CHECKS = ("certificate_replay", "projection_proper", "orthant_missed",
+                  "weight_values_exceed_one")
+
+
+def witness_dict(witness: EscapeWitness) -> dict:
     return {
         "sigma0": list(witness.sigma0.signs),
         "v": _fracs(witness.v),
@@ -91,7 +98,7 @@ def witness_dict(witness: EscapeWitness, checks: dict) -> dict:
         "weight_values_on_v": _fracs(
             [sum((a * b for a, b in zip(u, witness.v)), Fraction(0))
              for u in witness.u_vectors]),
-        "checks": checks,
+        "checks": {name: True for name in WITNESS_CHECKS},
     }
 
 

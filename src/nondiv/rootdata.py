@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .linalg import BilinearForm, Mat, Subspace, Vec, dot, mat, vec
+from .linalg import BilinearForm, Mat, Subspace, Vec, mat, vec
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,6 @@ class Functional:
 
     vector: Vec
 
-    def __call__(self, x: Sequence[Fraction]) -> Fraction:
-        return dot(self.vector, x)
-
-    def __add__(self, other: "Functional") -> "Functional":
-        return Functional(tuple(a + b for a, b in zip(self.vector, other.vector)))
-
-    def __neg__(self) -> "Functional":
-        return Functional(tuple(-a for a in self.vector))
-
     def scale(self, c) -> "Functional":
         c = Fraction(c)
         return Functional(tuple(c * a for a in self.vector))
@@ -148,18 +139,6 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return all(all(all(e == 0 for e in row) for row in f) for f in self.factors)
-
-    def diagonal_vector(self) -> Optional[Vec]:
-        """Cartan coordinates if every factor is diagonal, else None."""
-        out: list[Fraction] = []
-        for f in self.factors:
-            n = len(f)
-            for i in range(n):
-                for j in range(n):
-                    if i != j and f[i][j] != 0:
-                        return None
-            out.extend(f[i][i] for i in range(n))
-        return tuple(out)
 
 
 def matrix_unit(n: int, a: int, b: int) -> Mat:
@@ -196,17 +175,6 @@ def fundamental_weight(space: CartanSpace, i: int) -> Functional:
     for _ in range(m):
         raw.extend(Fraction(1) if j < i else Fraction(0) for j in range(n))
     return Functional(space.trace_zero_part(raw))
-
-
-def simple_root(space: CartanSpace, i: int) -> Functional:
-    """alpha_i(x) = sum over factors of x_{k,i} - x_{k,i+1}."""
-    _check_index(space, i)
-    n, m = space.spec.n, space.spec.m
-    v = [Fraction(0)] * space.ambient_dim
-    for k in range(m):
-        v[k * n + (i - 1)] = Fraction(1)
-        v[k * n + i] = Fraction(-1)
-    return Functional(tuple(v))
 
 
 def parabolic_contains(space: CartanSpace, cuts: Iterable[int], x: LieElement,

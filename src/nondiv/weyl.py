@@ -37,10 +37,6 @@ class WeylElement:
         return all(p == tuple(range(len(p))) for p in self.perms)
 
 
-def weyl_identity(spec: GroupSpec) -> WeylElement:
-    return WeylElement((tuple(range(spec.n)),) * spec.m)
-
-
 def weyl_inverse(w: WeylElement) -> WeylElement:
     out = []
     for p in w.perms:
@@ -49,12 +45,6 @@ def weyl_inverse(w: WeylElement) -> WeylElement:
             q[pi] = i
         out.append(tuple(q))
     return WeylElement(tuple(out))
-
-
-def weyl_compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """(w1*w2)(i) = w1(w2(i))."""
-    return WeylElement(tuple(tuple(p1[i] for i in p2)
-                             for p1, p2 in zip(w1.perms, w2.perms)))
 
 
 def enumerate_weyl(spec: GroupSpec) -> Iterator[WeylElement]:

@@ -75,6 +75,15 @@ def assert_first_hit(config, verdict):
             assert dependence_vanishes(n, m, a, mats[wp_index], subset, perms, coeffs)
 
 
+def diagonal_vector(x):
+    """Cartan coordinates of a Lie element, or None if some factor is not
+    diagonal."""
+    if any(f[i][j] for f in x.factors for i in range(len(f))
+           for j in range(len(f)) if i != j):
+        return None
+    return tuple(f[i][i] for f in x.factors for i in range(len(f)))
+
+
 def _zero_matrix(n):
     return tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
 

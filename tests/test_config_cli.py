@@ -77,6 +77,73 @@ class TestParsing:
         assert "trace zero" in str(err.value)
 
 
+# Inputs of the exit-code table that are a shipped config with one edit:
+# name -> (shipped config, old text, new text).  Any other name is read from
+# configs/ as it is, so a name not shipped there is a missing file.
+EDITED_CONFIGS = {
+    "zero-denominator.cfg": ("example1-m2.cfg", '"1", "-1", "1", "-1"',
+                             '"1/0", "-1", "1", "-1"'),
+    "dependent-d.cfg": ("example1-m2.cfg",
+                        'basis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]',
+                        'basis = [["1", "-1", "0", "0"], ["2", "-2", "0", "0"]]'),
+    "n3-with-probe.cfg": ("example1-n3-m2.cfg", "mode = auto-trivial-m\n",
+                          "mode = auto-trivial-m\n\n[probe]\nd = 2\n"),
+    "probe-d5.cfg": ("example1-m2.cfg", "d = 2", "d = 5"),
+    "full-cartan-a.cfg": ("example1-m2.cfg",
+                          '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
+                          '[torus-a]\nbasis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'),
+}
+
+# (command and extra flags, input, exit code, stderr substring, report written)
+EXIT_TABLE = [
+    ("check", "example1-m2.cfg", 10, None, True),
+    ("check", "example1-m3.cfg", 0, None, True),
+    ("check", "no-such-file.cfg", 2, "No such file", False),
+    ("check", "zero-denominator.cfg", 2, "torus-a", False),
+    ("check", "dependent-d.cfg", 2, "torus-d", False),
+    ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
+    ("certify", "example1-m2.cfg", 10, None, True),
+    ("certify", "example1-m3.cfg", 0, None, True),
+    ("certify --workers 0", "example1-m2.cfg", 2, "at least 1", False),
+    ("probe", "example1-m2.cfg", 10, None, True),
+    ("probe --seed 7", "example1-m2.cfg", 10, None, True),
+    ("probe", "no-such-file.cfg", 2, "No such file", False),
+    ("probe", "example1-m3.cfg", 2, "the [probe] section is missing", False),
+    ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
+    ("probe", "probe-d5.cfg", 2, "[probe] d:", False),
+    ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
+]
+
+
+def table_input(name, tmp_path):
+    if name not in EDITED_CONFIGS:
+        return CONFIGS / name
+    source, old, new = EDITED_CONFIGS[name]
+    text = (CONFIGS / source).read_text()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("command, name, code, message, written", EXIT_TABLE)
+def test_exit_code_table(command, name, code, message, written, tmp_path, capsys):
+    command, *flags = command.split()
+    out = tmp_path / "report.json"
+    assert cli.main([command, str(table_input(name, tmp_path)), "--workers", "1",
+                     "--output", str(out), *flags]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if message is None:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("nondiv: error: ")
+        assert message in captured.err
+    assert out.exists() == written
+    if written:
+        assert json.loads(out.read_text())["exit_code"] == code
+
+
 class TestCliCheck:
     def test_example1_m2_exits_10(self, tmp_path):
         out = tmp_path / "r.json"

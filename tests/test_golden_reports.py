@@ -11,6 +11,10 @@ was folded into the one subset-major (I, w, w') order.  The old torus scan
 went Weyl element first and returned I = {2, 3} at w = (id, 1243); the
 documented order reaches I = {2} at w = (id, 3412) first.  That certificate
 passes `bench/oracle.py::check_certificate`.  Every other digest is unchanged.
+
+The `probe` report holds float tables (decay norms, lattice minima), so its
+floats are rounded to 10 significant digits before hashing; last-digit
+differences between BLAS builds then do not change the digest.
 """
 
 import hashlib
@@ -57,13 +61,28 @@ CERTIFY_SHA256 = {
         "54908265aa46020740d61f4aea45b624964fdeb4e26475520c7f0c9e9a020952",
 }
 
+PROBE_SHA256 = {
+    "example1-m2.cfg":
+        "19c38a57e15612e9e05485942de65aabd41504598f149e21cbdf7ee89ecc8647",
+}
+
+
+def _rounded(node):
+    if isinstance(node, float):
+        return float(f"{node:.10g}")
+    if isinstance(node, dict):
+        return {k: _rounded(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_rounded(v) for v in node]
+    return node
+
 
 def report_sha256(command: str, name: str, tmp_path, monkeypatch) -> str:
     monkeypatch.chdir(CONFIGS)
     out = tmp_path / f"{command}-{name}.json"
     cli.main([command, name, "--workers", "1", "--output", str(out)])
     report = json.loads(out.read_text(encoding="utf-8"))
-    body = {k: v for k, v in report.items() if k != "timing"}
+    body = _rounded({k: v for k, v in report.items() if k != "timing"})
     text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -80,3 +99,8 @@ def test_check_report_bytes(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CERTIFY_SHA256))
 def test_certify_report_bytes(name, tmp_path, monkeypatch):
     assert report_sha256("certify", name, tmp_path, monkeypatch) == CERTIFY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_SHA256))
+def test_probe_report_bytes(name, tmp_path, monkeypatch):
+    assert report_sha256("probe", name, tmp_path, monkeypatch) == PROBE_SHA256[name]

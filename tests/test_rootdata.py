@@ -14,10 +14,9 @@ from nondiv.rootdata import (
     matrix_unit,
     nilradical_basis,
     parabolic_contains,
-    simple_root,
     weight_of_nilradical,
 )
-from nondiv.linalg import restricted_independent
+from nondiv.linalg import dot, restricted_independent
 
 from helpers import delta_line_subspace
 
@@ -45,17 +44,17 @@ class TestWeights:
     def test_chi1_sl3(self):
         space = CartanSpace(GroupSpec(3, 1))
         chi1 = fundamental_weight(space, 1)
-        assert chi1((F(2), F(5), F(-7))) == 2
+        assert dot(chi1.vector, (F(2), F(5), F(-7))) == 2
 
     def test_chi2_sl3(self):
         space = CartanSpace(GroupSpec(3, 1))
         chi2 = fundamental_weight(space, 2)
-        assert chi2((F(2), F(5), F(-7))) == 7
+        assert dot(chi2.vector, (F(2), F(5), F(-7))) == 7
 
     def test_chi1_res_sl2(self):
         space = CartanSpace(GroupSpec(2, 2))
         chi1 = fundamental_weight(space, 1)
-        assert chi1((F(3), F(-3), F(11), F(-11))) == 14
+        assert dot(chi1.vector, (F(3), F(-3), F(11), F(-11))) == 14
 
     def test_dual_vector_is_trace_zero(self):
         space = CartanSpace(GroupSpec(4, 2))
@@ -74,20 +73,6 @@ class TestWeights:
         space = CartanSpace(spec)
         funcs = [fundamental_weight(space, i).vector for i in (1, 2, 3)]
         assert restricted_independent(funcs, delta_line_subspace(4, 1), space.form)
-
-
-class TestSimpleRoots:
-    def test_sl2(self):
-        space = CartanSpace(GroupSpec(2, 1))
-        assert simple_root(space, 1)((F(5), F(-5))) == 10
-
-    def test_res_sl2(self):
-        space = CartanSpace(GroupSpec(2, 2))
-        assert simple_root(space, 1)((F(5), F(-5), F(2), F(-2))) == 14
-
-    def test_sl3_alpha2(self):
-        space = CartanSpace(GroupSpec(3, 1))
-        assert simple_root(space, 2)((F(1), F(4), F(-5))) == 9
 
 
 class TestParabolicContains:
@@ -164,25 +149,25 @@ class TestNilradicalWeight:
     def test_sl2_standard(self):
         space = CartanSpace(GroupSpec(2, 1))
         w = weight_of_nilradical(space, 1, ParabolicSide.STANDARD)
-        assert w((F(7), F(-7))) == 14
+        assert dot(w.vector, (F(7), F(-7))) == 14
 
     def test_sl2_opposite_negates(self):
         space = CartanSpace(GroupSpec(2, 1))
         w = weight_of_nilradical(space, 1, ParabolicSide.OPPOSITE)
-        assert w((F(7), F(-7))) == -14
+        assert dot(w.vector, (F(7), F(-7))) == -14
 
     def test_sl3_is_three_chi1(self):
         space = CartanSpace(GroupSpec(3, 1))
         w = weight_of_nilradical(space, 1, ParabolicSide.STANDARD)
         x = (F(4), F(-1), F(-3))
-        assert w(x) == 3 * fundamental_weight(space, 1)(x)
+        assert dot(w.vector, x) == 3 * dot(fundamental_weight(space, 1).vector, x)
 
     def test_sides_negate_exactly(self):
         space = CartanSpace(GroupSpec(4, 2))
         for i in (1, 2, 3):
             std = weight_of_nilradical(space, i, ParabolicSide.STANDARD)
             opp = weight_of_nilradical(space, i, ParabolicSide.OPPOSITE)
-            assert std.vector == (-opp).vector
+            assert std.vector == tuple(-a for a in opp.vector)
 
     def test_proportional_to_fundamental_weight(self):
         for n, m in ((2, 1), (3, 2), (4, 2)):
@@ -203,12 +188,6 @@ class TestLieElement:
         e21 = unit_element(2, 1, 0, 1, 0)
         h = commutator(e12, e21)
         assert h.factors[0][0][0] == 1 and h.factors[0][1][1] == -1
-
-    def test_diagonal_vector(self):
-        space = CartanSpace(GroupSpec(3, 1))
-        x = space.diagonal_element((F(1), F(2), F(-3)))
-        assert x.diagonal_vector() == (F(1), F(2), F(-3))
-        assert unit_element(3, 1, 0, 0, 1).diagonal_vector() is None
 
     def test_trace_zero_part_canonical(self):
         space = CartanSpace(GroupSpec(2, 2))
