@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -183,8 +182,8 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("path", help="problem configuration file")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers for the enumeration (default: cores)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel workers for the enumeration (default: 1)")
         p.add_argument("--output", help="write the report to this file instead of stdout")
 
     p_check = sub.add_parser("check", help="decide the verdict")

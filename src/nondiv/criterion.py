@@ -11,14 +11,19 @@ fundamental weights become dependent on Lie(A) yields a replayable
 certificate, and exhaustion proves uniform nondivergence.  Trivial M is the
 case G(w) = all cuts, Lie(D) = the full Cartan space and w' = {id}.
 
-A subset of G(w) can be dependent only when the whole family
-{w(chi_i) : i in G(w)} is, so one rank test per (w, w') rules out every
-admissible subset at once, and subsets are searched only behind a dependent
-family.  Transported Lie(A) lies in Lie(D), so weights dependent on Lie(D)
-are dependent for every w'; the Lie(D) audit therefore runs only on the
-least subset hit at a w.  Workers split the Weyl range; each reports its least
-(subset, w, w') key and the coordinator takes the minimum, so every worker
-count gives the same verdict and certificate.
+A cut splits a nonzero entry of a conjugated generator by position alone,
+so G(w) is the AND over factors k of bitmasks mask_k[p_k] (`_cut_masks`);
+only `replay_certificate` conjugates, exactly.  A subset of G(w) can be
+dependent only when the whole family {w(chi_i) : i in G(w)} is, so one rank
+test per (w, w') rules out every admissible subset at once, and subsets are
+searched only behind a dependent family.  The w' with equal transported
+Lie(A) form a class with equal ranks, tested once under its lowest w' index,
+the index the documented order certifies.  Transported Lie(A) lies in
+Lie(D), so weights dependent on Lie(D) are dependent for every w'; the
+Lie(D) audit therefore runs only on the least subset hit at a w.  Workers
+split the Weyl range; each reports its least (subset, w, w') key and the
+coordinator takes the minimum, so every worker count gives the same verdict
+and certificate.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
 basis vector of Lie(A), transported Lie(A) and Lie(D) by the LCM of its
@@ -206,19 +211,9 @@ def _weyl_digits(idx: int, base: int, m: int) -> list[int]:
     return digits
 
 
-def _nth_permutation(n: int, d: int) -> tuple[int, ...]:
-    """The d-th permutation of range(n) in lexicographic order."""
-    pool = list(range(n))
-    out = []
-    for k in range(n - 1, -1, -1):
-        q, d = divmod(d, math.factorial(k))
-        out.append(pool.pop(q))
-    return tuple(out)
-
-
 def _weyl_by_index(spec: GroupSpec, idx: int) -> WeylElement:
-    digits = _weyl_digits(idx, math.factorial(spec.n), spec.m)
-    return WeylElement(tuple(_nth_permutation(spec.n, d) for d in digits))
+    perms = list(itertools.permutations(range(spec.n)))
+    return WeylElement(tuple(perms[d] for d in _weyl_digits(idx, len(perms), spec.m)))
 
 
 def _factor_tables(spec: GroupSpec, basis: Sequence[Vec]) -> list[list[IntMat]]:
@@ -299,15 +294,25 @@ def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
 
 # --- the scan ---------------------------------------------------------------
 
-def _good_cuts(space: CartanSpace, gens: Sequence[LieElement],
-               w: WeylElement) -> tuple[int, ...]:
-    """Cuts where every conjugated generator is block diagonal (both sides)."""
-    w_inv = weyl_inverse(w)
-    moved = [act_on_lie(w_inv, g) for g in gens]
-    return tuple(i for i in range(1, space.spec.rank + 1)
-                 if all(parabolic_contains(space, [i], g, ParabolicSide.STANDARD)
-                        and parabolic_contains(space, [i], g, ParabolicSide.OPPOSITE)
-                        for g in moved))
+def _cut_masks(spec: GroupSpec, gens: Sequence[LieElement]) -> list[list[int]]:
+    """mask[k][d]: bit i-1 is set when cut i splits no nonzero off-diagonal
+    entry (a, b) of a generator's factor k moved by w^-1, where w permutes
+    factor k by the d-th permutation p.  The entry moves to (q[a], q[b]) with
+    q = p^-1, and cut i splits it when min(q[a], q[b]) < i <= max(q[a], q[b])."""
+    full = (1 << spec.rank) - 1
+    masks = []
+    for k in range(spec.m):
+        entries = {(a, b) for g in gens for a, row in enumerate(g.factors[k])
+                   for b, x in enumerate(row) if a != b and x != 0}
+        table = []
+        for p in itertools.permutations(range(spec.n)):
+            mask = full
+            for a, b in entries:
+                lo, hi = sorted((p.index(a), p.index(b)))
+                mask &= ~((1 << hi) - (1 << lo))
+            table.append(mask)
+        masks.append(table)
+    return masks
 
 
 def _first_dependent(evaluation: IntMat, cuts: tuple[int, ...],
@@ -335,26 +340,34 @@ def _scan_chunk(args):
     """
     config, start, end = args
     spec = config.spec
-    space = CartanSpace(spec)
-    subsets = _subsets_by_size(spec.rank)
+    r = spec.rank
+    subsets = _subsets_by_size(r)
     subset_index = {s: k for k, s in enumerate(subsets)}
+    cuts_of = [tuple(i for i in range(1, r + 1) if mask >> (i - 1) & 1)
+               for mask in range(1 << r)]
+    masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
     # Validated w' map the span of Lie(D) onto itself, so the Lie(D) audit is
-    # independent of w'; only Lie(A) needs the w'-transported basis.
+    # independent of w'; Lie(A) is transported once per w' class.
     d_tables = _factor_tables(spec, config.d_basis.basis)
-    a_tables = [_factor_tables(spec, _transport_subspace(config.a_basis, wp).basis)
-                for wp in config.centralizer_weyl]
+    classes: dict[Subspace, int] = {}
+    for wp_idx, wp in enumerate(config.centralizer_weyl):
+        classes.setdefault(_transport_subspace(config.a_basis, wp), wp_idx)
+    a_tables = [(wp_idx, _factor_tables(spec, sub.basis))
+                for sub, wp_idx in classes.items()]
     best = None
     admissible = 0
     for w_idx in range(start, end):
         digits = _weyl_digits(w_idx, base, spec.m)
-        w = WeylElement(tuple(_nth_permutation(spec.n, d) for d in digits))
-        cuts = _good_cuts(space, config.m_generators, w)
+        good = -1
+        for table, d in zip(masks, digits):
+            good &= table[d]
+        cuts = cuts_of[good]
         if not cuts:
             continue
         admissible += 2 ** len(cuts) - 1
-        # A later w' can hit an earlier subset, so every w' is tried.
-        for wp_idx, tables in enumerate(a_tables):
+        # A later w' can hit an earlier subset, so every class is tried.
+        for wp_idx, tables in a_tables:
             bound = best[0] if best else len(subsets)
             si = _first_dependent(_evaluation(tables, digits), cuts,
                                   subset_index, bound)

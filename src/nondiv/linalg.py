@@ -234,21 +234,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
 
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[Vec]:
-        """Coefficients of v in the canonical basis, or None if outside."""
-        if self.is_zero():
-            return () if all(e == 0 for e in v) else None
-        sys_rows = transpose(self.basis)
-        aug = [list(row) + [Fraction(e)] for row, e in zip(sys_rows, v)]
-        red, pivots = _rref(aug)
-        ncols = self.dim
-        if ncols in pivots:
-            return None  # inconsistent: v not in the span
-        coeffs = [Fraction(0)] * ncols
-        for i, p in enumerate(pivots):
-            coeffs[p] = red[i][ncols]
-        return tuple(coeffs)
-
 
 @dataclass(frozen=True)
 class BilinearForm:

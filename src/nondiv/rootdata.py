@@ -111,10 +111,6 @@ class Functional:
 
     vector: Vec
 
-    def scale(self, c) -> "Functional":
-        c = Fraction(c)
-        return Functional(tuple(c * a for a in self.vector))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.vector)
 
@@ -148,9 +144,18 @@ def matrix_unit(n: int, a: int, b: int) -> Mat:
 
 
 def mat_mul(x: Mat, y: Mat) -> Mat:
+    """Exact square product over the nonzero entries of both operands only."""
     n = len(x)
-    return tuple(tuple(sum((x[i][k] * y[k][j] for k in range(n)), Fraction(0))
-                       for j in range(n)) for i in range(n))
+    y_rows = [[(j, e) for j, e in enumerate(row) if e != 0] for row in y]
+    out = []
+    for row in x:
+        acc = [Fraction(0)] * n
+        for k, a in enumerate(row):
+            if a != 0:
+                for j, b in y_rows[k]:
+                    acc[j] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def commutator(x: LieElement, y: LieElement) -> LieElement:

@@ -33,9 +33,6 @@ class WeylElement:
         for p in self.perms:
             _check_permutation(p, n)
 
-    def is_identity(self) -> bool:
-        return all(p == tuple(range(len(p))) for p in self.perms)
-
 
 def weyl_inverse(w: WeylElement) -> WeylElement:
     out = []

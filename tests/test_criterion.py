@@ -2,8 +2,10 @@ import dataclasses
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nondiv import criterion
 from nondiv.criterion import (
@@ -15,8 +17,17 @@ from nondiv.criterion import (
     dependence_coefficients,
     replay_certificate,
 )
+from nondiv.config import build_config, parse_problem
 from nondiv.linalg import Subspace, dot, rank
-from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, fundamental_weight
+from nondiv.rootdata import (
+    CartanSpace,
+    Functional,
+    GroupSpec,
+    LieElement,
+    ParabolicSide,
+    fundamental_weight,
+    parabolic_contains,
+)
 from nondiv.weyl import (
     WeylElement,
     act_on_functional,
@@ -25,6 +36,7 @@ from nondiv.weyl import (
     enumerate_weyl,
     identity_centralizer_element,
     signed_permutation_matrix,
+    weyl_inverse,
 )
 
 from helpers import (
@@ -80,6 +92,88 @@ class TestIntegerEvaluation:
                     assert all(isinstance(e, int) for e in evaluation[i - 1])
                     assert [F(e, n * s) for e, s in zip(evaluation[i - 1], scales)] \
                         == [dot(f, b) for b in basis]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_config(name):
+    return build_config(parse_problem((CONFIGS / name).read_text(encoding="utf-8")))
+
+
+def exact_good_cuts(spec, gens, w):
+    """G(w) by exact conjugation: the cuts at which every generator moved by
+    w^-1 lies in both the standard and the opposite parabolic."""
+    space = CartanSpace(spec)
+    moved = [act_on_lie(weyl_inverse(w), g) for g in gens]
+    return tuple(i for i in range(1, spec.rank + 1)
+                 if all(parabolic_contains(space, [i], g, side)
+                        for g in moved for side in ParabolicSide))
+
+
+def mask_good_cuts(spec, masks, idx):
+    good = -1
+    for table, d in zip(masks, criterion._weyl_digits(idx, math.factorial(spec.n), spec.m)):
+        good &= table[d]
+    return tuple(i for i in range(1, spec.rank + 1) if good >> (i - 1) & 1)
+
+
+@st.composite
+def sparse_generators(draw):
+    """(spec, generators, Weyl indices): a few trace-zero generators with a
+    random sparse pattern of integer entries."""
+    n, m = draw(st.sampled_from((3, 4))), draw(st.sampled_from((1, 2)))
+    spec = GroupSpec(n, m)
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [[[F(0)] * n for _ in range(n)] for _ in range(m)]
+        for k, a, b in draw(st.lists(cells, min_size=1, max_size=4)):
+            if a != b:
+                factors[k][a][b] = F(draw(st.integers(1, 3) | st.integers(-3, -1)))
+        k, a = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 2))
+        factors[k][a][a], factors[k][a + 1][a + 1] = F(1), F(-1)
+        gens.append(LieElement.of(factors))
+    indices = draw(st.lists(st.integers(0, math.factorial(n) ** m - 1),
+                            min_size=1, max_size=12))
+    return spec, tuple(gens), indices
+
+
+class TestCutMasks:
+    """G(w) from the per-factor masks is the exact parabolic filter."""
+
+    @pytest.mark.parametrize("name", ["example2.cfg", "example2-line.cfg", "so21-helper"])
+    def test_matches_exact_filter_on_every_w(self, name):
+        config = (so21_config(so21_d_vectors()) if name == "so21-helper"
+                  else shipped_config(name))
+        spec, gens = config.spec, config.m_generators
+        masks = criterion._cut_masks(spec, gens)
+        for idx, w in enumerate(enumerate_weyl(spec)):
+            assert mask_good_cuts(spec, masks, idx) == exact_good_cuts(spec, gens, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_generators())
+    def test_matches_exact_filter_on_random_generators(self, case):
+        spec, gens, indices = case
+        masks = criterion._cut_masks(spec, gens)
+        for idx in indices:
+            assert mask_good_cuts(spec, masks, idx) == \
+                exact_good_cuts(spec, gens, criterion._weyl_by_index(spec, idx))
+
+    def test_one_rank_test_per_w_prime_class(self, monkeypatch):
+        # example2.cfg: the 24 w' transport Lie(A) to one subspace, and each
+        # of the 288 admissible w has one cut and an independent family.
+        config = shipped_config("example2.cfg")
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(criterion, "rank", counted)
+        verdict = check_general(config)
+        assert verdict.nondivergent and verdict.stats.pairs_admissible == 288
+        assert len(config.centralizer_weyl) == 24 and len(calls) == 288
 
 
 class TestCheckTorus:
@@ -354,13 +448,14 @@ class TestInvariants:
 
 class TestConfigValidation:
     def test_a_outside_d_rejected(self):
+        # M = the sl_2 block on e_1, e_2 and Lie(D) its centralizer torus, so
+        # Lie(A) outside Lie(D) is the only fault.
         spec = GroupSpec(3, 1)
-        d = Subspace.span(3, [[F(1), F(-1), F(0)]])
-        a = Subspace.span(3, [[F(0), F(1), F(-1)]])
         gens = sl_block_generators(3, 1, 0, 0, 2)
-        # force d to commute but a outside d
-        with pytest.raises(ConfigError):
-            GroupConfig(spec, (), d, a, (identity_centralizer_element(spec),))
+        d = Subspace.span(3, block_centralizer_torus_vectors(3, 1, {0}, 0, 2))
+        a = Subspace.span(3, [[F(1), F(-1), F(0)]])
+        with pytest.raises(ConfigError, match=r"Lie\(A\) is not contained in Lie\(D\)"):
+            GroupConfig(spec, gens, d, a, (identity_centralizer_element(spec),))
 
     def test_trivial_m_needs_full_d(self):
         spec = GroupSpec(3, 1)

@@ -360,9 +360,3 @@ class TestSubspace:
         s = Subspace.span(3, [[1, 1, 0]])
         assert s.contains([F(2), F(2), F(0)])
         assert not s.contains([F(1), F(0), F(0)])
-
-    def test_coordinates(self):
-        s = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
-        coords = s.coordinates([F(3), F(3), F(-2)])
-        assert coords == (F(3), F(-2))
-        assert s.coordinates([F(1), F(0), F(0)]) is None

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nondiv.rootdata import (
     CartanSpace,
@@ -11,6 +12,7 @@ from nondiv.rootdata import (
     ParabolicSide,
     commutator,
     fundamental_weight,
+    mat_mul,
     matrix_unit,
     nilradical_basis,
     parabolic_contains,
@@ -175,7 +177,33 @@ class TestNilradicalWeight:
             for i in range(1, n):
                 w = weight_of_nilradical(space, i, ParabolicSide.STANDARD)
                 chi = fundamental_weight(space, i)
-                assert w.vector == chi.scale(n).vector
+                assert w.vector == tuple(n * c for c in chi.vector)
+
+
+def dense_product(x, y):
+    n = len(x)
+    return tuple(tuple(sum((F(x[i][k]) * F(y[k][j]) for k in range(n)), F(0))
+                       for j in range(n)) for i in range(n))
+
+
+@st.composite
+def sparse_pair(draw):
+    """Two square matrices, mostly zero, with rational or integer entries."""
+    n = draw(st.integers(1, 5))
+    entry = (st.just(F(0)) | st.fractions(min_value=-6, max_value=6, max_denominator=5)
+             | st.integers(-3, 3))
+    return tuple(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+                 for _ in range(2))
+
+
+class TestMatMul:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_pair())
+    def test_matches_dense_product(self, pair):
+        x, y = pair
+        product = mat_mul(x, y)
+        assert product == dense_product(x, y)
+        assert all(type(e) is F for row in product for e in row)
 
 
 class TestLieElement:
