@@ -220,12 +220,8 @@ def build_config(problem: ProblemFile) -> GroupConfig:
     return GroupConfig(spec, problem.m_generators, d, a, cw)
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _mat_json_obj(m) -> list:
-    return [[_frac_str(e) for e in row] for row in m]
+    return [[str(e) for e in row] for row in m]
 
 
 def serialize_problem(problem: ProblemFile) -> str:
@@ -244,11 +240,11 @@ def serialize_problem(problem: ProblemFile) -> str:
         lines.append(f"generators = {json.dumps(gens)}")
     lines.append("")
     lines.append("[torus-d]")
-    lines.append("basis = " + json.dumps([[_frac_str(e) for e in v]
+    lines.append("basis = " + json.dumps([[str(e) for e in v]
                                           for v in problem.d_vectors]))
     lines.append("")
     lines.append("[torus-a]")
-    lines.append("basis = " + json.dumps([[_frac_str(e) for e in v]
+    lines.append("basis = " + json.dumps([[str(e) for e in v]
                                           for v in problem.a_vectors]))
     lines.append("")
     lines.append("[centralizer-weyl]")

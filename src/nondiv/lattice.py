@@ -50,15 +50,6 @@ class ModuleLattice:
 
     basis: np.ndarray
 
-    @property
-    def covolume(self) -> float:
-        import numpy as np
-        return abs(np.linalg.det(self.basis))
-
-    def normalized(self) -> "ModuleLattice":
-        scale = self.covolume ** (1.0 / self.basis.shape[0])
-        return ModuleLattice(self.basis / scale)
-
 
 def embed_lattice(order: QuadraticOrder, n: int,
                   g: Sequence[np.ndarray]) -> ModuleLattice:

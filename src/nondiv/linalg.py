@@ -3,9 +3,12 @@ positive definite form, strict-inequality feasibility by Fourier-Motzkin
 elimination, and invariance dimension of H-form regions.
 
 Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
-immutable, and no floating point is used.  `rank` clears denominators row by
-row and eliminates fraction-free over the integers.  Subspaces are stored with
-a canonical reduced-echelon basis so equality of spans is plain `==`.
+immutable, and no floating point is used.  Every exact elimination goes
+through `_eliminate`, one fraction-free (Bareiss) loop over integer rows:
+`rank` counts its pivots, `det` reads its last pivot, and `_rref` (behind
+`solve`, `mat_inverse`, kernels and `Subspace.span`) runs it in Gauss-Jordan
+form.  Subspaces are stored with a canonical reduced-echelon basis so
+equality of spans is plain `==`.
 """
 
 from __future__ import annotations
@@ -60,32 +63,6 @@ def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = [list(Fraction(e) for e in r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [e / pv for e in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
-
-
 def clear_denominators(v: Sequence) -> list[int]:
     """The rational vector times the LCM of its denominators."""
     if all(type(e) is int for e in v):
@@ -95,32 +72,54 @@ def clear_denominators(v: Sequence) -> list[int]:
     return [e.numerator * (scale // e.denominator) for e in fracs]
 
 
+def _eliminate(rows: list[list[int]], reduced: bool) -> tuple[list[list[int]], list[int], int]:
+    """Bareiss's fraction-free elimination of an integer matrix, in place.
+
+    Returns (rows, pivot columns, sign of the row permutation); row i of the
+    result holds the pivot in column pivots[i].  After k pivots every entry is
+    a (k+1)-minor, so the division by the previous pivot is exact, and the
+    last pivot of a nonsingular square matrix is its determinant up to the
+    sign.  With `reduced` the rows above each pivot are cleared too
+    (fraction-free Gauss-Jordan, same exact division), so every pivot row
+    ends with the last pivot in its pivot column and zeros in the others.
+    """
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(rows[0]) if rows else 0):
+        done = len(pivots)
+        pr = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != done:
+            rows[done], rows[pr] = rows[pr], rows[done]
+            sign = -sign
+        pivot_row = rows[done]
+        pv = pivot_row[c]
+        for i in range(0 if reduced else done + 1, len(rows)):
+            if i != done:
+                row = rows[i]
+                f = row[c]
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        prev = pv
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots, sign
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
+    red, pivots, _ = _eliminate([r for r in map(clear_denominators, rows) if any(r)], True)
+    return [[Fraction(a, row[p]) for a in row] for row, p in zip(red, pivots)], pivots
+
+
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank over the rationals.
 
     Scaling a row by a nonzero integer keeps the rank, so each row is cleared
-    of denominators and the integer matrix is reduced by Bareiss's
-    fraction-free elimination: after k pivots every entry is a (k+1)-minor,
-    so the division by the previous pivot is exact.
+    of denominators and the integer matrix is eliminated fraction-free.
     """
-    rows = [r for r in map(clear_denominators, m) if any(r)]
-    done, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        pr = next((i for i in range(done, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[done], rows[pr] = rows[pr], rows[done]
-        pivot_row = rows[done]
-        pv = pivot_row[c]
-        for i in range(done + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pivot_row)]
-        prev = pv
-        done += 1
-        if done == len(rows):
-            break
-    return done
+    return len(_eliminate([r for r in map(clear_denominators, m) if any(r)], False)[1])
 
 
 def _kernel_vectors(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
@@ -142,7 +141,7 @@ def solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
     n = len(m)
     if n != len(rhs) or any(len(r) != n for r in m):
         raise ValueError("solve expects a square system")
-    aug = [list(row) + [Fraction(r)] for row, r in zip(m, rhs)]
+    aug = [list(row) + [r] for row, r in zip(m, rhs)]
     red, pivots = _rref(aug)
     if pivots != list(range(n)):
         raise ValueError("singular system")
@@ -150,30 +149,21 @@ def solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
 
 
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-preserving elimination."""
+    """Exact determinant: the matrix is scaled by the LCM of its denominators
+    and the determinant read off the last fraction-free pivot."""
     n = len(m)
-    work = [list(Fraction(e) for e in r) for r in m]
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return result
+    fracs = [[Fraction(e) for e in row] for row in m]
+    scale = math.lcm(*(e.denominator for row in fracs for e in row))
+    rows, pivots, sign = _eliminate(
+        [[e.numerator * (scale // e.denominator) for e in row] for row in fracs], False)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1] if n else 1, scale ** n)
 
 
 def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(m)
-    aug = [list(Fraction(e) for e in row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     red, pivots = _rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
@@ -198,8 +188,7 @@ class Subspace:
         for v in vs:
             if len(v) != ambient_dim:
                 raise ValueError("vector/ambient dimension mismatch")
-        red, pivots = _rref(vs)
-        return cls(ambient_dim, tuple(tuple(red[i]) for i in range(len(pivots))))
+        return cls(ambient_dim, tuple(map(tuple, _rref(vs)[0])))
 
     @classmethod
     def from_independent(cls, ambient_dim: int, vectors: Iterable[Sequence[Fraction]]) -> "Subspace":
@@ -212,12 +201,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        eye = tuple(tuple(Fraction(int(i == j)) for j in range(ambient_dim))
-                    for i in range(ambient_dim))
-        return cls(ambient_dim, eye)
 
     @property
     def dim(self) -> int:

@@ -5,6 +5,7 @@ user-supplied centralizer Weyl representatives."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -52,10 +53,7 @@ def enumerate_weyl(spec: GroupSpec) -> Iterator[WeylElement]:
 
 
 def weyl_order(spec: GroupSpec) -> int:
-    fact = 1
-    for k in range(2, spec.n + 1):
-        fact *= k
-    return fact ** spec.m
+    return math.factorial(spec.n) ** spec.m
 
 
 def act_on_functional(w: WeylElement, f: Functional) -> Functional:
@@ -88,19 +86,24 @@ def perm_sign(p: Permutation) -> int:
     return sign
 
 
-def signed_permutation_matrix(p: Permutation) -> Mat:
-    """Determinant-one representative of the permutation.
+def _representative_signs(p: Permutation) -> list[int]:
+    """sigma[i], the sign of entry (p[i], i) of the determinant-one representative.
 
     For odd permutations one row is negated; the row of the largest moved
     index is chosen, deterministically.
     """
-    n = len(p)
     negate = -1
     if perm_sign(p) < 0:
-        negate = max(i for i in range(n) if p[i] != i)
+        negate = max(i for i in range(len(p)) if p[i] != i)
+    return [-1 if pi == negate else 1 for pi in p]
+
+
+def signed_permutation_matrix(p: Permutation) -> Mat:
+    """Determinant-one representative of the permutation."""
+    n = len(p)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[p[i]][i] = Fraction(-1 if p[i] == negate else 1)
+    for i, s in enumerate(_representative_signs(p)):
+        rows[p[i]][i] = Fraction(s)
     return tuple(tuple(r) for r in rows)
 
 
@@ -109,10 +112,7 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
     factors = []
     for p, f in zip(w.perms, x.factors):
         n = len(p)
-        negate = -1
-        if perm_sign(p) < 0:
-            negate = max(i for i in range(n) if p[i] != i)
-        sigma = [(-1 if p[i] == negate else 1) for i in range(n)]
+        sigma = _representative_signs(p)
         out = [[Fraction(0)] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):

@@ -234,7 +234,7 @@ class TestDependenceCoefficients:
         assert dependence_coefficients(funcs, w) == (1, -1)
 
     def test_independent_returns_none(self):
-        w = Subspace.full(2)
+        w = Subspace.span(2, [[1, 0], [0, 1]])
         funcs = [Functional((F(1), F(0))), Functional((F(0), F(1)))]
         assert dependence_coefficients(funcs, w) is None
 

@@ -11,16 +11,20 @@ from nondiv.linalg import (
     StrictRegion,
     Subspace,
     _kernel_vectors,
+    _rref,
+    det,
     fm_feasible,
     integral_kernel_vector,
     invdim,
     mat,
+    mat_inverse,
     orthant_meets_subspace,
     project_subspace,
     rank,
     restricted_independent,
     transpose,
 )
+from nondiv.rootdata import mat_mul
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -72,7 +76,17 @@ class TestRank:
                   for j in range(cols)] for row in left]
         else:
             m = data.draw(_matrix(rows, cols))
-        assert rank(m) == _fraction_rank(m)
+        red, pivots, _ = _fraction_gauss_jordan(m)
+        assert rank(m) == len(pivots)
+        assert _rref(m) == (red, pivots)
+        n = min(rows, cols)
+        block = [row[:n] for row in m[:n]]
+        _, pivots, pivot_product = _fraction_gauss_jordan(block)
+        d = pivot_product if len(pivots) == n else 0
+        assert det(block) == d
+        if d:
+            eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+            assert mat_mul(mat_inverse(block), mat(block)) == eye
 
 
 _BIG = 10 ** 30
@@ -88,20 +102,29 @@ def _matrix(rows, cols):
                     min_size=rows, max_size=rows)
 
 
-def _fraction_rank(m):
-    """Plain Gaussian elimination over Fractions."""
+def _fraction_gauss_jordan(m):
+    """Plain Gauss-Jordan over Fractions: the nonzero reduced rows, the pivot
+    columns, and the signed product of the pivots (the determinant of a
+    nonsingular square m)."""
     work = [[F(e) for e in row] for row in m]
-    done = 0
+    pivots, product = [], F(1)
     for c in range(len(work[0]) if work else 0):
+        done = len(pivots)
         p = next((i for i in range(done, len(work)) if work[i][c] != 0), None)
         if p is None:
             continue
-        work[done], work[p] = work[p], work[done]
-        for i in range(done + 1, len(work)):
-            f = work[i][c] / work[done][c]
-            work[i] = [a - f * b for a, b in zip(work[i], work[done])]
-        done += 1
-    return done
+        if p != done:
+            work[done], work[p] = work[p], work[done]
+            product = -product
+        pv = work[done][c]
+        product *= pv
+        work[done] = [e / pv for e in work[done]]
+        for i in range(len(work)):
+            if i != done:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[done])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots, product
 
 
 def kernel(m):
@@ -189,7 +212,7 @@ class TestProjection:
 
 class TestRestrictedIndependent:
     def test_full_plane(self):
-        assert restricted_independent([[1, 0], [0, 1]], Subspace.full(2))
+        assert restricted_independent([[1, 0], [0, 1]], Subspace.span(2, [[1, 0], [0, 1]]))
 
     def test_diagonal_collapses(self):
         assert not restricted_independent([[1, 0], [0, 1]],

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nondiv.linalg import Subspace, det, dot, mat
+from nondiv.linalg import Subspace, det, dot, mat, mat_inverse
 from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
 from nondiv.weyl import (
     CentralizerWeylElement,
@@ -48,6 +48,13 @@ def random_weyl(rng, spec):
         rng.shuffle(p)
         perms.append(tuple(p))
     return WeylElement(tuple(perms))
+
+
+def random_sl(rng, n):
+    """A random integer n x n matrix of trace zero."""
+    rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    return rows
 
 
 def random_trace_zero(rng, spec):
@@ -153,6 +160,17 @@ class TestLieAction:
     def test_representatives_have_det_one(self):
         for p in itertools.permutations(range(4)):
             assert det(signed_permutation_matrix(p)) == 1
+
+    def test_matches_conjugation_by_representative(self):
+        rng = random.Random(5)
+        for n in (2, 3, 4):
+            for p in itertools.permutations(range(n)):
+                w = WeylElement((p, p[::-1]))
+                x = LieElement.of([random_sl(rng, n) for _ in w.perms])
+                y = act_on_lie(w, x)
+                for q, f, g in zip(w.perms, x.factors, y.factors):
+                    s = signed_permutation_matrix(q)
+                    assert g == mat_mul(mat_mul(s, f), mat_inverse(s))
 
     def test_sign_function(self):
         assert perm_sign((0, 1, 2)) == 1
