@@ -70,7 +70,6 @@ from .witness import (
     wedge_norm,
 )
 from .lattice import (
-    ModuleLattice,
     ProbeStats,
     QuadraticOrder,
     embed_lattice,

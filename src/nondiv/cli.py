@@ -137,15 +137,22 @@ def cmd_replay(args) -> int:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     except json.JSONDecodeError as exc:
         return _fail(f"report is not valid JSON: {exc}", EXIT_CONFIG_ERROR)
+    if not isinstance(data, dict):
+        return _fail("report is not a JSON object", EXIT_CONFIG_ERROR)
     if data.get("format") != REPORT_FORMAT:
         return _fail(f"unsupported report format {data.get('format')!r}",
                      EXIT_CONFIG_ERROR)
+    if not isinstance(data.get("input", {}), dict):
+        return _fail("report field 'input' is not an object", EXIT_CONFIG_ERROR)
     try:
         content = data["input"]["content"]
         stored_digest = data["input"]["sha256"]
         stored = {key: data[key] for key in ("verdict", "certificate", "stats")}
     except KeyError as exc:
         return _fail(f"report is missing field {exc}", EXIT_CONFIG_ERROR)
+    if not isinstance(content, str):
+        return _fail("report field 'input.content' is not a string",
+                     EXIT_CONFIG_ERROR)
     if input_digest(content) != stored_digest:
         return _fail("input digest mismatch: report was tampered with",
                      EXIT_AUDIT_FAILED)

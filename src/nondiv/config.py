@@ -17,7 +17,7 @@ from typing import Optional
 from .criterion import ConfigError, GroupConfig
 from .linalg import Mat, Subspace, Vec
 from .rootdata import CartanSpace, GroupSpec, LieElement
-from .weyl import InvalidCentralizerWeyl, centralizer_weyl_validate, identity_centralizer_element
+from .weyl import InvalidCentralizerWeyl, centralizer_weyl_validate
 
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
 DEFAULT_SEED = 0x5EED
@@ -209,14 +209,11 @@ def build_config(problem: ProblemFile) -> GroupConfig:
         a = Subspace.from_independent(ambient, problem.a_vectors)
     except ValueError as exc:
         raise ConfigError(f"[torus-a] basis: {exc}")
-    if problem.centralizer_mode == "auto-trivial-m":
-        cw = (identity_centralizer_element(spec),)
-    else:
-        try:
-            cw = tuple(centralizer_weyl_validate(spec, problem.m_generators, d,
-                                                 problem.centralizer_elements))
-        except InvalidCentralizerWeyl as exc:
-            raise ConfigError(f"[centralizer-weyl]: {exc}")
+    try:
+        cw = tuple(centralizer_weyl_validate(spec, problem.m_generators, d,
+                                             problem.centralizer_elements))
+    except InvalidCentralizerWeyl as exc:
+        raise ConfigError(f"[centralizer-weyl]: {exc}")
     return GroupConfig(spec, problem.m_generators, d, a, cw)
 
 

@@ -44,16 +44,11 @@ class QuadraticOrder:
         return math.sqrt(self.d)
 
 
-@dataclass(frozen=True)
-class ModuleLattice:
-    """Rank-2n Euclidean lattice; columns of `basis` are the lattice vectors."""
-
-    basis: np.ndarray
-
-
 def embed_lattice(order: QuadraticOrder, n: int,
-                  g: Sequence[np.ndarray]) -> ModuleLattice:
-    """Lattice with columns (g1 s1(v), g2 s2(v)) over the basis {e_i, sqrt(d) e_i}.
+                  g: Sequence[np.ndarray]) -> np.ndarray:
+    """Basis of the rank-2n lattice with columns (g1 s1(v), g2 s2(v)) over
+    {e_i, sqrt(d) e_i}; the columns of the returned 2n x 2n array are the
+    lattice vectors.
 
     Column order: e_1..e_n then sqrt(d) e_1..sqrt(d) e_n.
     """
@@ -69,7 +64,7 @@ def embed_lattice(order: QuadraticOrder, n: int,
         cols.append(np.concatenate([g1[:, i], g2[:, i]]))
     for i in range(n):
         cols.append(np.concatenate([s * g1[:, i], -s * g2[:, i]]))
-    return ModuleLattice(np.column_stack(cols))
+    return np.column_stack(cols)
 
 
 def _size_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,19 +154,20 @@ def _enumerate_minimum(basis: np.ndarray, bound_sq: float) -> tuple[float, np.nd
     return best_sq, best_x
 
 
-def shortest_vector(lat: ModuleLattice) -> float:
-    """Length of a shortest nonzero lattice vector (exact-optimal enumeration).
+def shortest_vector(basis: np.ndarray) -> float:
+    """Length of a shortest nonzero vector of the lattice spanned by the
+    columns of `basis` (exact-optimal enumeration).
 
     The basis is size-reduced first; the reduced shortest column certifies a
     sufficient enumeration bound.
     """
     import numpy as np
-    reduced, transform = _size_reduce(lat.basis)
+    reduced, transform = _size_reduce(basis)
     col_norms = np.sum(reduced * reduced, axis=0)
     bound_sq = float(np.min(col_norms))
     _, x_red = _enumerate_minimum(reduced, bound_sq)
     x = transform @ x_red
-    return float(np.linalg.norm(lat.basis @ x.astype(float)))
+    return float(np.linalg.norm(basis @ x.astype(float)))
 
 
 @dataclass(frozen=True)
@@ -197,8 +193,7 @@ def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence[np.ndarray],
     minimum, maximum, argmin_t = math.inf, -math.inf, 0.0
     for t in ts:
         a = np.diag([math.exp(t), math.exp(-t)])
-        lat = embed_lattice(order, n, (a @ g0[0], a @ g0[1]))
-        sv = shortest_vector(lat)
+        sv = shortest_vector(embed_lattice(order, n, (a @ g0[0], a @ g0[1])))
         values.append((float(t), sv))
         if sv < minimum:
             minimum, argmin_t = sv, float(t)

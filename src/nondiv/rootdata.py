@@ -137,12 +137,6 @@ class LieElement:
         return all(all(all(e == 0 for e in row) for row in f) for f in self.factors)
 
 
-def matrix_unit(n: int, a: int, b: int) -> Mat:
-    """E_ab (0-based), n x n."""
-    return tuple(tuple(Fraction(int(i == a and j == b)) for j in range(n))
-                 for i in range(n))
-
-
 def mat_mul(x: Mat, y: Mat) -> Mat:
     """Exact square product over the nonzero entries of both operands only."""
     n = len(x)
@@ -202,19 +196,21 @@ def parabolic_contains(space: CartanSpace, cuts: Iterable[int], x: LieElement,
     return True
 
 
-def nilradical_basis(space: CartanSpace, i: int, side: ParabolicSide) -> list[LieElement]:
-    """Matrix units spanning the nilradical at cut i, factor-major then row-major."""
+def nilradical_basis(space: CartanSpace, i: int,
+                     side: ParabolicSide) -> list[tuple[int, int, int]]:
+    """Positions (factor, row, column) of the matrix units spanning the
+    nilradical at cut i.
+
+    Factor-major, then row-major in the standard side's positions; the
+    opposite side lists the transposed positions in the same order.
+    """
     _check_index(space, i)
     n, m = space.spec.n, space.spec.m
-    zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
     out = []
     for k in range(m):
         for a in range(i):
             for b in range(i, n):
-                unit = matrix_unit(n, a, b) if side is ParabolicSide.STANDARD \
-                    else matrix_unit(n, b, a)
-                factors = tuple(unit if kk == k else zero for kk in range(m))
-                out.append(LieElement(factors))
+                out.append((k, a, b) if side is ParabolicSide.STANDARD else (k, b, a))
     return out
 
 

@@ -7,10 +7,14 @@ g_N = w' exp(N v) w, and a two-part verification: the exact part re-checks the
 rational conditions that carry the universal quantifier over H, the numeric
 part samples H and measures wedge-line norm decay along h * g_N.
 
-Only the numeric part uses floats.  numpy is imported inside the functions
-that realize matrices over the reals, and scipy only for the exponentials of
-Lie(M) words in `HSampler.default`, so the exact pipeline (certificate
-replay, escape data, `check_witness_exact`) loads neither.
+Only the numeric part uses floats, along one path: every g_N, the N = 0
+baseline included, comes from `realize_divergence_sequence`, and
+`wedge_norm` moves each nilradical matrix unit, held as its (factor, row,
+column) position, by an outer product of a column of g and a row of g^-1.
+numpy is imported inside the functions that realize matrices over the
+reals, and scipy only for the exponentials of Lie(M) words in
+`HSampler.default`, so the exact pipeline (certificate replay, escape data,
+`check_witness_exact`) loads neither.
 """
 
 from __future__ import annotations
@@ -28,15 +32,14 @@ from .linalg import (
     Subspace,
     Vec,
     dot,
-    mat_inverse,
     orthant_meets_subspace,
     project_subspace,
+    solve,
     vec_add,
     vec_scale,
 )
 from .rootdata import (
     CartanSpace,
-    LieElement,
     ParabolicSide,
     fundamental_weight,
     nilradical_basis,
@@ -71,9 +74,16 @@ class EscapeWitness:
 
 @dataclass(frozen=True)
 class WedgeLine:
+    """Wedge of the nilradical at cut `rep_index` on one parabolic side.
+
+    The nilradical is spanned by matrix units E_ab; `units` holds their
+    (factor, row, column) positions, so the line never needs an exact
+    matrix realized over the reals.
+    """
+
     rep_index: int
     side: ParabolicSide
-    basis: tuple[LieElement, ...]
+    units: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def of(cls, space: CartanSpace, j: int, side: ParabolicSide) -> "WedgeLine":
@@ -101,16 +111,11 @@ def first_missed_orthant(funcs: Sequence[Vec], u_prime: Subspace) -> Orthant:
 def escape_vector(funcs: Sequence[Vec], u_vectors: Sequence[Vec],
                   sigma0: Orthant) -> Vec:
     """The combination of the in-span dual basis with every weight value +-2."""
-    k = len(funcs)
-    ambient = len(u_vectors[0])
     gram = [[dot(f, u) for u in u_vectors] for f in funcs]
-    ginv = mat_inverse(gram)
-    v: Vec = tuple(Fraction(0) for _ in range(ambient))
-    for j in range(k):
-        dual_j = tuple(Fraction(0) for _ in range(ambient))
-        for l in range(k):
-            dual_j = vec_add(dual_j, vec_scale(ginv[l][j], u_vectors[l]))
-        v = vec_add(v, vec_scale(Fraction(2 * sigma0.signs[j]), dual_j))
+    coeffs = solve(gram, [Fraction(2 * s) for s in sigma0.signs])
+    v: Vec = tuple(Fraction(0) for _ in u_vectors[0])
+    for c, u in zip(coeffs, u_vectors):
+        v = vec_add(v, vec_scale(c, u))
     assert all(dot(f, v) == 2 * s for f, s in zip(funcs, sigma0.signs))
     return v
 
@@ -136,11 +141,6 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
 
 
 # --- realization over the reals ---------------------------------------------
-
-def _np_factors(x: LieElement) -> list[np.ndarray]:
-    import numpy as np
-    return [np.array([[float(e) for e in row] for row in f]) for f in x.factors]
-
 
 def _np_mat(m) -> np.ndarray:
     import numpy as np
@@ -185,19 +185,22 @@ def wedge_norm(line: WedgeLine, g: Sequence[np.ndarray]) -> float:
     """Norm of the wedge line image under Ad(g), via the Gram determinant.
 
     The ambient inner product makes matrix units orthonormal in each factor;
-    no wedge space is materialized, only a d x d determinant.
+    no wedge space is materialized, only a d x d determinant.  In factor k,
+    Ad(g)E_ab = g_k E_ab g_k^-1 is the outer product of column a of g_k and
+    row b of g_k^-1: each entry is one product, the same rounding a dense
+    conjugation gives, since every other term it sums is an exact zero.  Two
+    units in different factors live in orthogonal summands, so their Gram
+    entry is exactly 0.0.
     """
     import numpy as np
     g_inv = [np.linalg.inv(f) for f in g]
-    moved = []
-    for b in line.basis:
-        moved.append([gf @ bf @ gi for gf, bf, gi in zip(g, _np_factors(b), g_inv)])
+    moved = [np.outer(g[k][:, a], g_inv[k][b, :]) for k, a, b in line.units]
     d = len(moved)
     gram = np.empty((d, d))
     for i in range(d):
         for j in range(i + 1):
-            val = sum(float(np.sum(x * y)) for x, y in zip(moved[i], moved[j]))
-            gram[i][j] = gram[j][i] = val
+            same = line.units[i][0] == line.units[j][0]
+            gram[i][j] = gram[j][i] = float(np.sum(moved[i] * moved[j])) if same else 0.0
     return math.sqrt(max(np.linalg.det(gram), 0.0))
 
 
@@ -258,7 +261,7 @@ class HSampler:
         if gens:
             from scipy.linalg import expm
             rng = random.Random(seed)
-            gen_mats = [_np_factors(g) for g in gens]
+            gen_mats = [[_np_mat(f) for f in g.factors] for g in gens]
             for _ in range(n_words):
                 length = rng.randint(1, max_word_len)
                 mats = [np.eye(space.spec.n) for _ in range(space.spec.m)]
@@ -350,12 +353,10 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
                 worst, worst_label = best, label
         return worst, worst_label, fired
 
-    w_mats = realize_weyl_matrices(cert.w)
-    wp_mats = [_np_mat(f) for f in cert.w_prime.matrices]
-    baseline_g = tuple(wp @ wm for wp, wm in zip(wp_mats, w_mats))  # N = 0
     n_to_mats = dict(zip(seq.n_values, seq.elements))
     if 0 not in n_to_mats:
-        n_to_mats = {0: baseline_g, **n_to_mats}
+        n_to_mats[0] = realize_divergence_sequence(cert, seq.witness, config,
+                                                   [0]).elements[0]
     rows = []
     for n_val in sorted(n_to_mats):
         worst, label, fired = max_min_norm(n_to_mats[n_val])

@@ -247,6 +247,27 @@ class TestCliProbe:
         assert not out.exists()
 
 
+# (report JSON that replay reads, stderr substring); each must exit 2.
+MALFORMED_REPORTS = [
+    ([], "not a JSON object"),
+    ({"format": "report-v1", "input": "x"}, "'input' is not an object"),
+    ({"format": "report-v1", "input": {"content": 7, "sha256": "0"},
+      "verdict": "nondivergent", "certificate": None, "stats": {}},
+     "'input.content' is not a string"),
+]
+
+
+@pytest.mark.parametrize("report, message", MALFORMED_REPORTS)
+def test_replay_malformed_report_exits_2(report, message, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nondiv: error: ")
+    assert message in captured.err
+
+
 class TestCliReplay:
     def test_replay_ok(self, tmp_path):
         out = tmp_path / "r.json"

@@ -6,7 +6,6 @@ import pytest
 
 from nondiv.criterion import check_torus
 from nondiv.lattice import (
-    ModuleLattice,
     QuadraticOrder,
     embed_lattice,
     orbit_probe,
@@ -54,14 +53,14 @@ class TestQuadraticOrder:
 
 class TestEmbedLattice:
     def test_degenerate_demo_covolume(self):
-        lat = embed_lattice(QuadraticOrder(2), 1,
-                            (np.array([[1.0]]), np.array([[1.0]])))
-        covolume = abs(np.linalg.det(lat.basis))
+        basis = embed_lattice(QuadraticOrder(2), 1,
+                              (np.array([[1.0]]), np.array([[1.0]])))
+        covolume = abs(np.linalg.det(basis))
         assert covolume == pytest.approx(2 * math.sqrt(2), rel=1e-12)
-        assert lat.basis[0, 0] == 1.0 and lat.basis[1, 1] == pytest.approx(-math.sqrt(2))
+        assert basis[0, 0] == 1.0 and basis[1, 1] == pytest.approx(-math.sqrt(2))
 
     def test_identity_pair_block_pattern(self):
-        lat = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
+        basis = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
         s = math.sqrt(2)
         expected = np.array([
             [1, 0, s, 0],
@@ -69,15 +68,15 @@ class TestEmbedLattice:
             [1, 0, -s, 0],
             [0, 1, 0, -s],
         ])
-        assert np.allclose(lat.basis, expected)
+        assert np.allclose(basis, expected)
 
     def test_unimodular_torus_preserves_covolume(self):
         order = QuadraticOrder(2)
-        base = abs(np.linalg.det(embed_lattice(order, 2, (np.eye(2), np.eye(2))).basis))
+        base = abs(np.linalg.det(embed_lattice(order, 2, (np.eye(2), np.eye(2)))))
         for c in (0.5, 2.0, 3.7):
             a = np.diag([c, 1.0 / c])
-            lat = embed_lattice(order, 2, (a, a))
-            assert abs(np.linalg.det(lat.basis)) == pytest.approx(base, rel=1e-9)
+            basis = embed_lattice(order, 2, (a, a))
+            assert abs(np.linalg.det(basis)) == pytest.approx(base, rel=1e-9)
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
@@ -87,14 +86,14 @@ class TestEmbedLattice:
 
 class TestShortestVector:
     def test_standard_z4(self):
-        assert shortest_vector(ModuleLattice(np.eye(4))) == pytest.approx(1.0)
+        assert shortest_vector(np.eye(4)) == pytest.approx(1.0)
 
     def test_scaled_z4(self):
-        assert shortest_vector(ModuleLattice(0.5 * np.eye(4))) == pytest.approx(0.5)
+        assert shortest_vector(0.5 * np.eye(4)) == pytest.approx(0.5)
 
     def test_d2_identity_pair(self):
-        lat = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
-        assert shortest_vector(lat) == pytest.approx(math.sqrt(2), rel=1e-12)
+        basis = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
+        assert shortest_vector(basis) == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(1234)
@@ -102,8 +101,7 @@ class TestShortestVector:
             basis = rng.normal(size=(4, 4))
             while abs(np.linalg.det(basis)) < 0.2:
                 basis = rng.normal(size=(4, 4))
-            lat = ModuleLattice(basis)
-            assert shortest_vector(lat) == brute_force_shortest(basis)
+            assert shortest_vector(basis) == brute_force_shortest(basis)
 
 
 class TestOrbitProbe:
@@ -129,8 +127,8 @@ class TestOrbitProbe:
         vols = []
         for t in ts:
             a = np.diag([math.exp(t), math.exp(-t)])
-            lat = embed_lattice(order, 2, (a @ g0[0], a @ g0[1]))
-            vols.append(abs(np.linalg.det(lat.basis)))
+            basis = embed_lattice(order, 2, (a @ g0[0], a @ g0[1]))
+            vols.append(abs(np.linalg.det(basis)))
         assert max(vols) / min(vols) == pytest.approx(1.0, rel=1e-9)
 
     def test_witness_coherence_decreasing(self):

@@ -13,7 +13,6 @@ from nondiv.rootdata import (
     commutator,
     fundamental_weight,
     mat_mul,
-    matrix_unit,
     nilradical_basis,
     parabolic_contains,
     weight_of_nilradical,
@@ -24,9 +23,11 @@ from helpers import delta_line_subspace
 
 
 def unit_element(n, m, factor, a, b):
-    zero = tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
-    mats = tuple(matrix_unit(n, a, b) if k == factor else zero for k in range(m))
-    return LieElement(mats)
+    """E_ab (0-based) in the given factor, zero in every other factor."""
+    return LieElement(tuple(
+        tuple(tuple(F(int(k == factor and i == a and j == b)) for j in range(n))
+              for i in range(n))
+        for k in range(m)))
 
 
 class TestGroupSpec:
@@ -124,21 +125,17 @@ class TestParabolicContains:
 class TestNilradical:
     def test_sl2_single(self):
         space = CartanSpace(GroupSpec(2, 1))
-        basis = nilradical_basis(space, 1, ParabolicSide.STANDARD)
-        assert len(basis) == 1
-        assert basis[0].factors[0][0][1] == 1
+        assert nilradical_basis(space, 1, ParabolicSide.STANDARD) == [(0, 0, 1)]
+        assert nilradical_basis(space, 1, ParabolicSide.OPPOSITE) == [(0, 1, 0)]
 
     def test_res_sl2_product(self):
         space = CartanSpace(GroupSpec(2, 2))
-        basis = nilradical_basis(space, 1, ParabolicSide.STANDARD)
-        assert len(basis) == 2
-        assert basis[0].factors[0][0][1] == 1 and basis[1].factors[1][0][1] == 1
+        assert nilradical_basis(space, 1, ParabolicSide.STANDARD) == [(0, 0, 1), (1, 0, 1)]
 
     def test_sl3_cut2(self):
         space = CartanSpace(GroupSpec(3, 1))
-        basis = nilradical_basis(space, 2, ParabolicSide.STANDARD)
-        assert len(basis) == 2
-        assert basis[0].factors[0][0][2] == 1 and basis[1].factors[0][1][2] == 1
+        assert nilradical_basis(space, 2, ParabolicSide.STANDARD) == [(0, 0, 2), (0, 1, 2)]
+        assert nilradical_basis(space, 2, ParabolicSide.OPPOSITE) == [(0, 2, 0), (0, 2, 1)]
 
     def test_counts(self):
         space = CartanSpace(GroupSpec(4, 2))
@@ -146,6 +143,27 @@ class TestNilradical:
             for side in ParabolicSide:
                 assert len(nilradical_basis(space, i, side)) == 2 * i * (4 - i)
 
+    def test_opposite_is_transposed_standard(self):
+        space = CartanSpace(GroupSpec(4, 2))
+        for i in (1, 2, 3):
+            standard = nilradical_basis(space, i, ParabolicSide.STANDARD)
+            assert standard == sorted(standard)
+            assert nilradical_basis(space, i, ParabolicSide.OPPOSITE) == [
+                (k, b, a) for k, a, b in standard]
+
+    def test_units_lie_in_the_nilradical(self):
+        # Each position is a root space of the parabolic at cut i: the unit
+        # is in the parabolic of its own side and outside the opposite one.
+        space = CartanSpace(GroupSpec(4, 2))
+        for i in (1, 2, 3):
+            for side in ParabolicSide:
+                other = next(s for s in ParabolicSide if s is not side)
+                units = nilradical_basis(space, i, side)
+                assert len(set(units)) == len(units)
+                for k, a, b in units:
+                    x = unit_element(4, 2, k, a, b)
+                    assert parabolic_contains(space, [i], x, side)
+                    assert not parabolic_contains(space, [i], x, other)
 
 class TestNilradicalWeight:
     def test_sl2_standard(self):

@@ -87,7 +87,40 @@ class TestEscapeWitness:
             build_escape_witness(bad, config)
 
 
+def dense_wedge_norm(line, g):
+    """Reference: conjugate each matrix unit as a dense m-tuple, g E_ab g^-1
+    in every factor, and take the Gram determinant summed over factors."""
+    g_inv = [np.linalg.inv(f) for f in g]
+    n = g[0].shape[0]
+    moved = []
+    for k, a, b in line.units:
+        units = [np.zeros((n, n)) for _ in g]
+        units[k][a, b] = 1.0
+        moved.append([gf @ u @ gi for gf, u, gi in zip(g, units, g_inv)])
+    gram = np.array([[sum(float(np.sum(x * y)) for x, y in zip(mi, mj))
+                      for mj in moved] for mi in moved])
+    return math.sqrt(max(np.linalg.det(gram), 0.0))
+
+
 class TestWedgeNorm:
+    def test_matches_dense_conjugation(self):
+        rng = np.random.default_rng(808)
+        checked = 0
+        for n, m in ((2, 1), (3, 2), (4, 2)):
+            space = CartanSpace(GroupSpec(n, m))
+            for _ in range(10):
+                g = [rng.normal(size=(n, n)) for _ in range(m)]
+                for f in g:
+                    while abs(np.linalg.det(f)) < 0.2:
+                        f[:] = rng.normal(size=(n, n))
+                for j in range(1, n):
+                    for side in ParabolicSide:
+                        line = WedgeLine.of(space, j, side)
+                        assert wedge_norm(line, g) == pytest.approx(
+                            dense_wedge_norm(line, g), rel=1e-12)
+                        checked += 1
+        assert checked == 10 * 2 * (1 + 2 + 3)
+
     def test_identity_is_one(self):
         line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
         assert wedge_norm(line, [np.eye(2)]) == pytest.approx(1.0, abs=1e-12)
