@@ -3,19 +3,20 @@ as module lattices and measures shortest nonzero vectors along torus orbits.
 
 The probe is corroborative: certificates come from the exact criterion, and
 this module only demonstrates the predicted escape on a finite grid.  It is
-the only float code besides the witness realization; numpy is imported
-inside the functions that use it, so commands that never probe do not load
-it.
+the only float code besides the witness realization, and like it runs on
+plain Python floats (`floatmat`): a basis is a tuple of float row tuples
+whose columns are the lattice vectors.  Each shortest vector comes from an
+LLL reduction (Lenstra, Lenstra and Lovasz 1982) followed by an exhaustive
+Fincke-Pohst enumeration, so it is exact-optimal up to float rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+from .floatmat import FMat, det, diagonal, dot, fmat, mat_mul, transpose
 
 
 def _is_squarefree(d: int) -> bool:
@@ -44,130 +45,160 @@ class QuadraticOrder:
         return math.sqrt(self.d)
 
 
-def embed_lattice(order: QuadraticOrder, n: int,
-                  g: Sequence[np.ndarray]) -> np.ndarray:
+def embed_lattice(order: QuadraticOrder, n: int, g: Sequence) -> FMat:
     """Basis of the rank-2n lattice with columns (g1 s1(v), g2 s2(v)) over
-    {e_i, sqrt(d) e_i}; the columns of the returned 2n x 2n array are the
+    {e_i, sqrt(d) e_i}; the columns of the returned 2n x 2n matrix are the
     lattice vectors.
 
     Column order: e_1..e_n then sqrt(d) e_1..sqrt(d) e_n.
     """
-    import numpy as np
-    g1, g2 = np.asarray(g[0], dtype=float), np.asarray(g[1], dtype=float)
-    if g1.shape != (n, n) or g2.shape != (n, n):
+    g1, g2 = fmat(g[0]), fmat(g[1])
+    if any(len(f) != n or any(len(row) != n for row in f) for f in (g1, g2)):
         raise ValueError("g must be a pair of n x n matrices")
-    if abs(np.linalg.det(g1)) < 1e-12 or abs(np.linalg.det(g2)) < 1e-12:
+    if abs(det(g1)) < 1e-12 or abs(det(g2)) < 1e-12:
         raise ValueError("g factors must be invertible")
     s = order.sqrt_d
-    cols = []
-    for i in range(n):
-        cols.append(np.concatenate([g1[:, i], g2[:, i]]))
-    for i in range(n):
-        cols.append(np.concatenate([s * g1[:, i], -s * g2[:, i]]))
-    return np.column_stack(cols)
+    return (tuple(row + tuple(s * x for x in row) for row in g1)
+            + tuple(row + tuple(-s * x for x in row) for row in g2))
 
 
-def _size_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LLL-style reduction on columns; returns (reduced, unimodular transform)."""
-    import numpy as np
-    b = basis.copy()
-    dim = b.shape[1]
-    u = np.eye(dim, dtype=np.int64)
+def _gram_schmidt(cols: list[list[float]], mu: list[list[float]],
+                  q: list[list[float]], norms: list[float], start: int) -> None:
+    """Recompute rows `start`.. of the Gram-Schmidt data of `cols` in place:
+    the coefficients mu[i][j] (j < i), the orthogonalized vectors q[i] and
+    their squared norms.  Rows before `start` depend only on earlier columns
+    and are kept."""
+    for i in range(start, len(cols)):
+        b = v = cols[i]
+        mu_i = mu[i]
+        for j in range(i):
+            q_j, n_j = q[j], norms[j]
+            c = 0.0 if n_j == 0 else dot(b, q_j) / n_j
+            mu_i[j] = c
+            v = [x - c * y for x, y in zip(v, q_j)]
+        q[i] = v
+        norms[i] = dot(v, v)
+
+
+def _size_reduce(basis) -> tuple[FMat, tuple[tuple[int, ...], ...]]:
+    """LLL reduction (delta = 0.99) on the columns of `basis`.
+
+    Returns (reduced, U) with reduced = basis U and U an integer matrix of
+    determinant +-1.  A size-reduction step b_k -= r b_j changes only row k
+    of mu, which is updated in place; Gram-Schmidt is recomputed only after
+    a swap of b_{k-1} and b_k, from row k - 1 on.
+    """
+    b = [list(c) for c in transpose(basis)]
+    dim = len(b)
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]  # columns of U
     delta = 0.99
-
-    def gso(mat):
-        q, mu = np.zeros_like(mat), np.eye(dim)
-        norms = np.zeros(dim)
-        for i in range(dim):
-            q[:, i] = mat[:, i]
-            for j in range(i):
-                mu[i, j] = 0.0 if norms[j] == 0 else float(
-                    np.dot(mat[:, i], q[:, j]) / norms[j])
-                q[:, i] -= mu[i, j] * q[:, j]
-            norms[i] = float(np.dot(q[:, i], q[:, i]))
-        return mu, norms
-
-    mu, norms = gso(b)
+    mu = [[0.0] * dim for _ in range(dim)]
+    q: list[list[float]] = [[] for _ in range(dim)]
+    norms = [0.0] * dim
+    _gram_schmidt(b, mu, q, norms, 0)
     k = 1
     steps = 0
     while k < dim and steps < 10000:
         steps += 1
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            r = round(mu[k, j])
+            r = round(mu_k[j])
             if r != 0:
-                b[:, k] -= r * b[:, j]
-                u[:, k] -= r * u[:, j]
-                mu, norms = gso(b)
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                mu_j = mu[j]
+                for i in range(j):
+                    mu_k[i] -= r * mu_j[i]
+                mu_k[j] -= r
+        if norms[k] >= (delta - mu_k[k - 1] * mu_k[k - 1]) * norms[k - 1]:
             k += 1
         else:
-            b[:, [k - 1, k]] = b[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            mu, norms = gso(b)
+            b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            _gram_schmidt(b, mu, q, norms, k - 1)
             k = max(k - 1, 1)
-    return b, u
+    return transpose(b), transpose(u)
 
 
-def _enumerate_minimum(basis: np.ndarray, bound_sq: float) -> tuple[float, np.ndarray]:
+def _cholesky_upper(gram: list[list[float]]) -> list[list[float]]:
+    """Upper-triangular r with gram = r^T r."""
+    dim = len(gram)
+    r = [[0.0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            s = gram[i][j] - sum(r[k][i] * r[k][j] for k in range(i))
+            if j == i:
+                if not s > 0.0:
+                    raise ValueError("lattice Gram matrix is not positive definite")
+                r[i][i] = math.sqrt(s)
+            else:
+                r[i][j] = s / r[i][i]
+    return r
+
+
+def _enumerate_minimum(basis, bound_sq: float) -> tuple[float, list[int]]:
     """Exhaustive Fincke-Pohst search below bound_sq on the given columns.
 
     Returns (min norm squared, integer coefficient vector).  The bound must be
     attained by some lattice vector (e.g. a basis column).
     """
-    import numpy as np
-    dim = basis.shape[1]
-    gram = basis.T @ basis
-    chol = np.linalg.cholesky(gram)  # gram = chol @ chol.T
-    r = chol.T  # upper triangular, ||Bx||^2 = ||r x||^2
+    cols = transpose(basis)
+    dim = len(cols)
+    r = _cholesky_upper([[dot(ci, cj) for cj in cols] for ci in cols])
+    r_cols = transpose(r)  # ||Bx||^2 = ||r x||^2
     best_sq = bound_sq * (1 + 1e-12)
     best_x = None
-    x = np.zeros(dim, dtype=np.int64)
+    x = [0] * dim
 
-    def descend(level: int, partial_sq: float, carry: np.ndarray):
+    def descend(level: int, partial_sq: float, carry: list[float]):
         nonlocal best_sq, best_x
         if level < 0:
-            if any(x):
-                norm_sq = partial_sq
-                if norm_sq < best_sq:
-                    best_sq = norm_sq
-                    best_x = x.copy()
+            if any(x) and partial_sq < best_sq:
+                best_sq = partial_sq
+                best_x = list(x)
             return
         rem = best_sq - partial_sq
         if rem < 0:
             return
-        center = -carry[level] / r[level, level]
-        half = math.sqrt(max(rem, 0.0)) / abs(r[level, level])
+        r_ll = r[level][level]
+        center = -carry[level] / r_ll
+        half = math.sqrt(rem) / abs(r_ll)
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
         for xi in range(lo, hi + 1):
             x[level] = xi
-            y = r[level, level] * xi + carry[level]
+            y = r_ll * xi + carry[level]
             new_partial = partial_sq + y * y
             if new_partial <= best_sq * (1 + 1e-12):
-                new_carry = carry + xi * r[:, level]
-                descend(level - 1, new_partial, new_carry)
+                descend(level - 1, new_partial,
+                        [c + xi * rc for c, rc in zip(carry, r_cols[level])])
         x[level] = 0
 
-    descend(dim - 1, 0.0, np.zeros(dim))
+    descend(dim - 1, 0.0, [0.0] * dim)
     if best_x is None:
         raise AssertionError("enumeration bound excluded every lattice vector")
     return best_sq, best_x
 
 
-def shortest_vector(basis: np.ndarray) -> float:
+def _vector_norm(basis, x: Sequence[int]) -> float:
+    """Euclidean length of the lattice vector basis x."""
+    y = [dot(row, x) for row in basis]
+    return math.sqrt(dot(y, y))
+
+
+def shortest_vector(basis) -> float:
     """Length of a shortest nonzero vector of the lattice spanned by the
     columns of `basis` (exact-optimal enumeration).
 
-    The basis is size-reduced first; the reduced shortest column certifies a
-    sufficient enumeration bound.
+    The basis is LLL-reduced first; the reduced shortest column certifies a
+    sufficient enumeration bound.  The length is measured on the original
+    basis at the integer coefficients the enumeration found.
     """
-    import numpy as np
+    basis = fmat(basis)
     reduced, transform = _size_reduce(basis)
-    col_norms = np.sum(reduced * reduced, axis=0)
-    bound_sq = float(np.min(col_norms))
+    bound_sq = min(dot(c, c) for c in transpose(reduced))
     _, x_red = _enumerate_minimum(reduced, bound_sq)
-    x = transform @ x_red
-    return float(np.linalg.norm(basis @ x.astype(float)))
+    return _vector_norm(basis, [dot(row, x_red) for row in transform])
 
 
 @dataclass(frozen=True)
@@ -178,24 +209,29 @@ class ProbeStats:
     values: tuple[tuple[float, float], ...]
 
 
-def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence[np.ndarray],
+def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence,
                 grid_radius: float = 5.0, grid_points: int = 21) -> ProbeStats:
     """Shortest vectors along the diagonal-line torus orbit of g0.
 
     Torus samples are determinant-one pairs (diag(e^t, e^-t), diag(e^t, e^-t))
-    over the symmetric grid of t values.
+    over the symmetric grid of t values: t_k = k * step - radius with the
+    last point set to +radius, as `numpy.linspace` places them.
     """
-    import numpy as np
     if n != 2:
         raise ValueError("the orbit probe samples the diagonal line of SL_2 pairs")
-    ts = np.linspace(-grid_radius, grid_radius, grid_points)
+    start, stop = -float(grid_radius), float(grid_radius)
+    step = (stop - start) / max(grid_points - 1, 1)
+    ts = [k * step + start for k in range(grid_points)]
+    if grid_points > 1:
+        ts[-1] = stop
     values = []
     minimum, maximum, argmin_t = math.inf, -math.inf, 0.0
     for t in ts:
-        a = np.diag([math.exp(t), math.exp(-t)])
-        sv = shortest_vector(embed_lattice(order, n, (a @ g0[0], a @ g0[1])))
-        values.append((float(t), sv))
+        a = diagonal([math.exp(t), math.exp(-t)])
+        sv = shortest_vector(embed_lattice(order, n, (mat_mul(a, g0[0]),
+                                                      mat_mul(a, g0[1]))))
+        values.append((t, sv))
         if sv < minimum:
-            minimum, argmin_t = sv, float(t)
+            minimum, argmin_t = sv, t
         maximum = max(maximum, sv)
     return ProbeStats(minimum, maximum, argmin_t, tuple(values))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, Subspace, Vec, det, mat, mat_inverse
+from .linalg import Mat, Subspace, Vec, det_inverse, mat, mat_inverse
 from .rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
@@ -209,11 +209,14 @@ def centralizer_weyl_validate(spec: GroupSpec,
         ms = tuple(mat(f) for f in cand)
         if len(ms) != m or any(len(f) != n or any(len(r) != n for r in f) for f in ms):
             raise InvalidCentralizerWeyl(idx, "wrong matrix shape")
+        inverses = []
         for k, f in enumerate(ms):
-            if det(f) != 1:
+            d_f, inverse = det_inverse(f)
+            if d_f != 1:
                 raise InvalidCentralizerWeyl(
                     idx, f"determinant is not 1 in factor {k + 1}")
-        elem = CentralizerWeylElement.build(ms)
+            inverses.append(inverse)
+        elem = CentralizerWeylElement(ms, tuple(inverses))
         for gi, gen in enumerate(m_gens):
             for k in range(m):
                 lhs = mat_mul(ms[k], gen.factors[k])

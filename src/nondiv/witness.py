@@ -11,10 +11,11 @@ Only the numeric part uses floats, along one path: every g_N, the N = 0
 baseline included, comes from `realize_divergence_sequence`, and
 `wedge_norm` moves each nilradical matrix unit, held as its (factor, row,
 column) position, by an outer product of a column of g and a row of g^-1.
-numpy is imported inside the functions that realize matrices over the
-reals, and scipy only for the exponentials of Lie(M) words in
-`HSampler.default`, so the exact pipeline (certificate replay, escape data,
-`check_witness_exact`) loads neither.
+Matrices over the reals are tuples of float row tuples, multiplied,
+inverted and reduced to determinants by the plain-Python kernels of
+`floatmat`.  numpy and scipy are imported only for the exponentials of
+Lie(M) words in `HSampler.default` when M is nontrivial, so every command
+on a trivial-M problem, the probe included, loads neither.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .criterion import Certificate, GroupConfig, replay_certificate
+from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
 from .linalg import (
     Orthant,
     Subspace,
@@ -46,9 +48,6 @@ from .rootdata import (
     weight_of_nilradical,
 )
 from .weyl import act_on_functional, signed_permutation_matrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotProperError(RuntimeError):
@@ -95,7 +94,7 @@ class DivergenceSequence:
     certificate: Certificate
     witness: EscapeWitness
     n_values: tuple[int, ...]
-    elements: tuple[tuple[np.ndarray, ...], ...]  # one m-tuple per N
+    elements: tuple[tuple[FMat, ...], ...]  # one m-tuple per N
 
 
 def first_missed_orthant(funcs: Sequence[Vec], u_prime: Subspace) -> Orthant:
@@ -142,46 +141,38 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
 
 # --- realization over the reals ---------------------------------------------
 
-def _np_mat(m) -> np.ndarray:
-    import numpy as np
-    return np.array([[float(e) for e in row] for row in m])
+def realize_weyl_matrices(w) -> list[FMat]:
+    return [fmat(signed_permutation_matrix(p)) for p in w.perms]
 
 
-def realize_weyl_matrices(w) -> list[np.ndarray]:
-    return [_np_mat(signed_permutation_matrix(p)) for p in w.perms]
-
-
-def _exp_cartan(space: CartanSpace, v: Sequence, scale: float = 1.0) -> list[np.ndarray]:
-    import numpy as np
+def _exp_cartan(space: CartanSpace, v: Sequence, scale: float = 1.0) -> list[FMat]:
     n = space.spec.n
-    out = []
-    for k in range(space.spec.m):
-        block = [float(e) * scale for e in v[k * n:(k + 1) * n]]
-        out.append(np.diag(np.exp(block)))
-    return out
+    return [diagonal([exp(float(e) * scale) for e in v[k * n:(k + 1) * n]])
+            for k in range(space.spec.m)]
 
 
 def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                                 config: GroupConfig,
                                 n_values: Sequence[int]) -> DivergenceSequence:
-    """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N."""
-    import numpy as np
+    """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N;
+    a factor whose determinant drifts from 1 means the realization is broken."""
     space = CartanSpace(config.spec)
     w_mats = realize_weyl_matrices(cert.w)
-    wp_mats = [_np_mat(f) for f in cert.w_prime.matrices]
+    wp_mats = [fmat(f) for f in cert.w_prime.matrices]
     elements = []
     for n_val in n_values:
         exp_mats = _exp_cartan(space, witness.v, scale=float(n_val))
-        factors = tuple(wp @ e @ wm for wp, e, wm in zip(wp_mats, exp_mats, w_mats))
+        factors = tuple(mat_mul(mat_mul(wp, e), wm)
+                        for wp, e, wm in zip(wp_mats, exp_mats, w_mats))
         for f in factors:
-            if abs(np.linalg.det(f) - 1.0) > 1e-9:
+            if abs(det(f) - 1.0) > 1e-9:
                 raise ExactCheckFailedError("divergence element determinant drifted")
         elements.append(factors)
     return DivergenceSequence(cert, witness, tuple(int(n) for n in n_values),
                               tuple(elements))
 
 
-def wedge_norm(line: WedgeLine, g: Sequence[np.ndarray]) -> float:
+def wedge_norm(line: WedgeLine, g: Sequence) -> float:
     """Norm of the wedge line image under Ad(g), via the Gram determinant.
 
     The ambient inner product makes matrix units orthonormal in each factor;
@@ -192,16 +183,17 @@ def wedge_norm(line: WedgeLine, g: Sequence[np.ndarray]) -> float:
     units in different factors live in orthogonal summands, so their Gram
     entry is exactly 0.0.
     """
-    import numpy as np
-    g_inv = [np.linalg.inv(f) for f in g]
-    moved = [np.outer(g[k][:, a], g_inv[k][b, :]) for k, a, b in line.units]
+    g = [fmat(f) for f in g]
+    g_inv = [inverse(f) for f in g]
+    moved = [[x * y for x in (row[a] for row in g[k]) for y in g_inv[k][b]]
+             for k, a, b in line.units]
     d = len(moved)
-    gram = np.empty((d, d))
+    gram = [[0.0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):
-            same = line.units[i][0] == line.units[j][0]
-            gram[i][j] = gram[j][i] = float(np.sum(moved[i] * moved[j])) if same else 0.0
-    return math.sqrt(max(np.linalg.det(gram), 0.0))
+            if line.units[i][0] == line.units[j][0]:
+                gram[i][j] = gram[j][i] = sum(x * y for x, y in zip(moved[i], moved[j]))
+    return math.sqrt(max(det(gram), 0.0))
 
 
 def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
@@ -228,14 +220,13 @@ class HSampler:
     space: CartanSpace
     a_points: tuple[Vec, ...]
     a_labels: tuple[str, ...]
-    m_words: tuple[tuple[np.ndarray, ...], ...]
+    m_words: tuple[tuple[FMat, ...], ...]
     word_labels: tuple[str, ...]
 
     @classmethod
     def default(cls, config: GroupConfig, grid_radius: int = 5,
                 grid_points: int = 21, n_words: int = 8,
                 max_word_len: int = 3, seed: int = 0x5EED) -> "HSampler":
-        import numpy as np
         space = CartanSpace(config.spec)
         basis = config.a_basis.basis
         if grid_points < 2:
@@ -254,14 +245,15 @@ class HSampler:
         else:
             points.append(tuple(Fraction(0) for _ in range(space.ambient_dim)))
             a_labels.append("t=()")
-        eye = tuple(np.eye(space.spec.n) for _ in range(space.spec.m))
-        words: list[tuple[np.ndarray, ...]] = [eye]
+        eye = diagonal([1.0] * space.spec.n)
+        words: list[tuple[FMat, ...]] = [(eye,) * space.spec.m]
         labels = ["id"]
         gens = config.m_generators
         if gens:
+            import numpy as np
             from scipy.linalg import expm
             rng = random.Random(seed)
-            gen_mats = [[_np_mat(f) for f in g.factors] for g in gens]
+            gen_mats = [[np.array(fmat(f)) for f in g.factors] for g in gens]
             for _ in range(n_words):
                 length = rng.randint(1, max_word_len)
                 mats = [np.eye(space.spec.n) for _ in range(space.spec.m)]
@@ -272,7 +264,7 @@ class HSampler:
                     label.append(f"{'+' if sign > 0 else '-'}X{gi + 1}")
                     for k in range(space.spec.m):
                         mats[k] = mats[k] @ expm(sign * gen_mats[gi][k])
-                words.append(tuple(mats))
+                words.append(tuple(fmat(f) for f in mats))
                 labels.append("*".join(label))
         return cls(space, tuple(points), tuple(a_labels), tuple(words), tuple(labels))
 
@@ -281,7 +273,7 @@ class HSampler:
         for a, a_label in zip(self.a_points, self.a_labels):
             a_mats = _exp_cartan(self.space, a)
             for word, w_label in zip(self.m_words, self.word_labels):
-                h = tuple(am @ wm for am, wm in zip(a_mats, word))
+                h = tuple(mat_mul(am, wm) for am, wm in zip(a_mats, word))
                 yield a, h, f"{a_label};{w_label}"
 
 
@@ -340,7 +332,7 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
         worst_label = ""
         fired: dict[str, int] = {}
         for _, h, label in sampler.samples():
-            hg = tuple(hf @ gf for hf, gf in zip(h, g_mats))
+            hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g_mats))
             best = None
             best_key = None
             for line in lines:

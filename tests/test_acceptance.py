@@ -11,6 +11,7 @@ from pathlib import Path
 
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, check_torus, replay_certificate
+from nondiv.floatmat import fmat, mat_mul
 from nondiv.lattice import QuadraticOrder, orbit_probe
 from nondiv.linalg import (
     BilinearForm,
@@ -28,7 +29,6 @@ from nondiv.witness import (
     HSampler,
     WedgeLine,
     _exp_cartan,
-    _np_mat,
     build_escape_witness,
     closed_form_torus_norm,
     realize_divergence_sequence,
@@ -250,15 +250,15 @@ def test_criterion_6_witness_decay():
     # closed-form cross-check on every torus sample, both sides, both N values
     space = CartanSpace(spec)
     w_mats = realize_weyl_matrices(cert.w)
-    wp_mats = [_np_mat(f) for f in cert.w_prime.matrices]
-    g0 = tuple(wp @ wm for wp, wm in zip(wp_mats, w_mats))
+    wp_mats = [fmat(f) for f in cert.w_prime.matrices]
+    g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
     lines = [WedgeLine.of(space, j, side)
              for j in cert.subset for side in ParabolicSide]
     bases = [wedge_norm(line, g0) for line in lines]
     for n_val, mats in zip(seq.n_values, seq.elements):
         for a_vec in sampler.a_points:
             h = _exp_cartan(space, a_vec)
-            hg = tuple(hf @ gf for hf, gf in zip(h, mats))
+            hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
             for line, base in zip(lines, bases):
                 expected = closed_form_torus_norm(config, cert, witness, line,
                                                   a_vec, n_val, base)

@@ -236,7 +236,8 @@ class TestCliProbe:
         exp_cartan = witness._exp_cartan
 
         def drifted(space, v, scale=1.0):
-            return [2 * e for e in exp_cartan(space, v, scale)]
+            return [tuple(tuple(2 * x for x in row) for row in e)
+                    for e in exp_cartan(space, v, scale)]
 
         monkeypatch.setattr(witness, "_exp_cartan", drifted)
         out = tmp_path / "r.json"
@@ -337,6 +338,15 @@ print(json.dumps({"codes": codes, "exact": exact, "probe": heavy()}))
 """
 
 
+# Runs the CLI in a fresh interpreter where importing numpy or scipy fails.
+BLOCKED_CLI = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+from nondiv import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestImportFootprint:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, tmp_path):
         res = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
@@ -346,4 +356,14 @@ class TestImportFootprint:
         seen = json.loads(res.stdout.splitlines()[-1])
         assert seen["codes"] == [10, 10, 0, 10, 10, 0, 10]
         assert seen["exact"] == []
-        assert seen["probe"] == ["numpy"]
+        assert seen["probe"] == []
+
+    def test_probe_runs_with_numpy_and_scipy_blocked(self, tmp_path):
+        blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"
+        args = ["probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1"]
+        res = subprocess.run([sys.executable, "-c", BLOCKED_CLI, *args,
+                              "--output", str(blocked)],
+                             capture_output=True, text=True)
+        assert res.returncode == 10, res.stderr
+        assert run_cli(*args, "--output", str(free)).returncode == 10
+        assert stripped_report(blocked) == stripped_report(free)

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nondiv.criterion import check_torus
+from nondiv.floatmat import fmat
 from nondiv.lattice import (
     QuadraticOrder,
+    _size_reduce,
+    _vector_norm,
     embed_lattice,
     orbit_probe,
     shortest_vector,
@@ -22,18 +26,21 @@ def brute_force_shortest(basis: np.ndarray) -> float:
 
     For any lattice vector Bx with |Bx|^2 <= Q, Cauchy-Schwarz in the Gram
     metric gives |x_i| <= sqrt((G^-1)_ii * Q); the shortest column norm
-    supplies Q.
+    supplies Q.  Each candidate is scored with the norm formula
+    `shortest_vector` reports, so equality checks that the enumeration
+    found an optimal x, not how the final length is rounded.
     """
     gram = basis.T @ basis
     ginv = np.linalg.inv(gram)
     q = float(min(np.sum(basis * basis, axis=0)))
     bounds = [int(math.floor(math.sqrt(ginv[i, i] * q) + 1e-9))
               for i in range(basis.shape[1])]
+    rows = fmat(basis)
     best = math.inf
     for xs in itertools.product(*[range(-b, b + 1) for b in bounds]):
         if not any(xs):
             continue
-        best = min(best, float(np.linalg.norm(basis @ np.array(xs, dtype=float))))
+        best = min(best, _vector_norm(rows, xs))
     return best
 
 
@@ -57,7 +64,7 @@ class TestEmbedLattice:
                               (np.array([[1.0]]), np.array([[1.0]])))
         covolume = abs(np.linalg.det(basis))
         assert covolume == pytest.approx(2 * math.sqrt(2), rel=1e-12)
-        assert basis[0, 0] == 1.0 and basis[1, 1] == pytest.approx(-math.sqrt(2))
+        assert basis[0][0] == 1.0 and basis[1][1] == pytest.approx(-math.sqrt(2))
 
     def test_identity_pair_block_pattern(self):
         basis = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
@@ -102,6 +109,50 @@ class TestShortestVector:
             while abs(np.linalg.det(basis)) < 0.2:
                 basis = rng.normal(size=(4, 4))
             assert shortest_vector(basis) == brute_force_shortest(basis)
+
+
+def integer_det(u) -> int:
+    """Leibniz expansion: exact for the small integer transforms."""
+    n = len(u)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        total += (-1) ** inversions * math.prod(u[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def lattice_basis(draw):
+    n = draw(st.integers(2, 5))
+    cells = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,
+                      allow_subnormal=False)
+    return np.array([draw(st.lists(cells, min_size=n, max_size=n))
+                     for _ in range(n)])
+
+
+class TestSizeReduce:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_basis())
+    def test_lll_reduced_unimodular_transform(self, basis):
+        assume(abs(np.linalg.det(basis)) > 1e-2 and np.linalg.cond(basis) < 1e6)
+        reduced, u = _size_reduce(basis)
+        u = np.array(u)
+        assert u.dtype.kind == "i"
+        assert integer_det(u.tolist()) in (1, -1)
+        reduced = np.array(reduced)
+        scale = np.abs(basis).max() * np.abs(u).max()
+        assert np.allclose(reduced, basis @ u, rtol=0, atol=1e-9 * scale)
+        # Gram-Schmidt of the result from numpy's QR: mu[i][j] = R[j, i] / R[j, j].
+        r = np.linalg.qr(reduced, mode="r")
+        sq = np.diag(r) ** 2
+        dim = basis.shape[1]
+        for i in range(dim):
+            for j in range(i):
+                assert abs(r[j, i] / r[j, j]) <= 0.5 + 1e-9
+        for k in range(1, dim):
+            mu = r[k - 1, k] / r[k - 1, k - 1]
+            assert sq[k] >= (0.99 - mu * mu) * sq[k - 1] * (1 - 1e-9)
 
 
 class TestOrbitProbe:

@@ -13,6 +13,7 @@ from nondiv.linalg import (
     _kernel_vectors,
     _rref,
     det,
+    det_inverse,
     fm_feasible,
     integral_kernel_vector,
     invdim,
@@ -84,9 +85,12 @@ class TestRank:
         _, pivots, pivot_product = _fraction_gauss_jordan(block)
         d = pivot_product if len(pivots) == n else 0
         assert det(block) == d
+        both = det_inverse(block)
+        assert both[0] == d and (both[1] is None) == (d == 0)
         if d:
             eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
             assert mat_mul(mat_inverse(block), mat(block)) == eye
+            assert mat_mul(both[1], mat(block)) == eye
 
 
 _BIG = 10 ** 30

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nondiv.criterion import check_general, check_torus
+from nondiv.floatmat import fmat, mat_mul
 from nondiv.linalg import Subspace, dot
 from nondiv.rootdata import CartanSpace, GroupSpec, ParabolicSide
 from nondiv.witness import (
@@ -21,7 +22,6 @@ from nondiv.witness import (
     realize_weyl_matrices,
     verify_divergence,
     wedge_norm,
-    _np_mat,
 )
 
 from helpers import delta_line_subspace, so21_config, torus_config
@@ -142,8 +142,8 @@ class TestWedgeNorm:
         space = CartanSpace(config.spec)
         line = WedgeLine.of(space, 1, ParabolicSide.STANDARD)
         mats = realize_weyl_matrices(cert.w)
-        flipped = [m.copy() for m in mats]
-        flipped[1][0, :] *= -1.0
+        flipped = list(mats)
+        flipped[1] = (tuple(-x for x in mats[1][0]),) + mats[1][1:]
         assert wedge_norm(line, mats) == pytest.approx(
             wedge_norm(line, flipped), rel=1e-12)
 
@@ -169,8 +169,8 @@ class TestClosedForm:
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             space = CartanSpace(config.spec)
             w_mats = realize_weyl_matrices(cert.w)
-            wp_mats = [_np_mat(f) for f in cert.w_prime.matrices]
-            g0 = tuple(wp @ wm for wp, wm in zip(wp_mats, w_mats))
+            wp_mats = [fmat(f) for f in cert.w_prime.matrices]
+            g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
             lines = [WedgeLine.of(space, j, side)
                      for j in cert.subset for side in ParabolicSide]
             bases = {id(ln): wedge_norm(ln, g0) for ln in lines}
@@ -184,7 +184,7 @@ class TestClosedForm:
                 seq = realize_divergence_sequence(cert, witness, config, [n_val])
                 from nondiv.witness import _exp_cartan
                 h = _exp_cartan(space, a_vec)
-                hg = tuple(hf @ gf for hf, gf in zip(h, seq.elements[0]))
+                hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, seq.elements[0]))
                 for ln in lines:
                     expected = closed_form_torus_norm(
                         config, cert, witness, ln, a_vec, n_val, bases[id(ln)])
@@ -206,7 +206,7 @@ class TestMInvariance:
         for word in sampler.m_words:
             for line in lines:
                 base = wedge_norm(line, g)
-                moved = wedge_norm(line, tuple(w @ gf for w, gf in zip(word, g)))
+                moved = wedge_norm(line, tuple(mat_mul(w, gf) for w, gf in zip(word, g)))
                 assert moved == pytest.approx(base, rel=1e-6)
 
 
