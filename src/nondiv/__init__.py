@@ -29,11 +29,9 @@ from .rootdata import (
 )
 from .weyl import (
     CentralizerWeylElement,
-    InvalidCentralizerWeyl,
     WeylElement,
     act_on_functional,
     act_on_lie,
-    centralizer_weyl_validate,
     enumerate_weyl,
     identity_centralizer_element,
     signed_permutation_matrix,

@@ -2,8 +2,9 @@
 
 A problem file is INI-structured text with JSON-encoded values for vectors and
 matrices; rational entries are strings like "3/4" (or bare integers).  Parsing
-re-checks every structural invariant of the decision engine and reports the
-offending section and field.
+checks shapes and entries, `build_config` checks trace zero and independence
+of the torus bases, and `GroupConfig` every other invariant of the decision
+engine; each error names the offending section, field or candidate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 from .criterion import ConfigError, GroupConfig
 from .linalg import Mat, Subspace, Vec
 from .rootdata import CartanSpace, GroupSpec, LieElement
-from .weyl import InvalidCentralizerWeyl, centralizer_weyl_validate
+from .weyl import CentralizerWeylElement
 
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
 DEFAULT_SEED = 0x5EED
@@ -191,7 +192,10 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
 
 
 def build_config(problem: ProblemFile) -> GroupConfig:
-    """Instantiate and fully validate the decision-engine configuration."""
+    """Instantiate the decision-engine configuration.
+
+    Trace zero and independence are checked here, where the offending
+    section can be named; every other invariant is `GroupConfig`'s."""
     spec = problem.spec
     ambient = spec.ambient_dim
     space = CartanSpace(spec)
@@ -209,12 +213,13 @@ def build_config(problem: ProblemFile) -> GroupConfig:
         a = Subspace.from_independent(ambient, problem.a_vectors)
     except ValueError as exc:
         raise ConfigError(f"[torus-a] basis: {exc}")
-    try:
-        cw = tuple(centralizer_weyl_validate(spec, problem.m_generators, d,
-                                             problem.centralizer_elements))
-    except InvalidCentralizerWeyl as exc:
-        raise ConfigError(f"[centralizer-weyl]: {exc}")
-    return GroupConfig(spec, problem.m_generators, d, a, cw)
+    elements = []
+    for idx, factors in enumerate(problem.centralizer_elements, 1):
+        try:
+            elements.append(CentralizerWeylElement.build(factors))
+        except ValueError as exc:
+            raise ConfigError(f"centralizer Weyl candidate #{idx}: {exc}")
+    return GroupConfig(spec, problem.m_generators, d, a, tuple(elements))
 
 
 def _mat_json_obj(m) -> list:

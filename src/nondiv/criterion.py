@@ -3,13 +3,15 @@ arithmetic quotient of an SL_n product.
 
 The search runs in one order: nonempty index subsets I (by cardinality,
 then lexicographic), then Weyl elements w (`enumerate_weyl` order), then
-validated centralizer Weyl representatives w' (list order).  A pair (I, w)
-is admissible when the conjugated M generators land in both the standard
-and the opposite parabolic at every cut in I, i.e. when I lies in the set
-G(w) of admissible cuts of w; the least admissible triple whose transported
-fundamental weights become dependent on Lie(A) yields a replayable
-certificate, and exhaustion proves uniform nondivergence.  Trivial M is the
-case G(w) = all cuts, Lie(D) = the full Cartan space and w' = {id}.
+centralizer Weyl representatives w' (list order, the identity first when it
+was not listed).  A pair (I, w) is admissible when the conjugated M
+generators land in both the standard and the opposite parabolic at every
+cut in I, i.e. when I lies in the set G(w) of admissible cuts of w; the
+least admissible triple whose transported fundamental weights become
+dependent on Lie(A) yields a replayable certificate, and exhaustion proves
+uniform nondivergence.  Trivial M is the case G(w) = all cuts, Lie(D) = the
+full Cartan space and w' = {id}.  `GroupConfig` is the one place that
+validates a problem instance.
 
 A cut splits a nonzero entry of a conjugated generator by position alone,
 so G(w) is the AND over factors k of bitmasks mask_k[p_k] (`_cut_masks`);
@@ -18,12 +20,12 @@ dependent only when the whole family {w(chi_i) : i in G(w)} is, so one rank
 test per (w, w') rules out every admissible subset at once, and subsets are
 searched only behind a dependent family.  The w' with equal transported
 Lie(A) form a class with equal ranks, tested once under its lowest w' index,
-the index the documented order certifies.  Transported Lie(A) lies in
-Lie(D), so weights dependent on Lie(D) are dependent for every w'; the
-Lie(D) audit therefore runs only on the least subset hit at a w.  Workers
-split the Weyl range; each reports its least (subset, w, w') key and the
-coordinator takes the minimum, so every worker count gives the same verdict
-and certificate.
+the index the documented order certifies.  Every w' maps Lie(D) onto itself
+(`GroupConfig` checks it), so transported Lie(A) lies in Lie(D) and weights
+dependent on Lie(D) are dependent for every w'; the Lie(D) audit therefore
+runs only on the least subset hit at a w.  Workers split the Weyl range;
+each reports its least (subset, w, w') key and the coordinator takes the
+minimum, so every worker count gives the same verdict and certificate.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
 basis vector of Lie(A), transported Lie(A) and Lie(D) by the LCM of its
@@ -58,8 +60,8 @@ from .rootdata import (
     GroupSpec,
     LieElement,
     ParabolicSide,
-    commutator,
     fundamental_weight,
+    mat_mul,
     parabolic_contains,
 )
 from .weyl import (
@@ -123,8 +125,12 @@ class Verdict:
 @dataclass(frozen=True)
 class GroupConfig:
     """Full problem instance: group family, Lie(M) generators, Lie(D), Lie(A),
-    and validated centralizer Weyl representatives.  Construction runs
-    `validate`, so every instance has passed it."""
+    and centralizer Weyl representatives.
+
+    Construction runs `validate`, so every instance, built from a problem
+    file or in code, satisfies every invariant the scan, replay and witness
+    rely on; the identity representative is then prepended when absent, so
+    w' = id is always searched."""
 
     spec: GroupSpec
     m_generators: tuple[LieElement, ...]
@@ -134,8 +140,18 @@ class GroupConfig:
 
     def __post_init__(self):
         self.validate()
+        if not any(e.is_identity() for e in self.centralizer_weyl):
+            object.__setattr__(self, "centralizer_weyl",
+                               (identity_centralizer_element(self.spec),
+                                *self.centralizer_weyl))
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first violated invariant.
+
+        Shapes first, then each w' (numbered from 1 in list order) must
+        centralize every M generator and map Lie(D) onto itself; then
+        Lie(A) lies in Lie(D), no M generator is zero, Lie(D) commutes with
+        M, and trivial M comes with the full Cartan space as Lie(D)."""
         space = CartanSpace(self.spec)
         n, m = self.spec.n, self.spec.m
         for name, sub in (("Lie(D)", self.d_basis), ("Lie(A)", self.a_basis)):
@@ -144,26 +160,45 @@ class GroupConfig:
             for v in sub.basis:
                 if not space.contains(v):
                     raise ConfigError(f"{name} basis vector is not trace zero per factor")
-        if not self.d_basis.contains_subspace(self.a_basis):
-            raise ConfigError("Lie(A) is not contained in Lie(D)")
         for gi, gen in enumerate(self.m_generators):
             if len(gen.factors) != m or any(len(f) != n for f in gen.factors):
                 raise ConfigError(f"M generator #{gi + 1} has wrong shape")
+        for idx, elem in enumerate(self.centralizer_weyl, 1):
+            if len(elem.matrices) != m or any(
+                    len(f) != n or any(len(r) != n for r in f) for f in elem.matrices):
+                raise ConfigError(f"centralizer Weyl candidate #{idx}: wrong matrix shape")
+        for idx, elem in enumerate(self.centralizer_weyl, 1):
+            for gi, gen in enumerate(self.m_generators):
+                if any(mat_mul(w, x) != mat_mul(x, w)
+                       for w, x in zip(elem.matrices, gen.factors)):
+                    raise ConfigError(f"centralizer Weyl candidate #{idx}: "
+                                      f"does not centralize M generator #{gi + 1}")
+            try:
+                images = [elem.transport(v) for v in self.d_basis.basis]
+            except ValueError:
+                raise ConfigError(f"centralizer Weyl candidate #{idx}: does not "
+                                  "normalize D (image of Lie(D) not diagonal)")
+            if Subspace.span(space.ambient_dim, images) != self.d_basis:
+                raise ConfigError(f"centralizer Weyl candidate #{idx}: "
+                                  "does not normalize D")
+        if not self.d_basis.contains_subspace(self.a_basis):
+            raise ConfigError("Lie(A) is not contained in Lie(D)")
+        for gi, gen in enumerate(self.m_generators):
             if gen.is_zero():
                 raise ConfigError(f"M generator #{gi + 1} is zero")
+        # [diag(v), X]_ab = (v_a - v_b) X_ab, so Lie(D) commutes with X iff
+        # v_a = v_b at every nonzero off-diagonal entry (a, b) of X.
+        entries = [[(k * n + a, k * n + b) for k, f in enumerate(gen.factors)
+                    for a, row in enumerate(f) for b, x in enumerate(row)
+                    if a != b and x != 0]
+                   for gen in self.m_generators]
         for v in self.d_basis.basis:
-            d_elem = space.diagonal_element(v)
-            for gi, gen in enumerate(self.m_generators):
-                if not commutator(d_elem, gen).is_zero():
+            for gi, gen_entries in enumerate(entries):
+                if any(v[a] != v[b] for a, b in gen_entries):
                     raise ConfigError(
                         f"Lie(D) does not commute with M generator #{gi + 1}")
         if not self.m_generators and self.d_basis != space.full_subspace():
             raise ConfigError("with trivial M, Lie(D) must be the full Cartan space")
-        if not self.centralizer_weyl:
-            raise ConfigError("centralizer Weyl list must not be empty")
-        for idx, elem in enumerate(self.centralizer_weyl):
-            if len(elem.matrices) != m or any(len(f) != n for f in elem.matrices):
-                raise ConfigError(f"centralizer Weyl element #{idx} has wrong shape")
 
 
 def dependence_coefficients(functionals: Sequence[Functional],
@@ -273,8 +308,7 @@ def check_torus(spec: GroupSpec, a_basis: Subspace, workers: int = 1) -> Verdict
     """Torus criterion: nondivergent iff every Weyl image of the fundamental
     weight family stays independent as functionals on Lie(A).  This is the
     general check with trivial M, Lie(D) the full Cartan space and w' = {id}."""
-    config = GroupConfig(spec, (), CartanSpace(spec).full_subspace(), a_basis,
-                         (identity_centralizer_element(spec),))
+    config = GroupConfig(spec, (), CartanSpace(spec).full_subspace(), a_basis, ())
     return check_general(config, workers=workers)
 
 
@@ -347,7 +381,7 @@ def _scan_chunk(args):
                for mask in range(1 << r)]
     masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
-    # Validated w' map the span of Lie(D) onto itself, so the Lie(D) audit is
+    # Every w' maps the span of Lie(D) onto itself, so the Lie(D) audit is
     # independent of w'; Lie(A) is transported once per w' class.
     d_tables = _factor_tables(spec, config.d_basis.basis)
     classes: dict[Subspace, int] = {}
@@ -384,12 +418,9 @@ def _scan_chunk(args):
 
 
 def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subspace:
-    """Ad(w'^-1) applied to a subspace of the normalized torus."""
-    try:
-        images = [w_prime.transport_inverse(v) for v in sub.basis]
-    except ValueError as exc:
-        raise ConfigInconsistencyError(str(exc)) from exc
-    return Subspace.span(sub.ambient_dim, images)
+    """Ad(w'^-1) applied to a subspace of Lie(D), which w' normalizes."""
+    return Subspace.span(sub.ambient_dim,
+                         [w_prime.transport_inverse(v) for v in sub.basis])
 
 
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:

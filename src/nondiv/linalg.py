@@ -5,11 +5,11 @@ elimination, and invariance dimension of H-form regions.
 Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
 immutable, and no floating point is used.  Every exact elimination goes
 through `_eliminate`, one fraction-free (Bareiss) loop over integer rows:
-`rank` counts its pivots, `det` reads its last pivot, `det_inverse` (behind
-`mat_inverse`) reads both the determinant and the inverse off one
-Gauss-Jordan pass, and `_rref` (behind `solve`, kernels and `Subspace.span`)
-runs it in Gauss-Jordan form.  Subspaces are stored with a canonical
-reduced-echelon basis so equality of spans is plain `==`.
+`rank` counts its pivots, `det` reads its last pivot, `det_inverse` reads
+both the determinant and the inverse off one Gauss-Jordan pass, and `_rref`
+(behind `solve`, kernels and `Subspace.span`) runs it in Gauss-Jordan form.
+Subspaces are stored with a canonical reduced-echelon basis so equality of
+spans is plain `==`.
 """
 
 from __future__ import annotations
@@ -184,13 +184,6 @@ def det_inverse(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Optional[Mat
     last = rows[-1][n - 1]
     return (Fraction(sign * last, scale ** n),
             tuple(tuple(Fraction(scale * e, last) for e in row[n:]) for row in rows))
-
-
-def mat_inverse(m: Sequence[Sequence[Fraction]]) -> Mat:
-    inverse = det_inverse(m)[1]
-    if inverse is None:
-        raise ValueError("matrix not invertible")
-    return inverse
 
 
 @dataclass(frozen=True)

@@ -94,16 +94,6 @@ class CartanSpace:
     def full_subspace(self) -> Subspace:
         return Subspace.span(self.ambient_dim, self.standard_basis())
 
-    def diagonal_element(self, v: Sequence[Fraction]) -> "LieElement":
-        if not self.contains(v):
-            raise ValueError("vector is not in the Cartan space")
-        n = self.spec.n
-        factors = []
-        for b in self.blocks(v):
-            factors.append(tuple(tuple(b[i] if i == j else Fraction(0)
-                                       for j in range(n)) for i in range(n)))
-        return LieElement(tuple(factors))
-
 
 @dataclass(frozen=True)
 class Functional:
@@ -150,15 +140,6 @@ def mat_mul(x: Mat, y: Mat) -> Mat:
                     acc[j] += a * b
         out.append(tuple(acc))
     return tuple(out)
-
-
-def commutator(x: LieElement, y: LieElement) -> LieElement:
-    factors = []
-    for a, b in zip(x.factors, y.factors):
-        ab, ba = mat_mul(a, b), mat_mul(b, a)
-        factors.append(tuple(tuple(p - q for p, q in zip(r1, r2))
-                             for r1, r2 in zip(ab, ba)))
-    return LieElement(tuple(factors))
 
 
 def _check_index(space: CartanSpace, i: int) -> None:

@@ -1,6 +1,8 @@
 """Restricted Weyl group of an SL_n product (a product of symmetric groups),
-its action on Cartan functionals and Lie elements, and validation of
-user-supplied centralizer Weyl representatives."""
+its action on Cartan functionals and Lie elements, and the determinant-one
+matrices that represent centralizer Weyl elements.  Whether such a matrix
+centralizes M and normalizes Lie(D) is a property of the whole problem, so
+`criterion.GroupConfig` checks it."""
 
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, Subspace, Vec, det_inverse, mat, mat_inverse
-from .rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
+from .linalg import Mat, Vec, det_inverse, mat
+from .rootdata import Functional, GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
 
@@ -122,21 +124,15 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
     return LieElement(tuple(factors))
 
 
-class InvalidCentralizerWeyl(ValueError):
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"centralizer Weyl candidate #{index}: {reason}")
-        self.index = index
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class CentralizerWeylElement:
-    """A validated representative of the centralizer Weyl group.
+    """A representative of the centralizer Weyl group.
 
-    Holds one invertible rational matrix per factor together with the exact
-    inverses; the induced linear action on Cartan coordinates is exposed via
-    :meth:`transport` / :meth:`transport_inverse` (conjugation of diagonal
-    matrices, defined on the normalized torus).
+    Holds one determinant-one rational matrix per factor together with the
+    exact inverses (`build` checks the determinants); the induced linear
+    action on Cartan coordinates is exposed via :meth:`transport` /
+    :meth:`transport_inverse` (conjugation of diagonal matrices, defined on
+    the normalized torus).
     """
 
     matrices: tuple[Mat, ...]
@@ -144,8 +140,16 @@ class CentralizerWeylElement:
 
     @classmethod
     def build(cls, matrices: Iterable[Iterable[Iterable]]) -> "CentralizerWeylElement":
+        """The element of the given factor matrices, each of determinant 1;
+        one elimination per factor yields the determinant and the inverse."""
         ms = tuple(mat(f) for f in matrices)
-        return cls(ms, tuple(mat_inverse(f) for f in ms))
+        inverses = []
+        for k, f in enumerate(ms):
+            d_f, inverse = det_inverse(f)
+            if d_f != 1:
+                raise ValueError(f"determinant is not 1 in factor {k + 1}")
+            inverses.append(inverse)
+        return cls(ms, tuple(inverses))
 
     def is_identity(self) -> bool:
         return all(all(f[i][j] == (1 if i == j else 0)
@@ -190,50 +194,3 @@ def identity_centralizer_element(spec: GroupSpec) -> CentralizerWeylElement:
                 for i in range(spec.n))
     return CentralizerWeylElement.build((eye,) * spec.m)
 
-
-def centralizer_weyl_validate(spec: GroupSpec,
-                              m_gens: Sequence[LieElement],
-                              d: Subspace,
-                              elems: Sequence[Iterable[Iterable[Iterable]]],
-                              ) -> list[CentralizerWeylElement]:
-    """Validate candidate centralizer Weyl representatives.
-
-    Each candidate must centralize every generator of Lie(M) under
-    conjugation and map the span of d onto itself; the identity is prepended
-    when absent.  Raises InvalidCentralizerWeyl naming the failed check.
-    """
-    n, m = spec.n, spec.m
-    space = CartanSpace(spec)
-    validated: list[CentralizerWeylElement] = []
-    for idx, cand in enumerate(elems):
-        ms = tuple(mat(f) for f in cand)
-        if len(ms) != m or any(len(f) != n or any(len(r) != n for r in f) for f in ms):
-            raise InvalidCentralizerWeyl(idx, "wrong matrix shape")
-        inverses = []
-        for k, f in enumerate(ms):
-            d_f, inverse = det_inverse(f)
-            if d_f != 1:
-                raise InvalidCentralizerWeyl(
-                    idx, f"determinant is not 1 in factor {k + 1}")
-            inverses.append(inverse)
-        elem = CentralizerWeylElement(ms, tuple(inverses))
-        for gi, gen in enumerate(m_gens):
-            for k in range(m):
-                lhs = mat_mul(ms[k], gen.factors[k])
-                rhs = mat_mul(gen.factors[k], ms[k])
-                if lhs != rhs:
-                    raise InvalidCentralizerWeyl(
-                        idx, f"does not centralize M generator #{gi + 1}")
-        images = []
-        for v in d.basis:
-            try:
-                images.append(elem.transport(v))
-            except ValueError:
-                raise InvalidCentralizerWeyl(
-                    idx, "does not normalize D (image of Lie(D) not diagonal)")
-        if Subspace.span(space.ambient_dim, images) != d:
-            raise InvalidCentralizerWeyl(idx, "does not normalize D")
-        validated.append(elem)
-    if not any(e.is_identity() for e in validated):
-        validated.insert(0, identity_centralizer_element(spec))
-    return validated

@@ -49,6 +49,10 @@ from .rootdata import (
 )
 from .weyl import act_on_functional, signed_permutation_matrix
 
+# Words in exp(Lie(M)) sampled beside the identity, and their longest length.
+SAMPLER_WORDS = 8
+SAMPLER_MAX_WORD_LEN = 3
+
 
 class NotProperError(RuntimeError):
     """The projected subspace is not proper; contradicts the certificate."""
@@ -225,8 +229,7 @@ class HSampler:
 
     @classmethod
     def default(cls, config: GroupConfig, grid_radius: int = 5,
-                grid_points: int = 21, n_words: int = 8,
-                max_word_len: int = 3, seed: int = 0x5EED) -> "HSampler":
+                grid_points: int = 21, seed: int = 0x5EED) -> "HSampler":
         space = CartanSpace(config.spec)
         basis = config.a_basis.basis
         if grid_points < 2:
@@ -254,8 +257,8 @@ class HSampler:
             from scipy.linalg import expm
             rng = random.Random(seed)
             gen_mats = [[np.array(fmat(f)) for f in g.factors] for g in gens]
-            for _ in range(n_words):
-                length = rng.randint(1, max_word_len)
+            for _ in range(SAMPLER_WORDS):
+                length = rng.randint(1, SAMPLER_MAX_WORD_LEN)
                 mats = [np.eye(space.spec.n) for _ in range(space.spec.m)]
                 label = []
                 for _ in range(length):

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 
 from nondiv import (
     CartanSpace,
+    CentralizerWeylElement,
     GroupConfig,
     GroupSpec,
     LieElement,
     SearchStats,
     Subspace,
-    centralizer_weyl_validate,
     identity_centralizer_element,
     signed_permutation_matrix,
 )
@@ -75,6 +75,13 @@ def assert_first_hit(config, verdict):
             assert dependence_vanishes(n, m, a, mats[wp_index], subset, perms, coeffs)
 
 
+def diagonal_element(v, n):
+    """The Lie element diag(v), one n x n block per factor."""
+    return LieElement(tuple(
+        tuple(tuple(v[k + i] if i == j else F(0) for j in range(n)) for i in range(n))
+        for k in range(0, len(v), n)))
+
+
 def diagonal_vector(x):
     """Cartan coordinates of a Lie element, or None if some factor is not
     diagonal."""
@@ -132,7 +139,7 @@ def so21_config(a_vectors):
     spec = GroupSpec(4, 2)
     gens = so21_generators()
     d = Subspace.span(8, so21_d_vectors())
-    cws = tuple(centralizer_weyl_validate(spec, gens, d, so21_centralizer_elements()))
+    cws = tuple(CentralizerWeylElement.build(e) for e in so21_centralizer_elements())
     a = Subspace.span(8, a_vectors)
     return GroupConfig(spec, gens, d, a, cws)
 
@@ -144,8 +151,8 @@ def sl2_swap_config(a_vectors):
     gens = sl_block_generators(4, 1, 0, 2, 2)
     d = Subspace.span(4, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))
     eye = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
-    cws = tuple(centralizer_weyl_validate(
-        spec, gens, d, [(eye,), (signed_permutation_matrix((1, 0, 2, 3)),)]))
+    cws = (CentralizerWeylElement.build((eye,)),
+           CentralizerWeylElement.build((signed_permutation_matrix((1, 0, 2, 3)),)))
     return GroupConfig(spec, gens, d, Subspace.span(4, a_vectors), cws)
 
 

@@ -285,13 +285,13 @@ def test_criterion_7_lattice_probe():
     _line(7, f"probe maxima strictly decreasing: {['%.4f' % v for v in series]}")
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_worker_determinism(tmp_path):
     configs = [f"example1-m{m}.cfg" for m in range(1, 6)]
     configs += ["example1-n3-m2.cfg", "example1-n4-m2.cfg"]
     for name in configs:
         seen = set()
         for workers in ("1", "4", "8"):
-            out = REPO / "tests" / f".tmp-report-{workers}.json"
+            out = tmp_path / f"report-{workers}.json"
             res = subprocess.run(
                 [sys.executable, "-m", "nondiv.cli", "check",
                  str(CONFIGS / name), "--workers", workers,
@@ -299,7 +299,6 @@ def test_criterion_8_worker_determinism():
                 capture_output=True, text=True)
             assert res.returncode in (0, 10), (name, res.stderr)
             data = json.loads(out.read_text())
-            out.unlink()
             data.pop("timing", None)
             seen.add(json.dumps(data, sort_keys=True))
         assert len(seen) == 1, f"{name}: reports differ across worker counts"

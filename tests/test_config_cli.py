@@ -77,6 +77,9 @@ class TestParsing:
         assert "trace zero" in str(err.value)
 
 
+_W2_FACTOR2 = ('[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+               '["0", "0", "0", "1"], ["0", "0", "-1", "0"]]')
+
 # Inputs of the exit-code table that are a shipped config with one edit:
 # name -> (shipped config, old text, new text).  Any other name is read from
 # configs/ as it is, so a name not shipped there is a missing file.
@@ -92,6 +95,12 @@ EDITED_CONFIGS = {
     "full-cartan-a.cfg": ("example1-m2.cfg",
                           '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
                           '[torus-a]\nbasis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'),
+    # factor 2 of the second centralizer Weyl element, scaled to det 2 and
+    # sheared so that it no longer maps the diagonal Lie(D) to diagonals
+    "w-prime-det-2.cfg": ("example2-line.cfg", _W2_FACTOR2,
+                          _W2_FACTOR2.replace('[["1", "0"', '[["2", "0"')),
+    "w-prime-shear.cfg": ("example2-line.cfg", _W2_FACTOR2,
+                          _W2_FACTOR2.replace('[["1", "0"', '[["1", "1"')),
 }
 
 # (command and extra flags, input, exit code, stderr substring, report written)
@@ -101,6 +110,10 @@ EXIT_TABLE = [
     ("check", "no-such-file.cfg", 2, "No such file", False),
     ("check", "zero-denominator.cfg", 2, "torus-a", False),
     ("check", "dependent-d.cfg", 2, "torus-d", False),
+    ("check", "w-prime-det-2.cfg", 2,
+     "centralizer Weyl candidate #2: determinant is not 1 in factor 2", False),
+    ("check", "w-prime-shear.cfg", 2,
+     "centralizer Weyl candidate #2: does not normalize D", False),
     ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
     ("certify", "example1-m2.cfg", 10, None, True),
     ("certify", "example1-m3.cfg", 0, None, True),

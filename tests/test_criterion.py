@@ -18,7 +18,7 @@ from nondiv.criterion import (
     replay_certificate,
 )
 from nondiv.config import build_config, parse_problem
-from nondiv.linalg import Subspace, dot, rank
+from nondiv.linalg import Subspace, det_inverse, dot, rank
 from nondiv.rootdata import (
     CartanSpace,
     Functional,
@@ -26,13 +26,14 @@ from nondiv.rootdata import (
     LieElement,
     ParabolicSide,
     fundamental_weight,
+    mat_mul,
     parabolic_contains,
 )
 from nondiv.weyl import (
+    CentralizerWeylElement,
     WeylElement,
     act_on_functional,
     act_on_lie,
-    centralizer_weyl_validate,
     enumerate_weyl,
     identity_centralizer_element,
     signed_permutation_matrix,
@@ -43,6 +44,7 @@ from helpers import (
     block_centralizer_torus_vectors,
     delta_line_subspace,
     delta_vectors,
+    diagonal_element,
     diagonal_vector,
     sl2_swap_config,
     sl_block_generators,
@@ -427,21 +429,17 @@ class TestInvariants:
         g = WeylElement(tuple(perms))
 
         spec = base_config.spec
-        space = CartanSpace(spec)
         gens = tuple(act_on_lie(g, x) for x in base_config.m_generators)
-        relabel = lambda v: diagonal_vector(act_on_lie(g, space.diagonal_element(v)))
+        relabel = lambda v: diagonal_vector(act_on_lie(g, diagonal_element(v, spec.n)))
         d = Subspace.span(8, [relabel(v) for v in base_config.d_basis.basis])
         a = Subspace.span(8, [relabel(v) for v in base_config.a_basis.basis])
         reps = [signed_permutation_matrix(p) for p in g.perms]
-        from nondiv.rootdata import mat_mul
-        from nondiv.linalg import mat_inverse
-        inv_reps = [mat_inverse(r) for r in reps]
-        conj_elems = []
-        for elem in base_config.centralizer_weyl:
-            mats = tuple(mat_mul(mat_mul(r, f), ri)
-                         for r, f, ri in zip(reps, elem.matrices, inv_reps))
-            conj_elems.append(mats)
-        cws = tuple(centralizer_weyl_validate(spec, gens, d, conj_elems))
+        inv_reps = [det_inverse(r)[1] for r in reps]
+        cws = tuple(
+            CentralizerWeylElement.build(
+                mat_mul(mat_mul(r, f), ri)
+                for r, f, ri in zip(reps, elem.matrices, inv_reps))
+            for elem in base_config.centralizer_weyl)
         conj_config = GroupConfig(spec, gens, d, a, cws)
         assert check_general(conj_config).nondivergent == base
 
@@ -478,3 +476,89 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GroupConfig(spec, (zero,), space.full_subspace(), space.full_subspace(),
                         (identity_centralizer_element(spec),))
+
+    def _sl2_block(self):
+        """SL_4 with M = the sl_2 block on e_3, e_4 and Lie(D) its
+        centralizer torus."""
+        spec = GroupSpec(4, 1)
+        gens = sl_block_generators(4, 1, 0, 2, 2)
+        d = Subspace.span(4, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))
+        return spec, gens, d
+
+    def test_non_centralizing_w_prime_rejected(self):
+        spec, gens, d = self._sl2_block()
+        swap = CentralizerWeylElement.build((signed_permutation_matrix((0, 2, 1, 3)),))
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #2: "
+                                              "does not centralize M generator #1"):
+            GroupConfig(spec, gens, d, d, (identity_centralizer_element(spec), swap))
+
+    def test_non_normalizing_w_prime_rejected(self):
+        spec, gens, d = self._sl2_block()
+        shear = CentralizerWeylElement.build(
+            ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],))
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "does not normalize D"):
+            GroupConfig(spec, gens, d, d, (shear,))
+
+    def test_identity_prepended_as_from_a_file(self):
+        problem = parse_problem((CONFIGS / "example2-line.cfg").read_text())
+        assert problem.centralizer_elements[0] == (
+            identity_centralizer_element(problem.spec).matrices)
+        problem = dataclasses.replace(
+            problem, centralizer_elements=problem.centralizer_elements[1:])
+        in_code = GroupConfig(
+            problem.spec, problem.m_generators,
+            Subspace.span(8, problem.d_vectors), Subspace.span(8, problem.a_vectors),
+            tuple(CentralizerWeylElement.build(e) for e in problem.centralizer_elements))
+        assert in_code == build_config(problem)
+        assert in_code.centralizer_weyl[0] == identity_centralizer_element(problem.spec)
+        assert len(in_code.centralizer_weyl) == 24
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_commute_check_matches_reference_commutator(self, data):
+        """The closed-form check v_a = v_b at the nonzero off-diagonal X_ab
+        rejects exactly when some [diag(v), X] is nonzero, and names the
+        first such generator in (Lie(D) basis, generator) order."""
+        n = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(1, 2))
+        spec = GroupSpec(n, m)
+        space = CartanSpace(spec)
+        raw = data.draw(st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=n * m,
+                                          max_size=n * m), min_size=1, max_size=3))
+        d = Subspace.span(n * m, [space.trace_zero_part([F(x) for x in v]) for v in raw])
+        positions = [(k, a, b) for k in range(m) for a in range(n) for b in range(n)
+                     if a != b]
+        if data.draw(st.booleans()):  # only entries every D vector commutes with
+            positions = [(k, a, b) for k, a, b in positions
+                         if all(v[k * n + a] == v[k * n + b] for v in d.basis)]
+        gens = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = [[[F(0)] * n for _ in range(n)] for _ in range(m)]
+            rows[0][0][0], rows[0][1][1] = F(1), F(-1)
+            if positions:
+                for k, a, b in data.draw(st.lists(st.sampled_from(positions),
+                                                  max_size=3)):
+                    rows[k][a][b] = F(data.draw(st.sampled_from([-2, -1, 1, 3])))
+            gens.append(LieElement.of(rows))
+        expected = next((gi + 1 for v in d.basis for gi, gen in enumerate(gens)
+                         if any(any(row) for row in
+                                reference_commutator(diagonal_element(v, n), gen))),
+                        None)
+        build = lambda: GroupConfig(spec, tuple(gens), d, Subspace.zero(n * m), ())
+        if expected is None:
+            assert build().d_basis == d
+        else:
+            with pytest.raises(ConfigError, match=r"Lie\(D\) does not commute with "
+                                                  f"M generator #{expected}$"):
+                build()
+
+
+def reference_commutator(x, y):
+    """Rows of [x, y] = xy - yx by dense products, factor after factor."""
+    rows = []
+    for a, b in zip(x.factors, y.factors):
+        n = len(a)
+        rows.extend([sum(a[i][t] * b[t][j] - b[i][t] * a[t][j] for t in range(n))
+                     for j in range(n)] for i in range(n))
+    return rows

@@ -18,7 +18,6 @@ from nondiv.linalg import (
     integral_kernel_vector,
     invdim,
     mat,
-    mat_inverse,
     orthant_meets_subspace,
     project_subspace,
     rank,
@@ -89,7 +88,6 @@ class TestRank:
         assert both[0] == d and (both[1] is None) == (d == 0)
         if d:
             eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-            assert mat_mul(mat_inverse(block), mat(block)) == eye
             assert mat_mul(both[1], mat(block)) == eye
 
 

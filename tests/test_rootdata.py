@@ -10,7 +10,6 @@ from nondiv.rootdata import (
     GroupSpec,
     LieElement,
     ParabolicSide,
-    commutator,
     fundamental_weight,
     mat_mul,
     nilradical_basis,
@@ -228,12 +227,6 @@ class TestLieElement:
     def test_trace_zero_enforced(self):
         with pytest.raises(ValueError):
             LieElement.of([[[1, 0], [0, 0]]])
-
-    def test_commutator(self):
-        e12 = unit_element(2, 1, 0, 0, 1)
-        e21 = unit_element(2, 1, 0, 1, 0)
-        h = commutator(e12, e21)
-        assert h.factors[0][0][0] == 1 and h.factors[0][1][1] == -1
 
     def test_trace_zero_part_canonical(self):
         space = CartanSpace(GroupSpec(2, 2))

@@ -5,15 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nondiv.linalg import Subspace, det, dot, mat, mat_inverse
+from nondiv.criterion import ConfigError, GroupConfig
+from nondiv.linalg import Subspace, det, det_inverse, dot, mat
 from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
 from nondiv.weyl import (
     CentralizerWeylElement,
-    InvalidCentralizerWeyl,
     WeylElement,
     act_on_functional,
     act_on_lie,
-    centralizer_weyl_validate,
     enumerate_weyl,
     identity_centralizer_element,
     perm_sign,
@@ -23,9 +22,11 @@ from nondiv.weyl import (
 )
 
 from helpers import (
+    diagonal_element,
     diagonal_vector,
     full_cartan_vectors,
     so21_centralizer_elements,
+    so21_config,
     so21_d_vectors,
     so21_generators,
 )
@@ -130,12 +131,11 @@ class TestFunctionalAction:
     def test_compatible_with_lie_action(self):
         rng = random.Random(19)
         spec = GroupSpec(3, 2)
-        space = CartanSpace(spec)
         for _ in range(30):
             w = random_weyl(rng, spec)
             f = Functional(random_trace_zero(rng, spec))
             x_vec = random_trace_zero(rng, spec)
-            x = space.diagonal_element(x_vec)
+            x = diagonal_element(x_vec, spec.n)
             moved = diagonal_vector(act_on_lie(weyl_inverse(w), x))
             assert moved is not None
             assert dot(f.vector, moved) == dot(act_on_functional(w, f).vector, x_vec)
@@ -170,7 +170,7 @@ class TestLieAction:
                 y = act_on_lie(w, x)
                 for q, f, g in zip(w.perms, x.factors, y.factors):
                     s = signed_permutation_matrix(q)
-                    assert g == mat_mul(mat_mul(s, f), mat_inverse(s))
+                    assert g == mat_mul(mat_mul(s, f), det_inverse(s)[1])
 
     def test_sign_function(self):
         assert perm_sign((0, 1, 2)) == 1
@@ -178,13 +178,19 @@ class TestLieAction:
         assert perm_sign((1, 2, 0)) == 1
 
 
+def build_all(candidates):
+    return tuple(CentralizerWeylElement.build(c) for c in candidates)
+
+
 class TestCentralizerValidation:
+    """GroupConfig checks every w'; candidates are numbered from 1."""
+
     def test_trivial_m_accepts_weyl_representatives(self):
         spec = GroupSpec(3, 1)
         d = Subspace.span(3, full_cartan_vectors(3, 1))
         elems = [(signed_permutation_matrix(p),)
                  for p in itertools.permutations(range(3))]
-        validated = centralizer_weyl_validate(spec, (), d, elems)
+        validated = GroupConfig(spec, (), d, d, build_all(elems)).centralizer_weyl
         assert len(validated) == 6
         assert validated[0].is_identity()
 
@@ -192,40 +198,35 @@ class TestCentralizerValidation:
         spec = GroupSpec(2, 1)
         d = Subspace.span(2, [[F(1), F(-1)]])
         shear = [(((F(1), F(1)), (F(0), F(1))),)]
-        with pytest.raises(InvalidCentralizerWeyl) as err:
-            centralizer_weyl_validate(spec, (), d, shear)
-        assert "normalize" in str(err.value)
+        with pytest.raises(ConfigError,
+                           match="centralizer Weyl candidate #1: does not normalize D"):
+            GroupConfig(spec, (), d, d, build_all(shear))
 
     def test_rejects_bad_determinant(self):
-        spec = GroupSpec(2, 1)
-        d = Subspace.span(2, [[F(1), F(-1)]])
-        scaled = [(((F(2), F(0)), (F(0), F(1))),)]
-        with pytest.raises(InvalidCentralizerWeyl) as err:
-            centralizer_weyl_validate(spec, (), d, scaled)
-        assert "determinant" in str(err.value)
+        scaled = (((F(2), F(0)), (F(0), F(1))),)
+        with pytest.raises(ValueError, match="determinant is not 1 in factor 1"):
+            CentralizerWeylElement.build(scaled)
 
     def test_rejects_non_centralizing(self):
         spec = GroupSpec(2, 1)
         d = Subspace.span(2, [[F(1), F(-1)]])
         gen = LieElement.of([[[0, 1], [0, 0]]])
         swap = [(signed_permutation_matrix((1, 0)),)]
-        with pytest.raises(InvalidCentralizerWeyl) as err:
-            centralizer_weyl_validate(spec, (gen,), d, swap)
-        assert "centralize" in str(err.value)
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "does not centralize M generator #1"):
+            GroupConfig(spec, (gen,), d, d, build_all(swap))
 
     def test_identity_prepended(self):
         spec = GroupSpec(2, 1)
         d = Subspace.span(2, [[F(1), F(-1)]])
-        swap = [(signed_permutation_matrix((1, 0)),)]
-        validated = centralizer_weyl_validate(spec, (), d, swap)
+        swap = build_all([(signed_permutation_matrix((1, 0)),)])
+        validated = GroupConfig(spec, (), d, d, swap).centralizer_weyl
         assert len(validated) == 2 and validated[0].is_identity()
+        assert validated[1:] == swap
 
     def test_so21_block_configuration(self):
-        spec = GroupSpec(4, 2)
-        gens = so21_generators()
-        d = Subspace.span(8, so21_d_vectors())
         candidates = so21_centralizer_elements()
-        validated = centralizer_weyl_validate(spec, gens, d, candidates)
+        validated = so21_config(so21_d_vectors()).centralizer_weyl
         assert len(validated) == 24
         assert [e.matrices for e in validated] == [
             tuple(mat(f) for f in c) for c in candidates]
@@ -236,17 +237,14 @@ class TestCentralizerValidation:
         d = Subspace.span(8, so21_d_vectors())
         eye = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
         bad = [(signed_permutation_matrix((1, 0, 2, 3)), eye)]
-        with pytest.raises(InvalidCentralizerWeyl):
-            centralizer_weyl_validate(spec, gens, d, bad)
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "does not centralize"):
+            GroupConfig(spec, gens, d, d, build_all(bad))
 
     def test_transport_inverse_roundtrip(self):
-        spec = GroupSpec(4, 2)
-        gens = so21_generators()
-        d = Subspace.span(8, so21_d_vectors())
-        validated = centralizer_weyl_validate(spec, gens, d,
-                                              so21_centralizer_elements())
-        for elem in validated[:6]:
-            for v in d.basis:
+        config = so21_config(so21_d_vectors())
+        for elem in config.centralizer_weyl[:6]:
+            for v in config.d_basis.basis:
                 assert elem.transport(elem.transport_inverse(v)) == v
 
     def test_transport_rejects_outside_torus(self):
@@ -284,19 +282,22 @@ def transport_reference(left, v, right):
 
 @st.composite
 def invertible(draw, n, allowed=lambda i, j: True):
-    """A random rational matrix, nonzero exactly where `allowed`, with det != 0."""
+    """A random rational matrix, nonzero exactly where `allowed`, with det 1:
+    a draw with det != 0 whose row 0 is divided by the determinant."""
     rows = [[draw(nonzero_rationals) if allowed(i, j) else F(0) for j in range(n)]
             for i in range(n)]
-    assume(det(rows) != 0)
+    d = det(rows)
+    assume(d != 0)
+    rows[0] = [e / d for e in rows[0]]
     return mat(rows)
 
 
 @st.composite
 def conjugation_case(draw, structured):
-    """(factor matrices, Cartan vector).  A structured factor is P B with P a
-    signed permutation and B dense on the groups of equal entries of its
-    block of v, so its image of v is diagonal; other factors have a random
-    pattern of nonzero off-diagonal entries (dense, triangular, ...)."""
+    """(factor matrices of det 1, Cartan vector).  A structured factor is P B
+    with P a signed permutation and B dense on the groups of equal entries of
+    its block of v, so its image of v is diagonal; other factors have a
+    random pattern of nonzero off-diagonal entries (dense, triangular, ...)."""
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, 2))
     factors, v = [], []
@@ -310,6 +311,8 @@ def conjugation_case(draw, structured):
             signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
             p = [[F(signs[i]) if perm[i] == j else F(0) for j in range(n)]
                  for i in range(n)]
+            if det(p) < 0:
+                p[0] = [-e for e in p[0]]
             factors.append(mat_mul(mat(p), b))
         else:
             mask = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
