@@ -5,9 +5,8 @@ elimination, and invariance dimension of H-form regions.
 Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
 immutable, and no floating point is used.  Every exact elimination goes
 through `_eliminate`, one fraction-free (Bareiss) loop over integer rows:
-`rank` counts its pivots, `det` reads its last pivot, `det_inverse` reads
-both the determinant and the inverse off one Gauss-Jordan pass, and `_rref`
-(behind `solve`, kernels and `Subspace.span`) runs it in Gauss-Jordan form.
+`rank` counts its pivots, `det` reads its last pivot, and `_rref` (behind
+`solve`, kernels and `Subspace.span`) runs it in Gauss-Jordan form.
 Subspaces are stored with a canonical reduced-echelon basis so equality of
 spans is plain `==`.
 """
@@ -153,6 +152,8 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant: the matrix is scaled by the LCM of its denominators
     and the determinant read off the last fraction-free pivot."""
     n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("det expects a square matrix")
     fracs = [[Fraction(e) for e in row] for row in m]
     scale = math.lcm(*(e.denominator for row in fracs for e in row))
     rows, pivots, sign = _eliminate(
@@ -160,30 +161,6 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * rows[-1][-1] if n else 1, scale ** n)
-
-
-def det_inverse(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Optional[Mat]]:
-    """Exact determinant and inverse (None when singular) of a square matrix
-    from one fraction-free Gauss-Jordan pass over [s*m | I], s the LCM of
-    the denominators.
-
-    Each pivot row ends with the last pivot p in its pivot column, so
-    det(s*m) = sign * p and the right block is p * (s*m)^-1; only that block
-    is turned into fractions.
-    """
-    n = len(m)
-    fracs = [[Fraction(e) for e in row] for row in m]
-    scale = math.lcm(*(e.denominator for row in fracs for e in row))
-    rows, pivots, sign = _eliminate(
-        [[e.numerator * (scale // e.denominator) for e in row]
-         + [int(i == j) for j in range(n)] for i, row in enumerate(fracs)], True)
-    if pivots != list(range(n)):
-        return Fraction(0), None
-    if not n:
-        return Fraction(1), ()
-    last = rows[-1][n - 1]
-    return (Fraction(sign * last, scale ** n),
-            tuple(tuple(Fraction(scale * e, last) for e in row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)

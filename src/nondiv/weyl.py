@@ -1,8 +1,9 @@
 """Restricted Weyl group of an SL_n product (a product of symmetric groups),
 its action on Cartan functionals and Lie elements, and the determinant-one
-matrices that represent centralizer Weyl elements.  Whether such a matrix
-centralizes M and normalizes Lie(D) is a property of the whole problem, so
-`criterion.GroupConfig` checks it."""
+matrices that represent centralizer Weyl elements, which act on diagonal
+Cartan vectors through the positions of their nonzero entries (no inverse is
+formed).  Whether such a matrix centralizes M and normalizes Lie(D) is a
+property of the whole problem, so `criterion.GroupConfig` checks it."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, Vec, det_inverse, mat
+from .linalg import Mat, Vec, det, mat
 from .rootdata import Functional, GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
@@ -126,67 +127,56 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
 
 @dataclass(frozen=True)
 class CentralizerWeylElement:
-    """A representative of the centralizer Weyl group.
+    """A representative of the centralizer Weyl group: one determinant-one
+    rational matrix per factor (`build` checks the determinants).
 
-    Holds one determinant-one rational matrix per factor together with the
-    exact inverses (`build` checks the determinants); the induced linear
-    action on Cartan coordinates is exposed via :meth:`transport` /
-    :meth:`transport_inverse` (conjugation of diagonal matrices, defined on
-    the normalized torus).
+    Its action on diagonal Cartan vectors is read off the nonzero entries.
+    For an invertible factor l, l diag(v) l^-1 = diag(y) iff l diag(v) =
+    diag(y) l, that is y_i = v_j at every nonzero l_ij; so :meth:`transport`
+    reads the rows of l and :meth:`transport_inverse` its columns
+    (l^-1 diag(v) l = diag(y) iff y_j = v_i at every nonzero l_ij).  Both are
+    defined on the normalized torus only.
     """
 
     matrices: tuple[Mat, ...]
-    inverses: tuple[Mat, ...]
 
     @classmethod
     def build(cls, matrices: Iterable[Iterable[Iterable]]) -> "CentralizerWeylElement":
-        """The element of the given factor matrices, each of determinant 1;
-        one elimination per factor yields the determinant and the inverse."""
+        """The element of the given factor matrices, each of determinant 1."""
         ms = tuple(mat(f) for f in matrices)
-        inverses = []
         for k, f in enumerate(ms):
-            d_f, inverse = det_inverse(f)
-            if d_f != 1:
+            if det(f) != 1:
                 raise ValueError(f"determinant is not 1 in factor {k + 1}")
-            inverses.append(inverse)
-        return cls(ms, tuple(inverses))
+        return cls(ms)
 
     def is_identity(self) -> bool:
         return all(all(f[i][j] == (1 if i == j else 0)
                        for i in range(len(f)) for j in range(len(f)))
                    for f in self.matrices)
 
-    def _conjugate_diagonal(self, v: Vec, left: tuple[Mat, ...],
-                            right: tuple[Mat, ...]) -> Vec:
-        """Diagonal of l diag(v) r per factor, y[i][j] = sum_t l[i][t] v_t r[t][j],
-        summed over the nonzero factors only; every off-diagonal entry of y
-        must vanish."""
+    def _conjugate_diagonal(self, v: Vec, by_columns: bool) -> Vec:
+        """One entry per row (or column) of each factor: the single value of
+        v over the columns (rows) of its nonzero entries."""
         n = len(self.matrices[0])
-        out: list[Fraction] = []
-        for k, (l, r) in enumerate(zip(left, right)):
-            block = [(t, v[k * n + t]) for t in range(n) if v[k * n + t] != 0]
-            for i, l_i in enumerate(l):
-                y_i = [Fraction(0)] * n
-                for t, v_t in block:
-                    if l_i[t] != 0:
-                        c = l_i[t] * v_t
-                        for j, r_tj in enumerate(r[t]):
-                            if r_tj != 0:
-                                y_i[j] += c * r_tj
-                if any(y_i[j] != 0 for j in range(n) if j != i):
+        out = []
+        for k, f in enumerate(self.matrices):
+            block = v[k * n:(k + 1) * n]
+            for line in (zip(*f) if by_columns else f):
+                support = [block[j] for j, e in enumerate(line) if e]
+                if any(x != support[0] for x in support):
                     raise ValueError(
                         "conjugated Cartan vector is not diagonal; "
                         "vector is outside the normalized torus")
-                out.append(y_i[i])
+                out.append(support[0])
         return tuple(out)
 
     def transport(self, v: Vec) -> Vec:
         """Ad(w') on a diagonal Cartan vector."""
-        return self._conjugate_diagonal(v, self.matrices, self.inverses)
+        return self._conjugate_diagonal(v, False)
 
     def transport_inverse(self, v: Vec) -> Vec:
         """Ad(w'^-1) on a diagonal Cartan vector."""
-        return self._conjugate_diagonal(v, self.inverses, self.matrices)
+        return self._conjugate_diagonal(v, True)
 
 
 def identity_centralizer_element(spec: GroupSpec) -> CentralizerWeylElement:

@@ -4,14 +4,11 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from nondiv import (
-    CartanSpace,
+from nondiv.criterion import GroupConfig, SearchStats
+from nondiv.linalg import Subspace
+from nondiv.rootdata import CartanSpace, GroupSpec, LieElement
+from nondiv.weyl import (
     CentralizerWeylElement,
-    GroupConfig,
-    GroupSpec,
-    LieElement,
-    SearchStats,
-    Subspace,
     identity_centralizer_element,
     signed_permutation_matrix,
 )

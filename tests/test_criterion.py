@@ -18,7 +18,7 @@ from nondiv.criterion import (
     replay_certificate,
 )
 from nondiv.config import build_config, parse_problem
-from nondiv.linalg import Subspace, det_inverse, dot, rank
+from nondiv.linalg import Subspace, dot, rank, transpose
 from nondiv.rootdata import (
     CartanSpace,
     Functional,
@@ -434,11 +434,10 @@ class TestInvariants:
         d = Subspace.span(8, [relabel(v) for v in base_config.d_basis.basis])
         a = Subspace.span(8, [relabel(v) for v in base_config.a_basis.basis])
         reps = [signed_permutation_matrix(p) for p in g.perms]
-        inv_reps = [det_inverse(r)[1] for r in reps]
         cws = tuple(
             CentralizerWeylElement.build(
-                mat_mul(mat_mul(r, f), ri)
-                for r, f, ri in zip(reps, elem.matrices, inv_reps))
+                mat_mul(mat_mul(r, f), transpose(r))
+                for r, f in zip(reps, elem.matrices))
             for elem in base_config.centralizer_weyl)
         conj_config = GroupConfig(spec, gens, d, a, cws)
         assert check_general(conj_config).nondivergent == base

@@ -13,7 +13,6 @@ from nondiv.linalg import (
     _kernel_vectors,
     _rref,
     det,
-    det_inverse,
     fm_feasible,
     integral_kernel_vector,
     invdim,
@@ -24,7 +23,6 @@ from nondiv.linalg import (
     restricted_independent,
     transpose,
 )
-from nondiv.rootdata import mat_mul
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -84,11 +82,12 @@ class TestRank:
         _, pivots, pivot_product = _fraction_gauss_jordan(block)
         d = pivot_product if len(pivots) == n else 0
         assert det(block) == d
-        both = det_inverse(block)
-        assert both[0] == d and (both[1] is None) == (d == 0)
-        if d:
-            eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-            assert mat_mul(both[1], mat(block)) == eye
+
+    @pytest.mark.parametrize("m", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]],
+                                   [[1, 0], [0]]])
+    def test_det_rejects_non_square(self, m):
+        with pytest.raises(ValueError, match="det expects a square matrix"):
+            det(m)
 
 
 _BIG = 10 ** 30

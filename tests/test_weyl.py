@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nondiv.criterion import ConfigError, GroupConfig
-from nondiv.linalg import Subspace, det, det_inverse, dot, mat
+from nondiv.linalg import Subspace, det, dot, mat, solve, transpose
 from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
 from nondiv.weyl import (
     CentralizerWeylElement,
@@ -169,8 +169,9 @@ class TestLieAction:
                 x = LieElement.of([random_sl(rng, n) for _ in w.perms])
                 y = act_on_lie(w, x)
                 for q, f, g in zip(w.perms, x.factors, y.factors):
+                    # signed permutation matrices are orthogonal
                     s = signed_permutation_matrix(q)
-                    assert g == mat_mul(mat_mul(s, f), det_inverse(s)[1])
+                    assert g == mat_mul(mat_mul(s, f), transpose(s))
 
     def test_sign_function(self):
         assert perm_sign((0, 1, 2)) == 1
@@ -206,6 +207,10 @@ class TestCentralizerValidation:
         scaled = (((F(2), F(0)), (F(0), F(1))),)
         with pytest.raises(ValueError, match="determinant is not 1 in factor 1"):
             CentralizerWeylElement.build(scaled)
+
+    def test_rejects_non_square_factor(self):
+        with pytest.raises(ValueError, match="det expects a square matrix"):
+            CentralizerWeylElement.build([[[1, 0, 0], [0, 1, 0]]])
 
     def test_rejects_non_centralizing(self):
         spec = GroupSpec(2, 1)
@@ -268,6 +273,12 @@ def conjugate_reference(l, block, r):
     return mat_mul(mat_mul(l, diag), r)
 
 
+def inverse_reference(l):
+    """l^-1 column by column: column j solves l x = e_j."""
+    n = len(l)
+    return transpose([solve(l, [F(int(i == j)) for i in range(n)]) for j in range(n)])
+
+
 def transport_reference(left, v, right):
     """Concatenated diagonals, or None if some block image is not diagonal."""
     n = len(left[0])
@@ -326,9 +337,10 @@ class TestTransport:
     def test_matches_dense_reference(self, case):
         factors, v = case
         elem = CentralizerWeylElement.build(factors)
+        inverses = tuple(map(inverse_reference, elem.matrices))
         for method, left, right in (
-                (elem.transport, elem.matrices, elem.inverses),
-                (elem.transport_inverse, elem.inverses, elem.matrices)):
+                (elem.transport, elem.matrices, inverses),
+                (elem.transport_inverse, inverses, elem.matrices)):
             expected = transport_reference(left, v, right)
             if expected is None:
                 with pytest.raises(ValueError, match="not diagonal"):
@@ -342,7 +354,8 @@ class TestTransport:
         factors, v = case
         elem = CentralizerWeylElement.build(factors)
         image = elem.transport(v)
-        assert image == transport_reference(elem.matrices, v, elem.inverses)
+        inverses = tuple(map(inverse_reference, elem.matrices))
+        assert image == transport_reference(elem.matrices, v, inverses)
         assert elem.transport_inverse(image) == v
 
     @settings(max_examples=100, deadline=None)
@@ -354,8 +367,9 @@ class TestTransport:
         # every row of l has one nonzero entry
         l, v = case
         elem = CentralizerWeylElement.build([l])
-        assert transport_reference(elem.matrices, v, elem.inverses) is None
-        assert transport_reference(elem.inverses, v, elem.matrices) is None
+        inverses = (inverse_reference(elem.matrices[0]),)
+        assert transport_reference(elem.matrices, v, inverses) is None
+        assert transport_reference(inverses, v, elem.matrices) is None
         with pytest.raises(ValueError, match="not diagonal"):
             elem.transport(tuple(v))
         with pytest.raises(ValueError, match="not diagonal"):
