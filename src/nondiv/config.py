@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass
+import math
+import sys
 from fractions import Fraction
 from typing import Optional
 
+from ._record import record
 from .criterion import ConfigError, GroupConfig
 from .linalg import Mat, Subspace, Vec
 from .rootdata import CartanSpace, GroupSpec, LieElement
@@ -22,9 +24,11 @@ from .weyl import CentralizerWeylElement
 
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
 DEFAULT_SEED = 0x5EED
+# The probe evaluates exp(t) for |t| up to the grid radius.
+MAX_GRID_RADIUS = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@record
 class ProbeSettings:
     d: int
     grid_radius: float
@@ -33,7 +37,7 @@ class ProbeSettings:
     seed: int
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
     spec: GroupSpec
     m_generators: tuple[LieElement, ...]
@@ -170,7 +174,7 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
             radius = float(Fraction(sec.get("grid-radius", "5")))
             points = int(sec.get("grid-points", "21"))
             seed = int(sec.get("seed", str(DEFAULT_SEED)), 0)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"[probe]: {exc}")
         nv_raw = sec.get("n-values", None)
         if nv_raw is None:
@@ -186,6 +190,9 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
             raise ConfigError("[probe] grid-points: need at least 2")
         if radius <= 0:
             raise ConfigError("[probe] grid-radius: must be positive")
+        if radius > MAX_GRID_RADIUS:
+            raise ConfigError(f"[probe] grid-radius: must be at most "
+                              f"{MAX_GRID_RADIUS:.2f}, or exp(radius) overflows")
         probe = ProbeSettings(d, radius, points, n_values, seed)
 
     return ProblemFile(spec, gens, d_vectors, a_vectors, mode, elements, probe)

@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import record
 from .linalg import (
     Subspace,
     Vec,
@@ -88,14 +89,14 @@ class ConfigInconsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class SearchStats:
     pairs_examined: int
     pairs_admissible: int
     weyl_order: int
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Replayable witness for failure of uniform nondivergence."""
 
@@ -107,7 +108,7 @@ class Certificate:
     integer_dependence: Optional[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     nondivergent: bool
     certificate: Optional[Certificate]
@@ -122,7 +123,7 @@ class Verdict:
         return cls(False, cert, None)
 
 
-@dataclass(frozen=True)
+@record
 class GroupConfig:
     """Full problem instance: group family, Lie(M) generators, Lie(D), Lie(A),
     and centralizer Weyl representatives.
@@ -292,7 +293,16 @@ def _split_ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _run_chunks(fn, payloads, workers: int):
+    """Map `fn` over the payloads, in a fork pool of at most one process per
+    available CPU; the payloads (and so the results) do not depend on it."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     from multiprocessing import get_context
@@ -300,7 +310,7 @@ def _run_chunks(fn, payloads, workers: int):
         ctx = get_context("fork")
     except ValueError:  # platform without fork: scan sequentially
         return [fn(p) for p in payloads]
-    with ctx.Pool(processes=min(workers, len(payloads))) as pool:
+    with ctx.Pool(processes=min(workers, len(payloads), _available_cpus())) as pool:
         return pool.map(fn, payloads)
 
 

@@ -13,9 +13,9 @@ Fincke-Pohst enumeration, so it is exact-optimal up to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .floatmat import FMat, det, diagonal, dot, fmat, mat_mul, transpose
 
 
@@ -28,7 +28,7 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticOrder:
     """Z[sqrt(d)] for squarefree d = 2, 3 mod 4, with its two real embeddings."""
 
@@ -201,7 +201,7 @@ def shortest_vector(basis) -> float:
     return _vector_norm(basis, [dot(row, x_red) for row in transform])
 
 
-@dataclass(frozen=True)
+@record
 class ProbeStats:
     minimum: float
     maximum: float

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from ._record import record
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -163,7 +164,7 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * rows[-1][-1] if n else 1, scale ** n)
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A rational subspace with canonical reduced-echelon basis.
 
@@ -211,7 +212,7 @@ class Subspace:
         return all(self.contains(v) for v in other.basis)
 
 
-@dataclass(frozen=True)
+@record
 class BilinearForm:
     """Symmetric strictly positive definite rational form given by its Gram matrix."""
 
@@ -245,7 +246,7 @@ class BilinearForm:
         return solve(self.gram, functional)
 
 
-@dataclass(frozen=True)
+@record
 class Orthant:
     """A strict sign pattern (+1/-1 per functional)."""
 
@@ -256,7 +257,7 @@ class Orthant:
             raise ValueError("orthant signs must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@record
 class StrictRegion:
     """Intersection of strict half-spaces {x : f_i(x) < a_i}."""
 

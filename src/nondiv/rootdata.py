@@ -11,14 +11,14 @@ their dual vector for the standard form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import record
 from .linalg import BilinearForm, Mat, Subspace, Vec, mat, vec
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """Product of m copies of SL_n with the diagonal rational structure."""
 
@@ -49,7 +49,7 @@ class ParabolicSide(enum.Enum):
     OPPOSITE = "opposite"
 
 
-@dataclass(frozen=True)
+@record
 class CartanSpace:
     spec: GroupSpec
 
@@ -95,7 +95,7 @@ class CartanSpace:
         return Subspace.span(self.ambient_dim, self.standard_basis())
 
 
-@dataclass(frozen=True)
+@record
 class Functional:
     """Rational linear functional on the Cartan space, lambda(x) = (v | x)."""
 
@@ -105,7 +105,7 @@ class Functional:
         return all(a == 0 for a in self.vector)
 
 
-@dataclass(frozen=True)
+@record
 class LieElement:
     """m-tuple of trace-zero n x n rational matrices."""
 

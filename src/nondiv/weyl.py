@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .linalg import Mat, Vec, det, mat
 from .rootdata import Functional, GroupSpec, LieElement
 
@@ -26,7 +26,7 @@ def _check_permutation(p: Sequence[int], n: int) -> Permutation:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class WeylElement:
     """One permutation per factor, acting on coordinates."""
 
@@ -125,7 +125,7 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
     return LieElement(tuple(factors))
 
 
-@dataclass(frozen=True)
+@record
 class CentralizerWeylElement:
     """A representative of the centralizer Weyl group: one determinant-one
     rational matrix per factor (`build` checks the determinants).

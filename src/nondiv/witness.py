@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
 from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
 from .linalg import (
@@ -66,7 +66,7 @@ class ExactCheckFailedError(RuntimeError):
     """An exact witness condition failed on re-verification."""
 
 
-@dataclass(frozen=True)
+@record
 class EscapeWitness:
     u_vectors: tuple[Vec, ...]   # duals of the w-transported weights
     u_space: Subspace            # U = span(u_vectors)
@@ -75,7 +75,7 @@ class EscapeWitness:
     v: Vec                       # escape vector, each weight value exactly +-2
 
 
-@dataclass(frozen=True)
+@record
 class WedgeLine:
     """Wedge of the nilradical at cut `rep_index` on one parabolic side.
 
@@ -93,7 +93,7 @@ class WedgeLine:
         return cls(j, side, tuple(nilradical_basis(space, j, side)))
 
 
-@dataclass(frozen=True)
+@record
 class DivergenceSequence:
     certificate: Certificate
     witness: EscapeWitness
@@ -217,7 +217,7 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
     return math.exp(float(exponent)) * base_norm
 
 
-@dataclass(frozen=True)
+@record
 class HSampler:
     """Deterministic H samples: a grid in Lie(A) times short words in exp(Lie(M))."""
 
@@ -280,7 +280,7 @@ class HSampler:
                 yield a, h, f"{a_label};{w_label}"
 
 
-@dataclass(frozen=True)
+@record
 class DecayRow:
     n_value: int
     max_min_norm: float
@@ -288,7 +288,7 @@ class DecayRow:
     fired: tuple[tuple[str, int], ...]  # which (index, side) achieved the min
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     exact_passed: bool
     n_target: int

@@ -92,6 +92,10 @@ EDITED_CONFIGS = {
     "n3-with-probe.cfg": ("example1-n3-m2.cfg", "mode = auto-trivial-m\n",
                           "mode = auto-trivial-m\n\n[probe]\nd = 2\n"),
     "probe-d5.cfg": ("example1-m2.cfg", "d = 2", "d = 5"),
+    # exp(800) overflows a float; 1e400 overflows the float conversion
+    "grid-radius-800.cfg": ("example1-m2.cfg", "grid-radius = 5", "grid-radius = 800"),
+    "grid-radius-1e400.cfg": ("example1-m2.cfg", "grid-radius = 5",
+                              "grid-radius = 1e400"),
     "full-cartan-a.cfg": ("example1-m2.cfg",
                           '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
                           '[torus-a]\nbasis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'),
@@ -124,6 +128,8 @@ EXIT_TABLE = [
     ("probe", "example1-m3.cfg", 2, "the [probe] section is missing", False),
     ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
     ("probe", "probe-d5.cfg", 2, "[probe] d:", False),
+    ("probe", "grid-radius-800.cfg", 2, "grid-radius", False),
+    ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
     ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
 ]
 
@@ -330,12 +336,16 @@ class TestExitCodeStability:
 FOOTPRINT_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
+startup = set(sys.modules)  # what the interpreter's own start loaded
 from nondiv import cli
 
 configs, tmp = sys.argv[1], sys.argv[2]
 
 def heavy():
     return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
+
+def codegen():
+    return sorted({"dataclasses", "inspect"} & (set(sys.modules) - startup))
 
 codes = []
 with redirect_stdout(io.StringIO()):
@@ -347,7 +357,8 @@ with redirect_stdout(io.StringIO()):
         codes.append(cli.main(["replay", report]))
     exact = heavy()
     codes.append(cli.main(["probe", f"{configs}/example1-m2.cfg", "--workers", "1"]))
-print(json.dumps({"codes": codes, "exact": exact, "probe": heavy()}))
+print(json.dumps({"codes": codes, "exact": exact, "probe": heavy(),
+                  "codegen": codegen()}))
 """
 
 
@@ -370,6 +381,7 @@ class TestImportFootprint:
         assert seen["codes"] == [10, 10, 0, 10, 10, 0, 10]
         assert seen["exact"] == []
         assert seen["probe"] == []
+        assert seen["codegen"] == []
 
     def test_probe_runs_with_numpy_and_scipy_blocked(self, tmp_path):
         blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"

@@ -1,14 +1,17 @@
-import dataclasses
 import math
+import multiprocessing
+import os
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nondiv import criterion
 from nondiv.criterion import (
+    Certificate,
     ConfigError,
     ConfigInconsistencyError,
     GroupConfig,
@@ -17,7 +20,7 @@ from nondiv.criterion import (
     dependence_coefficients,
     replay_certificate,
 )
-from nondiv.config import build_config, parse_problem
+from nondiv.config import ProblemFile, build_config, parse_problem
 from nondiv.linalg import Subspace, dot, rank, transpose
 from nondiv.rootdata import (
     CartanSpace,
@@ -229,6 +232,50 @@ class TestCheckTorus:
             assert check_torus(spec, a, workers=workers) == base
 
 
+class TestWorkerPool:
+    """The fork pool is replaced by a serial fake that records its size, so
+    no large worker count ever starts a process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        seen = []
+
+        class Pool:
+            def __init__(self, processes):
+                self.processes = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                seen.append((self.processes, len(payloads)))
+                return [fn(p) for p in payloads]
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(criterion, "_available_cpus", lambda: 3)
+        return seen
+
+    def test_available_cpus_is_positive(self):
+        assert 1 <= criterion._available_cpus() <= (os.cpu_count() or 1)
+
+    def test_pool_capped_at_available_cpus(self, pools):
+        assert criterion._run_chunks(abs, [-1, -2, -3, -4, -5], 100000) == [1, 2, 3, 4, 5]
+        assert criterion._run_chunks(abs, [-1, -2], 100000) == [1, 2]
+        assert pools == [(3, 5), (2, 2)]
+
+    def test_huge_worker_count_keeps_chunks_and_verdict(self, pools):
+        config = build_config(parse_problem(
+            (CONFIGS / "example1-n4-m2.cfg").read_text()))
+        base = check_general(config, workers=1)
+        assert pools == []
+        assert check_general(config, workers=100000) == base
+        assert pools == [(3, 576)]
+
+
 class TestDependenceCoefficients:
     def test_diagonal_pair(self):
         w = Subspace.span(2, [[1, 1]])
@@ -360,18 +407,14 @@ class TestReplay:
     def test_perturbed_coefficient_fails(self):
         config, cert = self._m2_setup()
         assert len(cert.dependence) >= 2  # multi-term dependence
-        bad = dataclasses.replace(
-            cert,
-            dependence=(cert.dependence[0] + 1,) + cert.dependence[1:],
-            integer_dependence=None)
+        bad = Certificate(cert.subset, cert.w, cert.w_prime, cert.w_prime_index,
+                          (cert.dependence[0] + 1,) + cert.dependence[1:], None)
         assert not replay_certificate(config, bad)
 
     def test_zeroed_coefficients_fail(self):
         config, cert = self._m2_setup()
-        bad = dataclasses.replace(
-            cert,
-            dependence=tuple(F(0) for _ in cert.dependence),
-            integer_dependence=None)
+        bad = Certificate(cert.subset, cert.w, cert.w_prime, cert.w_prime_index,
+                          tuple(F(0) for _ in cert.dependence), None)
         assert not replay_certificate(config, bad)
 
     def test_forged_subset_fails(self):
@@ -379,22 +422,22 @@ class TestReplay:
         config = so21_config(a)
         cert = check_general(config).certificate
         # enlarging I past the admissible cuts must break a containment
-        forged = dataclasses.replace(
-            cert,
-            subset=(1, 2),
-            dependence=(cert.dependence[0], F(0)),
-            integer_dependence=None)
+        forged = Certificate((1, 2), cert.w, cert.w_prime, cert.w_prime_index,
+                             (cert.dependence[0], F(0)), None)
         assert not replay_certificate(config, forged)
 
     def test_unsorted_subset_rejected(self):
         config, cert = self._m2_setup()
         if len(cert.subset) >= 2:
-            bad = dataclasses.replace(cert, subset=tuple(reversed(cert.subset)))
+            bad = Certificate(tuple(reversed(cert.subset)), cert.w, cert.w_prime,
+                              cert.w_prime_index, cert.dependence,
+                              cert.integer_dependence)
             assert not replay_certificate(config, bad)
 
     def test_foreign_centralizer_rejected(self):
         config, cert = self._m2_setup()
-        bad = dataclasses.replace(cert, w_prime_index=5)
+        bad = Certificate(cert.subset, cert.w, cert.w_prime, 5, cert.dependence,
+                          cert.integer_dependence)
         assert not replay_certificate(config, bad)
 
 
@@ -503,8 +546,10 @@ class TestConfigValidation:
         problem = parse_problem((CONFIGS / "example2-line.cfg").read_text())
         assert problem.centralizer_elements[0] == (
             identity_centralizer_element(problem.spec).matrices)
-        problem = dataclasses.replace(
-            problem, centralizer_elements=problem.centralizer_elements[1:])
+        problem = ProblemFile(
+            problem.spec, problem.m_generators, problem.d_vectors,
+            problem.a_vectors, problem.centralizer_mode,
+            problem.centralizer_elements[1:], problem.probe)
         in_code = GroupConfig(
             problem.spec, problem.m_generators,
             Subspace.span(8, problem.d_vectors), Subspace.span(8, problem.a_vectors),

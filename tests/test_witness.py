@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from nondiv.criterion import check_general, check_torus
+from nondiv.criterion import Certificate, check_general, check_torus
 from nondiv.floatmat import fmat, mat_mul
 from nondiv.linalg import Subspace, dot
 from nondiv.rootdata import CartanSpace, GroupSpec, ParabolicSide
@@ -80,9 +80,9 @@ class TestEscapeWitness:
         check_witness_exact(witness)
 
     def test_rejects_unreplayable_certificate(self):
-        import dataclasses
         config, cert, _ = example1_m2_setup()
-        bad = dataclasses.replace(cert, subset=(2,) if cert.subset == (1,) else (1,))
+        bad = Certificate((2,) if cert.subset == (1,) else (1,), cert.w, cert.w_prime,
+                          cert.w_prime_index, cert.dependence, cert.integer_dependence)
         with pytest.raises(ValueError):
             build_escape_witness(bad, config)
 
