@@ -13,7 +13,12 @@ import sys
 import time
 
 from .config import build_config, parse_problem
-from .criterion import ConfigInconsistencyError, check_general, replay_certificate
+from .criterion import (
+    ConfigInconsistencyError,
+    check_general,
+    replay_certificate,
+    scan_processes,
+)
 from .lattice import QuadraticOrder, orbit_probe
 from .report import (
     REPORT_FORMAT,
@@ -120,7 +125,8 @@ def cmd_pipeline(args) -> int:
                                            settings.grid_points, seed, rows)
     report = build_report(args.path, text, verdict, **sections,
                           timing={"seconds": time.perf_counter() - t0,
-                                  "workers": args.workers},
+                                  "workers": scan_processes(config.spec,
+                                                            args.workers)},
                           exit_code=code)
     _emit(report, args.output)
     if code == EXIT_PROBE_MISMATCH:
@@ -190,7 +196,9 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("path", help="problem configuration file")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for the enumeration (default: 1)")
+                       help="at most this many processes for the enumeration "
+                            "(default: 1); scans too small to repay a worker "
+                            "pool run in-process")
         p.add_argument("--output", help="write the report to this file instead of stdout")
 
     p_check = sub.add_parser("check", help="decide the verdict")

@@ -18,21 +18,31 @@ so G(w) is the AND over factors k of bitmasks mask_k[p_k] (`_cut_masks`);
 only `replay_certificate` conjugates, exactly.  A subset of G(w) can be
 dependent only when the whole family {w(chi_i) : i in G(w)} is, so one rank
 test per (w, w') rules out every admissible subset at once, and subsets are
-searched only behind a dependent family.  The w' with equal transported
-Lie(A) form a class with equal ranks, tested once under its lowest w' index,
-the index the documented order certifies.  Every w' maps Lie(D) onto itself
-(`GroupConfig` checks it), so transported Lie(A) lies in Lie(D) and weights
-dependent on Lie(D) are dependent for every w'; the Lie(D) audit therefore
-runs only on the least subset hit at a w.  Workers split the Weyl range;
-each reports its least (subset, w, w') key and the coordinator takes the
-minimum, so every worker count gives the same verdict and certificate.
+searched only behind a dependent family.  Every w' maps Lie(D) onto itself
+(`GroupConfig` checks it), and on Lie(D) it acts as a Weyl element: each
+factor of w' is invertible, so some permutation sigma_k has every entry
+(sigma_k(j), j) nonzero, and Ad(w'^-1) sends v to v o sigma_k on factor k.
+The rows of w on transported Lie(A) are therefore those of the relabelled
+Weyl element u = (sigma_k o p_k) on Lie(A) itself, so (I, w, w') is the
+w' = id rank test at u, with the cuts of w: admissibility stays tied to w.
+The outcome is cached under (u, cut mask of w), one byte per Weyl index for
+each cut mask met, and the w' are tried in list order, so the least
+(subset, w, w') hit is the one the documented order certifies.  Weights
+dependent on Lie(D) are dependent for every w', so the Lie(D) audit runs
+only on the least subset hit at a w.
+
+The scan runs in the caller unless it is large enough to pay for a pool:
+`scan_processes` allows one process per `W_PER_PROCESS` Weyl elements, at
+most `workers` and the CPUs available.  A pool splits the Weyl range; each
+chunk reports its least (subset, w, w') key and the coordinator takes the
+minimum, so every process count gives the same verdict and certificate.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
-basis vector of Lie(A), transported Lie(A) and Lie(D) by the LCM of its
-denominators changes no rank, and makes the evaluation matrix of w the sum
-E(w) = sum_k T_k[p_k] of small integer matrices tabulated once per factor k
-and permutation p_k; its rank is decided by fraction-free elimination.  Only
-the dependence of the certificate, computed once for the hit, is rational.
+basis vector of Lie(A) and Lie(D) by the LCM of its denominators changes no
+rank, and makes the evaluation matrix of w the sum E(w) = sum_k T_k[p_k] of
+small integer matrices tabulated once per factor k and permutation p_k; its
+rank is decided by fraction-free elimination.  Only the dependence of the
+certificate, computed once for the hit, is rational.
 """
 
 from __future__ import annotations
@@ -300,17 +310,30 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Weyl elements per pooled process.  A fork pool pays for its start only
+# when each process gets at least this many; smaller scans run in the
+# caller.  Set from the crossover measured in README "Search order and
+# concurrency".
+W_PER_PROCESS = 16_384
+
+
+def scan_processes(spec: GroupSpec, workers: int) -> int:
+    """Processes the scan of `spec` runs in when `workers` are allowed: one
+    per W_PER_PROCESS Weyl elements, at most one per available CPU, and one
+    on a platform without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(workers, _available_cpus(), weyl_order(spec) // W_PER_PROCESS))
+
+
 def _run_chunks(fn, payloads, workers: int):
     """Map `fn` over the payloads, in a fork pool of at most one process per
     available CPU; the payloads (and so the results) do not depend on it."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     from multiprocessing import get_context
-    try:
-        ctx = get_context("fork")
-    except ValueError:  # platform without fork: scan sequentially
-        return [fn(p) for p in payloads]
-    with ctx.Pool(processes=min(workers, len(payloads), _available_cpus())) as pool:
+    with get_context("fork").Pool(
+            processes=min(workers, len(payloads), _available_cpus())) as pool:
         return pool.map(fn, payloads)
 
 
@@ -362,9 +385,7 @@ def _cut_masks(spec: GroupSpec, gens: Sequence[LieElement]) -> list[list[int]]:
 def _first_dependent(evaluation: IntMat, cuts: tuple[int, ...],
                      subset_index: dict, bound: int) -> Optional[int]:
     """Index of the first subset of `cuts`, below `bound`, whose rows of the
-    evaluation are dependent, or None."""
-    if rank([evaluation[i - 1] for i in cuts]) == len(cuts):
-        return None
+    evaluation are dependent, or None; the rows of all of `cuts` are."""
     for size in range(1, len(cuts) + 1):
         for subset in itertools.combinations(cuts, size):
             si = subset_index[subset]
@@ -373,6 +394,23 @@ def _first_dependent(evaluation: IntMat, cuts: tuple[int, ...],
             if rank([evaluation[i - 1] for i in subset]) < size:
                 return si
     return None
+
+
+def _relabellings(spec: GroupSpec,
+                  centralizer_weyl: Sequence[CentralizerWeylElement]) -> list:
+    """(w' index, R) for each w' whose support permutations sigma_k differ
+    from every earlier w''s (equal ones give equal ranks), in list order.
+    R[k][d] is the index of sigma_k o p, p the d-th permutation of factor k,
+    so the digits R[k][p_k] of w make the relabelled Weyl element u; R is
+    None when every sigma_k is the identity, so u = w."""
+    perms = list(itertools.permutations(range(spec.n)))
+    position = {p: d for d, p in enumerate(perms)}
+    seen: dict = {}
+    for wp_idx, wp in enumerate(centralizer_weyl):
+        seen.setdefault(wp.support_permutations(), wp_idx)
+    return [(wp_idx, None if all(s == perms[0] for s in sigmas) else
+             [[position[tuple(s[x] for x in p)] for p in perms] for s in sigmas])
+            for sigmas, wp_idx in seen.items()]
 
 
 def _scan_chunk(args):
@@ -384,25 +422,23 @@ def _scan_chunk(args):
     """
     config, start, end = args
     spec = config.spec
-    r = spec.rank
+    r, m = spec.rank, spec.m
     subsets = _subsets_by_size(r)
     subset_index = {s: k for k, s in enumerate(subsets)}
     cuts_of = [tuple(i for i in range(1, r + 1) if mask >> (i - 1) & 1)
                for mask in range(1 << r)]
     masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
-    # Every w' maps the span of Lie(D) onto itself, so the Lie(D) audit is
-    # independent of w'; Lie(A) is transported once per w' class.
+    a_tables = _factor_tables(spec, config.a_basis.basis)
     d_tables = _factor_tables(spec, config.d_basis.basis)
-    classes: dict[Subspace, int] = {}
-    for wp_idx, wp in enumerate(config.centralizer_weyl):
-        classes.setdefault(_transport_subspace(config.a_basis, wp), wp_idx)
-    a_tables = [(wp_idx, _factor_tables(spec, sub.basis))
-                for sub, wp_idx in classes.items()]
+    relabellings = _relabellings(spec, config.centralizer_weyl)
+    # family[mask][u]: 0 untested, 1 independent, 2 dependent rows
+    # cuts_of[mask] of E(u).
+    family: dict[int, bytearray] = {}
     best = None
     admissible = 0
-    for w_idx in range(start, end):
-        digits = _weyl_digits(w_idx, base, spec.m)
+    all_digits = itertools.product(range(base), repeat=m)  # `_weyl_digits` order
+    for w_idx, digits in enumerate(itertools.islice(all_digits, start, end), start):
         good = -1
         for table, d in zip(masks, digits):
             good &= table[d]
@@ -410,13 +446,29 @@ def _scan_chunk(args):
         if not cuts:
             continue
         admissible += 2 ** len(cuts) - 1
-        # A later w' can hit an earlier subset, so every class is tried.
-        for wp_idx, tables in a_tables:
-            bound = best[0] if best else len(subsets)
-            si = _first_dependent(_evaluation(tables, digits), cuts,
-                                  subset_index, bound)
-            if si is not None:
-                best = (si, w_idx, wp_idx)
+        known = family.get(good)
+        if known is None:
+            known = family[good] = bytearray(base ** m)
+        # A later w' can hit an earlier subset, so every w' is tried.
+        for wp_idx, relabel in relabellings:
+            if relabel is None:
+                u, u_digits = w_idx, digits
+            else:
+                u_digits = [table[d] for table, d in zip(relabel, digits)]
+                u = 0
+                for d in u_digits:
+                    u = u * base + d
+            outcome = known[u]
+            if not outcome:
+                rows = _evaluation(a_tables, u_digits)
+                independent = rank([rows[i - 1] for i in cuts]) == len(cuts)
+                outcome = known[u] = 1 if independent else 2
+            if outcome == 2:
+                bound = best[0] if best else len(subsets)
+                si = _first_dependent(_evaluation(a_tables, u_digits), cuts,
+                                      subset_index, bound)
+                if si is not None:
+                    best = (si, w_idx, wp_idx)
         if best and best[1] == w_idx:
             rows = _evaluation(d_tables, digits)
             subset = subsets[best[0]]
@@ -438,9 +490,10 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     documented order whose transported weights are dependent on Lie(A)."""
     spec = config.spec
     total_w = weyl_order(spec)
-    results = _run_chunks(_scan_chunk,
-                          [(config, lo, hi) for lo, hi in _split_ranges(total_w, workers)],
-                          workers)
+    processes = scan_processes(spec, workers)
+    ranges = _split_ranges(total_w, workers) if processes > 1 else [(0, total_w)]
+    results = _run_chunks(_scan_chunk, [(config, lo, hi) for lo, hi in ranges],
+                          processes)
     hits = [key for key, _ in results if key is not None]
     if not hits:
         pairs = (2 ** spec.rank - 1) * total_w

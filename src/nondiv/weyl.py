@@ -178,6 +178,21 @@ class CentralizerWeylElement:
         """Ad(w'^-1) on a diagonal Cartan vector."""
         return self._conjugate_diagonal(v, True)
 
+    def support_permutations(self) -> tuple[Permutation, ...]:
+        """Per factor l, the first permutation p (lexicographic order) with
+        every l[p[j]][j] nonzero; one exists because l is invertible.  Where
+        :meth:`transport_inverse` is defined, every nonzero entry of column j
+        reads the same coordinate value, so it sends v to v[p[j]] at j."""
+        n = len(self.matrices[0])
+        out = []
+        for k, f in enumerate(self.matrices):
+            p = next((p for p in itertools.permutations(range(n))
+                      if all(f[p[j]][j] for j in range(n))), None)
+            if p is None:
+                raise ValueError(f"factor {k + 1} is singular")
+            out.append(p)
+        return tuple(out)
+
 
 def identity_centralizer_element(spec: GroupSpec) -> CentralizerWeylElement:
     eye = tuple(tuple(Fraction(int(i == j)) for j in range(spec.n))

@@ -3,12 +3,11 @@
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
+from nondiv import cli, criterion
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, check_torus, replay_certificate
 from nondiv.floatmat import fmat, mat_mul
@@ -285,20 +284,22 @@ def test_criterion_7_lattice_probe():
     _line(7, f"probe maxima strictly decreasing: {['%.4f' % v for v in series]}")
 
 
-def test_criterion_8_worker_determinism(tmp_path):
+def test_criterion_8_worker_determinism(tmp_path, monkeypatch):
+    # These scans are far below the pool gate; a gate of one Weyl element
+    # per process makes `--workers 4` and `--workers 8` start a real pool.
+    monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)
     configs = [f"example1-m{m}.cfg" for m in range(1, 6)]
     configs += ["example1-n3-m2.cfg", "example1-n4-m2.cfg"]
     for name in configs:
         seen = set()
         for workers in ("1", "4", "8"):
             out = tmp_path / f"report-{workers}.json"
-            res = subprocess.run(
-                [sys.executable, "-m", "nondiv.cli", "check",
-                 str(CONFIGS / name), "--workers", workers,
-                 "--output", str(out)],
-                capture_output=True, text=True)
-            assert res.returncode in (0, 10), (name, res.stderr)
+            code = cli.main(["check", str(CONFIGS / name), "--workers", workers,
+                             "--output", str(out)])
+            assert code in (0, 10), name
             data = json.loads(out.read_text())
+            if workers != "1":
+                assert data["timing"]["workers"] > 1 or criterion._available_cpus() == 1
             data.pop("timing", None)
             seen.add(json.dumps(data, sort_keys=True))
         assert len(seen) == 1, f"{name}: reports differ across worker counts"

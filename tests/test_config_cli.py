@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nondiv import cli, witness
+from nondiv import cli, criterion, witness
 from nondiv.config import build_config, parse_problem, serialize_problem
 from nondiv.criterion import ConfigError
 
@@ -322,15 +322,23 @@ class TestCliReplay:
 
 
 class TestExitCodeStability:
-    def test_workers_do_not_change_exit_or_report(self, tmp_path):
+    def test_workers_do_not_change_exit_or_report(self, tmp_path, monkeypatch):
+        # A gate of one Weyl element per process makes `--workers 2` fork.
+        monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)
         reports = []
         for workers in ("1", "2"):
             out = tmp_path / f"r{workers}.json"
-            res = run_cli("check", str(CONFIGS / "example1-m2.cfg"),
-                          "--workers", workers, "--output", str(out))
-            assert res.returncode == 10
+            code = cli.main(["check", str(CONFIGS / "example1-m2.cfg"),
+                             "--workers", workers, "--output", str(out)])
+            assert code == 10
             reports.append(stripped_report(out))
         assert reports[0] == reports[1]
+
+    def test_timing_reports_the_processes_the_scan_used(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["check", str(CONFIGS / "example2.cfg"), "--workers", "2",
+                         "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["timing"]["workers"] == 1
 
 
 FOOTPRINT_SCRIPT = """
@@ -344,8 +352,8 @@ configs, tmp = sys.argv[1], sys.argv[2]
 def heavy():
     return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
 
-def codegen():
-    return sorted({"dataclasses", "inspect"} & (set(sys.modules) - startup))
+def loaded(names):
+    return sorted(set(names) & (set(sys.modules) - startup))
 
 codes = []
 with redirect_stdout(io.StringIO()):
@@ -356,9 +364,12 @@ with redirect_stdout(io.StringIO()):
                                "--output", report]))
         codes.append(cli.main(["replay", report]))
     exact = heavy()
+    # 576 Weyl elements: far below the pool gate, whatever --workers says.
+    codes.append(cli.main(["certify", f"{configs}/example2.cfg", "--workers", "2"]))
+    pool = loaded({"multiprocessing"})
     codes.append(cli.main(["probe", f"{configs}/example1-m2.cfg", "--workers", "1"]))
 print(json.dumps({"codes": codes, "exact": exact, "probe": heavy(),
-                  "codegen": codegen()}))
+                  "codegen": loaded({"dataclasses", "inspect"}), "pool": pool}))
 """
 
 
@@ -378,10 +389,11 @@ class TestImportFootprint:
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         seen = json.loads(res.stdout.splitlines()[-1])
-        assert seen["codes"] == [10, 10, 0, 10, 10, 0, 10]
+        assert seen["codes"] == [10, 10, 0, 10, 10, 0, 0, 10]
         assert seen["exact"] == []
         assert seen["probe"] == []
         assert seen["codegen"] == []
+        assert seen["pool"] == []
 
     def test_probe_runs_with_numpy_and_scipy_blocked(self, tmp_path):
         blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"

@@ -12,6 +12,9 @@ went Weyl element first and returned I = {2, 3} at w = (id, 1243); the
 documented order reaches I = {2} at w = (id, 3412) first.  That certificate
 passes `bench/oracle.py::check_certificate`.  Every other digest is unchanged.
 
+The `example2-nonmonomial.cfg` digests were captured from the scan that
+transported Lie(A) by each w' class, before w' became a relabelling of w.
+
 The `probe` report holds float tables (decay norms, lattice minima), so its
 floats are rounded to 10 significant digits before hashing; last-digit
 differences between BLAS builds then do not change the digest.
@@ -44,6 +47,8 @@ CHECK_SHA256 = {
         "7bdd6079f24fd4c4b4fe00c7971a5ec0d5c271e8c96002edce5c204beb36e29e",
     "example2-line.cfg":
         "b270e4c54e61941099ba2ba1dcacf9bac0fb8712d3cce7cbc6c05c239dc82c8a",
+    "example2-nonmonomial.cfg":
+        "514f0c4fbc4ccd4fb5af61ef095f125af5ff030bb862afea722796269fa8042e",
     "example2.cfg":
         "8e2162142da57250ec987d22f8702d730589d6e9aec672f6ef3d5cd13c0722a5",
 }
@@ -59,6 +64,8 @@ CERTIFY_SHA256 = {
         "0cf48e29f98359fa7230482d324ba43d130d2c53b43cded0b65227dabcbed5ae",
     "example2-line.cfg":
         "54908265aa46020740d61f4aea45b624964fdeb4e26475520c7f0c9e9a020952",
+    "example2-nonmonomial.cfg":
+        "70b30f64fb399955ef573f70309d4a7351e702d676f68d61b2bea72da739c17c",
 }
 
 PROBE_SHA256 = {
