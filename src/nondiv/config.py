@@ -48,19 +48,23 @@ class ProblemFile:
     probe: Optional[ProbeSettings]
 
 
-def _rational(raw, where: str) -> Fraction:
-    if isinstance(raw, bool):
+def _rational(raw, where: str, memo: dict) -> Fraction:
+    """The entry as a Fraction: an integer, or a string such as "3/4".
+    `memo` holds the strings and integers already parsed in this file (a
+    bool or float never reaches the lookup, where it would equal an int)."""
+    kind = type(raw)
+    if kind is not str and kind is not int:
         raise ConfigError(f"{where}: invalid rational {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
+    q = memo.get(raw)
+    if q is None:
         try:
-            return Fraction(raw.strip())
+            q = Fraction(raw.strip()) if kind is str else Fraction(raw)
         except ZeroDivisionError:
             raise ConfigError(f"{where}: invalid rational {raw!r}: zero denominator")
         except ValueError:
             raise ConfigError(f"{where}: invalid rational {raw!r}")
-    raise ConfigError(f"{where}: invalid rational {raw!r}")
+        memo[raw] = q
+    return q
 
 
 def _json_value(section: str, key: str, text: str):
@@ -72,27 +76,28 @@ def _json_value(section: str, key: str, text: str):
             f"{exc.msg}")
 
 
-def _vector(raw, where: str, length: int) -> Vec:
+def _vector(raw, where: str, length: int, memo: dict) -> Vec:
     if not isinstance(raw, list) or len(raw) != length:
         raise ConfigError(f"{where}: expected a vector of length {length}")
-    return tuple(_rational(e, where) for e in raw)
+    return tuple(_rational(e, where, memo) for e in raw)
 
 
-def _matrix(raw, where: str, n: int) -> Mat:
+def _matrix(raw, where: str, n: int, memo: dict) -> Mat:
     if not isinstance(raw, list) or len(raw) != n:
         raise ConfigError(f"{where}: expected an {n} x {n} matrix")
     rows = []
     for ri, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError(f"{where}: row {ri + 1} is not a list of {n} entries")
-        rows.append(tuple(_rational(e, f"{where} row {ri + 1}") for e in row))
+        where_row = f"{where} row {ri + 1}"
+        rows.append(tuple(_rational(e, where_row, memo) for e in row))
     return tuple(rows)
 
 
-def _factor_tuple(raw, where: str, spec: GroupSpec) -> tuple[Mat, ...]:
+def _factor_tuple(raw, where: str, spec: GroupSpec, memo: dict) -> tuple[Mat, ...]:
     if not isinstance(raw, list) or len(raw) != spec.m:
         raise ConfigError(f"{where}: expected a list of {spec.m} factor matrices")
-    return tuple(_matrix(f, f"{where} factor {k + 1}", spec.n)
+    return tuple(_matrix(f, f"{where} factor {k + 1}", spec.n, memo)
                  for k, f in enumerate(raw))
 
 
@@ -121,6 +126,7 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
     except ValueError as exc:
         raise ConfigError(f"[group]: {exc}")
     ambient = spec.ambient_dim
+    memo: dict = {}  # entry -> Fraction, for this file only
 
     gens_raw = need("subgroup-m", "generators").strip()
     if gens_raw == "trivial":
@@ -132,7 +138,7 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         out = []
         for gi, g in enumerate(data):
             where = f"[subgroup-m] generators #{gi + 1}"
-            factors = _factor_tuple(g, where, spec)
+            factors = _factor_tuple(g, where, spec, memo)
             try:
                 out.append(LieElement(factors))
             except ValueError as exc:
@@ -143,7 +149,7 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         data = _json_value(section, "basis", need(section, "basis"))
         if not isinstance(data, list):
             raise ConfigError(f"[{section}] basis: expected a list of vectors")
-        return tuple(_vector(v, f"[{section}] basis vector #{i + 1}", ambient)
+        return tuple(_vector(v, f"[{section}] basis vector #{i + 1}", ambient, memo)
                      for i, v in enumerate(data))
 
     d_vectors = basis_vectors("torus-d")
@@ -161,7 +167,7 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         if not isinstance(data, list):
             raise ConfigError("[centralizer-weyl] elements: expected a list")
         elements = tuple(
-            _factor_tuple(e, f"[centralizer-weyl] elements #{i + 1}", spec)
+            _factor_tuple(e, f"[centralizer-weyl] elements #{i + 1}", spec, memo)
             for i, e in enumerate(data))
     else:
         raise ConfigError(f"[centralizer-weyl]: unknown mode {mode!r}")

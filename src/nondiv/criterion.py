@@ -11,7 +11,9 @@ least admissible triple whose transported fundamental weights become
 dependent on Lie(A) yields a replayable certificate, and exhaustion proves
 uniform nondivergence.  Trivial M is the case G(w) = all cuts, Lie(D) = the
 full Cartan space and w' = {id}.  `GroupConfig` is the one place that
-validates a problem instance.
+validates a problem instance, on integers: commutators of denominator-free
+multiples, and Lie(D) membership of transported basis vectors (Ad(w')
+permutes coordinates, so it is injective; see `GroupConfig.validate`).
 
 A cut splits a nonzero entry of a conjugated generator by position alone,
 so G(w) is the AND over factors k of bitmasks mask_k[p_k] (`_cut_masks`);
@@ -59,9 +61,11 @@ from .linalg import (
     Vec,
     _kernel_vectors,
     clear_denominators,
+    commutes,
     dot,
     primitive_vector,
     rank,
+    sparse_integer_rows,
     transpose,
     vec,
 )
@@ -72,7 +76,6 @@ from .rootdata import (
     LieElement,
     ParabolicSide,
     fundamental_weight,
-    mat_mul,
     parabolic_contains,
 )
 from .weyl import (
@@ -80,6 +83,7 @@ from .weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
+    conjugate_diagonal,
     identity_centralizer_element,
     weyl_inverse,
     weyl_order,
@@ -159,10 +163,20 @@ class GroupConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first violated invariant.
 
-        Shapes first, then each w' (numbered from 1 in list order) must
-        centralize every M generator and map Lie(D) onto itself; then
-        Lie(A) lies in Lie(D), no M generator is zero, Lie(D) commutes with
-        M, and trivial M comes with the full Cartan space as Lie(D)."""
+        Shapes first (every w' factor square and structurally nonsingular),
+        then each w' (numbered from 1 in list order) must centralize every M
+        generator and map Lie(D) onto itself; then Lie(A) lies in Lie(D), no
+        M generator is zero, Lie(D) commutes with M, and trivial M comes
+        with the full Cartan space as Lie(D).
+
+        The w' checks run on integers.  l x = x l iff the denominator-free
+        multiples of l and x commute, decided once per distinct pair of
+        factors.  Where Ad(w') is defined on diagonal vectors it is v -> v o
+        sigma for a support permutation sigma, hence injective, so the
+        images of a basis of Lie(D) span Lie(D) iff each lies in it: one
+        annihilator of Lie(D) on the trace-zero coordinates (each block
+        without its last entry) must kill them all.
+        """
         space = CartanSpace(self.spec)
         n, m = self.spec.n, self.spec.m
         for name, sub in (("Lie(D)", self.d_basis), ("Lie(A)", self.a_basis)):
@@ -178,18 +192,36 @@ class GroupConfig:
             if len(elem.matrices) != m or any(
                     len(f) != n or any(len(r) != n for r in f) for f in elem.matrices):
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: wrong matrix shape")
-        for idx, elem in enumerate(self.centralizer_weyl, 1):
-            for gi, gen in enumerate(self.m_generators):
-                if any(mat_mul(w, x) != mat_mul(x, w)
-                       for w, x in zip(elem.matrices, gen.factors)):
-                    raise ConfigError(f"centralizer Weyl candidate #{idx}: "
-                                      f"does not centralize M generator #{gi + 1}")
             try:
-                images = [elem.transport(v) for v in self.d_basis.basis]
+                elem.support_permutations()
+            except ValueError as exc:
+                raise ConfigError(f"centralizer Weyl candidate #{idx}: {exc}")
+        gen_factors = [[sparse_integer_rows(f) for f in gen.factors]
+                       for gen in self.m_generators]
+        decided: dict = {}
+        d_vectors = [clear_denominators(v) for v in self.d_basis.basis]
+        kept = [i for i in range(space.ambient_dim) if i % n != n - 1]
+        annihilator = [[(kept[i], c) for i, c in enumerate(clear_denominators(u)) if c]
+                       for u in _kernel_vectors([[v[i] for i in kept]
+                                                 for v in self.d_basis.basis], len(kept))]
+        for idx, elem in enumerate(self.centralizer_weyl, 1):
+            factors = [sparse_integer_rows(f) for f in elem.matrices]
+            for gi, gen in enumerate(gen_factors):
+                for pair in zip(factors, gen):
+                    ok = decided.get(pair)
+                    if ok is None:
+                        ok = decided[pair] = commutes(*pair)
+                    if not ok:
+                        raise ConfigError(f"centralizer Weyl candidate #{idx}: "
+                                          f"does not centralize M generator #{gi + 1}")
+            supports = tuple(tuple(tuple(j for j, _ in row) for row in f)
+                             for f in factors)
+            try:
+                images = [conjugate_diagonal(supports, v) for v in d_vectors]
             except ValueError:
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: does not "
                                   "normalize D (image of Lie(D) not diagonal)")
-            if Subspace.span(space.ambient_dim, images) != self.d_basis:
+            if any(sum(c * y[i] for i, c in row) for y in images for row in annihilator):
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: "
                                   "does not normalize D")
         if not self.d_basis.contains_subspace(self.a_basis):

@@ -27,7 +27,7 @@ NEG_INFINITY = float("-inf")
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -68,9 +68,37 @@ def clear_denominators(v: Sequence) -> list[int]:
     """The rational vector times the LCM of its denominators."""
     if all(type(e) is int for e in v):
         return list(v)
-    fracs = [Fraction(e) for e in v]
-    scale = math.lcm(*(e.denominator for e in fracs))
-    return [e.numerator * (scale // e.denominator) for e in fracs]
+    scale = math.lcm(*(e.denominator for e in v))
+    return [e.numerator * (scale // e.denominator) for e in v]
+
+
+SparseRows = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def sparse_integer_rows(f: Sequence[Sequence[Fraction]]) -> SparseRows:
+    """The nonzero (column, entry) pairs of each row of s*f, for s the LCM
+    of the denominators of f."""
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in f]
+    scale = math.lcm(*(e.denominator for row in rows for _, e in row))
+    return tuple(tuple((j, e.numerator * (scale // e.denominator)) for j, e in row)
+                 for row in rows)
+
+
+def _sparse_product(a: SparseRows, b: SparseRows) -> list[list[int]]:
+    n = len(a)
+    out = []
+    for row in a:
+        acc = [0] * n
+        for t, e in row:
+            for j, x in b[t]:
+                acc[j] += e * x
+        out.append(acc)
+    return out
+
+
+def commutes(a: SparseRows, b: SparseRows) -> bool:
+    """ab = ba for square integer matrices in sparse rows."""
+    return _sparse_product(a, b) == _sparse_product(b, a)
 
 
 def _eliminate(rows: list[list[int]], reduced: bool) -> tuple[list[list[int]], list[int], int]:
@@ -155,10 +183,9 @@ def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("det expects a square matrix")
-    fracs = [[Fraction(e) for e in row] for row in m]
-    scale = math.lcm(*(e.denominator for row in fracs for e in row))
+    scale = math.lcm(*(e.denominator for row in m for e in row))
     rows, pivots, sign = _eliminate(
-        [[e.numerator * (scale // e.denominator) for e in row] for row in fracs], False)
+        [[e.numerator * (scale // e.denominator) for e in row] for row in m], False)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * rows[-1][-1] if n else 1, scale ** n)

@@ -127,21 +127,6 @@ class LieElement:
         return all(all(all(e == 0 for e in row) for row in f) for f in self.factors)
 
 
-def mat_mul(x: Mat, y: Mat) -> Mat:
-    """Exact square product over the nonzero entries of both operands only."""
-    n = len(x)
-    y_rows = [[(j, e) for j, e in enumerate(row) if e != 0] for row in y]
-    out = []
-    for row in x:
-        acc = [Fraction(0)] * n
-        for k, a in enumerate(row):
-            if a != 0:
-                for j, b in y_rows[k]:
-                    acc[j] += a * b
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def _check_index(space: CartanSpace, i: int) -> None:
     if not 1 <= i <= space.spec.rank:
         raise IndexError(f"index {i} outside 1..{space.spec.rank}")

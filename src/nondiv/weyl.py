@@ -10,13 +10,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .linalg import Mat, Vec, det, mat
 from .rootdata import Functional, GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
+# Per factor, per row (or column), the indices of its nonzero entries.
+Supports = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _check_permutation(p: Sequence[int], n: int) -> Permutation:
@@ -154,44 +156,67 @@ class CentralizerWeylElement:
                        for i in range(len(f)) for j in range(len(f)))
                    for f in self.matrices)
 
-    def _conjugate_diagonal(self, v: Vec, by_columns: bool) -> Vec:
-        """One entry per row (or column) of each factor: the single value of
-        v over the columns (rows) of its nonzero entries."""
-        n = len(self.matrices[0])
-        out = []
-        for k, f in enumerate(self.matrices):
-            block = v[k * n:(k + 1) * n]
-            for line in (zip(*f) if by_columns else f):
-                support = [block[j] for j, e in enumerate(line) if e]
-                if any(x != support[0] for x in support):
-                    raise ValueError(
-                        "conjugated Cartan vector is not diagonal; "
-                        "vector is outside the normalized torus")
-                out.append(support[0])
-        return tuple(out)
+    def supports(self, by_columns: bool = False) -> Supports:
+        """Per factor, the column (row) indices of the nonzero entries of
+        each row (column)."""
+        return tuple(tuple(tuple(j for j, e in enumerate(line) if e)
+                           for line in (zip(*f) if by_columns else f))
+                     for f in self.matrices)
 
     def transport(self, v: Vec) -> Vec:
         """Ad(w') on a diagonal Cartan vector."""
-        return self._conjugate_diagonal(v, False)
+        return conjugate_diagonal(self.supports(), v)
 
     def transport_inverse(self, v: Vec) -> Vec:
         """Ad(w'^-1) on a diagonal Cartan vector."""
-        return self._conjugate_diagonal(v, True)
+        return conjugate_diagonal(self.supports(True), v)
 
     def support_permutations(self) -> tuple[Permutation, ...]:
         """Per factor l, the first permutation p (lexicographic order) with
         every l[p[j]][j] nonzero; one exists because l is invertible.  Where
         :meth:`transport_inverse` is defined, every nonzero entry of column j
         reads the same coordinate value, so it sends v to v[p[j]] at j."""
-        n = len(self.matrices[0])
         out = []
-        for k, f in enumerate(self.matrices):
-            p = next((p for p in itertools.permutations(range(n))
-                      if all(f[p[j]][j] for j in range(n))), None)
+        for k, columns in enumerate(self.supports(True)):
+            p = _first_transversal(columns)
             if p is None:
                 raise ValueError(f"factor {k + 1} is singular")
             out.append(p)
         return tuple(out)
+
+
+def conjugate_diagonal(supports: Supports, v: Sequence) -> tuple:
+    """One entry per line (row or column) of each factor: the single value
+    of v's block over the line's support.  Raises ValueError when a line's
+    support carries two values, or none."""
+    out = []
+    base = 0
+    for lines in supports:
+        for line in lines:
+            if not line:
+                raise ValueError("a factor has a zero row or column")
+            x = v[base + line[0]]
+            for j in line[1:]:
+                if v[base + j] != x:
+                    raise ValueError("conjugated Cartan vector is not diagonal; "
+                                     "vector is outside the normalized torus")
+            out.append(x)
+        base += len(lines)
+    return tuple(out)
+
+
+def _first_transversal(rows_of: Sequence[Sequence[int]],
+                       p: Permutation = ()) -> Optional[Permutation]:
+    """The least permutation extending p (lexicographic order) with p[j] in
+    rows_of[j] for every j, or None: depth first, rows in increasing order."""
+    if len(p) == len(rows_of):
+        return p
+    for i in rows_of[len(p)]:
+        if i not in p:
+            found = _first_transversal(rows_of, p + (i,))
+            if found is not None:
+                return found
+    return None
 
 
 def identity_centralizer_element(spec: GroupSpec) -> CentralizerWeylElement:

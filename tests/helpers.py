@@ -72,6 +72,23 @@ def assert_first_hit(config, verdict):
             assert dependence_vanishes(n, m, a, mats[wp_index], subset, perms, coeffs)
 
 
+def mat_mul(x, y):
+    """Exact square product over the nonzero entries of both operands only:
+    a reference for the engine's integer checks, which form no rational
+    products."""
+    n = len(x)
+    y_rows = [[(j, e) for j, e in enumerate(row) if e != 0] for row in y]
+    out = []
+    for row in x:
+        acc = [F(0)] * n
+        for k, a in enumerate(row):
+            if a != 0:
+                for j, b in y_rows[k]:
+                    acc[j] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def diagonal_element(v, n):
     """The Lie element diag(v), one n x n block per factor."""
     return LieElement(tuple(

@@ -4,10 +4,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 from nondiv import cli, criterion, witness
-from nondiv.config import build_config, parse_problem, serialize_problem
+from nondiv.config import (
+    ProbeSettings,
+    ProblemFile,
+    build_config,
+    parse_problem,
+    serialize_problem,
+)
 from nondiv.criterion import ConfigError
+from nondiv.rootdata import GroupSpec, LieElement
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -75,6 +84,144 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             build_config(parse_problem(bad))
         assert "trace zero" in str(err.value)
+
+
+entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def problem_files(draw):
+    """A ProblemFile the parser accepts: parsing checks shapes and entries,
+    and generators are trace zero; nothing else is required of the data."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 2))
+
+    def matrix(trace_zero=False):
+        rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        if trace_zero:
+            rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+        return tuple(map(tuple, rows))
+
+    def vectors():
+        return tuple(tuple(draw(entries) for _ in range(n * m))
+                     for _ in range(draw(st.integers(0, 3))))
+
+    gens = tuple(LieElement(tuple(matrix(True) for _ in range(m)))
+                 for _ in range(draw(st.integers(0, 2))))
+    if gens or draw(st.booleans()):
+        mode = "explicit"
+        elements = tuple(tuple(matrix() for _ in range(m))
+                         for _ in range(draw(st.integers(0, 2))))
+    else:
+        mode, elements = "auto-trivial-m", ()
+    probe = None
+    if draw(st.booleans()):
+        probe = ProbeSettings(
+            draw(st.integers(1, 50)), draw(st.sampled_from((0.5, 2.0, 5.0, 12.25))),
+            draw(st.integers(2, 30)),
+            tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))),
+            draw(st.integers(0, 1 << 16)))
+    return ProblemFile(GroupSpec(n, m), gens, vectors(), vectors(), mode, elements,
+                       probe)
+
+
+def respell(text, spell):
+    """The problem text with every rational entry string of its JSON values
+    replaced by spell(entry)."""
+    def walk(x):
+        return [walk(e) for e in x] if isinstance(x, list) else spell(x)
+
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep and key in ("generators", "basis", "elements") and value != "trivial":
+            line = f"{key} = {json.dumps(walk(json.loads(value)))}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+# (JSON text of a malformed entry, the repr the error message cites)
+MALFORMED_ENTRIES = [
+    ('"1/0"', "'1/0'"),
+    ("true", "True"),
+    ("1.5", "1.5"),
+    ('["1"]', "['1']"),
+    ('[["1"]]', "[['1']]"),
+    ('"abc"', "'abc'"),
+    ('"nan"', "'nan'"),
+    ('""', "''"),
+    ("null", "None"),
+]
+
+
+class TestParserFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(problem_files())
+    def test_serialize_round_trip(self, problem):
+        text = serialize_problem(problem)
+        again = parse_problem(text)
+        assert again == problem
+        assert serialize_problem(again) == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem_files(), st.data())
+    def test_equal_spellings_parse_equal(self, problem, data):
+        """"2", 2, "4/2" and " 2 " are one entry; so are repeated strings."""
+        def spell(entry):
+            q = F(entry)
+            forms = [entry, f" {entry} ", f"{q.numerator * 3}/{q.denominator * 3}"]
+            if q.denominator == 1:
+                forms.append(q.numerator)
+            return data.draw(st.sampled_from(forms))
+
+        text = respell(serialize_problem(problem), spell)
+        assert parse_problem(text) == problem
+
+    @pytest.mark.parametrize("bad, cited", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_a_config_error(self, bad, cited, tmp_path, capsys):
+        """The same bad entry in two vectors: ConfigError naming the first
+        position, and exit 2 from the CLI."""
+        text = (CONFIGS / "example1-m2.cfg").read_text()
+        old = 'basis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'
+        assert old in text
+        text = text.replace(old, f'basis = [[{bad}, "-1", "0", "0"], '
+                                 f'["0", "0", {bad}, "-1"]]')
+        with pytest.raises(ConfigError) as err:
+            parse_problem(text)
+        message = str(err.value)
+        assert message.startswith("[torus-d] basis vector #1") and cited in message
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--output", str(tmp_path / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("nondiv: error: [torus-d] basis vector #1")
+
+    @pytest.mark.parametrize("bad", ["true", "1.0", '"1/0"'])
+    def test_malformed_matrix_entry_after_a_good_one(self, bad):
+        """A bool or float equals an int that the file already holds, and a
+        bad string may follow the good one; neither may reach the parsed
+        entries."""
+        text = (CONFIGS / "example2-line.cfg").read_text()
+        assert _W2_FACTOR2 in text
+        bad_factor = _W2_FACTOR2.replace('["0", "0", "-1", "0"]',
+                                         f'[1, "0", {bad}, "0"]')
+        with pytest.raises(ConfigError) as err:
+            parse_problem(text.replace(_W2_FACTOR2, bad_factor, 1))
+        assert "factor 2 row 4" in str(err.value)
+
+    def test_entry_memo_is_per_call(self):
+        """Equal entry strings share one Fraction within a file, and no
+        Fraction is shared between two parses."""
+        text = (CONFIGS / "example2-line.cfg").read_text()
+        first, second = parse_problem(text), parse_problem(text)
+        assert first == second
+        ones = [f[i][i] for e in first.centralizer_elements for f in e for i in range(4)
+                if f[i][i] == 1]
+        assert len(ones) > 1 and all(x is ones[0] for x in ones)
+        seen = {id(x) for e in first.centralizer_elements for f in e
+                for row in f for x in row}
+        assert not any(id(x) in seen for e in second.centralizer_elements
+                       for f in e for row in f for x in row)
 
 
 _W2_FACTOR2 = ('[["1", "0", "0", "0"], ["0", "1", "0", "0"], '

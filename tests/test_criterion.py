@@ -29,7 +29,6 @@ from nondiv.rootdata import (
     LieElement,
     ParabolicSide,
     fundamental_weight,
-    mat_mul,
     parabolic_contains,
 )
 from nondiv.weyl import (
@@ -49,6 +48,7 @@ from helpers import (
     delta_vectors,
     diagonal_element,
     diagonal_vector,
+    mat_mul,
     sl2_swap_config,
     sl_block_generators,
     so21_config,
@@ -651,6 +651,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
                                               "does not normalize D"):
             GroupConfig(spec, gens, d, d, (shear,))
+
+    def test_singular_w_prime_factor_rejected(self):
+        # built in code, so `CentralizerWeylElement.build`'s determinant
+        # check is bypassed; the zero column must not reach the transport
+        spec = GroupSpec(2, 1)
+        full = CartanSpace(spec).full_subspace()
+        singular = CentralizerWeylElement((((0, 0), (0, 1)),))
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "factor 1 is singular$"):
+            GroupConfig(spec, (), full, full, (singular,))
+
+    def test_build_work_count(self, monkeypatch):
+        """example2.cfg (24 w'): Subspace.span runs for Lie(D) and Lie(A)
+        only, and at most 27 distinct (w' factor, generator factor) pairs are
+        decided: factor 1 of every w' is the identity (3 pairs with the
+        three generators) and factor 2 of every generator is zero (24)."""
+        problem = parse_problem((CONFIGS / "example2.cfg").read_text())
+        spans, pairs = [], []
+        span = Subspace.span.__func__
+        commutes = criterion.commutes
+
+        def counted_span(cls, ambient_dim, vectors):
+            vectors = list(vectors)
+            spans.append(tuple(map(tuple, vectors)))
+            return span(cls, ambient_dim, vectors)
+
+        def counted_commutes(a, b):
+            pairs.append((a, b))
+            return commutes(a, b)
+
+        monkeypatch.setattr(Subspace, "span", classmethod(counted_span))
+        monkeypatch.setattr(criterion, "commutes", counted_commutes)
+        config = build_config(problem)
+        assert len(config.centralizer_weyl) == 24 and len(config.m_generators) == 3
+        assert spans == [problem.d_vectors, problem.a_vectors]
+        assert len(pairs) == len(set(pairs)) <= 27
 
     def test_identity_prepended_as_from_a_file(self):
         problem = parse_problem((CONFIGS / "example2-line.cfg").read_text())

@@ -11,14 +11,13 @@ from nondiv.rootdata import (
     LieElement,
     ParabolicSide,
     fundamental_weight,
-    mat_mul,
     nilradical_basis,
     parabolic_contains,
     weight_of_nilradical,
 )
 from nondiv.linalg import dot, restricted_independent
 
-from helpers import delta_line_subspace
+from helpers import delta_line_subspace, mat_mul
 
 
 def unit_element(n, m, factor, a, b):

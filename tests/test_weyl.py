@@ -3,11 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from nondiv.criterion import ConfigError, GroupConfig
 from nondiv.linalg import Subspace, det, dot, mat, solve, transpose
-from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement, mat_mul
+from nondiv.rootdata import CartanSpace, Functional, GroupSpec, LieElement
 from nondiv.weyl import (
     CentralizerWeylElement,
     WeylElement,
@@ -25,6 +25,7 @@ from helpers import (
     diagonal_element,
     diagonal_vector,
     full_cartan_vectors,
+    mat_mul,
     so21_centralizer_elements,
     so21_config,
     so21_d_vectors,
@@ -203,6 +204,18 @@ class TestCentralizerValidation:
                            match="centralizer Weyl candidate #1: does not normalize D"):
             GroupConfig(spec, (), d, d, build_all(shear))
 
+    def test_rejects_moving_a_hyperplane_of_the_torus(self):
+        # Lie(D) is a hyperplane of the trace-zero space, so a single
+        # annihilator row separates it from the image under w' #2; w' #1
+        # maps it onto itself
+        spec = GroupSpec(2, 2)
+        d = Subspace.span(4, [[F(1), F(-1), F(1), F(-1)]])
+        eye = ((F(1), F(0)), (F(0), F(1)))
+        turn = ((F(0), F(1)), (F(-1), F(0)))
+        with pytest.raises(ConfigError,
+                           match="centralizer Weyl candidate #2: does not normalize D$"):
+            GroupConfig(spec, (), d, Subspace.zero(4), build_all([(turn, turn), (turn, eye)]))
+
     def test_rejects_bad_determinant(self):
         scaled = (((F(2), F(0)), (F(0), F(1))),)
         with pytest.raises(ValueError, match="determinant is not 1 in factor 1"):
@@ -374,3 +387,145 @@ class TestTransport:
             elem.transport(tuple(v))
         with pytest.raises(ValueError, match="not diagonal"):
             elem.transport_inverse(tuple(v))
+
+
+def reference_w_prime_error(n, m, gens, d, elems):
+    """The first w' message of the rational check: commutators by exact
+    products, Lie(D) images by dense conjugation with the inverse, then
+    equality of their span with Lie(D); None when every w' passes."""
+    for idx, elem in enumerate(elems, 1):
+        for gi, gen in enumerate(gens):
+            if any(mat_mul(l, x) != mat_mul(x, l)
+                   for l, x in zip(elem.matrices, gen.factors)):
+                return (f"centralizer Weyl candidate #{idx}: "
+                        f"does not centralize M generator #{gi + 1}")
+        inverses = tuple(map(inverse_reference, elem.matrices))
+        images = [transport_reference(elem.matrices, v, inverses) for v in d.basis]
+        if None in images:
+            return (f"centralizer Weyl candidate #{idx}: does not normalize D "
+                    "(image of Lie(D) not diagonal)")
+        if Subspace.span(n * m, images) != d:
+            return f"centralizer Weyl candidate #{idx}: does not normalize D"
+    return None
+
+
+def _power(l, k):
+    out = tuple(tuple(F(int(i == j)) for j in range(len(l))) for i in range(len(l)))
+    for _ in range(k):
+        out = mat_mul(out, l)
+    return out
+
+
+@st.composite
+def w_prime_validation_case(draw):
+    """(n, m, M generators, Lie(D), w' list).  Per factor, l = P B with P a
+    signed permutation and B dense on groups of coordinates (B = 1 gives a
+    signed permutation); the w' are powers of l, the identity or an
+    unrelated draw; each generator factor is a trace-zero polynomial in l,
+    so it commutes with every power, unless an entry is perturbed; Lie(D)
+    is spanned by (a prefix of) the orbit of vectors constant on the groups,
+    or by arbitrary trace-zero vectors."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 2))
+    eye = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+
+    def structured(groups):
+        if draw(st.booleans()):
+            b = eye
+        else:
+            b = draw(invertible(n, lambda i, j: groups[i] == groups[j]))
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        p = [[F(signs[i]) if perm[i] == j else F(0) for j in range(n)]
+             for i in range(n)]
+        if det(p) < 0:
+            p[0] = [-e for e in p[0]]
+        return mat_mul(mat(p), b)
+
+    groups = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+              for _ in range(m)]
+    base = [structured(g) for g in groups]
+    elems = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("power", "power", "identity", "other")))
+        if kind == "power":
+            k = draw(st.integers(1, 3))
+            factors = [_power(l, k) for l in base]
+        elif kind == "identity":
+            factors = [eye] * m
+        else:
+            factors = [structured(g) for g in groups]
+        elems.append(CentralizerWeylElement.build(factors))
+
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for l in base:
+            c = draw(st.lists(rationals, min_size=3, max_size=3))
+            x = [[c[0] * e + c[1] * f + c[2] * g for e, f, g in zip(*rows)]
+                 for rows in zip(eye, l, mat_mul(l, l))]
+            if draw(st.integers(0, 3)) == 0:
+                x[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += \
+                    draw(nonzero_rationals)
+            t = sum(x[i][i] for i in range(n)) / n
+            factors.append([[e - t if i == j else e for j, e in enumerate(row)]
+                            for i, row in enumerate(x)])
+        gens.append(LieElement.of(factors))
+
+    space = CartanSpace(GroupSpec(n, m))
+    if draw(st.integers(0, 4)) == 0:
+        raw = draw(st.lists(st.lists(rationals, min_size=n * m, max_size=n * m),
+                            min_size=1, max_size=3))
+        vectors = [space.trace_zero_part(v) for v in raw]
+    else:
+        values = draw(st.lists(rationals, min_size=n * m, max_size=n * m))
+        u = space.trace_zero_part([values[k * n + g[j]] for k, g in enumerate(groups)
+                                   for j in range(n)])
+        inverses = tuple(map(inverse_reference, base))
+        vectors = [u]
+        for _ in range(5):
+            image = transport_reference(base, vectors[-1], inverses)
+            if image is None or image in vectors:
+                break
+            vectors.append(image)
+        vectors = vectors[:draw(st.integers(1, len(vectors)))]
+    return n, m, tuple(gens), Subspace.span(n * m, vectors), tuple(elems)
+
+
+class TestIntegerValidation:
+    @settings(max_examples=300, deadline=None)
+    @given(w_prime_validation_case())
+    def test_matches_rational_reference(self, case):
+        """GroupConfig raises the rational check's first w' message, for the
+        same (candidate, generator), and no w' message when it passes."""
+        n, m, gens, d, elems = case
+        expected = reference_w_prime_error(n, m, gens, d, elems)
+        event(expected.split(": ", 1)[1] if expected else "accepted")
+        try:
+            GroupConfig(GroupSpec(n, m), gens, d, Subspace.zero(n * m), elems)
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+            if not message.startswith("centralizer Weyl candidate"):
+                message = None  # a later invariant, checked after every w'
+        assert message == expected
+
+
+class TestSupportPermutations:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from((F(0), F(0), F(1), F(-2, 3))), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_first_permutation_in_lexicographic_order(self, rows):
+        """The depth-first search finds the permutation the first match of an
+        itertools.permutations scan finds, and fails exactly when none
+        exists (a structurally singular factor)."""
+        n = len(rows)
+        expected = next((p for p in itertools.permutations(range(n))
+                         if all(rows[p[j]][j] for j in range(n))), None)
+        elem = CentralizerWeylElement((mat(rows),))
+        if expected is None:
+            with pytest.raises(ValueError, match="factor 1 is singular"):
+                elem.support_permutations()
+        else:
+            assert elem.support_permutations() == (expected,)
