@@ -17,7 +17,6 @@ from .criterion import (
     ConfigInconsistencyError,
     check_general,
     replay_certificate,
-    scan_processes,
 )
 from .lattice import QuadraticOrder, orbit_probe
 from .report import (
@@ -87,7 +86,7 @@ def cmd_pipeline(args) -> int:
                          EXIT_CONFIG_ERROR)
     t0 = time.perf_counter()
     try:
-        verdict = check_general(config, workers=args.workers)
+        verdict = check_general(config)
     except ConfigInconsistencyError as exc:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     code = EXIT_NONDIVERGENT if verdict.nondivergent else EXIT_DIVERGENT
@@ -124,9 +123,7 @@ def cmd_pipeline(args) -> int:
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
                                            settings.grid_points, seed, rows)
     report = build_report(args.path, text, verdict, **sections,
-                          timing={"seconds": time.perf_counter() - t0,
-                                  "workers": scan_processes(config.spec,
-                                                            args.workers)},
+                          timing={"seconds": time.perf_counter() - t0},
                           exit_code=code)
     _emit(report, args.output)
     if code == EXIT_PROBE_MISMATCH:
@@ -165,7 +162,7 @@ def cmd_replay(args) -> int:
     try:
         problem = parse_problem(content, "<embedded>")
         config = build_config(problem)
-        verdict = check_general(config, workers=1)
+        verdict = check_general(config)
     except (ConfigInconsistencyError, ValueError) as exc:
         return _fail(f"embedded configuration no longer checks out: {exc}",
                      EXIT_AUDIT_FAILED)
@@ -196,9 +193,8 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("path", help="problem configuration file")
         p.add_argument("--workers", type=int, default=1,
-                       help="at most this many processes for the enumeration "
-                            "(default: 1); scans too small to repay a worker "
-                            "pool run in-process")
+                       help="accepted for compatibility and has no effect: "
+                            "the scan runs in one process (must be at least 1)")
         p.add_argument("--output", help="write the report to this file instead of stdout")
 
     p_check = sub.add_parser("check", help="decide the verdict")

@@ -27,17 +27,20 @@ factor of w' is invertible, so some permutation sigma_k has every entry
 The rows of w on transported Lie(A) are therefore those of the relabelled
 Weyl element u = (sigma_k o p_k) on Lie(A) itself, so (I, w, w') is the
 w' = id rank test at u, with the cuts of w: admissibility stays tied to w.
-The outcome is cached under (u, cut mask of w), one byte per Weyl index for
-each cut mask met, and the w' are tried in list order, so the least
-(subset, w, w') hit is the one the documented order certifies.  Weights
-dependent on Lie(D) are dependent for every w', so the Lie(D) audit runs
-only on the least subset hit at a w.
-
-The scan runs in the caller unless it is large enough to pay for a pool:
-`scan_processes` allows one process per `W_PER_PROCESS` Weyl elements, at
-most `workers` and the CPUs available.  A pool splits the Weyl range; each
-chunk reports its least (subset, w, w') key and the coordinator takes the
-minimum, so every process count gives the same verdict and certificate.
+The rank test depends on u only through its orbit under Stab(cut mask).
+Take the cuts c_1 < ... < c_s of w and the blocks B_0, ..., B_s of positions
+between consecutive cuts.  Lie(A) is trace zero on every factor, so the
+rows `cuts` of E(u) span the same functionals on it as {a -> sum_k sum_{b in
+B_t} a[k, p_k(b)]}.  Stab(cut mask) = (Levi of the blocks)^m x| {a
+permutation of equal-size blocks, applied to every factor} leaves that span
+fixed (W_I fixes every chi_i with i in I: Humphreys, Reflection Groups and
+Coxeter Groups, 1.10).  So the outcome is cached per cut mask met, one byte
+per orbit key (`_orbit_tables`), and the w' are tried in list order: the
+least (subset, w, w') hit is the one the documented order certifies.
+`_first_dependent` runs on the actual u, and since weights dependent on
+Lie(D) are dependent for every w', the Lie(D) audit runs on the actual w,
+only on the least subset hit at that w.  The scan runs in the calling
+process.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
 basis vector of Lie(A) and Lie(D) by the LCM of its denominators changes no
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -312,69 +315,18 @@ def _factor_tables(spec: GroupSpec, basis: Sequence[Vec]) -> list[list[IntMat]]:
     return tables
 
 
-def _mat_add(a: IntMat, b: IntMat) -> IntMat:
-    return tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
 def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
     """E(w) = sum_k T_k[p_k]."""
-    total = tables[0][digits[0]]
-    for table, d in zip(tables[1:], digits[1:]):
-        total = _mat_add(total, table[d])
-    return total
+    return tuple(tuple(map(sum, zip(*rows)))
+                 for rows in zip(*[table[d] for table, d in zip(tables, digits)]))
 
 
-def _split_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total)) if total else 1
-    size, extra = divmod(total, workers)
-    ranges, lo = [], 0
-    for i in range(workers):
-        hi = lo + size + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-# Weyl elements per pooled process.  A fork pool pays for its start only
-# when each process gets at least this many; smaller scans run in the
-# caller.  Set from the crossover measured in README "Search order and
-# concurrency".
-W_PER_PROCESS = 16_384
-
-
-def scan_processes(spec: GroupSpec, workers: int) -> int:
-    """Processes the scan of `spec` runs in when `workers` are allowed: one
-    per W_PER_PROCESS Weyl elements, at most one per available CPU, and one
-    on a platform without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(workers, _available_cpus(), weyl_order(spec) // W_PER_PROCESS))
-
-
-def _run_chunks(fn, payloads, workers: int):
-    """Map `fn` over the payloads, in a fork pool of at most one process per
-    available CPU; the payloads (and so the results) do not depend on it."""
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    from multiprocessing import get_context
-    with get_context("fork").Pool(
-            processes=min(workers, len(payloads), _available_cpus())) as pool:
-        return pool.map(fn, payloads)
-
-
-def check_torus(spec: GroupSpec, a_basis: Subspace, workers: int = 1) -> Verdict:
+def check_torus(spec: GroupSpec, a_basis: Subspace) -> Verdict:
     """Torus criterion: nondivergent iff every Weyl image of the fundamental
     weight family stays independent as functionals on Lie(A).  This is the
     general check with trivial M, Lie(D) the full Cartan space and w' = {id}."""
     config = GroupConfig(spec, (), CartanSpace(spec).full_subspace(), a_basis, ())
-    return check_general(config, workers=workers)
+    return check_general(config)
 
 
 def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
@@ -445,14 +397,50 @@ def _relabellings(spec: GroupSpec,
             for sigmas, wp_idx in seen.items()]
 
 
-def _scan_chunk(args):
-    """Scan the Weyl elements start..end-1.
+def _orbit_tables(n: int, cuts: tuple[int, ...]) -> tuple:
+    """(canon, moved, size): the orbit key of u = (p_1, ..., p_m) under
+    Stab(cuts) has the digits moved[canon[d_1]][d_k] in base `size`, d_k the
+    index of p_k.
 
-    Returns (key, admissible_count): key is the least (subset index, w index,
-    w' index) hit in the range, with w' index -1 for a Lie(D) audit
-    violation, or None.  The count is complete only when no hit was found.
+    The Levi coset of p is the label of each value: the block of the
+    position p sends to it; there are `size` cosets.  canon[d] indexes the
+    relabelling of equal-size blocks that orders the blocks of p_d by least
+    value within each size, so it makes factor 1 canonical, and moved[x][d]
+    is the coset id of p_d relabelled by x, the same x on every factor."""
+    block = [sum(j >= c for c in cuts) for j in range(n)]
+    sizes = [block.count(t) for t in range(len(cuts) + 1)]
+    slots = sorted(range(len(sizes)), key=sizes.__getitem__)
+    labels = [tuple(block[p.index(v)] for v in range(n))
+              for p in itertools.permutations(range(n))]
+    relabellings: dict = {}
+    canon = []
+    for label in labels:
+        x = [0] * len(sizes)
+        for t, slot in zip(sorted(dict.fromkeys(label), key=sizes.__getitem__), slots):
+            x[t] = slot
+        canon.append(relabellings.setdefault(tuple(x), len(relabellings)))
+    cosets = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    getters = [operator.itemgetter(*label) for label in labels]
+    moved = [[cosets[get(x)] for get in getters] for x in relabellings]
+    return canon, moved, len(cosets)
+
+
+def _orbit_key(tables: tuple, digits: Sequence[int]) -> int:
+    canon, moved, size = tables
+    row = moved[canon[digits[0]]]
+    key = 0
+    for d in digits:
+        key = key * size + row[d]
+    return key
+
+
+def _scan(config: GroupConfig) -> tuple:
+    """Scan every Weyl element in the documented order.
+
+    Returns (key, admissible_count): key is the least (subset index, w
+    index, w' index) hit, with w' index -1 for a Lie(D) audit violation,
+    or None.  The count is complete only when no hit was found.
     """
-    config, start, end = args
     spec = config.spec
     r, m = spec.rank, spec.m
     subsets = _subsets_by_size(r)
@@ -464,13 +452,13 @@ def _scan_chunk(args):
     a_tables = _factor_tables(spec, config.a_basis.basis)
     d_tables = _factor_tables(spec, config.d_basis.basis)
     relabellings = _relabellings(spec, config.centralizer_weyl)
-    # family[mask][u]: 0 untested, 1 independent, 2 dependent rows
-    # cuts_of[mask] of E(u).
-    family: dict[int, bytearray] = {}
+    # family[mask] = (orbit tables, outcomes): outcomes[key] is 0 untested,
+    # 1 independent, 2 dependent rows cuts_of[mask] of E(u), u in the orbit.
+    family: dict[int, tuple] = {}
     best = None
     admissible = 0
     all_digits = itertools.product(range(base), repeat=m)  # `_weyl_digits` order
-    for w_idx, digits in enumerate(itertools.islice(all_digits, start, end), start):
+    for w_idx, digits in enumerate(all_digits):
         good = -1
         for table, d in zip(masks, digits):
             good &= table[d]
@@ -478,23 +466,21 @@ def _scan_chunk(args):
         if not cuts:
             continue
         admissible += 2 ** len(cuts) - 1
-        known = family.get(good)
-        if known is None:
-            known = family[good] = bytearray(base ** m)
+        cached = family.get(good)
+        if cached is None:
+            tables = _orbit_tables(spec.n, cuts)
+            cached = family[good] = (tables, bytearray(tables[2] ** m))
+        tables, known = cached
         # A later w' can hit an earlier subset, so every w' is tried.
         for wp_idx, relabel in relabellings:
-            if relabel is None:
-                u, u_digits = w_idx, digits
-            else:
-                u_digits = [table[d] for table, d in zip(relabel, digits)]
-                u = 0
-                for d in u_digits:
-                    u = u * base + d
-            outcome = known[u]
+            u_digits = digits if relabel is None else \
+                [table[d] for table, d in zip(relabel, digits)]
+            key = _orbit_key(tables, u_digits)
+            outcome = known[key]
             if not outcome:
                 rows = _evaluation(a_tables, u_digits)
                 independent = rank([rows[i - 1] for i in cuts]) == len(cuts)
-                outcome = known[u] = 1 if independent else 2
+                outcome = known[key] = 1 if independent else 2
             if outcome == 2:
                 bound = best[0] if best else len(subsets)
                 si = _first_dependent(_evaluation(a_tables, u_digits), cuts,
@@ -519,19 +505,17 @@ def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subsp
 
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     """Full criterion for H = A*M: the first admissible (I, w, w') in the
-    documented order whose transported weights are dependent on Lie(A)."""
+    documented order whose transported weights are dependent on Lie(A).
+
+    `workers` is accepted and has no effect: the scan runs in the calling
+    process."""
     spec = config.spec
-    total_w = weyl_order(spec)
-    processes = scan_processes(spec, workers)
-    ranges = _split_ranges(total_w, workers) if processes > 1 else [(0, total_w)]
-    results = _run_chunks(_scan_chunk, [(config, lo, hi) for lo, hi in ranges],
-                          processes)
-    hits = [key for key, _ in results if key is not None]
-    if not hits:
+    hit, admissible = _scan(config)
+    if hit is None:
+        total_w = weyl_order(spec)
         pairs = (2 ** spec.rank - 1) * total_w
-        admissible = sum(adm for _, adm in results)
         return Verdict.uniformly_nondivergent(SearchStats(pairs, admissible, total_w))
-    si, w_idx, wp_idx = min(hits)
+    si, w_idx, wp_idx = hit
     subset = _subsets_by_size(spec.rank)[si]
     if wp_idx < 0:
         raise ConfigInconsistencyError(

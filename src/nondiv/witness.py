@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
@@ -176,7 +176,8 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                               tuple(elements))
 
 
-def wedge_norm(line: WedgeLine, g: Sequence) -> float:
+def wedge_norm(line: WedgeLine, g: Sequence,
+               g_inv: Optional[Sequence[FMat]] = None) -> float:
     """Norm of the wedge line image under Ad(g), via the Gram determinant.
 
     The ambient inner product makes matrix units orthonormal in each factor;
@@ -185,10 +186,12 @@ def wedge_norm(line: WedgeLine, g: Sequence) -> float:
     row b of g_k^-1: each entry is one product, the same rounding a dense
     conjugation gives, since every other term it sums is an exact zero.  Two
     units in different factors live in orthogonal summands, so their Gram
-    entry is exactly 0.0.
+    entry is exactly 0.0.  A caller that norms several lines at one g
+    passes the factor inverses as `g_inv`, so each is computed once.
     """
     g = [fmat(f) for f in g]
-    g_inv = [inverse(f) for f in g]
+    if g_inv is None:
+        g_inv = [inverse(f) for f in g]
     moved = [[x * y for x in (row[a] for row in g[k]) for y in g_inv[k][b]]
              for k, a, b in line.units]
     d = len(moved)
@@ -336,10 +339,11 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
         fired: dict[str, int] = {}
         for _, h, label in sampler.samples():
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g_mats))
+            hg_inv = [inverse(f) for f in hg]
             best = None
             best_key = None
             for line in lines:
-                val = wedge_norm(line, hg)
+                val = wedge_norm(line, hg, hg_inv)
                 key = f"{line.rep_index}:{line.side.value}"
                 if best is None or val < best:
                     best, best_key = val, key

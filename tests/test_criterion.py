@@ -1,10 +1,8 @@
+import itertools
 import math
-import multiprocessing
-import os
 import random
 from fractions import Fraction as F
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +41,7 @@ from nondiv.weyl import (
 )
 
 from helpers import (
+    assert_first_hit,
     block_centralizer_torus_vectors,
     delta_line_subspace,
     delta_vectors,
@@ -167,7 +166,8 @@ class TestCutMasks:
 
     def test_one_rank_test_per_w_prime_class(self, monkeypatch):
         # example2.cfg: the 24 w' transport Lie(A) to one subspace, and each
-        # of the 288 admissible w has one cut and an independent family.
+        # of the 288 admissible w has one cut and an independent family; the
+        # relabelled u fall into 8 orbits of the stabilizers of their masks.
         config = shipped_config("example2.cfg")
         calls = []
 
@@ -178,7 +178,7 @@ class TestCutMasks:
         monkeypatch.setattr(criterion, "rank", counted)
         verdict = check_general(config)
         assert verdict.nondivergent and verdict.stats.pairs_admissible == 288
-        assert len(config.centralizer_weyl) == 24 and len(calls) == 288
+        assert len(config.centralizer_weyl) == 24 and len(calls) == 8
 
 
 @st.composite
@@ -239,6 +239,142 @@ class TestRelabelling:
                                                       config.centralizer_weyl)] == [0, 1, 2]
 
 
+def cut_blocks(n, cuts):
+    """The blocks of positions between consecutive cuts."""
+    bounds = (0, *cuts, n)
+    return [tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def cut_rows(n, perms, cuts, basis):
+    """Rows [u(chi_i)(b) for b in basis] for i in cuts, from the definition."""
+    return [[sum(b[k * n + p[j]] for k, p in enumerate(perms) for j in range(i))
+             for b in basis] for i in cuts]
+
+
+def orbit_key(n, cuts, perms):
+    all_perms = list(itertools.permutations(range(n)))
+    return criterion._orbit_key(criterion._orbit_tables(n, cuts),
+                                [all_perms.index(p) for p in perms])
+
+
+@st.composite
+def stabilizer_cases(draw):
+    """(n, cuts, Lie(A) basis, u, u*x) with x in Stab(cuts): a Levi element
+    per factor, then one swap of equal-size blocks applied to every factor."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    cuts = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=1))))
+    basis = []
+    for _ in range(draw(st.integers(0, m * (n - 1)))):
+        v = []
+        for _ in range(m):
+            block = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            v.extend(n * x - sum(block) for x in block)
+        basis.append(v)
+    u = [tuple(draw(st.permutations(range(n)))) for _ in range(m)]
+    blocks = cut_blocks(n, cuts)
+    swap = list(range(n))
+    pairs = [(s, t) for s, t in itertools.combinations(blocks, 2) if len(s) == len(t)]
+    if pairs:
+        s, t = draw(st.sampled_from(pairs))
+        for a, b in zip(s, t):
+            swap[a], swap[b] = b, a
+    moved = []
+    for p in u:
+        levi = [j for block in blocks for j in draw(st.permutations(block))]
+        moved.append(tuple(p[levi[swap[j]]] for j in range(n)))
+    return n, cuts, basis, u, moved
+
+
+def stabilizer_orbits(n, m, cuts):
+    """The orbits of W = S_n^m under right multiplication by Stab(cuts), by
+    closure under its generators: adjacent transpositions inside a block on
+    one factor, and swaps of equal-size blocks on every factor."""
+    blocks = cut_blocks(n, cuts)
+    gens = []
+    for block in blocks:
+        for a in block[:-1]:
+            t = list(range(n))
+            t[a], t[a + 1] = a + 1, a
+            gens.extend([tuple(t) if k == f else tuple(range(n)) for k in range(m)]
+                        for f in range(m))
+    for s, t in itertools.combinations(blocks, 2):
+        if len(s) == len(t):
+            x = list(range(n))
+            for a, b in zip(s, t):
+                x[a], x[b] = b, a
+            gens.append([tuple(x)] * m)
+    seen, orbits = set(), []
+    for u in itertools.product(itertools.permutations(range(n)), repeat=m):
+        if u in seen:
+            continue
+        orbit, todo = {u}, [u]
+        while todo:
+            v = todo.pop()
+            for g in gens:
+                y = tuple(tuple(p[x[j]] for j in range(n)) for p, x in zip(v, g))
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+class TestOrbitKey:
+    """The cached rank outcome is keyed by the orbit of u under the
+    stabilizer of the cut mask."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stabilizer_cases())
+    def test_rank_and_key_are_stabilizer_invariant(self, case):
+        n, cuts, basis, u, moved = case
+        assert rank(cut_rows(n, u, cuts, basis)) == rank(cut_rows(n, moved, cuts, basis))
+        assert orbit_key(n, cuts, u) == orbit_key(n, cuts, moved)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)])
+    def test_full_mask_has_one_key_per_diagonal_orbit(self, n, m):
+        tables = criterion._orbit_tables(n, tuple(range(1, n)))
+        keys = {criterion._orbit_key(tables, digits)
+                for digits in itertools.product(range(math.factorial(n)), repeat=m)}
+        assert len(keys) == math.factorial(n) ** (m - 1)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (4, 1), (4, 2)])
+    def test_keys_are_exactly_the_orbits(self, n, m):
+        for size in range(1, n):
+            for cuts in itertools.combinations(range(1, n), size):
+                keys = [{orbit_key(n, cuts, u) for u in orbit}
+                        for orbit in stabilizer_orbits(n, m, cuts)]
+                assert all(len(k) == 1 for k in keys), cuts
+                assert len(set.union(*keys)) == len(keys), cuts
+
+
+def block_config(n, m, size, factor, pos, coefficients):
+    """An sl_size block M at `pos` in one factor of SL_n^m, Lie(D) its
+    centralizer torus and Lie(A) spanned by the given combinations of the
+    Lie(D) basis."""
+    d = block_centralizer_torus_vectors(n, m, {factor}, pos, size)
+    a = [tuple(sum((c * v[j] for c, v in zip(row, d)), F(0)) for j in range(n * m))
+         for row in coefficients]
+    return GroupConfig(GroupSpec(n, m), sl_block_generators(n, m, factor, pos, size),
+                       Subspace.span(n * m, d), Subspace.span(n * m, a), ())
+
+
+class TestScanAgainstOracle:
+    """G(w) takes several cut masks on these configs, and a rank cache
+    whose key ignores the mask (one orbit table, or one outcome table, for
+    every mask) misses or moves the first hit on each of them."""
+
+    @pytest.mark.parametrize("case", [
+        (3, 2, 2, 1, 0, [[-2, 0, -2]]),
+        (4, 2, 3, 0, 0, [[0, 1, 2, 0]]),
+        (4, 1, 2, 0, 1, [[-1, -1]]),
+        (5, 1, 3, 0, 0, [[1, 2]]),
+    ])
+    def test_block_configs_match_the_engine_free_oracle(self, case):
+        config = block_config(*case)
+        assert_first_hit(config, check_general(config))
+
+
 class TestCheckTorus:
     def test_example1_family_n2(self):
         expected = {1: True, 2: False, 3: True, 4: False, 5: True}
@@ -281,108 +417,6 @@ class TestCheckTorus:
     def test_rejects_non_cartan_vectors(self):
         with pytest.raises(ConfigError):
             check_torus(GroupSpec(2, 1), Subspace.span(2, [[1, 1]]))
-
-    def test_worker_determinism(self, monkeypatch):
-        monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)  # a real pool
-        spec = GroupSpec(3, 2)
-        a = Subspace.span(6, delta_vectors(3, 2))
-        base = check_torus(spec, a)
-        for workers in (2, 4):
-            assert check_torus(spec, a, workers=workers) == base
-
-
-class TestWorkerPool:
-    """The fork pool is replaced by a serial fake that records its size, so
-    no large worker count ever starts a process."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        seen = []
-
-        class Pool:
-            def __init__(self, processes):
-                self.processes = processes
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                seen.append((self.processes, len(payloads)))
-                return [fn(p) for p in payloads]
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: SimpleNamespace(Pool=Pool))
-        monkeypatch.setattr(criterion, "_available_cpus", lambda: 3)
-        return seen
-
-    def test_available_cpus_is_positive(self):
-        assert 1 <= criterion._available_cpus() <= (os.cpu_count() or 1)
-
-    def test_pool_capped_at_available_cpus(self, pools):
-        assert criterion._run_chunks(abs, [-1, -2, -3, -4, -5], 100000) == [1, 2, 3, 4, 5]
-        assert criterion._run_chunks(abs, [-1, -2], 100000) == [1, 2]
-        assert pools == [(3, 5), (2, 2)]
-
-    def test_huge_worker_count_keeps_chunks_and_verdict(self, pools, monkeypatch):
-        monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)
-        config = build_config(parse_problem(
-            (CONFIGS / "example1-n4-m2.cfg").read_text()))
-        base = check_general(config, workers=1)
-        assert pools == []
-        assert check_general(config, workers=100000) == base
-        assert pools == [(3, 576)]
-
-    def test_below_gate_scan_starts_no_pool(self, pools):
-        config = shipped_config("example2.cfg")
-        assert check_general(config, workers=2) == check_general(config, workers=1)
-        assert pools == []
-        assert criterion.scan_processes(config.spec, 2) == 1
-
-    def test_gate_keeps_measured_losses_in_process_and_forks_frontier(self, pools):
-        # On a quiet 2-vCPU VM a 2-process pool lost at every size measured
-        # up to 2x14 (16 384 Weyl elements) and won from 2x15 (32 768) on;
-        # the benchmark's instances have at most 1296.
-        for n, m in ((4, 2), (3, 4), (3, 5), (4, 3), (5, 2), (2, 14)):
-            assert criterion.scan_processes(GroupSpec(n, m), 2) == 1, (n, m)
-        for n, m in ((2, 15), (3, 6), (4, 4), (6, 2)):
-            assert criterion.scan_processes(GroupSpec(n, m), 2) == 2, (n, m)
-        assert criterion.scan_processes(GroupSpec(6, 2), 100000) == 3
-        assert criterion.scan_processes(GroupSpec(6, 2), 1) == 1
-
-
-class TestRealPool:
-    """Real fork pools, forced by a gate of one Weyl element per process and
-    four CPUs: every process count gives the same verdict."""
-
-    @pytest.fixture
-    def forked(self, monkeypatch):
-        started = []
-        real = multiprocessing.get_context
-
-        def get_context(method):
-            started.append(method)
-            return real(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", get_context)
-        monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)
-        monkeypatch.setattr(criterion, "_available_cpus", lambda: 4)
-        return started
-
-    def test_criterion_8_configs_and_so21_family(self, forked):
-        names = [f"example1-m{m}.cfg" for m in range(1, 6)]
-        names += ["example1-n3-m2.cfg", "example1-n4-m2.cfg"]
-        configs = [shipped_config(name) for name in names]
-        factor2_line = [tuple([F(0)] * 4 + [F(1), F(-1), F(0), F(0)])]
-        configs += [so21_config(so21_d_vectors()), so21_config(factor2_line),
-                    so21_config(so21_d_vectors()[1:3]),
-                    shipped_config("example2-nonmonomial.cfg")]
-        for config in configs:
-            verdicts = [check_general(config, workers=w) for w in (1, 2, 4)]
-            assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
-        assert forked == ["fork"] * (2 * len(configs))
 
 
 class TestDependenceCoefficients:
@@ -428,13 +462,6 @@ class TestCheckGeneral:
         cert = verdict.certificate
         assert cert.subset == (1,)
         assert replay_certificate(config, cert)
-
-    def test_so21_worker_determinism(self, monkeypatch):
-        monkeypatch.setattr(criterion, "W_PER_PROCESS", 1)  # a real pool
-        a = [tuple([F(0)] * 4 + [F(1), F(-1), F(0), F(0)])]
-        config = so21_config(a)
-        base = check_general(config)
-        assert check_general(config, workers=3) == base
 
     def test_later_w_prime_can_hit_an_earlier_subset(self):
         # At w = id, w' = id first hits I = {1, 2}; the swap w' hits I = {1}.

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from nondiv import witness as witness_module
 from nondiv.criterion import Certificate, check_general, check_torus
 from nondiv.floatmat import fmat, mat_mul
 from nondiv.linalg import Subspace, dot
@@ -254,3 +255,18 @@ class TestVerifyDivergence:
         assert all(a > b for a, b in zip(values, values[1:]))
         for row in rows:
             assert row.max_min_norm <= math.exp(-row.n_value) * values[0] * (1 + 1e-9)
+
+    def test_decay_inverts_each_h_g_once(self, monkeypatch):
+        # Two wedge lines are normed at every sample; the factors of each
+        # distinct h*g are inverted once for both.
+        config, cert, witness = example1_m2_setup()
+        seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
+        sampler = HSampler.default(config)
+        calls = []
+        inverse = witness_module.inverse
+        monkeypatch.setattr(witness_module, "inverse",
+                            lambda f: calls.append(f) or inverse(f))
+        rows = decay_table(seq, sampler, config)
+        distinct = len(list(sampler.samples())) * len(rows)
+        assert len(cert.subset) * 2 == 2 and distinct == 84
+        assert len(calls) == config.spec.m * distinct
