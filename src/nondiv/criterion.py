@@ -398,36 +398,46 @@ def _relabellings(spec: GroupSpec,
 
 
 def _orbit_tables(n: int, cuts: tuple[int, ...]) -> tuple:
-    """(canon, moved, size): the orbit key of u = (p_1, ..., p_m) under
-    Stab(cuts) has the digits moved[canon[d_1]][d_k] in base `size`, d_k the
-    index of p_k.
+    """(first, canon, rows, relabellings, getters, cosets): the orbit key of
+    u = (p_1, ..., p_m) under Stab(cuts) has, in base len(cosets), the digits
+    first[d_1], then rows[canon[d_1]][d_k] for k >= 2, d_k the index of p_k.
 
-    The Levi coset of p is the label of each value: the block of the
-    position p sends to it; there are `size` cosets.  canon[d] indexes the
-    relabelling of equal-size blocks that orders the blocks of p_d by least
-    value within each size, so it makes factor 1 canonical, and moved[x][d]
-    is the coset id of p_d relabelled by x, the same x on every factor."""
+    The Levi coset of p is its label: the block of the position p sends each
+    value to; `cosets` numbers the labels.  canon[d] indexes the relabelling
+    x of equal-size blocks that orders the blocks of p_d by least value
+    within each size, so x makes factor 1 canonical, with coset first[d].
+    rows[x][d] is the coset id of p_d relabelled by x, the same x on every
+    factor.  A row is built when `_orbit_key` first needs it: all of them
+    would be |relabellings| * n! entries, (n!)^2 on the full mask, while the
+    scan enters n!^(m-1) elements per first digit."""
     block = [sum(j >= c for c in cuts) for j in range(n)]
     sizes = [block.count(t) for t in range(len(cuts) + 1)]
     slots = sorted(range(len(sizes)), key=sizes.__getitem__)
     labels = [tuple(block[p.index(v)] for v in range(n))
               for p in itertools.permutations(range(n))]
+    cosets = {label: i for i, label in enumerate(dict.fromkeys(labels))}
     relabellings: dict = {}
-    canon = []
+    first, canon = [], []
     for label in labels:
         x = [0] * len(sizes)
         for t, slot in zip(sorted(dict.fromkeys(label), key=sizes.__getitem__), slots):
             x[t] = slot
+        first.append(cosets[tuple(x[t] for t in label)])
         canon.append(relabellings.setdefault(tuple(x), len(relabellings)))
-    cosets = {label: i for i, label in enumerate(dict.fromkeys(labels))}
     getters = [operator.itemgetter(*label) for label in labels]
-    moved = [[cosets[get(x)] for get in getters] for x in relabellings]
-    return canon, moved, len(cosets)
+    return first, canon, [None] * len(relabellings), list(relabellings), getters, cosets
 
 
 def _orbit_key(tables: tuple, digits: Sequence[int]) -> int:
-    canon, moved, size = tables
-    row = moved[canon[digits[0]]]
+    first, canon, rows, relabellings, getters, cosets = tables
+    if len(digits) == 1:
+        return first[digits[0]]
+    x = canon[digits[0]]
+    row = rows[x]
+    if row is None:
+        relabel = relabellings[x]
+        row = rows[x] = [cosets[get(relabel)] for get in getters]
+    size = len(cosets)
     key = 0
     for d in digits:
         key = key * size + row[d]
@@ -450,7 +460,7 @@ def _scan(config: GroupConfig) -> tuple:
     masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
     a_tables = _factor_tables(spec, config.a_basis.basis)
-    d_tables = _factor_tables(spec, config.d_basis.basis)
+    d_tables = None  # read only by the audit at a hit
     relabellings = _relabellings(spec, config.centralizer_weyl)
     # family[mask] = (orbit tables, outcomes): outcomes[key] is 0 untested,
     # 1 independent, 2 dependent rows cuts_of[mask] of E(u), u in the orbit.
@@ -469,7 +479,7 @@ def _scan(config: GroupConfig) -> tuple:
         cached = family.get(good)
         if cached is None:
             tables = _orbit_tables(spec.n, cuts)
-            cached = family[good] = (tables, bytearray(tables[2] ** m))
+            cached = family[good] = (tables, bytearray(len(tables[-1]) ** m))
         tables, known = cached
         # A later w' can hit an earlier subset, so every w' is tried.
         for wp_idx, relabel in relabellings:
@@ -488,6 +498,7 @@ def _scan(config: GroupConfig) -> tuple:
                 if si is not None:
                     best = (si, w_idx, wp_idx)
         if best and best[1] == w_idx:
+            d_tables = d_tables or _factor_tables(spec, config.d_basis.basis)
             rows = _evaluation(d_tables, digits)
             subset = subsets[best[0]]
             if rank([rows[i - 1] for i in subset]) < len(subset):

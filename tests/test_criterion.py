@@ -338,6 +338,26 @@ class TestOrbitKey:
                 for digits in itertools.product(range(math.factorial(n)), repeat=m)}
         assert len(keys) == math.factorial(n) ** (m - 1)
 
+    def test_rows_are_built_only_for_first_digits_met(self, monkeypatch):
+        """All full-mask rows would be (7!)^2 = 25.4M entries at n = 7; an
+        m = 1 exhaust needs none of them, and an m = 2 one a row per x."""
+        built = []
+
+        def spy(n, cuts):
+            built.append(real(n, cuts))
+            return built[-1]
+
+        real = criterion._orbit_tables
+        monkeypatch.setattr(criterion, "_orbit_tables", spy)
+        for n, m, rows in [(7, 1, 0), (3, 2, 6)]:
+            built.clear()
+            spec = GroupSpec(n, m)
+            verdict = check_torus(spec, CartanSpace(spec).full_subspace())
+            assert verdict.nondivergent
+            assert verdict.stats.weyl_order == math.factorial(n) ** m
+            (tables,) = built
+            assert sum(row is not None for row in tables[2]) == rows
+
     @pytest.mark.parametrize("n, m", [(3, 2), (4, 1), (4, 2)])
     def test_keys_are_exactly_the_orbits(self, n, m):
         for size in range(1, n):
