@@ -7,7 +7,9 @@ the only float code besides the witness realization, and like it runs on
 plain Python floats (`floatmat`): a basis is a tuple of float row tuples
 whose columns are the lattice vectors.  Each shortest vector comes from an
 LLL reduction (Lenstra, Lenstra and Lovasz 1982) followed by an exhaustive
-Fincke-Pohst enumeration, so it is exact-optimal up to float rounding.
+Fincke-Pohst enumeration, so it is exact-optimal up to float rounding.  The
+enumeration reads the triangular factor off the Gram-Schmidt data that LLL
+leaves, so no Gram matrix or Cholesky factor is formed.
 """
 
 from __future__ import annotations
@@ -80,13 +82,16 @@ def _gram_schmidt(cols: list[list[float]], mu: list[list[float]],
         norms[i] = dot(v, v)
 
 
-def _size_reduce(basis) -> tuple[FMat, tuple[tuple[int, ...], ...]]:
+def _size_reduce(basis) -> tuple[FMat, tuple[tuple[int, ...], ...],
+                                  list[list[float]], list[float]]:
     """LLL reduction (delta = 0.99) on the columns of `basis`.
 
-    Returns (reduced, U) with reduced = basis U and U an integer matrix of
-    determinant +-1.  A size-reduction step b_k -= r b_j changes only row k
-    of mu, which is updated in place; Gram-Schmidt is recomputed only after
-    a swap of b_{k-1} and b_k, from row k - 1 on.
+    Returns (reduced, U, mu, norms) with reduced = basis U, U an integer
+    matrix of determinant +-1, and mu and norms the Gram-Schmidt
+    coefficients and squared norms of the reduced columns.  A
+    size-reduction step b_k -= r b_j changes only row k of mu, which is
+    updated in place; Gram-Schmidt is recomputed only after a swap of
+    b_{k-1} and b_k, from row k - 1 on.
     """
     b = [list(c) for c in transpose(basis)]
     dim = len(b)
@@ -117,35 +122,26 @@ def _size_reduce(basis) -> tuple[FMat, tuple[tuple[int, ...], ...]]:
             u[k - 1], u[k] = u[k], u[k - 1]
             _gram_schmidt(b, mu, q, norms, k - 1)
             k = max(k - 1, 1)
-    return transpose(b), transpose(u)
+    return transpose(b), transpose(u), mu, norms
 
 
-def _cholesky_upper(gram: list[list[float]]) -> list[list[float]]:
-    """Upper-triangular r with gram = r^T r."""
-    dim = len(gram)
-    r = [[0.0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            s = gram[i][j] - sum(r[k][i] * r[k][j] for k in range(i))
-            if j == i:
-                if not s > 0.0:
-                    raise ValueError("lattice Gram matrix is not positive definite")
-                r[i][i] = math.sqrt(s)
-            else:
-                r[i][j] = s / r[i][i]
-    return r
+def _enumerate_minimum(mu: list[list[float]], norms: list[float],
+                       bound_sq: float) -> tuple[float, list[int]]:
+    """Exhaustive Fincke-Pohst search below bound_sq on a basis given by its
+    Gram-Schmidt data, as `_size_reduce` leaves it.
 
-
-def _enumerate_minimum(basis, bound_sq: float) -> tuple[float, list[int]]:
-    """Exhaustive Fincke-Pohst search below bound_sq on the given columns.
-
-    Returns (min norm squared, integer coefficient vector).  The bound must be
-    attained by some lattice vector (e.g. a basis column).
+    The basis is B = Q r with Q orthonormal and r upper triangular:
+    r_ii = sqrt(norms_i) and r_ij = mu_ji r_ii, so ||Bx||^2 = ||r x||^2.
+    Returns (min norm squared, integer coefficient vector).  The bound must
+    be attained by some lattice vector (e.g. a basis column).
     """
-    cols = transpose(basis)
-    dim = len(cols)
-    r = _cholesky_upper([[dot(ci, cj) for cj in cols] for ci in cols])
-    r_cols = transpose(r)  # ||Bx||^2 = ||r x||^2
+    dim = len(norms)
+    if not all(nrm > 0.0 for nrm in norms):
+        raise ValueError("lattice Gram matrix is not positive definite")
+    diag = [math.sqrt(nrm) for nrm in norms]
+    # column j of r: mu_ji r_ii above the diagonal, r_jj on it
+    r_cols = [[mu[j][i] * diag[i] for i in range(j)] + [diag[j]]
+              + [0.0] * (dim - j - 1) for j in range(dim)]
     best_sq = bound_sq * (1 + 1e-12)
     best_x = None
     x = [0] * dim
@@ -160,9 +156,9 @@ def _enumerate_minimum(basis, bound_sq: float) -> tuple[float, list[int]]:
         rem = best_sq - partial_sq
         if rem < 0:
             return
-        r_ll = r[level][level]
+        r_ll = diag[level]
         center = -carry[level] / r_ll
-        half = math.sqrt(rem) / abs(r_ll)
+        half = math.sqrt(rem) / r_ll
         lo = math.ceil(center - half - 1e-9)
         hi = math.floor(center + half + 1e-9)
         for xi in range(lo, hi + 1):
@@ -195,9 +191,9 @@ def shortest_vector(basis) -> float:
     basis at the integer coefficients the enumeration found.
     """
     basis = fmat(basis)
-    reduced, transform = _size_reduce(basis)
+    reduced, transform, mu, norms = _size_reduce(basis)
     bound_sq = min(dot(c, c) for c in transpose(reduced))
-    _, x_red = _enumerate_minimum(reduced, bound_sq)
+    _, x_red = _enumerate_minimum(mu, norms, bound_sq)
     return _vector_norm(basis, [dot(row, x_red) for row in transform])
 
 

@@ -12,10 +12,10 @@ baseline included, comes from `realize_divergence_sequence`, and
 `wedge_norm` moves each nilradical matrix unit, held as its (factor, row,
 column) position, by an outer product of a column of g and a row of g^-1.
 Matrices over the reals are tuples of float row tuples, multiplied,
-inverted and reduced to determinants by the plain-Python kernels of
-`floatmat`.  numpy and scipy are imported only for the exponentials of
-Lie(M) words in `HSampler.default` when M is nontrivial, so every command
-on a trivial-M problem, the probe included, loads neither.
+inverted, exponentiated and reduced to determinants by the plain-Python
+kernels of `floatmat`, so the module needs neither numpy nor scipy: the
+exponentials of Lie(M) words in `HSampler.default` come from
+`floatmat.expm`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
-from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
+from .floatmat import FMat, det, diagonal, exp, expm, fmat, inverse, mat_mul
 from .linalg import (
     Orthant,
     Subspace,
@@ -176,8 +176,8 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                               tuple(elements))
 
 
-def wedge_norm(line: WedgeLine, g: Sequence,
-               g_inv: Optional[Sequence[FMat]] = None) -> float:
+def wedge_norm(line: WedgeLine, g: Sequence[FMat],
+               g_inv: Sequence[FMat]) -> float:
     """Norm of the wedge line image under Ad(g), via the Gram determinant.
 
     The ambient inner product makes matrix units orthonormal in each factor;
@@ -186,12 +186,9 @@ def wedge_norm(line: WedgeLine, g: Sequence,
     row b of g_k^-1: each entry is one product, the same rounding a dense
     conjugation gives, since every other term it sums is an exact zero.  Two
     units in different factors live in orthogonal summands, so their Gram
-    entry is exactly 0.0.  A caller that norms several lines at one g
-    passes the factor inverses as `g_inv`, so each is computed once.
+    entry is exactly 0.0.  `g_inv` holds the factor inverses, so a caller
+    that norms several lines at one g computes each once.
     """
-    g = [fmat(f) for f in g]
-    if g_inv is None:
-        g_inv = [inverse(f) for f in g]
     moved = [[x * y for x in (row[a] for row in g[k]) for y in g_inv[k][b]]
              for k, a, b in line.units]
     d = len(moved)
@@ -256,21 +253,20 @@ class HSampler:
         labels = ["id"]
         gens = config.m_generators
         if gens:
-            import numpy as np
-            from scipy.linalg import expm
             rng = random.Random(seed)
-            gen_mats = [[np.array(fmat(f)) for f in g.factors] for g in gens]
+            gen_mats = [[fmat(f) for f in g.factors] for g in gens]
             for _ in range(SAMPLER_WORDS):
                 length = rng.randint(1, SAMPLER_MAX_WORD_LEN)
-                mats = [np.eye(space.spec.n) for _ in range(space.spec.m)]
+                mats = (eye,) * space.spec.m
                 label = []
                 for _ in range(length):
                     gi = rng.randrange(len(gens))
                     sign = rng.choice((1, -1))
                     label.append(f"{'+' if sign > 0 else '-'}X{gi + 1}")
-                    for k in range(space.spec.m):
-                        mats[k] = mats[k] @ expm(sign * gen_mats[gi][k])
-                words.append(tuple(fmat(f) for f in mats))
+                    mats = tuple(
+                        mat_mul(mk, expm([[sign * x for x in row] for row in gk]))
+                        for mk, gk in zip(mats, gen_mats[gi]))
+                words.append(mats)
                 labels.append("*".join(label))
         return cls(space, tuple(points), tuple(a_labels), tuple(words), tuple(labels))
 
@@ -328,23 +324,22 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     """
     space = CartanSpace(config.spec)
     cert = seq.certificate
-    lines = []
-    for j in cert.subset:
-        for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE):
-            lines.append(WedgeLine.of(space, j, side))
+    lines = [(WedgeLine.of(space, j, side), f"{j}:{side.value}")
+             for j in cert.subset
+             for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
+    samples = [(h, label) for _, h, label in sampler.samples()]
 
-    def max_min_norm(g_mats) -> DecayRow:
+    def max_min_norm(g_mats) -> tuple[float, str, dict[str, int]]:
         worst = -1.0
         worst_label = ""
         fired: dict[str, int] = {}
-        for _, h, label in sampler.samples():
+        for h, label in samples:
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g_mats))
             hg_inv = [inverse(f) for f in hg]
             best = None
             best_key = None
-            for line in lines:
+            for line, key in lines:
                 val = wedge_norm(line, hg, hg_inv)
-                key = f"{line.rep_index}:{line.side.value}"
                 if best is None or val < best:
                     best, best_key = val, key
             fired[best_key] = fired.get(best_key, 0) + 1

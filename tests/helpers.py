@@ -213,3 +213,53 @@ def block_centralizer_torus_vectors(n, m, factors_with_block, pos, size):
                 v[k * n + j + 1] = F(-1)
                 out.append(tuple(v))
     return out
+
+
+def gram_cholesky_minimum(basis, bound_sq):
+    """Reference Fincke-Pohst search below bound_sq on the columns of `basis`,
+    from the Cholesky factor r of the Gram matrix (gram = r^T r), formed from
+    the basis itself rather than from any Gram-Schmidt data.
+
+    Returns (min norm squared, integer coefficient vector).
+    """
+    cols = list(zip(*basis))
+    dim = len(cols)
+    gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    r = [[0.0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            s = gram[i][j] - sum(r[k][i] * r[k][j] for k in range(i))
+            if j == i:
+                if not s > 0.0:
+                    raise ValueError("lattice Gram matrix is not positive definite")
+                r[i][i] = math.sqrt(s)
+            else:
+                r[i][j] = s / r[i][i]
+    r_cols = list(zip(*r))  # ||Bx||^2 = ||r x||^2
+    best_sq = bound_sq * (1 + 1e-12)
+    best_x = None
+    x = [0] * dim
+
+    def descend(level, partial_sq, carry):
+        nonlocal best_sq, best_x
+        if level < 0:
+            if any(x) and partial_sq < best_sq:
+                best_sq, best_x = partial_sq, list(x)
+            return
+        rem = best_sq - partial_sq
+        if rem < 0:
+            return
+        r_ll = r[level][level]
+        center = -carry[level] / r_ll
+        half = math.sqrt(rem) / r_ll
+        for xi in range(math.ceil(center - half - 1e-9),
+                        math.floor(center + half + 1e-9) + 1):
+            x[level] = xi
+            y = r_ll * xi + carry[level]
+            if partial_sq + y * y <= best_sq * (1 + 1e-12):
+                descend(level - 1, partial_sq + y * y,
+                        [c + xi * rc for c, rc in zip(carry, r_cols[level])])
+        x[level] = 0
+
+    descend(dim - 1, 0.0, [0.0] * dim)
+    return best_sq, best_x

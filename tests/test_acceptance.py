@@ -10,7 +10,7 @@ from pathlib import Path
 from nondiv import cli
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, check_torus, replay_certificate
-from nondiv.floatmat import fmat, mat_mul
+from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.lattice import QuadraticOrder, orbit_probe
 from nondiv.linalg import (
     BilinearForm,
@@ -254,15 +254,17 @@ def test_criterion_6_witness_decay():
     g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
     lines = [WedgeLine.of(space, j, side)
              for j in cert.subset for side in ParabolicSide]
-    bases = [wedge_norm(line, g0) for line in lines]
+    g0_inv = [inverse(f) for f in g0]
+    bases = [wedge_norm(line, g0, g0_inv) for line in lines]
     for n_val, mats in zip(seq.n_values, seq.elements):
         for a_vec in sampler.a_points:
             h = _exp_cartan(space, a_vec)
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
+            hg_inv = [inverse(f) for f in hg]
             for line, base in zip(lines, bases):
                 expected = closed_form_torus_norm(config, cert, witness, line,
                                                   a_vec, n_val, base)
-                actual = wedge_norm(line, hg)
+                actual = wedge_norm(line, hg, hg_inv)
                 assert abs(actual - expected) <= 1e-9 * expected
     _line(6, f"N=20 decay ratio {rows[20] / rows[0]:.2e} < 1e-6 with 1e-9 closed-form agreement")
 

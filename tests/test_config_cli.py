@@ -524,6 +524,23 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# Builds the H sampler of a nontrivial-M config where importing numpy or
+# scipy fails: the Lie(M) word exponentials run on the standard library.
+# Lie(A) has dimension 4 here, so two grid points keep the a-grid at 16
+# points; the words do not depend on the grid.
+BLOCKED_SAMPLER = """
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+from nondiv.config import build_config, parse_problem
+from nondiv.witness import HSampler
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    config = build_config(parse_problem(fh.read(), path))
+sampler = HSampler.default(config, grid_points=2)
+print(len(config.m_generators), len(sampler.m_words))
+"""
+
+
 class TestImportFootprint:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, tmp_path):
         res = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
@@ -546,3 +563,10 @@ class TestImportFootprint:
         assert res.returncode == 10, res.stderr
         assert run_cli(*args, "--output", str(free)).returncode == 10
         assert stripped_report(blocked) == stripped_report(free)
+
+    def test_nontrivial_m_sampler_builds_with_numpy_and_scipy_blocked(self):
+        res = subprocess.run([sys.executable, "-c", BLOCKED_SAMPLER,
+                              str(CONFIGS / "example2.cfg")],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["3", "9"]  # SO(2,1) M: identity + 8 words

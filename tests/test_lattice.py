@@ -1,14 +1,16 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nondiv.criterion import check_torus
-from nondiv.floatmat import fmat
+from nondiv.floatmat import dot, fmat, transpose
 from nondiv.lattice import (
     QuadraticOrder,
+    _enumerate_minimum,
     _size_reduce,
     _vector_norm,
     embed_lattice,
@@ -18,7 +20,7 @@ from nondiv.lattice import (
 from nondiv.rootdata import GroupSpec
 from nondiv.witness import build_escape_witness, realize_divergence_sequence
 
-from helpers import delta_line_subspace, torus_config
+from helpers import delta_line_subspace, gram_cholesky_minimum, torus_config
 
 
 def brute_force_shortest(basis: np.ndarray) -> float:
@@ -110,6 +112,66 @@ class TestShortestVector:
                 basis = rng.normal(size=(4, 4))
             assert shortest_vector(basis) == brute_force_shortest(basis)
 
+    def test_singular_basis_raises(self):
+        # LLL reduces the dependent column to an exact zero vector.
+        for basis in ([[1.0, 1.0], [2.0, 2.0]],
+                      [[1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [0.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="not positive definite"):
+                shortest_vector(basis)
+
+
+@st.composite
+def enumeration_basis(draw):
+    """A random 2-4-dim basis, a 2-dim basis in LLL's slack, or a probe
+    lattice embedded at a monomial or a non-monomial pair g.  Entries come
+    from continuous distributions, so the shortest vector is unique up to
+    sign."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("random", "slack", "monomial", "non-monomial")))
+    if kind == "slack":
+        # delta = 0.99 accepts a second column up to ~0.5% shorter than the
+        # first.  Here it is, k times the first column away, so the shortest
+        # vector is the last reduced column, and it is reached only through
+        # the final size reduction.
+        c = rng.uniform(-0.45, 0.45)
+        h = math.sqrt(rng.uniform(0.991, 0.998) - c * c)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        theta, scale = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.5, 2.0)
+        rotation = scale * np.array([[math.cos(theta), -math.sin(theta)],
+                                     [math.sin(theta), math.cos(theta)]])
+        return rotation @ np.array([[1.0, c + k], [0.0, h]])
+    if kind == "random":
+        n = draw(st.integers(2, 4))
+        basis = np.array([[rng.gauss(0.0, 3.0) for _ in range(n)] for _ in range(n)])
+        assume(abs(np.linalg.det(basis)) > 1e-2 and np.linalg.cond(basis) < 1e6)
+        return basis
+    g = []
+    for _ in range(2):
+        if kind == "monomial":
+            t = rng.uniform(-3.0, 3.0)
+            f = [[rng.choice((1, -1)) * math.exp(t), 0.0],
+                 [0.0, rng.choice((1, -1)) * math.exp(-t)]]
+            g.append(f if rng.random() < 0.5 else f[::-1])
+        else:
+            f = [[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
+            assume(abs(np.linalg.det(f)) > 0.2)
+            g.append(f)
+    return embed_lattice(QuadraticOrder(draw(st.sampled_from((2, 3, 7)))), 2, g)
+
+
+class TestEnumerationFromGramSchmidt:
+    @settings(max_examples=150, deadline=None)
+    @given(enumeration_basis())
+    def test_matches_gram_cholesky_reference(self, basis):
+        # The enumeration reads r off LLL's final Gram-Schmidt data; the
+        # reference factors the Gram matrix of the reduced basis instead.
+        reduced, _, mu, norms = _size_reduce(fmat(basis))
+        bound_sq = min(dot(c, c) for c in transpose(reduced))
+        got_sq, got_x = _enumerate_minimum(mu, norms, bound_sq)
+        ref_sq, ref_x = gram_cholesky_minimum(reduced, bound_sq)
+        assert got_sq == pytest.approx(ref_sq, rel=1e-9)
+        assert got_x in (ref_x, [-c for c in ref_x])
+
 
 def integer_det(u) -> int:
     """Leibniz expansion: exact for the small integer transforms."""
@@ -136,7 +198,7 @@ class TestSizeReduce:
     @given(lattice_basis())
     def test_lll_reduced_unimodular_transform(self, basis):
         assume(abs(np.linalg.det(basis)) > 1e-2 and np.linalg.cond(basis) < 1e6)
-        reduced, u = _size_reduce(basis)
+        reduced, u, gs_mu, gs_norms = _size_reduce(basis)
         u = np.array(u)
         assert u.dtype.kind == "i"
         assert integer_det(u.tolist()) in (1, -1)
@@ -147,9 +209,11 @@ class TestSizeReduce:
         r = np.linalg.qr(reduced, mode="r")
         sq = np.diag(r) ** 2
         dim = basis.shape[1]
+        assert np.allclose(gs_norms, sq, rtol=1e-6, atol=0)
         for i in range(dim):
             for j in range(i):
                 assert abs(r[j, i] / r[j, j]) <= 0.5 + 1e-9
+                assert gs_mu[i][j] == pytest.approx(r[j, i] / r[j, j], abs=1e-6)
         for k in range(1, dim):
             mu = r[k - 1, k] / r[k - 1, k - 1]
             assert sq[k] >= (0.99 - mu * mu) * sq[k - 1] * (1 - 1e-9)

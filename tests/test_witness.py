@@ -7,7 +7,7 @@ import pytest
 
 from nondiv import witness as witness_module
 from nondiv.criterion import Certificate, check_general, check_torus
-from nondiv.floatmat import fmat, mat_mul
+from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.linalg import Subspace, dot
 from nondiv.rootdata import CartanSpace, GroupSpec, ParabolicSide
 from nondiv.witness import (
@@ -88,6 +88,12 @@ class TestEscapeWitness:
             build_escape_witness(bad, config)
 
 
+def norm_at(line, g):
+    """`wedge_norm` at g, with the factor inverses formed here."""
+    g = [fmat(f) for f in g]
+    return wedge_norm(line, g, [inverse(f) for f in g])
+
+
 def dense_wedge_norm(line, g):
     """Reference: conjugate each matrix unit as a dense m-tuple, g E_ab g^-1
     in every factor, and take the Gram determinant summed over factors."""
@@ -117,25 +123,25 @@ class TestWedgeNorm:
                 for j in range(1, n):
                     for side in ParabolicSide:
                         line = WedgeLine.of(space, j, side)
-                        assert wedge_norm(line, g) == pytest.approx(
+                        assert norm_at(line, g) == pytest.approx(
                             dense_wedge_norm(line, g), rel=1e-12)
                         checked += 1
         assert checked == 10 * 2 * (1 + 2 + 3)
 
     def test_identity_is_one(self):
         line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
-        assert wedge_norm(line, [np.eye(2)]) == pytest.approx(1.0, abs=1e-12)
+        assert norm_at(line, [np.eye(2)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_sl2_weight(self):
         line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
         for t in (0.5, -1.0, 2.0):
             g = [np.diag([math.exp(t), math.exp(-t)])]
-            assert wedge_norm(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
+            assert norm_at(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
 
     def test_sl2_t_minus_one(self):
         line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
         g = [np.diag([math.exp(-1.0), math.exp(1.0)])]
-        assert wedge_norm(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
+        assert norm_at(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
 
     def test_sign_independence(self):
         # Norms are blind to the representative sign correction.
@@ -145,8 +151,8 @@ class TestWedgeNorm:
         mats = realize_weyl_matrices(cert.w)
         flipped = list(mats)
         flipped[1] = (tuple(-x for x in mats[1][0]),) + mats[1][1:]
-        assert wedge_norm(line, mats) == pytest.approx(
-            wedge_norm(line, flipped), rel=1e-12)
+        assert norm_at(line, mats) == pytest.approx(
+            norm_at(line, flipped), rel=1e-12)
 
 
 class TestDivergenceSequence:
@@ -174,7 +180,7 @@ class TestClosedForm:
             g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
             lines = [WedgeLine.of(space, j, side)
                      for j in cert.subset for side in ParabolicSide]
-            bases = {id(ln): wedge_norm(ln, g0) for ln in lines}
+            bases = {id(ln): norm_at(ln, g0) for ln in lines}
             for _ in range(50):
                 coeffs = [F(rng.randint(-8, 8), rng.randint(1, 2))
                           for _ in config.a_basis.basis]
@@ -189,7 +195,7 @@ class TestClosedForm:
                 for ln in lines:
                     expected = closed_form_torus_norm(
                         config, cert, witness, ln, a_vec, n_val, bases[id(ln)])
-                    actual = wedge_norm(ln, hg)
+                    actual = norm_at(ln, hg)
                     assert actual == pytest.approx(expected, rel=1e-9)
                     checked += 1
         assert checked >= 100
@@ -206,8 +212,8 @@ class TestMInvariance:
                  for j in cert.subset for side in ParabolicSide]
         for word in sampler.m_words:
             for line in lines:
-                base = wedge_norm(line, g)
-                moved = wedge_norm(line, tuple(mat_mul(w, gf) for w, gf in zip(word, g)))
+                base = norm_at(line, g)
+                moved = norm_at(line, tuple(mat_mul(w, gf) for w, gf in zip(word, g)))
                 assert moved == pytest.approx(base, rel=1e-6)
 
 
@@ -270,3 +276,17 @@ class TestVerifyDivergence:
         distinct = len(list(sampler.samples())) * len(rows)
         assert len(cert.subset) * 2 == 2 and distinct == 84
         assert len(calls) == config.spec.m * distinct
+
+    def test_decay_builds_each_h_sample_once(self, monkeypatch):
+        # The H samples are built once and reused for every N row, so each
+        # a-point is exponentiated once, not once per row.
+        config, cert, witness = example1_m2_setup()
+        seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
+        sampler = HSampler.default(config)
+        calls = []
+        exp_cartan = witness_module._exp_cartan
+        monkeypatch.setattr(witness_module, "_exp_cartan",
+                            lambda space, a: calls.append(a) or exp_cartan(space, a))
+        rows = decay_table(seq, sampler, config)
+        assert len(rows) == 4 and len(sampler.a_points) == 21
+        assert calls == list(sampler.a_points)
