@@ -22,7 +22,6 @@ from .lattice import QuadraticOrder, orbit_probe
 from .report import (
     REPORT_FORMAT,
     build_report,
-    certificate_from_dict,
     decay_dict,
     input_digest,
     probe_dict,
@@ -170,15 +169,10 @@ def cmd_replay(args) -> int:
     if fresh != stored:
         return _fail("replay mismatch: recomputed verdict differs from the report",
                      EXIT_AUDIT_FAILED)
-    if stored["certificate"] is not None:
-        try:
-            cert = certificate_from_dict(stored["certificate"])
-        except (KeyError, ValueError) as exc:
-            return _fail(f"stored certificate is malformed: {exc}",
-                         EXIT_AUDIT_FAILED)
-        if not replay_certificate(config, cert):
-            return _fail("stored certificate fails re-verification",
-                         EXIT_AUDIT_FAILED)
+    if (verdict.certificate is not None
+            and not replay_certificate(config, verdict.certificate)):
+        return _fail("stored certificate fails re-verification",
+                     EXIT_AUDIT_FAILED)
     sys.stdout.write(json.dumps({"replay": "ok",
                                  "verdict": stored["verdict"]}) + "\n")
     return 0

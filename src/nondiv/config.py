@@ -19,7 +19,7 @@ from typing import Optional
 from ._record import record
 from .criterion import ConfigError, GroupConfig
 from .linalg import Mat, Subspace, Vec
-from .rootdata import CartanSpace, GroupSpec, LieElement
+from .rootdata import GroupSpec, LieElement
 from .weyl import CentralizerWeylElement
 
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
@@ -121,8 +121,10 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         m = int(need("group", "m"))
     except ValueError as exc:
         raise ConfigError(f"[group]: {exc}")
+    if family != "res-sl":
+        raise ConfigError(f"[group]: unsupported group family {family!r}")
     try:
-        spec = GroupSpec(n, m, family)
+        spec = GroupSpec(n, m)
     except ValueError as exc:
         raise ConfigError(f"[group]: {exc}")
     ambient = spec.ambient_dim
@@ -211,11 +213,10 @@ def build_config(problem: ProblemFile) -> GroupConfig:
     section can be named; every other invariant is `GroupConfig`'s."""
     spec = problem.spec
     ambient = spec.ambient_dim
-    space = CartanSpace(spec)
     for section, vectors in (("torus-d", problem.d_vectors),
                              ("torus-a", problem.a_vectors)):
         for i, v in enumerate(vectors):
-            if not space.contains(v):
+            if not spec.is_trace_zero(v):
                 raise ConfigError(
                     f"[{section}] basis vector #{i + 1} is not trace zero per factor")
     try:
@@ -243,7 +244,7 @@ def serialize_problem(problem: ProblemFile) -> str:
     """Deterministic round-trip serialization of a problem file."""
     lines = []
     lines.append("[group]")
-    lines.append(f"family = {problem.spec.family}")
+    lines.append("family = res-sl")
     lines.append(f"n = {problem.spec.n}")
     lines.append(f"m = {problem.spec.m}")
     lines.append("")

@@ -73,8 +73,6 @@ from .linalg import (
     vec,
 )
 from .rootdata import (
-    CartanSpace,
-    Functional,
     GroupSpec,
     LieElement,
     ParabolicSide,
@@ -142,7 +140,7 @@ class Verdict:
 
 @record
 class GroupConfig:
-    """Full problem instance: group family, Lie(M) generators, Lie(D), Lie(A),
+    """Full problem instance: the group, Lie(M) generators, Lie(D), Lie(A),
     and centralizer Weyl representatives.
 
     Construction runs `validate`, so every instance, built from a problem
@@ -180,13 +178,13 @@ class GroupConfig:
         annihilator of Lie(D) on the trace-zero coordinates (each block
         without its last entry) must kill them all.
         """
-        space = CartanSpace(self.spec)
-        n, m = self.spec.n, self.spec.m
+        spec = self.spec
+        n, m = spec.n, spec.m
         for name, sub in (("Lie(D)", self.d_basis), ("Lie(A)", self.a_basis)):
-            if sub.ambient_dim != space.ambient_dim:
+            if sub.ambient_dim != spec.ambient_dim:
                 raise ConfigError(f"{name} has wrong ambient dimension")
             for v in sub.basis:
-                if not space.contains(v):
+                if not spec.is_trace_zero(v):
                     raise ConfigError(f"{name} basis vector is not trace zero per factor")
         for gi, gen in enumerate(self.m_generators):
             if len(gen.factors) != m or any(len(f) != n for f in gen.factors):
@@ -203,7 +201,7 @@ class GroupConfig:
                        for gen in self.m_generators]
         decided: dict = {}
         d_vectors = [clear_denominators(v) for v in self.d_basis.basis]
-        kept = [i for i in range(space.ambient_dim) if i % n != n - 1]
+        kept = [i for i in range(spec.ambient_dim) if i % n != n - 1]
         annihilator = [[(kept[i], c) for i, c in enumerate(clear_denominators(u)) if c]
                        for u in _kernel_vectors([[v[i] for i in kept]
                                                  for v in self.d_basis.basis], len(kept))]
@@ -243,11 +241,11 @@ class GroupConfig:
                 if any(v[a] != v[b] for a, b in gen_entries):
                     raise ConfigError(
                         f"Lie(D) does not commute with M generator #{gi + 1}")
-        if not self.m_generators and self.d_basis != space.full_subspace():
+        if not self.m_generators and self.d_basis != spec.full_subspace():
             raise ConfigError("with trivial M, Lie(D) must be the full Cartan space")
 
 
-def dependence_coefficients(functionals: Sequence[Functional],
+def dependence_coefficients(functionals: Sequence[Sequence],
                             w: Subspace) -> Optional[tuple]:
     """Nonzero coefficients of a vanishing combination on w, or None.
 
@@ -255,7 +253,7 @@ def dependence_coefficients(functionals: Sequence[Functional],
     integral the coefficients come back as integers with gcd 1.  The first
     nonzero coefficient is normalized positive.
     """
-    vecs = [f.vector if isinstance(f, Functional) else vec(f) for f in functionals]
+    vecs = [vec(f) for f in functionals]
     k = len(vecs)
     if k == 0:
         return None
@@ -325,7 +323,7 @@ def check_torus(spec: GroupSpec, a_basis: Subspace) -> Verdict:
     """Torus criterion: nondivergent iff every Weyl image of the fundamental
     weight family stays independent as functionals on Lie(A).  This is the
     general check with trivial M, Lie(D) the full Cartan space and w' = {id}."""
-    config = GroupConfig(spec, (), CartanSpace(spec).full_subspace(), a_basis, ())
+    config = GroupConfig(spec, (), spec.full_subspace(), a_basis, ())
     return check_general(config)
 
 
@@ -487,16 +485,18 @@ def _scan(config: GroupConfig) -> tuple:
                 [table[d] for table, d in zip(relabel, digits)]
             key = _orbit_key(tables, u_digits)
             outcome = known[key]
+            if outcome == 1:
+                continue
+            rows = _evaluation(a_tables, u_digits)
             if not outcome:
-                rows = _evaluation(a_tables, u_digits)
-                independent = rank([rows[i - 1] for i in cuts]) == len(cuts)
-                outcome = known[key] = 1 if independent else 2
-            if outcome == 2:
-                bound = best[0] if best else len(subsets)
-                si = _first_dependent(_evaluation(a_tables, u_digits), cuts,
-                                      subset_index, bound)
-                if si is not None:
-                    best = (si, w_idx, wp_idx)
+                if rank([rows[i - 1] for i in cuts]) == len(cuts):
+                    known[key] = 1
+                    continue
+                known[key] = 2
+            bound = best[0] if best else len(subsets)
+            si = _first_dependent(rows, cuts, subset_index, bound)
+            if si is not None:
+                best = (si, w_idx, wp_idx)
         if best and best[1] == w_idx:
             d_tables = d_tables or _factor_tables(spec, config.d_basis.basis)
             rows = _evaluation(d_tables, digits)
@@ -533,10 +533,9 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
             f"transported weights {subset} are dependent on Lie(D) for an "
             f"admissible pair (Weyl #{w_idx}); "
             "Lie(D) is not maximal in the centralizer of M as declared")
-    space = CartanSpace(spec)
     w = _weyl_by_index(spec, w_idx)
     wp = config.centralizer_weyl[wp_idx]
-    funcs = [act_on_functional(w, fundamental_weight(space, i)) for i in subset]
+    funcs = [act_on_functional(w, fundamental_weight(spec, i)) for i in subset]
     coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
     cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)
@@ -546,7 +545,6 @@ def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:
     """Re-verify a certificate from scratch: both parabolic containments and
     the exact vanishing of the dependence on Lie(A)."""
     spec = config.spec
-    space = CartanSpace(spec)
     r = spec.rank
     subset = cert.subset
     if (not subset or list(subset) != sorted(set(subset))
@@ -566,12 +564,11 @@ def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:
         w_inv = weyl_inverse(cert.w)
         for gen in config.m_generators:
             moved = act_on_lie(w_inv, gen)
-            if not parabolic_contains(space, subset, moved, ParabolicSide.STANDARD):
+            if not parabolic_contains(spec, subset, moved, ParabolicSide.STANDARD):
                 return False
-            if not parabolic_contains(space, subset, moved, ParabolicSide.OPPOSITE):
+            if not parabolic_contains(spec, subset, moved, ParabolicSide.OPPOSITE):
                 return False
-        funcs = [act_on_functional(cert.w, fundamental_weight(space, i)).vector
-                 for i in subset]
+        funcs = [act_on_functional(cert.w, fundamental_weight(spec, i)) for i in subset]
         transported = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
         for coeffs in coefficient_vectors:
             for tb in transported:

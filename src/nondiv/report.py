@@ -15,7 +15,6 @@ from typing import Optional
 from . import __version__
 from .criterion import Certificate, SearchStats, Verdict
 from .lattice import ProbeStats
-from .weyl import CentralizerWeylElement, WeylElement
 from .witness import DecayRow, EscapeWitness
 
 REPORT_FORMAT = "report-v1"
@@ -45,23 +44,6 @@ def certificate_dict(cert: Certificate) -> dict:
         "integer_dependence": (list(cert.integer_dependence)
                                if cert.integer_dependence is not None else None),
     }
-
-
-def certificate_from_dict(data: dict) -> Certificate:
-    perms = tuple(tuple(i - 1 for i in p) for p in data["weyl"]["one_line"])
-    w = WeylElement(perms)
-    wp = CentralizerWeylElement.build(
-        [[[Fraction(e) for e in row] for row in f]
-         for f in data["centralizer"]["matrices"]])
-    ints = data.get("integer_dependence")
-    return Certificate(
-        subset=tuple(int(i) for i in data["subset"]),
-        w=w,
-        w_prime=wp,
-        w_prime_index=int(data["centralizer"]["index"]),
-        dependence=tuple(Fraction(c) for c in data["dependence"]),
-        integer_dependence=tuple(int(c) for c in ints) if ints is not None else None,
-    )
 
 
 def stats_dict(stats: SearchStats) -> dict:

@@ -1,11 +1,12 @@
 """Cartan data for products of SL_n factors (restriction-of-scalars family).
 
-The Cartan space of ``m`` SL_n factors is modelled as m blocks of n rational
-coordinates, each block summing to zero.  The invariant form is the per-factor
-standard inner product; every boolean criterion downstream is invariant under
-positive scaling of the form, so the Killing-form normalization is not needed.
-Functionals are stored by their trace-zero coefficient vector, which is also
-their dual vector for the standard form.
+`GroupSpec` is the group and its Cartan space: m blocks of n rational
+coordinates, each block summing to zero.  The invariant form is the
+per-factor standard inner product; every boolean criterion downstream is
+invariant under positive scaling of the form, so the Killing-form
+normalization is not needed.  A weight is a plain trace-zero coefficient
+vector (`Vec`), which is also its dual vector for the standard form:
+lambda(x) = (v | x).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .linalg import BilinearForm, Mat, Subspace, Vec, mat, vec
+from .linalg import Mat, Subspace, Vec, mat, vec
 
 
 @record
@@ -24,11 +25,8 @@ class GroupSpec:
 
     n: int
     m: int
-    family: str = "res-sl"
 
     def __post_init__(self):
-        if self.family != "res-sl":
-            raise ValueError(f"unsupported group family {self.family!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.m < 1:
@@ -43,66 +41,40 @@ class GroupSpec:
     def ambient_dim(self) -> int:
         return self.n * self.m
 
-
-class ParabolicSide(enum.Enum):
-    STANDARD = "standard"
-    OPPOSITE = "opposite"
-
-
-@record
-class CartanSpace:
-    spec: GroupSpec
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.spec.ambient_dim
-
-    @property
-    def form(self) -> BilinearForm:
-        return BilinearForm.standard(self.ambient_dim)
-
     def blocks(self, v: Sequence[Fraction]) -> list[Vec]:
-        n = self.spec.n
-        return [vec(v[k * n:(k + 1) * n]) for k in range(self.spec.m)]
+        n = self.n
+        return [vec(v[k * n:(k + 1) * n]) for k in range(self.m)]
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def is_trace_zero(self, v: Sequence[Fraction]) -> bool:
+        """Does v lie in the Cartan space: right length, each block summing to 0?"""
         if len(v) != self.ambient_dim:
             return False
         return all(sum(b) == 0 for b in self.blocks(v))
 
     def trace_zero_part(self, v: Sequence[Fraction]) -> Vec:
         """Canonical representative: subtract the per-block mean."""
-        n = self.spec.n
         out: list[Fraction] = []
         for b in self.blocks(v):
-            mean = sum(b, Fraction(0)) / n
+            mean = sum(b, Fraction(0)) / self.n
             out.extend(e - mean for e in b)
         return tuple(out)
 
-    def standard_basis(self) -> list[Vec]:
-        """Per-factor simple coweight style basis e_j - e_{j+1} of the trace-zero space."""
-        n, m = self.spec.n, self.spec.m
-        out = []
-        for k in range(m):
+    def full_subspace(self) -> Subspace:
+        """The whole Cartan space, spanned by e_j - e_{j+1} in every factor."""
+        n, dim = self.n, self.ambient_dim
+        basis = []
+        for k in range(self.m):
             for j in range(n - 1):
-                v = [Fraction(0)] * self.ambient_dim
+                v = [Fraction(0)] * dim
                 v[k * n + j] = Fraction(1)
                 v[k * n + j + 1] = Fraction(-1)
-                out.append(tuple(v))
-        return out
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.span(self.ambient_dim, self.standard_basis())
+                basis.append(tuple(v))
+        return Subspace.span(dim, basis)
 
 
-@record
-class Functional:
-    """Rational linear functional on the Cartan space, lambda(x) = (v | x)."""
-
-    vector: Vec
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.vector)
+class ParabolicSide(enum.Enum):
+    STANDARD = "standard"
+    OPPOSITE = "opposite"
 
 
 @record
@@ -127,30 +99,30 @@ class LieElement:
         return all(all(all(e == 0 for e in row) for row in f) for f in self.factors)
 
 
-def _check_index(space: CartanSpace, i: int) -> None:
-    if not 1 <= i <= space.spec.rank:
-        raise IndexError(f"index {i} outside 1..{space.spec.rank}")
+def _check_index(spec: GroupSpec, i: int) -> None:
+    if not 1 <= i <= spec.rank:
+        raise IndexError(f"index {i} outside 1..{spec.rank}")
 
 
-def fundamental_weight(space: CartanSpace, i: int) -> Functional:
+def fundamental_weight(spec: GroupSpec, i: int) -> Vec:
     """chi_i(x) = sum over factors of the first i coordinates of each block."""
-    _check_index(space, i)
-    n, m = space.spec.n, space.spec.m
+    _check_index(spec, i)
+    n, m = spec.n, spec.m
     raw = []
     for _ in range(m):
         raw.extend(Fraction(1) if j < i else Fraction(0) for j in range(n))
-    return Functional(space.trace_zero_part(raw))
+    return spec.trace_zero_part(raw)
 
 
-def parabolic_contains(space: CartanSpace, cuts: Iterable[int], x: LieElement,
+def parabolic_contains(spec: GroupSpec, cuts: Iterable[int], x: LieElement,
                        side: ParabolicSide) -> bool:
     """Is x block triangular (upper for STANDARD, lower for OPPOSITE) at every cut?"""
-    n = space.spec.n
+    n = spec.n
     cut_list = sorted(set(cuts))
     if not cut_list:
         raise ValueError("cut set must be nonempty")
     for i in cut_list:
-        _check_index(space, i)
+        _check_index(spec, i)
     for f in x.factors:
         for i in cut_list:
             if side is ParabolicSide.STANDARD:
@@ -162,7 +134,7 @@ def parabolic_contains(space: CartanSpace, cuts: Iterable[int], x: LieElement,
     return True
 
 
-def nilradical_basis(space: CartanSpace, i: int,
+def nilradical_basis(spec: GroupSpec, i: int,
                      side: ParabolicSide) -> list[tuple[int, int, int]]:
     """Positions (factor, row, column) of the matrix units spanning the
     nilradical at cut i.
@@ -170,8 +142,8 @@ def nilradical_basis(space: CartanSpace, i: int,
     Factor-major, then row-major in the standard side's positions; the
     opposite side lists the transposed positions in the same order.
     """
-    _check_index(space, i)
-    n, m = space.spec.n, space.spec.m
+    _check_index(spec, i)
+    n, m = spec.n, spec.m
     out = []
     for k in range(m):
         for a in range(i):
@@ -180,16 +152,16 @@ def nilradical_basis(space: CartanSpace, i: int,
     return out
 
 
-def weight_of_nilradical(space: CartanSpace, i: int, side: ParabolicSide) -> Functional:
+def weight_of_nilradical(spec: GroupSpec, i: int, side: ParabolicSide) -> Vec:
     """Character of the Cartan action on the wedge line of the nilradical.
 
     Sum of the roots of the basis matrix units; equal to n*chi_i on the
     standard side and its negative on the opposite side.
     """
-    _check_index(space, i)
-    n = space.spec.n
-    v = [Fraction(0)] * space.ambient_dim
-    for k in range(space.spec.m):
+    _check_index(spec, i)
+    n = spec.n
+    v = [Fraction(0)] * spec.ambient_dim
+    for k in range(spec.m):
         for a in range(i):
             for b in range(i, n):
                 if side is ParabolicSide.STANDARD:
@@ -198,4 +170,4 @@ def weight_of_nilradical(space: CartanSpace, i: int, side: ParabolicSide) -> Fun
                 else:
                     v[k * n + b] += 1
                     v[k * n + a] -= 1
-    return Functional(tuple(v))
+    return tuple(v)

@@ -1,9 +1,10 @@
 """Restricted Weyl group of an SL_n product (a product of symmetric groups),
-its action on Cartan functionals and Lie elements, and the determinant-one
-matrices that represent centralizer Weyl elements, which act on diagonal
-Cartan vectors through the positions of their nonzero entries (no inverse is
-formed).  Whether such a matrix centralizes M and normalizes Lie(D) is a
-property of the whole problem, so `criterion.GroupConfig` checks it."""
+its action on weights (trace-zero coefficient vectors) and Lie elements,
+and the determinant-one matrices that represent centralizer Weyl elements,
+which act on diagonal Cartan vectors through the positions of their nonzero
+entries (no inverse is formed).  Whether such a matrix centralizes M and
+normalizes Lie(D) is a property of the whole problem, so
+`criterion.GroupConfig` checks it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ._record import record
 from .linalg import Mat, Vec, det, mat
-from .rootdata import Functional, GroupSpec, LieElement
+from .rootdata import GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
 # Per factor, per row (or column), the indices of its nonzero entries.
@@ -61,17 +62,17 @@ def weyl_order(spec: GroupSpec) -> int:
     return math.factorial(spec.n) ** spec.m
 
 
-def act_on_functional(w: WeylElement, f: Functional) -> Functional:
+def act_on_functional(w: WeylElement, f: Vec) -> Vec:
     """w(f)(x) = f(Ad(w^-1)x); on dual coordinates each block is permuted by w."""
     n = len(w.perms[0])
     m = len(w.perms)
-    if len(f.vector) != n * m:
+    if len(f) != n * m:
         raise ValueError("dimension mismatch")
     out = [Fraction(0)] * (n * m)
     for k, p in enumerate(w.perms):
         for i in range(n):
-            out[k * n + p[i]] = f.vector[k * n + i]
-    return Functional(tuple(out))
+            out[k * n + p[i]] = f[k * n + i]
+    return tuple(out)
 
 
 def perm_sign(p: Permutation) -> int:

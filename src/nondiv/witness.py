@@ -30,6 +30,7 @@ from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
 from .floatmat import FMat, det, diagonal, exp, expm, fmat, inverse, mat_mul
 from .linalg import (
+    BilinearForm,
     Orthant,
     Subspace,
     Vec,
@@ -41,7 +42,7 @@ from .linalg import (
     vec_scale,
 )
 from .rootdata import (
-    CartanSpace,
+    GroupSpec,
     ParabolicSide,
     fundamental_weight,
     nilradical_basis,
@@ -89,8 +90,8 @@ class WedgeLine:
     units: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def of(cls, space: CartanSpace, j: int, side: ParabolicSide) -> "WedgeLine":
-        return cls(j, side, tuple(nilradical_basis(space, j, side)))
+    def of(cls, spec: GroupSpec, j: int, side: ParabolicSide) -> "WedgeLine":
+        return cls(j, side, tuple(nilradical_basis(spec, j, side)))
 
 
 @record
@@ -127,15 +128,15 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
     """Escape data for a certificate: U, U', the missed orthant, and v."""
     if not replay_certificate(config, cert):
         raise ValueError("certificate does not replay against the configuration")
-    space = CartanSpace(config.spec)
-    funcs = [act_on_functional(cert.w, fundamental_weight(space, i)).vector
-             for i in cert.subset]
+    spec = config.spec
+    funcs = [act_on_functional(cert.w, fundamental_weight(spec, i)) for i in cert.subset]
     u_vectors = tuple(funcs)  # standard form: dual vector = coefficient vector
-    u_space = Subspace.span(space.ambient_dim, u_vectors)
+    u_space = Subspace.span(spec.ambient_dim, u_vectors)
     transported = Subspace.span(
-        space.ambient_dim,
+        spec.ambient_dim,
         [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis])
-    u_prime = project_subspace(transported, u_space, space.form)
+    u_prime = project_subspace(transported, u_space,
+                               BilinearForm.standard(spec.ambient_dim))
     if u_prime.dim >= u_space.dim:
         raise NotProperError("projection of Lie(A) covers the weight span")
     sigma0 = first_missed_orthant(funcs, u_prime)
@@ -149,10 +150,10 @@ def realize_weyl_matrices(w) -> list[FMat]:
     return [fmat(signed_permutation_matrix(p)) for p in w.perms]
 
 
-def _exp_cartan(space: CartanSpace, v: Sequence, scale: float = 1.0) -> list[FMat]:
-    n = space.spec.n
+def _exp_cartan(spec: GroupSpec, v: Sequence, scale: float = 1.0) -> list[FMat]:
+    n = spec.n
     return [diagonal([exp(float(e) * scale) for e in v[k * n:(k + 1) * n]])
-            for k in range(space.spec.m)]
+            for k in range(spec.m)]
 
 
 def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
@@ -160,12 +161,11 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                                 n_values: Sequence[int]) -> DivergenceSequence:
     """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N;
     a factor whose determinant drifts from 1 means the realization is broken."""
-    space = CartanSpace(config.spec)
     w_mats = realize_weyl_matrices(cert.w)
     wp_mats = [fmat(f) for f in cert.w_prime.matrices]
     elements = []
     for n_val in n_values:
-        exp_mats = _exp_cartan(space, witness.v, scale=float(n_val))
+        exp_mats = _exp_cartan(config.spec, witness.v, scale=float(n_val))
         factors = tuple(mat_mul(mat_mul(wp, e), wm)
                         for wp, e, wm in zip(wp_mats, exp_mats, w_mats))
         for f in factors:
@@ -209,9 +209,8 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
     final exponential is floating point.  base_norm is the line norm under
     w'w alone.
     """
-    space = CartanSpace(config.spec)
-    omega = weight_of_nilradical(space, line.rep_index, line.side)
-    w_omega = act_on_functional(cert.w, omega).vector
+    omega = weight_of_nilradical(config.spec, line.rep_index, line.side)
+    w_omega = act_on_functional(cert.w, omega)
     x_prime = cert.w_prime.transport_inverse(a_vec)
     exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
     return math.exp(float(exponent)) * base_norm
@@ -219,9 +218,10 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
 
 @record
 class HSampler:
-    """Deterministic H samples: a grid in Lie(A) times short words in exp(Lie(M))."""
+    """Deterministic H samples: a grid in Lie(A) times short words in
+    exp(Lie(M)); `spec` gives the Cartan coordinates of each grid point."""
 
-    space: CartanSpace
+    spec: GroupSpec
     a_points: tuple[Vec, ...]
     a_labels: tuple[str, ...]
     m_words: tuple[tuple[FMat, ...], ...]
@@ -230,7 +230,7 @@ class HSampler:
     @classmethod
     def default(cls, config: GroupConfig, grid_radius: int = 5,
                 grid_points: int = 21, seed: int = 0x5EED) -> "HSampler":
-        space = CartanSpace(config.spec)
+        spec = config.spec
         basis = config.a_basis.basis
         if grid_points < 2:
             raise ValueError("grid needs at least two points per dimension")
@@ -240,16 +240,16 @@ class HSampler:
         a_labels = []
         if basis:
             for combo in itertools.product(coords, repeat=len(basis)):
-                p = tuple(Fraction(0) for _ in range(space.ambient_dim))
+                p = tuple(Fraction(0) for _ in range(spec.ambient_dim))
                 for c, b in zip(combo, basis):
                     p = vec_add(p, vec_scale(c, b))
                 points.append(p)
                 a_labels.append("t=(" + ",".join(str(c) for c in combo) + ")")
         else:
-            points.append(tuple(Fraction(0) for _ in range(space.ambient_dim)))
+            points.append(tuple(Fraction(0) for _ in range(spec.ambient_dim)))
             a_labels.append("t=()")
-        eye = diagonal([1.0] * space.spec.n)
-        words: list[tuple[FMat, ...]] = [(eye,) * space.spec.m]
+        eye = diagonal([1.0] * spec.n)
+        words: list[tuple[FMat, ...]] = [(eye,) * spec.m]
         labels = ["id"]
         gens = config.m_generators
         if gens:
@@ -257,7 +257,7 @@ class HSampler:
             gen_mats = [[fmat(f) for f in g.factors] for g in gens]
             for _ in range(SAMPLER_WORDS):
                 length = rng.randint(1, SAMPLER_MAX_WORD_LEN)
-                mats = (eye,) * space.spec.m
+                mats = (eye,) * spec.m
                 label = []
                 for _ in range(length):
                     gi = rng.randrange(len(gens))
@@ -268,12 +268,12 @@ class HSampler:
                         for mk, gk in zip(mats, gen_mats[gi]))
                 words.append(mats)
                 labels.append("*".join(label))
-        return cls(space, tuple(points), tuple(a_labels), tuple(words), tuple(labels))
+        return cls(spec, tuple(points), tuple(a_labels), tuple(words), tuple(labels))
 
     def samples(self):
         """Yields (a_point, h_matrices, label)."""
         for a, a_label in zip(self.a_points, self.a_labels):
-            a_mats = _exp_cartan(self.space, a)
+            a_mats = _exp_cartan(self.spec, a)
             for word, w_label in zip(self.m_words, self.word_labels):
                 h = tuple(mat_mul(am, wm) for am, wm in zip(a_mats, word))
                 yield a, h, f"{a_label};{w_label}"
@@ -322,9 +322,8 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     The minimum ranges over the certified indices and both parabolic sides;
     a row for N = 0 is always included as the baseline.
     """
-    space = CartanSpace(config.spec)
     cert = seq.certificate
-    lines = [(WedgeLine.of(space, j, side), f"{j}:{side.value}")
+    lines = [(WedgeLine.of(config.spec, j, side), f"{j}:{side.value}")
              for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
     samples = [(h, label) for _, h, label in sampler.samples()]

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 from nondiv.criterion import GroupConfig, SearchStats
 from nondiv.linalg import Subspace
-from nondiv.rootdata import CartanSpace, GroupSpec, LieElement
+from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import (
     CentralizerWeylElement,
     identity_centralizer_element,
@@ -45,8 +45,7 @@ def delta_line_subspace(n, m):
 
 def torus_config(spec, a_basis):
     """Trivial-M configuration over the full Cartan torus."""
-    space = CartanSpace(spec)
-    return GroupConfig(spec, (), space.full_subspace(), a_basis,
+    return GroupConfig(spec, (), spec.full_subspace(), a_basis,
                        (identity_centralizer_element(spec),))
 
 

@@ -23,7 +23,7 @@ from nondiv.linalg import (
     restricted_independent,
 )
 from nondiv.report import verdict_fields
-from nondiv.rootdata import CartanSpace, GroupSpec, ParabolicSide
+from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import identity_centralizer_element
 from nondiv.witness import (
     HSampler,
@@ -116,13 +116,12 @@ def test_criterion_4_trivial_m_equivalence():
     for _ in range(100):
         n, m = rng.choice(shapes)
         spec = GroupSpec(n, m)
-        space = CartanSpace(spec)
         dim = rng.randint(0, m * (n - 1))
         vecs = []
         for _ in range(dim):
             raw = [F(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(spec.ambient_dim)]
-            vecs.append(space.trace_zero_part(raw))
+            vecs.append(spec.trace_zero_part(raw))
         configs.append(torus_config(spec, Subspace.span(spec.ambient_dim, vecs)))
     # Sums of coroots e_a - e_b, one per factor: the least subset often sits
     # at a later w than the first dependent w, which tells the orders apart.
@@ -248,17 +247,16 @@ def test_criterion_6_witness_decay():
     assert not report.anomalies
 
     # closed-form cross-check on every torus sample, both sides, both N values
-    space = CartanSpace(spec)
     w_mats = realize_weyl_matrices(cert.w)
     wp_mats = [fmat(f) for f in cert.w_prime.matrices]
     g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
-    lines = [WedgeLine.of(space, j, side)
+    lines = [WedgeLine.of(spec, j, side)
              for j in cert.subset for side in ParabolicSide]
     g0_inv = [inverse(f) for f in g0]
     bases = [wedge_norm(line, g0, g0_inv) for line in lines]
     for n_val, mats in zip(seq.n_values, seq.elements):
         for a_vec in sampler.a_points:
-            h = _exp_cartan(space, a_vec)
+            h = _exp_cartan(spec, a_vec)
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
             hg_inv = [inverse(f) for f in hg]
             for line, base in zip(lines, bases):

@@ -78,6 +78,13 @@ class TestParsing:
             parse_problem(bad)
         assert "auto-trivial-m" in str(err.value)
 
+    def test_unsupported_family_rejected(self):
+        text = (CONFIGS / "example1-m2.cfg").read_text()
+        bad = text.replace("family = res-sl", "family = split-so")
+        with pytest.raises(ConfigError) as err:
+            parse_problem(bad)
+        assert str(err.value) == "[group]: unsupported group family 'split-so'"
+
     def test_non_trace_zero_vector_rejected(self):
         text = (CONFIGS / "example1-m2.cfg").read_text()
         bad = text.replace('[["1", "-1", "1", "-1"]]', '[["1", "0", "1", "-1"]]')
@@ -239,6 +246,7 @@ EDITED_CONFIGS = {
     "n3-with-probe.cfg": ("example1-n3-m2.cfg", "mode = auto-trivial-m\n",
                           "mode = auto-trivial-m\n\n[probe]\nd = 2\n"),
     "probe-d5.cfg": ("example1-m2.cfg", "d = 2", "d = 5"),
+    "split-so.cfg": ("example1-m2.cfg", "family = res-sl", "family = split-so"),
     # exp(800) overflows a float; 1e400 overflows the float conversion
     "grid-radius-800.cfg": ("example1-m2.cfg", "grid-radius = 5", "grid-radius = 800"),
     "grid-radius-1e400.cfg": ("example1-m2.cfg", "grid-radius = 5",
@@ -261,6 +269,7 @@ EXIT_TABLE = [
     ("check", "no-such-file.cfg", 2, "No such file", False),
     ("check", "zero-denominator.cfg", 2, "torus-a", False),
     ("check", "dependent-d.cfg", 2, "torus-d", False),
+    ("check", "split-so.cfg", 2, "[group]: unsupported group family 'split-so'", False),
     ("check", "w-prime-det-2.cfg", 2,
      "centralizer Weyl candidate #2: determinant is not 1 in factor 2", False),
     ("check", "w-prime-shear.cfg", 2,
@@ -401,9 +410,9 @@ class TestCliProbe:
     def test_drifted_realization_exits_3(self, tmp_path, monkeypatch, capsys):
         exp_cartan = witness._exp_cartan
 
-        def drifted(space, v, scale=1.0):
+        def drifted(spec, v, scale=1.0):
             return [tuple(tuple(2 * x for x in row) for row in e)
-                    for e in exp_cartan(space, v, scale)]
+                    for e in exp_cartan(spec, v, scale)]
 
         monkeypatch.setattr(witness, "_exp_cartan", drifted)
         out = tmp_path / "r.json"
@@ -444,16 +453,34 @@ class TestCliReplay:
         assert res.returncode == 0
         assert json.loads(res.stdout)["replay"] == "ok"
 
-    def test_tampered_certificate_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=".".join(path)) for path, value in [
+            (("subset",), [2]),
+            (("weyl", "one_line"), [[1, 2], [1, 2]]),
+            (("centralizer", "index"), 1),
+            (("centralizer", "matrices"), [[["2", "0"], ["0", "1"]],
+                                           [["1", "0"], ["0", "1"]]]),
+            (("dependence",), ["3"]),
+            (("integer_dependence",), [3]),
+        ]])
+    def test_tampered_certificate_exits_3(self, path, value, tmp_path, capsys):
         out = tmp_path / "r.json"
-        run_cli("check", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
-                "--output", str(out))
+        assert cli.main(["check", str(CONFIGS / "example1-m2.cfg"),
+                         "--output", str(out)]) == 10
         data = json.loads(out.read_text())
-        data["certificate"]["dependence"] = ["3"]
+        *parents, field = path
+        target = data["certificate"]
+        for key in parents:
+            target = target[key]
+        assert target[field] != value
+        target[field] = value
         tampered = tmp_path / "t.json"
         tampered.write_text(json.dumps(data))
-        res = run_cli("replay", str(tampered))
-        assert res.returncode == 3
+        capsys.readouterr()
+        assert cli.main(["replay", str(tampered)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "replay mismatch" in captured.err
 
     def test_tampered_content_exits_3(self, tmp_path):
         out = tmp_path / "r.json"

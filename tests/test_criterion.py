@@ -21,8 +21,6 @@ from nondiv.criterion import (
 from nondiv.config import ProblemFile, build_config, parse_problem
 from nondiv.linalg import Subspace, dot, rank, transpose
 from nondiv.rootdata import (
-    CartanSpace,
-    Functional,
     GroupSpec,
     LieElement,
     ParabolicSide,
@@ -82,7 +80,6 @@ class TestIntegerEvaluation:
         for _ in range(40):
             n, m = rng.randint(2, 4), rng.randint(1, 3)
             spec = GroupSpec(n, m)
-            space = CartanSpace(spec)
             basis = self._trace_zero_basis(rng, n, m, rng.randint(0, 3))
             scales = [math.lcm(*(x.denominator for x in b)) for b in basis]
             tables = criterion._factor_tables(spec, basis)
@@ -92,7 +89,7 @@ class TestIntegerEvaluation:
                 evaluation = criterion._evaluation(tables, digits)
                 w = criterion._weyl_by_index(spec, idx)
                 for i in range(1, spec.rank + 1):
-                    f = act_on_functional(w, fundamental_weight(space, i)).vector
+                    f = act_on_functional(w, fundamental_weight(spec, i))
                     assert all(isinstance(e, int) for e in evaluation[i - 1])
                     assert [F(e, n * s) for e, s in zip(evaluation[i - 1], scales)] \
                         == [dot(f, b) for b in basis]
@@ -108,10 +105,9 @@ def shipped_config(name):
 def exact_good_cuts(spec, gens, w):
     """G(w) by exact conjugation: the cuts at which every generator moved by
     w^-1 lies in both the standard and the opposite parabolic."""
-    space = CartanSpace(spec)
     moved = [act_on_lie(weyl_inverse(w), g) for g in gens]
     return tuple(i for i in range(1, spec.rank + 1)
-                 if all(parabolic_contains(space, [i], g, side)
+                 if all(parabolic_contains(spec, [i], g, side)
                         for g in moved for side in ParabolicSide))
 
 
@@ -210,7 +206,6 @@ class TestRelabelling:
     def test_relabelled_rank_is_transported_rank(self, case):
         config, w_idx, wp_idx, subset = case
         spec = config.spec
-        space = CartanSpace(spec)
         wp = config.centralizer_weyl[wp_idx]
         [(_, relabel)] = criterion._relabellings(spec, [wp])
         digits = criterion._weyl_digits(w_idx, math.factorial(spec.n), spec.m)
@@ -220,7 +215,7 @@ class TestRelabelling:
             criterion._factor_tables(spec, config.a_basis.basis), digits)
         w = criterion._weyl_by_index(spec, w_idx)
         transported = [wp.transport_inverse(b) for b in config.a_basis.basis]
-        direct = [[dot(act_on_functional(w, fundamental_weight(space, i)).vector, t)
+        direct = [[dot(act_on_functional(w, fundamental_weight(spec, i)), t)
                    for t in transported] for i in subset]
         assert rank([rows[i - 1] for i in subset]) == rank(direct)
 
@@ -352,7 +347,7 @@ class TestOrbitKey:
         for n, m, rows in [(7, 1, 0), (3, 2, 6)]:
             built.clear()
             spec = GroupSpec(n, m)
-            verdict = check_torus(spec, CartanSpace(spec).full_subspace())
+            verdict = check_torus(spec, spec.full_subspace())
             assert verdict.nondivergent
             assert verdict.stats.weyl_order == math.factorial(n) ** m
             (tables,) = built
@@ -422,8 +417,7 @@ class TestCheckTorus:
     def test_full_diagonal_m1_nondivergent(self):
         for n in (2, 3, 4):
             spec = GroupSpec(n, 1)
-            space = CartanSpace(spec)
-            verdict = check_torus(spec, space.full_subspace())
+            verdict = check_torus(spec, spec.full_subspace())
             assert verdict.nondivergent
             assert verdict.stats.weyl_order == [2, 6, 24][n - 2]
 
@@ -442,28 +436,27 @@ class TestCheckTorus:
 class TestDependenceCoefficients:
     def test_diagonal_pair(self):
         w = Subspace.span(2, [[1, 1]])
-        funcs = [Functional((F(1), F(0))), Functional((F(0), F(1)))]
+        funcs = [(F(1), F(0)), (F(0), F(1))]
         assert dependence_coefficients(funcs, w) == (1, -1)
 
     def test_independent_returns_none(self):
         w = Subspace.span(2, [[1, 0], [0, 1]])
-        funcs = [Functional((F(1), F(0))), Functional((F(0), F(1)))]
+        funcs = [(F(1), F(0)), (F(0), F(1))]
         assert dependence_coefficients(funcs, w) is None
 
     def test_single_vanishing_functional(self):
         spec = GroupSpec(2, 2)
-        space = CartanSpace(spec)
         w = WeylElement(((0, 1), (1, 0)))
-        moved = act_on_functional(w, fundamental_weight(space, 1))
+        moved = act_on_functional(w, fundamental_weight(spec, 1))
         coeffs = dependence_coefficients([moved], delta_line_subspace(2, 2))
         assert coeffs == (1,)
 
     def test_rational_when_not_integral(self):
         w = Subspace.span(2, [[1, 1]])
-        funcs = [Functional((F(1, 3), F(0))), Functional((F(0), F(1)))]
+        funcs = [(F(1, 3), F(0)), (F(0), F(1))]
         coeffs = dependence_coefficients(funcs, w)
         assert coeffs is not None
-        assert sum(c * dot(f.vector, (F(1), F(1))) for c, f in zip(coeffs, funcs)) == 0
+        assert sum(c * dot(f, (F(1), F(1))) for c, f in zip(coeffs, funcs)) == 0
 
 
 class TestCheckGeneral:
@@ -534,11 +527,10 @@ EXAMPLE2_V_GENERATORS = (
 class TestExample2FullInstance:
     def test_v_projects_onto_every_weight_span(self):
         spec = GroupSpec(4, 2)
-        space = CartanSpace(spec)
-        chis = [fundamental_weight(space, i) for i in (1, 2, 3)]
+        chis = [fundamental_weight(spec, i) for i in (1, 2, 3)]
         config = so21_config(list(EXAMPLE2_V_GENERATORS))
         assert config.a_basis.dim == 3
-        funcs_by_w = [[act_on_functional(w, chi).vector for chi in chis]
+        funcs_by_w = [[act_on_functional(w, chi) for chi in chis]
                       for w in enumerate_weyl(spec)]
         for wp in config.centralizer_weyl:
             transported = [wp.transport_inverse(b) for b in config.a_basis.basis]
@@ -602,11 +594,10 @@ class TestInvariants:
     def test_dependence_restricts_to_subspaces(self):
         # A vanishing combination on W2 vanishes on every W1 inside W2.
         spec = GroupSpec(3, 2)
-        space = CartanSpace(spec)
         a2 = Subspace.span(6, delta_vectors(3, 2))
         verdict = check_torus(spec, a2)
         cert = verdict.certificate
-        funcs = [act_on_functional(cert.w, fundamental_weight(space, i)).vector
+        funcs = [act_on_functional(cert.w, fundamental_weight(spec, i))
                  for i in cert.subset]
         combo = [sum((c * f[j] for c, f in zip(cert.dependence, funcs)), F(0))
                  for j in range(6)]
@@ -663,17 +654,15 @@ class TestConfigValidation:
     def test_non_commuting_d_rejected(self):
         spec = GroupSpec(3, 1)
         gens = sl_block_generators(3, 1, 0, 0, 2)
-        space = CartanSpace(spec)
-        d = space.full_subspace()  # full torus does not commute with the block
+        d = spec.full_subspace()  # full torus does not commute with the block
         with pytest.raises(ConfigError):
             GroupConfig(spec, gens, d, d, (identity_centralizer_element(spec),))
 
     def test_zero_generator_rejected(self):
         spec = GroupSpec(2, 1)
         zero = LieElement.of([[[0, 0], [0, 0]]])
-        space = CartanSpace(spec)
         with pytest.raises(ConfigError):
-            GroupConfig(spec, (zero,), space.full_subspace(), space.full_subspace(),
+            GroupConfig(spec, (zero,), spec.full_subspace(), spec.full_subspace(),
                         (identity_centralizer_element(spec),))
 
     def _sl2_block(self):
@@ -703,7 +692,7 @@ class TestConfigValidation:
         # built in code, so `CentralizerWeylElement.build`'s determinant
         # check is bypassed; the zero column must not reach the transport
         spec = GroupSpec(2, 1)
-        full = CartanSpace(spec).full_subspace()
+        full = spec.full_subspace()
         singular = CentralizerWeylElement((((0, 0), (0, 1)),))
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
                                               "factor 1 is singular$"):
@@ -760,10 +749,9 @@ class TestConfigValidation:
         n = data.draw(st.integers(2, 4))
         m = data.draw(st.integers(1, 2))
         spec = GroupSpec(n, m)
-        space = CartanSpace(spec)
         raw = data.draw(st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=n * m,
                                           max_size=n * m), min_size=1, max_size=3))
-        d = Subspace.span(n * m, [space.trace_zero_part([F(x) for x in v]) for v in raw])
+        d = Subspace.span(n * m, [spec.trace_zero_part([F(x) for x in v]) for v in raw])
         positions = [(k, a, b) for k in range(m) for a in range(n) for b in range(n)
                      if a != b]
         if data.draw(st.booleans()):  # only entries every D vector commutes with

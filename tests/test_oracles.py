@@ -18,7 +18,7 @@ from nondiv.linalg import (
     orthant_meets_subspace,
     rank,
 )
-from nondiv.rootdata import CartanSpace, GroupSpec, LieElement
+from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import WeylElement, act_on_lie, signed_permutation_matrix
 
 from helpers import assert_first_hit, torus_config
@@ -114,11 +114,10 @@ def test_torus_criterion_matches_independent_oracle():
     for t in range(40):
         n, m = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
         spec = GroupSpec(n, m)
-        space = CartanSpace(spec)
         vecs = []
         for _ in range(rng.randint(0, m * (n - 1))):
             raw = [F(rng.randint(-3, 3)) for _ in range(n * m)]
-            vecs.append(space.trace_zero_part(raw))
+            vecs.append(spec.trace_zero_part(raw))
         a = Subspace.span(n * m, vecs)
         assert_first_hit(torus_config(spec, a), check_torus(spec, a))
 

@@ -6,23 +6,37 @@ from fractions import Fraction as F
 
 import pytest
 
+from nondiv._record import record
 from nondiv.criterion import GroupConfig
 from nondiv.linalg import Orthant, Subspace
-from nondiv.rootdata import Functional, GroupSpec
+from nondiv.rootdata import GroupSpec
 
 from helpers import so21_config
 
 
+@record
+class Signs:
+    """The fields of `Orthant`, in another class."""
+    signs: tuple
+
+
+@record
+class Labelled:
+    value: int
+    label: str = "unlabelled"
+
+
 class TestConstruction:
     def test_default_field(self):
-        spec = GroupSpec(2, 3)
-        assert spec.family == "res-sl"
-        assert spec == GroupSpec(n=2, m=3, family="res-sl") == GroupSpec(2, m=3)
+        x = Labelled(1)
+        assert x.label == "unlabelled"
+        assert x == Labelled(value=1, label="unlabelled") == Labelled(1)
+        assert GroupSpec(2, 3) == GroupSpec(n=2, m=3) == GroupSpec(2, m=3)
 
     @pytest.mark.parametrize("args, kwargs", [
         ((2,), {}),                          # missing m
         ((), {"m": 3}),                      # missing n
-        ((2, 3, "res-sl", 4), {}),           # extra positional
+        ((2, 3, 4), {}),                     # extra positional
         ((2, 3), {"rank": 1}),               # unknown keyword
         ((2, 3), {"n": 2}),                  # n given twice
     ])
@@ -41,9 +55,9 @@ class TestConstruction:
 
 class TestValueSemantics:
     def test_different_classes_with_equal_fields_are_unequal(self):
-        f, o = Functional((1, -1)), Orthant((1, -1))
-        assert f.vector == o.signs
-        assert f != o and not f == o
+        s, o = Signs((1, -1)), Orthant((1, -1))
+        assert s.signs == o.signs
+        assert s != o and not s == o
 
     def test_equal_records_hash_as_their_field_tuple(self):
         a = Subspace.span(2, [(2, 2)])
@@ -63,7 +77,7 @@ class TestValueSemantics:
         assert spec == GroupSpec(2, 3)
 
     def test_repr(self):
-        assert repr(GroupSpec(2, 3)) == "GroupSpec(n=2, m=3, family='res-sl')"
+        assert repr(GroupSpec(2, 3)) == "GroupSpec(n=2, m=3)"
         assert repr(Orthant((1, -1))) == "Orthant(signs=(1, -1))"
 
 

@@ -9,7 +9,7 @@ from nondiv import witness as witness_module
 from nondiv.criterion import Certificate, check_general, check_torus
 from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.linalg import Subspace, dot
-from nondiv.rootdata import CartanSpace, GroupSpec, ParabolicSide
+from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.witness import (
     HSampler,
     WedgeLine,
@@ -114,7 +114,7 @@ class TestWedgeNorm:
         rng = np.random.default_rng(808)
         checked = 0
         for n, m in ((2, 1), (3, 2), (4, 2)):
-            space = CartanSpace(GroupSpec(n, m))
+            spec = GroupSpec(n, m)
             for _ in range(10):
                 g = [rng.normal(size=(n, n)) for _ in range(m)]
                 for f in g:
@@ -122,32 +122,31 @@ class TestWedgeNorm:
                         f[:] = rng.normal(size=(n, n))
                 for j in range(1, n):
                     for side in ParabolicSide:
-                        line = WedgeLine.of(space, j, side)
+                        line = WedgeLine.of(spec, j, side)
                         assert norm_at(line, g) == pytest.approx(
                             dense_wedge_norm(line, g), rel=1e-12)
                         checked += 1
         assert checked == 10 * 2 * (1 + 2 + 3)
 
     def test_identity_is_one(self):
-        line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
+        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
         assert norm_at(line, [np.eye(2)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_sl2_weight(self):
-        line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
+        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
         for t in (0.5, -1.0, 2.0):
             g = [np.diag([math.exp(t), math.exp(-t)])]
             assert norm_at(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
 
     def test_sl2_t_minus_one(self):
-        line = WedgeLine.of(CartanSpace(GroupSpec(2, 1)), 1, ParabolicSide.STANDARD)
+        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
         g = [np.diag([math.exp(-1.0), math.exp(1.0)])]
         assert norm_at(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
 
     def test_sign_independence(self):
         # Norms are blind to the representative sign correction.
         config, cert, witness = example1_m2_setup()
-        space = CartanSpace(config.spec)
-        line = WedgeLine.of(space, 1, ParabolicSide.STANDARD)
+        line = WedgeLine.of(config.spec, 1, ParabolicSide.STANDARD)
         mats = realize_weyl_matrices(cert.w)
         flipped = list(mats)
         flipped[1] = (tuple(-x for x in mats[1][0]),) + mats[1][1:]
@@ -165,8 +164,7 @@ class TestDivergenceSequence:
 
     def test_escape_vector_is_diagonal_cartan(self):
         config, cert, witness = example1_m2_setup()
-        space = CartanSpace(config.spec)
-        assert space.contains(witness.v)
+        assert config.spec.is_trace_zero(witness.v)
 
 
 class TestClosedForm:
@@ -174,11 +172,11 @@ class TestClosedForm:
         rng = random.Random(2024)
         checked = 0
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
-            space = CartanSpace(config.spec)
+            spec = config.spec
             w_mats = realize_weyl_matrices(cert.w)
             wp_mats = [fmat(f) for f in cert.w_prime.matrices]
             g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
-            lines = [WedgeLine.of(space, j, side)
+            lines = [WedgeLine.of(spec, j, side)
                      for j in cert.subset for side in ParabolicSide]
             bases = {id(ln): norm_at(ln, g0) for ln in lines}
             for _ in range(50):
@@ -186,11 +184,11 @@ class TestClosedForm:
                           for _ in config.a_basis.basis]
                 a_vec = tuple(sum((c * b[j] for c, b in
                                    zip(coeffs, config.a_basis.basis)), F(0))
-                              for j in range(space.ambient_dim))
+                              for j in range(spec.ambient_dim))
                 n_val = rng.randint(0, 3)
                 seq = realize_divergence_sequence(cert, witness, config, [n_val])
                 from nondiv.witness import _exp_cartan
-                h = _exp_cartan(space, a_vec)
+                h = _exp_cartan(spec, a_vec)
                 hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, seq.elements[0]))
                 for ln in lines:
                     expected = closed_form_torus_norm(
@@ -204,11 +202,11 @@ class TestClosedForm:
 class TestMInvariance:
     def test_wedge_line_fixed_by_m_words(self):
         config, cert, witness = so21_line_setup()
-        space = CartanSpace(config.spec)
+        spec = config.spec
         sampler = HSampler.default(config, grid_points=3, grid_radius=1)
         seq = realize_divergence_sequence(cert, witness, config, [1])
         g = seq.elements[0]
-        lines = [WedgeLine.of(space, j, side)
+        lines = [WedgeLine.of(spec, j, side)
                  for j in cert.subset for side in ParabolicSide]
         for word in sampler.m_words:
             for line in lines:
@@ -286,7 +284,7 @@ class TestVerifyDivergence:
         calls = []
         exp_cartan = witness_module._exp_cartan
         monkeypatch.setattr(witness_module, "_exp_cartan",
-                            lambda space, a: calls.append(a) or exp_cartan(space, a))
+                            lambda spec, a: calls.append(a) or exp_cartan(spec, a))
         rows = decay_table(seq, sampler, config)
         assert len(rows) == 4 and len(sampler.a_points) == 21
         assert calls == list(sampler.a_points)
