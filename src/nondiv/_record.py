@@ -3,9 +3,9 @@
 `record` gives a class with annotated fields what ``dataclass(frozen=True)``
 gives it:
 
-- ``__init__`` takes the fields positionally or by keyword, in annotation
-  order, with class-attribute defaults, and ends with ``__post_init__`` when
-  the class defines one;
+- ``__init__`` takes every field, positionally or by keyword, in annotation
+  order (no field has a default), and ends with ``__post_init__`` when the
+  class defines one;
 - ``==`` compares the field tuples of two instances of the same class, and
   ``hash`` is the hash of the field tuple;
 - assigning or deleting an attribute raises ``AttributeError``;
@@ -21,7 +21,6 @@ unpickling restores the ``__dict__`` without calling ``__init__``.
 def record(cls):
     names = tuple(cls.__dict__.get("__annotations__", {}))
     arity = len(names)
-    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
 
     def fields(self):
@@ -36,7 +35,7 @@ def record(cls):
             if name not in names or name in given:
                 raise TypeError(f"{cls.__name__}() got an unexpected or "
                                 f"repeated argument {name!r}")
-        values = {**defaults, **given, **kwargs}
+        values = {**given, **kwargs}
         missing = [n for n in names if n not in values]
         if missing:
             raise TypeError(f"{cls.__name__}() missing arguments: "

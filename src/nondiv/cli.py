@@ -139,6 +139,8 @@ def cmd_replay(args) -> int:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     except json.JSONDecodeError as exc:
         return _fail(f"report is not valid JSON: {exc}", EXIT_CONFIG_ERROR)
+    except RecursionError:
+        return _fail("report is not valid JSON: nested too deeply", EXIT_CONFIG_ERROR)
     if not isinstance(data, dict):
         return _fail("report is not a JSON object", EXIT_CONFIG_ERROR)
     if data.get("format") != REPORT_FORMAT:

@@ -74,6 +74,8 @@ def _json_value(section: str, key: str, text: str):
         raise ConfigError(
             f"[{section}] {key}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}")
+    except RecursionError:
+        raise ConfigError(f"[{section}] {key}: JSON is nested too deeply")
 
 
 def _vector(raw, where: str, length: int, memo: dict) -> Vec:
@@ -227,13 +229,8 @@ def build_config(problem: ProblemFile) -> GroupConfig:
         a = Subspace.from_independent(ambient, problem.a_vectors)
     except ValueError as exc:
         raise ConfigError(f"[torus-a] basis: {exc}")
-    elements = []
-    for idx, factors in enumerate(problem.centralizer_elements, 1):
-        try:
-            elements.append(CentralizerWeylElement.build(factors))
-        except ValueError as exc:
-            raise ConfigError(f"centralizer Weyl candidate #{idx}: {exc}")
-    return GroupConfig(spec, problem.m_generators, d, a, tuple(elements))
+    return GroupConfig(spec, problem.m_generators, d, a,
+                       tuple(map(CentralizerWeylElement, problem.centralizer_elements)))
 
 
 def _mat_json_obj(m) -> list:

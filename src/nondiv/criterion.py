@@ -65,6 +65,7 @@ from .linalg import (
     _kernel_vectors,
     clear_denominators,
     commutes,
+    det,
     dot,
     primitive_vector,
     rank,
@@ -164,17 +165,18 @@ class GroupConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the first violated invariant.
 
-        Shapes first (every w' factor square and structurally nonsingular),
-        then each w' (numbered from 1 in list order) must centralize every M
-        generator and map Lie(D) onto itself; then Lie(A) lies in Lie(D), no
-        M generator is zero, Lie(D) commutes with M, and trivial M comes
-        with the full Cartan space as Lie(D).
+        Shapes first (every w' factor square and of determinant 1, decided
+        once per distinct factor), then each w' (numbered from 1 in list
+        order) must centralize every M generator and map Lie(D) onto itself;
+        then Lie(A) lies in Lie(D), no M generator is zero, Lie(D) commutes
+        with M, and trivial M comes with the full Cartan space as Lie(D).
 
         The w' checks run on integers.  l x = x l iff the denominator-free
         multiples of l and x commute, decided once per distinct pair of
-        factors.  Where Ad(w') is defined on diagonal vectors it is v -> v o
-        sigma for a support permutation sigma, hence injective, so the
-        images of a basis of Lie(D) span Lie(D) iff each lies in it: one
+        factors.  A factor of determinant 1 has a nonzero term in its
+        Leibniz expansion, so a support permutation sigma.  Where Ad(w') is
+        defined on diagonal vectors it is v -> v o sigma, hence injective, so
+        the images of a basis of Lie(D) span Lie(D) iff each lies in it: one
         annihilator of Lie(D) on the trace-zero coordinates (each block
         without its last entry) must kill them all.
         """
@@ -189,14 +191,18 @@ class GroupConfig:
         for gi, gen in enumerate(self.m_generators):
             if len(gen.factors) != m or any(len(f) != n for f in gen.factors):
                 raise ConfigError(f"M generator #{gi + 1} has wrong shape")
+        unimodular: dict = {}  # w' factor -> det == 1, each decided once
         for idx, elem in enumerate(self.centralizer_weyl, 1):
             if len(elem.matrices) != m or any(
                     len(f) != n or any(len(r) != n for r in f) for f in elem.matrices):
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: wrong matrix shape")
-            try:
-                elem.support_permutations()
-            except ValueError as exc:
-                raise ConfigError(f"centralizer Weyl candidate #{idx}: {exc}")
+            for k, f in enumerate(elem.matrices, 1):
+                one = unimodular.get(f)
+                if one is None:
+                    one = unimodular[f] = det(f) == 1
+                if not one:
+                    raise ConfigError(f"centralizer Weyl candidate #{idx}: "
+                                      f"determinant is not 1 in factor {k}")
         gen_factors = [[sparse_integer_rows(f) for f in gen.factors]
                        for gen in self.m_generators]
         decided: dict = {}

@@ -155,19 +155,13 @@ def nilradical_basis(spec: GroupSpec, i: int,
 def weight_of_nilradical(spec: GroupSpec, i: int, side: ParabolicSide) -> Vec:
     """Character of the Cartan action on the wedge line of the nilradical.
 
-    Sum of the roots of the basis matrix units; equal to n*chi_i on the
-    standard side and its negative on the opposite side.
+    Sum of the roots e_r - e_c of the matrix units (k, r, c) of
+    `nilradical_basis`; equal to n*chi_i on the standard side and its
+    negative on the opposite side.
     """
-    _check_index(spec, i)
     n = spec.n
     v = [Fraction(0)] * spec.ambient_dim
-    for k in range(spec.m):
-        for a in range(i):
-            for b in range(i, n):
-                if side is ParabolicSide.STANDARD:
-                    v[k * n + a] += 1
-                    v[k * n + b] -= 1
-                else:
-                    v[k * n + b] += 1
-                    v[k * n + a] -= 1
+    for k, r, c in nilradical_basis(spec, i, side):
+        v[k * n + r] += 1
+        v[k * n + c] -= 1
     return tuple(v)

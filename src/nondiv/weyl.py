@@ -1,20 +1,20 @@
 """Restricted Weyl group of an SL_n product (a product of symmetric groups),
 its action on weights (trace-zero coefficient vectors) and Lie elements,
-and the determinant-one matrices that represent centralizer Weyl elements,
-which act on diagonal Cartan vectors through the positions of their nonzero
-entries (no inverse is formed).  Whether such a matrix centralizes M and
-normalizes Lie(D) is a property of the whole problem, so
-`criterion.GroupConfig` checks it."""
+and the matrices that represent centralizer Weyl elements, which act on
+diagonal Cartan vectors through the positions of their nonzero entries (no
+inverse is formed).  A representative is a plain value: that each factor
+has determinant 1, centralizes M and normalizes Lie(D) is a property of the
+whole problem, so `criterion.GroupConfig` checks it."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ._record import record
-from .linalg import Mat, Vec, det, mat
+from .linalg import Mat, Vec
 from .rootdata import GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
@@ -130,47 +130,33 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
 
 @record
 class CentralizerWeylElement:
-    """A representative of the centralizer Weyl group: one determinant-one
-    rational matrix per factor (`build` checks the determinants).
+    """A representative of the centralizer Weyl group: one rational matrix
+    per factor, each of determinant 1 in a validated `GroupConfig`.
 
     Its action on diagonal Cartan vectors is read off the nonzero entries.
     For an invertible factor l, l diag(v) l^-1 = diag(y) iff l diag(v) =
-    diag(y) l, that is y_i = v_j at every nonzero l_ij; so :meth:`transport`
-    reads the rows of l and :meth:`transport_inverse` its columns
-    (l^-1 diag(v) l = diag(y) iff y_j = v_i at every nonzero l_ij).  Both are
-    defined on the normalized torus only.
+    diag(y) l, that is y_i = v_j at every nonzero l_ij (the rows of l, which
+    `GroupConfig.validate` reads), and l^-1 diag(v) l = diag(y) iff y_j = v_i
+    at every nonzero l_ij: :meth:`transport_inverse` reads the columns.
+    Both are defined on the normalized torus only.
     """
 
     matrices: tuple[Mat, ...]
-
-    @classmethod
-    def build(cls, matrices: Iterable[Iterable[Iterable]]) -> "CentralizerWeylElement":
-        """The element of the given factor matrices, each of determinant 1."""
-        ms = tuple(mat(f) for f in matrices)
-        for k, f in enumerate(ms):
-            if det(f) != 1:
-                raise ValueError(f"determinant is not 1 in factor {k + 1}")
-        return cls(ms)
 
     def is_identity(self) -> bool:
         return all(all(f[i][j] == (1 if i == j else 0)
                        for i in range(len(f)) for j in range(len(f)))
                    for f in self.matrices)
 
-    def supports(self, by_columns: bool = False) -> Supports:
-        """Per factor, the column (row) indices of the nonzero entries of
-        each row (column)."""
-        return tuple(tuple(tuple(j for j, e in enumerate(line) if e)
-                           for line in (zip(*f) if by_columns else f))
+    def supports(self) -> Supports:
+        """Per factor, the row indices of the nonzero entries of each column."""
+        return tuple(tuple(tuple(i for i, e in enumerate(column) if e)
+                           for column in zip(*f))
                      for f in self.matrices)
-
-    def transport(self, v: Vec) -> Vec:
-        """Ad(w') on a diagonal Cartan vector."""
-        return conjugate_diagonal(self.supports(), v)
 
     def transport_inverse(self, v: Vec) -> Vec:
         """Ad(w'^-1) on a diagonal Cartan vector."""
-        return conjugate_diagonal(self.supports(True), v)
+        return conjugate_diagonal(self.supports(), v)
 
     def support_permutations(self) -> tuple[Permutation, ...]:
         """Per factor l, the first permutation p (lexicographic order) with
@@ -178,7 +164,7 @@ class CentralizerWeylElement:
         :meth:`transport_inverse` is defined, every nonzero entry of column j
         reads the same coordinate value, so it sends v to v[p[j]] at j."""
         out = []
-        for k, columns in enumerate(self.supports(True)):
+        for k, columns in enumerate(self.supports()):
             p = _first_transversal(columns)
             if p is None:
                 raise ValueError(f"factor {k + 1} is singular")
@@ -223,5 +209,5 @@ def _first_transversal(rows_of: Sequence[Sequence[int]],
 def identity_centralizer_element(spec: GroupSpec) -> CentralizerWeylElement:
     eye = tuple(tuple(Fraction(int(i == j)) for j in range(spec.n))
                 for i in range(spec.n))
-    return CentralizerWeylElement.build((eye,) * spec.m)
+    return CentralizerWeylElement((eye,) * spec.m)
 

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 from nondiv.criterion import GroupConfig, SearchStats
-from nondiv.linalg import Subspace
+from nondiv.linalg import Subspace, mat
 from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import (
     CentralizerWeylElement,
@@ -41,6 +41,12 @@ def delta_vectors(n, m):
 
 def delta_line_subspace(n, m):
     return Subspace.span(n * m, delta_vectors(n, m))
+
+
+def w_prime(factors):
+    """The centralizer Weyl representative of the given factor matrices, with
+    entries converted by `linalg.mat`; `GroupConfig` validates it."""
+    return CentralizerWeylElement(tuple(mat(f) for f in factors))
 
 
 def torus_config(spec, a_basis):
@@ -152,7 +158,7 @@ def so21_config(a_vectors):
     spec = GroupSpec(4, 2)
     gens = so21_generators()
     d = Subspace.span(8, so21_d_vectors())
-    cws = tuple(CentralizerWeylElement.build(e) for e in so21_centralizer_elements())
+    cws = tuple(w_prime(e) for e in so21_centralizer_elements())
     a = Subspace.span(8, a_vectors)
     return GroupConfig(spec, gens, d, a, cws)
 
@@ -164,8 +170,8 @@ def sl2_swap_config(a_vectors):
     gens = sl_block_generators(4, 1, 0, 2, 2)
     d = Subspace.span(4, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))
     eye = tuple(tuple(F(int(i == j)) for j in range(4)) for i in range(4))
-    cws = (CentralizerWeylElement.build((eye,)),
-           CentralizerWeylElement.build((signed_permutation_matrix((1, 0, 2, 3)),)))
+    cws = (w_prime((eye,)),
+           w_prime((signed_permutation_matrix((1, 0, 2, 3)),)))
     return GroupConfig(spec, gens, d, Subspace.span(4, a_vectors), cws)
 
 

@@ -260,6 +260,9 @@ EDITED_CONFIGS = {
                           _W2_FACTOR2.replace('[["1", "0"', '[["2", "0"')),
     "w-prime-shear.cfg": ("example2-line.cfg", _W2_FACTOR2,
                           _W2_FACTOR2.replace('[["1", "0"', '[["1", "1"')),
+    # deeper than the JSON decoder's recursion limit
+    "deeply-nested-a.cfg": ("example1-m2.cfg", 'basis = [["1", "-1", "1", "-1"]]',
+                            "basis = " + "[" * 100_000 + "]" * 100_000),
 }
 
 # (command and extra flags, input, exit code, stderr substring, report written)
@@ -274,6 +277,8 @@ EXIT_TABLE = [
      "centralizer Weyl candidate #2: determinant is not 1 in factor 2", False),
     ("check", "w-prime-shear.cfg", 2,
      "centralizer Weyl candidate #2: does not normalize D", False),
+    ("check", "deeply-nested-a.cfg", 2, "[torus-a] basis: JSON is nested too deeply",
+     False),
     ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
     ("certify", "example1-m2.cfg", 10, None, True),
     ("certify", "example1-m3.cfg", 0, None, True),
@@ -442,6 +447,17 @@ def test_replay_malformed_report_exits_2(report, message, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("nondiv: error: ")
     assert message in captured.err
+
+
+def test_replay_deeply_nested_report_exits_2(tmp_path, capsys):
+    """Nesting deeper than the JSON decoder's recursion limit is reported,
+    not raised."""
+    path = tmp_path / "report.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nondiv: error: report is not valid JSON")
 
 
 class TestCliReplay:

@@ -51,6 +51,7 @@ from helpers import (
     so21_config,
     so21_d_vectors,
     torus_config,
+    w_prime,
 )
 
 
@@ -626,9 +627,8 @@ class TestInvariants:
         a = Subspace.span(8, [relabel(v) for v in base_config.a_basis.basis])
         reps = [signed_permutation_matrix(p) for p in g.perms]
         cws = tuple(
-            CentralizerWeylElement.build(
-                mat_mul(mat_mul(r, f), transpose(r))
-                for r, f in zip(reps, elem.matrices))
+            w_prime(mat_mul(mat_mul(r, f), transpose(r))
+                    for r, f in zip(reps, elem.matrices))
             for elem in base_config.centralizer_weyl)
         conj_config = GroupConfig(spec, gens, d, a, cws)
         assert check_general(conj_config).nondivergent == base
@@ -675,38 +675,53 @@ class TestConfigValidation:
 
     def test_non_centralizing_w_prime_rejected(self):
         spec, gens, d = self._sl2_block()
-        swap = CentralizerWeylElement.build((signed_permutation_matrix((0, 2, 1, 3)),))
+        swap = w_prime((signed_permutation_matrix((0, 2, 1, 3)),))
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #2: "
                                               "does not centralize M generator #1"):
             GroupConfig(spec, gens, d, d, (identity_centralizer_element(spec), swap))
 
     def test_non_normalizing_w_prime_rejected(self):
         spec, gens, d = self._sl2_block()
-        shear = CentralizerWeylElement.build(
-            ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],))
+        shear = w_prime(([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],))
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
                                               "does not normalize D"):
             GroupConfig(spec, gens, d, d, (shear,))
 
     def test_singular_w_prime_factor_rejected(self):
-        # built in code, so `CentralizerWeylElement.build`'s determinant
-        # check is bypassed; the zero column must not reach the transport
+        # the determinant check comes before any transport, so the zero
+        # column never reaches one
         spec = GroupSpec(2, 1)
         full = spec.full_subspace()
         singular = CentralizerWeylElement((((0, 0), (0, 1)),))
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
-                                              "factor 1 is singular$"):
+                                              "determinant is not 1 in factor 1$"):
             GroupConfig(spec, (), full, full, (singular,))
+
+    def test_w_prime_with_a_factor_of_determinant_minus_one_rejected(self):
+        # diag(-1, 1) in both factors has determinant 1 as a product, and it
+        # centralizes trivial M and fixes every Cartan vector; w' must still
+        # lie in Res SL_2, so each factor must have determinant 1
+        spec = GroupSpec(2, 2)
+        full = spec.full_subspace()
+        flip = ((F(-1), F(0)), (F(0), F(1)))
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #2: "
+                                              "determinant is not 1 in factor 1$"):
+            GroupConfig(spec, (), full, full,
+                        (identity_centralizer_element(spec), w_prime((flip, flip))))
 
     def test_build_work_count(self, monkeypatch):
         """example2.cfg (24 w'): Subspace.span runs for Lie(D) and Lie(A)
-        only, and at most 27 distinct (w' factor, generator factor) pairs are
+        only, at most 27 distinct (w' factor, generator factor) pairs are
         decided: factor 1 of every w' is the identity (3 pairs with the
-        three generators) and factor 2 of every generator is zero (24)."""
+        three generators) and factor 2 of every generator is zero (24), and
+        one determinant is taken per distinct w' factor (24: the identity
+        and the other 23 signed permutations).  A trivial-M file lists no
+        w', and the identity prepended to it takes no determinant."""
         problem = parse_problem((CONFIGS / "example2.cfg").read_text())
-        spans, pairs = [], []
+        spans, pairs, dets = [], [], []
         span = Subspace.span.__func__
         commutes = criterion.commutes
+        det = criterion.det
 
         def counted_span(cls, ambient_dim, vectors):
             vectors = list(vectors)
@@ -717,12 +732,22 @@ class TestConfigValidation:
             pairs.append((a, b))
             return commutes(a, b)
 
+        def counted_det(f):
+            dets.append(f)
+            return det(f)
+
         monkeypatch.setattr(Subspace, "span", classmethod(counted_span))
         monkeypatch.setattr(criterion, "commutes", counted_commutes)
+        monkeypatch.setattr(criterion, "det", counted_det)
         config = build_config(problem)
         assert len(config.centralizer_weyl) == 24 and len(config.m_generators) == 3
         assert spans == [problem.d_vectors, problem.a_vectors]
         assert len(pairs) == len(set(pairs)) <= 27
+        assert len(dets) == len(set(dets)) == 24
+        assert set(dets) == {f for e in problem.centralizer_elements for f in e}
+        dets.clear()
+        torus = build_config(parse_problem((CONFIGS / "example1-m2.cfg").read_text()))
+        assert torus.centralizer_weyl[0].is_identity() and dets == []
 
     def test_identity_prepended_as_from_a_file(self):
         problem = parse_problem((CONFIGS / "example2-line.cfg").read_text())
@@ -735,7 +760,7 @@ class TestConfigValidation:
         in_code = GroupConfig(
             problem.spec, problem.m_generators,
             Subspace.span(8, problem.d_vectors), Subspace.span(8, problem.a_vectors),
-            tuple(CentralizerWeylElement.build(e) for e in problem.centralizer_elements))
+            tuple(map(w_prime, problem.centralizer_elements)))
         assert in_code == build_config(problem)
         assert in_code.centralizer_weyl[0] == identity_centralizer_element(problem.spec)
         assert len(in_code.centralizer_weyl) == 24

@@ -20,17 +20,8 @@ class Signs:
     signs: tuple
 
 
-@record
-class Labelled:
-    value: int
-    label: str = "unlabelled"
-
-
 class TestConstruction:
-    def test_default_field(self):
-        x = Labelled(1)
-        assert x.label == "unlabelled"
-        assert x == Labelled(value=1, label="unlabelled") == Labelled(1)
+    def test_positional_and_keyword_construction(self):
         assert GroupSpec(2, 3) == GroupSpec(n=2, m=3) == GroupSpec(2, m=3)
 
     @pytest.mark.parametrize("args, kwargs", [

@@ -13,6 +13,7 @@ from nondiv.weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
+    conjugate_diagonal,
     enumerate_weyl,
     identity_centralizer_element,
     perm_sign,
@@ -30,6 +31,7 @@ from helpers import (
     so21_config,
     so21_d_vectors,
     so21_generators,
+    w_prime,
 )
 
 
@@ -179,7 +181,15 @@ class TestLieAction:
 
 
 def build_all(candidates):
-    return tuple(CentralizerWeylElement.build(c) for c in candidates)
+    return tuple(map(w_prime, candidates))
+
+
+def transport(elem, v):
+    """Ad(w') on a diagonal Cartan vector: `conjugate_diagonal` on the row
+    supports of the factors, the reading `GroupConfig.validate` uses."""
+    rows = tuple(tuple(tuple(j for j, e in enumerate(row) if e) for row in f)
+                 for f in elem.matrices)
+    return conjugate_diagonal(rows, v)
 
 
 class TestCentralizerValidation:
@@ -215,13 +225,20 @@ class TestCentralizerValidation:
             GroupConfig(spec, (), d, Subspace.zero(4), build_all([(turn, turn), (turn, eye)]))
 
     def test_rejects_bad_determinant(self):
-        scaled = (((F(2), F(0)), (F(0), F(1))),)
-        with pytest.raises(ValueError, match="determinant is not 1 in factor 1"):
-            CentralizerWeylElement.build(scaled)
+        spec = GroupSpec(2, 1)
+        full = spec.full_subspace()
+        scaled = [(((F(2), F(0)), (F(0), F(1))),)]
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "determinant is not 1 in factor 1$"):
+            GroupConfig(spec, (), full, full, build_all(scaled))
 
     def test_rejects_non_square_factor(self):
-        with pytest.raises(ValueError, match="det expects a square matrix"):
-            CentralizerWeylElement.build([[[1, 0, 0], [0, 1, 0]]])
+        # the shape check comes first, so `det` never sees this factor
+        spec = GroupSpec(2, 1)
+        full = spec.full_subspace()
+        with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
+                                              "wrong matrix shape$"):
+            GroupConfig(spec, (), full, full, build_all([[[[1, 0, 0], [0, 1, 0]]]]))
 
     def test_rejects_non_centralizing(self):
         spec = GroupSpec(2, 1)
@@ -261,15 +278,14 @@ class TestCentralizerValidation:
         config = so21_config(so21_d_vectors())
         for elem in config.centralizer_weyl[:6]:
             for v in config.d_basis.basis:
-                assert elem.transport(elem.transport_inverse(v)) == v
+                assert transport(elem, elem.transport_inverse(v)) == v
 
     def test_transport_rejects_outside_torus(self):
         elem = identity_centralizer_element(GroupSpec(2, 1))
-        assert elem.transport((F(1), F(-1))) == (F(1), F(-1))
-        rot = CentralizerWeylElement.build(
-            [[[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]])
+        assert transport(elem, (F(1), F(-1))) == (F(1), F(-1))
+        rot = w_prime([[[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]]])
         with pytest.raises(ValueError):
-            rot.transport((F(1), F(-1)))
+            transport(rot, (F(1), F(-1)))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -347,10 +363,10 @@ class TestTransport:
     @given(st.booleans().flatmap(conjugation_case))
     def test_matches_dense_reference(self, case):
         factors, v = case
-        elem = CentralizerWeylElement.build(factors)
+        elem = w_prime(factors)
         inverses = tuple(map(inverse_reference, elem.matrices))
         for method, left, right in (
-                (elem.transport, elem.matrices, inverses),
+                (lambda u: transport(elem, u), elem.matrices, inverses),
                 (elem.transport_inverse, inverses, elem.matrices)):
             expected = transport_reference(left, v, right)
             if expected is None:
@@ -363,8 +379,8 @@ class TestTransport:
     @given(conjugation_case(structured=True))
     def test_diagonal_image(self, case):
         factors, v = case
-        elem = CentralizerWeylElement.build(factors)
-        image = elem.transport(v)
+        elem = w_prime(factors)
+        image = transport(elem, v)
         inverses = tuple(map(inverse_reference, elem.matrices))
         assert image == transport_reference(elem.matrices, v, inverses)
         assert elem.transport_inverse(image) == v
@@ -377,12 +393,12 @@ class TestTransport:
         # with distinct entries in v, l diag(v) l^-1 is diagonal only when
         # every row of l has one nonzero entry
         l, v = case
-        elem = CentralizerWeylElement.build([l])
+        elem = w_prime([l])
         inverses = (inverse_reference(elem.matrices[0]),)
         assert transport_reference(elem.matrices, v, inverses) is None
         assert transport_reference(inverses, v, elem.matrices) is None
         with pytest.raises(ValueError, match="not diagonal"):
-            elem.transport(tuple(v))
+            transport(elem, tuple(v))
         with pytest.raises(ValueError, match="not diagonal"):
             elem.transport_inverse(tuple(v))
 
@@ -453,7 +469,7 @@ def w_prime_validation_case(draw):
             factors = [eye] * m
         else:
             factors = [structured(g) for g in groups]
-        elems.append(CentralizerWeylElement.build(factors))
+        elems.append(w_prime(factors))
 
     gens = []
     for _ in range(draw(st.integers(1, 3))):
