@@ -103,7 +103,6 @@ def cmd_pipeline(args) -> int:
         sections["witness"] = witness_dict(witness)
         if command == "probe":
             settings = problem.probe
-            seed = args.seed if args.seed is not None else settings.seed
             try:
                 order = QuadraticOrder(settings.d)
             except ValueError as exc:
@@ -113,14 +112,15 @@ def cmd_pipeline(args) -> int:
                                                   settings.n_values)
             except ExactCheckFailedError as exc:
                 return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
-            sampler = HSampler.default(config, seed=seed)
-            sections["decay"] = decay_dict(decay_table(seq, sampler, config))
+            sections["decay"] = decay_dict(
+                decay_table(seq, HSampler.default(config), config))
             rows = [(n_val, orbit_probe(order, 2, mats,
                                         grid_radius=settings.grid_radius,
                                         grid_points=settings.grid_points))
                     for n_val, mats in zip(seq.n_values, seq.elements)]
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
-                                           settings.grid_points, seed, rows)
+                                           settings.grid_points, settings.seed,
+                                           rows)
     report = build_report(args.path, text, verdict, **sections,
                           timing={"seconds": time.perf_counter() - t0},
                           exit_code=code)
@@ -205,8 +205,6 @@ def main(argv=None) -> int:
     p_probe = sub.add_parser("probe",
                              help="lattice-probe corroboration along the witness sequence")
     add_common(p_probe)
-    p_probe.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                         help="override the H-sampler seed")
     p_probe.set_defaults(func=cmd_pipeline)
 
     p_replay = sub.add_parser("replay", help="re-run a report and compare bit for bit")

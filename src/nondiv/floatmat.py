@@ -1,23 +1,24 @@
 """Plain-float matrix kernels for the probe path.
 
-The probe works on 2 x 2 factors of g_N, small wedge Gram matrices, one
-4 x 4 lattice basis and the exponentials of Lie(M) generators (`expm`), so
-these kernels are plain Python loops over floats: an array library would
-cost more in import time and per-call overhead than the arithmetic.  A
-matrix is a tuple of row tuples of float; every kernel accepts any nested
-row sequence (numpy arrays included) and returns that form.
+The probe works on 2 x 2 factors of g_N, small wedge Gram matrices and
+one 4 x 4 lattice basis, so these kernels are plain Python loops over
+floats: an array library would cost more in import time and per-call
+overhead than the arithmetic.  A matrix is a tuple of row tuples of float;
+every kernel accepts any nested row sequence (numpy arrays included) and
+returns that form.
 
 Floats follow IEEE semantics throughout: an exponential that overflows is
 `inf`.  `det` reads a determinant as sign * exp(sum of log|pivot|), the
-convention of `numpy.linalg.det`: the decay table breaks ties between
-equal wedge norms by their last bit, and this form keeps those ties where
-a plain pivot product would split them.
+convention of `numpy.linalg.det`, so the wedge norms a decay table prints
+keep the last bits that form gives.  Which norm a row prints is decided by
+exact exponents, not by these floats (the `witness` module docstring says
+why M needs no samples).
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
 FMat = tuple[tuple[float, ...], ...]
@@ -121,21 +122,3 @@ def inverse(m) -> FMat:
             y[i] /= row[i]
         cols.append(y)
     return transpose(cols)
-
-
-def expm(m) -> FMat:
-    """Matrix exponential by scaling and squaring: exp(A) = exp(A / 2^s)^(2^s)
-    with s taken from the binary exponent of the largest absolute row sum of
-    A, so that A / 2^s has row sums below 1/2 and the Taylor terms past the
-    16th fall below double rounding.  An off-diagonal matrix unit E gives
-    I + E exactly."""
-    a = fmat(m)
-    s = max(0, math.frexp(max(sum(map(abs, row)) for row in a))[1] + 1)
-    a = tuple(tuple(math.ldexp(x, -s) for x in row) for row in a)
-    result = term = diagonal([1.0] * len(a))
-    for k in range(1, 17):
-        term = tuple(tuple(x / k for x in row) for row in mat_mul(term, a))
-        result = tuple(tuple(map(add, r, t)) for r, t in zip(result, term))
-    for _ in range(s):
-        result = mat_mul(result, result)
-    return result

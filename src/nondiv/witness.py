@@ -5,30 +5,39 @@ span U of the transported weight duals, a sign orthant missed by the
 projection U' of the transported Lie(A), the divergence sequence
 g_N = w' exp(N v) w, and a two-part verification: the exact part re-checks the
 rational conditions that carry the universal quantifier over H, the numeric
-part samples H and measures wedge-line norm decay along h * g_N.
+part measures wedge-line norm decay along h * g_N over a grid of H = A M.
+
+H acts on a certified wedge line through A alone.  Take mu in M: it commutes
+with w', which centralizes M, and with exp(N v), since D centralizes M, so
+mu g_N = g_N (w^-1 mu w).  The two parabolic containments that replay checks
+put w^-1 mu w in the Levi of P_I, which acts on the top wedge of the
+nilradical by a character, trivial on the semisimple M.  With
+exp(a) w' = w' exp(Ad(w'^-1) a), the norm of the line l under exp(a) mu g_N
+is exp((w omega)(Ad(w'^-1) a + N v)) * |Ad(w' w) l|, omega the nilradical's
+weight: an exact rational exponent times one base norm per line.  So the H
+samples are points of Lie(A) only, and `decay_table` orders them by their
+exact exponents.
 
 Only the numeric part uses floats, along one path: every g_N, the N = 0
 baseline included, comes from `realize_divergence_sequence`, and
 `wedge_norm` moves each nilradical matrix unit, held as its (factor, row,
 column) position, by an outer product of a column of g and a row of g^-1.
 Matrices over the reals are tuples of float row tuples, multiplied,
-inverted, exponentiated and reduced to determinants by the plain-Python
-kernels of `floatmat`, so the module needs neither numpy nor scipy: the
-exponentials of Lie(M) words in `HSampler.default` come from
-`floatmat.expm`.
+inverted and reduced to determinants by the plain-Python kernels of
+`floatmat`, so the module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
-from .floatmat import FMat, det, diagonal, exp, expm, fmat, inverse, mat_mul
+from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
 from .linalg import (
     BilinearForm,
     Orthant,
@@ -49,10 +58,6 @@ from .rootdata import (
     weight_of_nilradical,
 )
 from .weyl import act_on_functional, signed_permutation_matrix
-
-# Words in exp(Lie(M)) sampled beside the identity, and their longest length.
-SAMPLER_WORDS = 8
-SAMPLER_MAX_WORD_LEN = 3
 
 
 class NotProperError(RuntimeError):
@@ -200,6 +205,13 @@ def wedge_norm(line: WedgeLine, g: Sequence[FMat],
     return math.sqrt(max(det(gram), 0.0))
 
 
+def _line_weight(spec: GroupSpec, cert: Certificate, line: WedgeLine) -> Vec:
+    """w omega, omega the weight of the line's nilradical: the line's norm
+    under exp(x) w' w is exp((w omega)(Ad(w'^-1) x)) times its norm under w' w."""
+    return act_on_functional(cert.w, weight_of_nilradical(spec, line.rep_index,
+                                                          line.side))
+
+
 def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
                            witness: EscapeWitness, line: WedgeLine,
                            a_vec: Vec, n_val: int, base_norm: float) -> float:
@@ -209,8 +221,7 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
     final exponential is floating point.  base_norm is the line norm under
     w'w alone.
     """
-    omega = weight_of_nilradical(config.spec, line.rep_index, line.side)
-    w_omega = act_on_functional(cert.w, omega)
+    w_omega = _line_weight(config.spec, cert, line)
     x_prime = cert.w_prime.transport_inverse(a_vec)
     exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
     return math.exp(float(exponent)) * base_norm
@@ -218,18 +229,16 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
 
 @record
 class HSampler:
-    """Deterministic H samples: a grid in Lie(A) times short words in
-    exp(Lie(M)); `spec` gives the Cartan coordinates of each grid point."""
+    """Deterministic H samples: a grid in Lie(A).  M moves no certified
+    wedge line's norm (module docstring), so it needs no samples; each label
+    keeps the `;id` of the identity M-word."""
 
-    spec: GroupSpec
     a_points: tuple[Vec, ...]
     a_labels: tuple[str, ...]
-    m_words: tuple[tuple[FMat, ...], ...]
-    word_labels: tuple[str, ...]
 
     @classmethod
     def default(cls, config: GroupConfig, grid_radius: int = 5,
-                grid_points: int = 21, seed: int = 0x5EED) -> "HSampler":
+                grid_points: int = 21) -> "HSampler":
         spec = config.spec
         basis = config.a_basis.basis
         if grid_points < 2:
@@ -244,39 +253,11 @@ class HSampler:
                 for c, b in zip(combo, basis):
                     p = vec_add(p, vec_scale(c, b))
                 points.append(p)
-                a_labels.append("t=(" + ",".join(str(c) for c in combo) + ")")
+                a_labels.append("t=(" + ",".join(str(c) for c in combo) + ");id")
         else:
             points.append(tuple(Fraction(0) for _ in range(spec.ambient_dim)))
-            a_labels.append("t=()")
-        eye = diagonal([1.0] * spec.n)
-        words: list[tuple[FMat, ...]] = [(eye,) * spec.m]
-        labels = ["id"]
-        gens = config.m_generators
-        if gens:
-            rng = random.Random(seed)
-            gen_mats = [[fmat(f) for f in g.factors] for g in gens]
-            for _ in range(SAMPLER_WORDS):
-                length = rng.randint(1, SAMPLER_MAX_WORD_LEN)
-                mats = (eye,) * spec.m
-                label = []
-                for _ in range(length):
-                    gi = rng.randrange(len(gens))
-                    sign = rng.choice((1, -1))
-                    label.append(f"{'+' if sign > 0 else '-'}X{gi + 1}")
-                    mats = tuple(
-                        mat_mul(mk, expm([[sign * x for x in row] for row in gk]))
-                        for mk, gk in zip(mats, gen_mats[gi]))
-                words.append(mats)
-                labels.append("*".join(label))
-        return cls(spec, tuple(points), tuple(a_labels), tuple(words), tuple(labels))
-
-    def samples(self):
-        """Yields (a_point, h_matrices, label)."""
-        for a, a_label in zip(self.a_points, self.a_labels):
-            a_mats = _exp_cartan(self.spec, a)
-            for word, w_label in zip(self.m_words, self.word_labels):
-                h = tuple(mat_mul(am, wm) for am, wm in zip(a_mats, word))
-                yield a, h, f"{a_label};{w_label}"
+            a_labels.append("t=();id")
+        return cls(tuple(points), tuple(a_labels))
 
 
 @record
@@ -320,40 +301,48 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     """Max over H samples of the min wedge-line norm, one row per N.
 
     The minimum ranges over the certified indices and both parabolic sides;
-    a row for N = 0 is always included as the baseline.
+    a row for N = 0 is always included as the baseline.  By the module
+    docstring the norm of line l at the a-point a is exp(x_l(a) + N y_l) B_l,
+    with exact exponents x_l(a) = (w omega_l)(Ad(w'^-1) a), y_l =
+    (w omega_l)(v) and one Gram-path base norm B_l at g_0 = w' w.  Lines
+    within a sample, and samples within a row, are ordered by the key
+    float(x_l(a) + N y_l) + log B_l; ties go to the first line, then to the
+    first sample, and equal exponents over equal bases tie exactly.  Each row
+    prints the Gram-path norm of its chosen line at the chosen h * g_N.
     """
+    spec = config.spec
     cert = seq.certificate
-    lines = [(WedgeLine.of(config.spec, j, side), f"{j}:{side.value}")
+    lines = [WedgeLine.of(spec, j, side)
              for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
-    samples = [(h, label) for _, h, label in sampler.samples()]
-
-    def max_min_norm(g_mats) -> tuple[float, str, dict[str, int]]:
-        worst = -1.0
-        worst_label = ""
-        fired: dict[str, int] = {}
-        for h, label in samples:
-            hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g_mats))
-            hg_inv = [inverse(f) for f in hg]
-            best = None
-            best_key = None
-            for line, key in lines:
-                val = wedge_norm(line, hg, hg_inv)
-                if best is None or val < best:
-                    best, best_key = val, key
-            fired[best_key] = fired.get(best_key, 0) + 1
-            if best > worst:
-                worst, worst_label = best, label
-        return worst, worst_label, fired
-
+    names = [f"{line.rep_index}:{line.side.value}" for line in lines]
     n_to_mats = dict(zip(seq.n_values, seq.elements))
     if 0 not in n_to_mats:
         n_to_mats[0] = realize_divergence_sequence(cert, seq.witness, config,
                                                    [0]).elements[0]
+    g0 = n_to_mats[0]
+    g0_inv = [inverse(f) for f in g0]
+    log_bases = [math.log(wedge_norm(line, g0, g0_inv)) for line in lines]
+    weights = [_line_weight(spec, cert, line) for line in lines]
+    slopes = [dot(w_omega, seq.witness.v) for w_omega in weights]
+    offsets = []
+    for a in sampler.a_points:
+        x_prime = cert.w_prime.transport_inverse(a)
+        offsets.append([dot(w_omega, x_prime) for w_omega in weights])
+
     rows = []
     for n_val in sorted(n_to_mats):
-        worst, label, fired = max_min_norm(n_to_mats[n_val])
-        rows.append(DecayRow(n_val, worst, label, tuple(sorted(fired.items()))))
+        # (key, line index) of each sample's min; the first line wins ties
+        chosen = [min((float(x + n_val * y) + lb, i)
+                      for i, (x, y, lb) in enumerate(zip(xs, slopes, log_bases)))
+                  for xs in offsets]
+        worst = max(range(len(chosen)), key=lambda i: chosen[i][0])
+        hg = tuple(mat_mul(hf, gf) for hf, gf in
+                   zip(_exp_cartan(spec, sampler.a_points[worst]), n_to_mats[n_val]))
+        value = wedge_norm(lines[chosen[worst][1]], hg, [inverse(f) for f in hg])
+        fired = Counter(names[i] for _, i in chosen)
+        rows.append(DecayRow(n_val, value, sampler.a_labels[worst],
+                             tuple(sorted(fired.items()))))
     return tuple(rows)
 
 

@@ -2,16 +2,21 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
+
+import numpy as np
+from scipy.linalg import expm
 
 from nondiv.criterion import GroupConfig, SearchStats
 from nondiv.linalg import Subspace, mat
-from nondiv.rootdata import GroupSpec, LieElement
+from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide
 from nondiv.weyl import (
     CentralizerWeylElement,
     identity_centralizer_element,
     signed_permutation_matrix,
 )
+from nondiv.witness import WedgeLine, realize_divergence_sequence
 
 from first_hit import dependence_vanishes, first_hit
 
@@ -268,3 +273,79 @@ def gram_cholesky_minimum(basis, bound_sq):
 
     descend(dim - 1, 0.0, [0.0] * dim)
     return best_sq, best_x
+
+
+def m_words(config, count=8, max_len=3, seed=0x5EED):
+    """The identity and `count` seeded words in exp(Lie(M)), each a product
+    of one to `max_len` factors exp(+-X_i) of the M generators, as (label,
+    m float factor arrays); the exponentials come from `scipy.linalg.expm`.
+    Trivial M gives the identity alone."""
+    n, m = config.spec.n, config.spec.m
+    words = [("id", tuple(np.eye(n) for _ in range(m)))]
+    gens = [[np.array(f, dtype=float) for f in g.factors]
+            for g in config.m_generators]
+    rng = random.Random(seed)
+    for _ in range(count if gens else 0):
+        mats = [np.eye(n) for _ in range(m)]
+        label = []
+        for _ in range(rng.randint(1, max_len)):
+            gi = rng.randrange(len(gens))
+            sign = rng.choice((1, -1))
+            label.append(f"{'+' if sign > 0 else '-'}X{gi + 1}")
+            mats = [mk @ expm(sign * gk) for mk, gk in zip(mats, gens[gi])]
+        words.append(("*".join(label), tuple(mats)))
+    return words
+
+
+def dense_wedge_norm(line, g):
+    """Norm of a wedge line under Ad(g) by dense conjugation: each matrix
+    unit as an m-tuple, g E_ab g^-1 in every factor, and the Gram
+    determinant summed over factors."""
+    g = [np.asarray(f, dtype=float) for f in g]
+    g_inv = [np.linalg.inv(f) for f in g]
+    n = g[0].shape[0]
+    moved = []
+    for k, a, b in line.units:
+        units = [np.zeros((n, n)) for _ in g]
+        units[k][a, b] = 1.0
+        moved.append([gf @ u @ gi for gf, u, gi in zip(g, units, g_inv)])
+    gram = np.array([[sum(float(np.sum(x * y)) for x, y in zip(mi, mj))
+                      for mj in moved] for mi in moved])
+    return math.sqrt(max(np.linalg.det(gram), 0.0))
+
+
+def float_decay_table(seq, sampler, config):
+    """Reference decay table by float sampling of H = A M: every a-point of
+    `sampler` times every M-word of `m_words`, the min over the
+    certified lines of their dense Gram norms at h * g_N, and the max over
+    samples, first sample winning float ties.  One dict per N, sorted, with
+    `max_min_norm`, `worst_sample` ("<a label>;<word label>") and `a_values`,
+    per a-point the max over words."""
+    spec, cert = config.spec, seq.certificate
+    words = m_words(config)
+    lines = [WedgeLine.of(spec, j, side) for j in cert.subset
+             for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
+    n_to_mats = dict(zip(seq.n_values, seq.elements))
+    if 0 not in n_to_mats:
+        n_to_mats[0] = realize_divergence_sequence(
+            cert, seq.witness, config, [0]).elements[0]
+    rows = []
+    for n_val in sorted(n_to_mats):
+        g = [np.array(f) for f in n_to_mats[n_val]]
+        worst, worst_label, a_values = -1.0, "", []
+        for a, a_label in zip(sampler.a_points, sampler.a_labels):
+            exps = np.exp([float(x) for x in a])
+            a_mats = [np.diag(exps[k * spec.n:(k + 1) * spec.n])
+                      for k in range(spec.m)]
+            a_best = -1.0
+            for w_label, word in words:
+                hg = [am @ wm @ gf for am, wm, gf in zip(a_mats, word, g)]
+                best = min(dense_wedge_norm(line, hg) for line in lines)
+                if best > worst:
+                    worst = best
+                    worst_label = a_label.rsplit(";", 1)[0] + ";" + w_label
+                a_best = max(a_best, best)
+            a_values.append(a_best)
+        rows.append({"N": n_val, "max_min_norm": worst,
+                     "worst_sample": worst_label, "a_values": a_values})
+    return rows

@@ -284,7 +284,8 @@ EXIT_TABLE = [
     ("certify", "example1-m3.cfg", 0, None, True),
     ("certify --workers 0", "example1-m2.cfg", 2, "at least 1", False),
     ("probe", "example1-m2.cfg", 10, None, True),
-    ("probe --seed 7", "example1-m2.cfg", 10, None, True),
+    ("probe --seed 7", "example1-m2.cfg", 2,
+     "nondiv: error: unrecognized arguments: --seed 7", False),
     ("probe", "no-such-file.cfg", 2, "No such file", False),
     ("probe", "example1-m3.cfg", 2, "the [probe] section is missing", False),
     ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
@@ -310,14 +311,19 @@ def table_input(name, tmp_path):
 def test_exit_code_table(command, name, code, message, written, tmp_path, capsys):
     command, *flags = command.split()
     out = tmp_path / "report.json"
-    assert cli.main([command, str(table_input(name, tmp_path)), "--workers", "1",
-                     "--output", str(out), *flags]) == code
+    prefix = "nondiv: error: "
+    try:
+        got = cli.main([command, str(table_input(name, tmp_path)), "--workers", "1",
+                        "--output", str(out), *flags])
+    except SystemExit as exc:  # argparse: a usage line, then the error
+        got, prefix = exc.code, "usage: nondiv "
+    assert got == code
     captured = capsys.readouterr()
     assert captured.out == ""
     if message is None:
         assert captured.err == ""
     else:
-        assert captured.err.startswith("nondiv: error: ")
+        assert captured.err.startswith(prefix)
         assert message in captured.err
     assert out.exists() == written
     if written:
@@ -405,12 +411,24 @@ class TestCliProbe:
         assert data["decay"] is not None
 
     def test_seed_override_reproduces_table(self, tmp_path):
+        # The probe has no seed to override (H is sampled on a fixed grid of
+        # Lie(A)): two runs give one report.
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
-                "--seed", "0x5EED", "--output", str(out1))
+                "--output", str(out1))
         run_cli("probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
-                "--seed", "0x5EED", "--output", str(out2))
+                "--output", str(out2))
         assert stripped_report(out1) == stripped_report(out2)
+
+    def test_exact_ties_go_to_the_first_line_and_sample(self, tmp_path):
+        # At N = 0 every a-point has exponent 0 and both sides base norm 1,
+        # an exact tie: the first line and the first a-point win it.
+        out = tmp_path / "r.json"
+        assert cli.main(["probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
+                         "--output", str(out)]) == 10
+        row = json.loads(out.read_text())["decay"][0]
+        assert row == {"N": 0, "max_min_norm": 1.0, "worst_sample": "t=(-5);id",
+                       "fired": {"1:standard": 21}}
 
     def test_drifted_realization_exits_3(self, tmp_path, monkeypatch, capsys):
         exp_cartan = witness._exp_cartan
@@ -567,20 +585,25 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-# Builds the H sampler of a nontrivial-M config where importing numpy or
-# scipy fails: the Lie(M) word exponentials run on the standard library.
-# Lie(A) has dimension 4 here, so two grid points keep the a-grid at 16
-# points; the words do not depend on the grid.
-BLOCKED_SAMPLER = """
-import sys
+# Builds the decay table of a nontrivial-M certificate where importing numpy
+# or scipy fails; prints the generator count, the a-grid size and the rows.
+BLOCKED_DECAY = """
+import json, sys
 sys.modules["numpy"] = sys.modules["scipy"] = None
 from nondiv.config import build_config, parse_problem
-from nondiv.witness import HSampler
+from nondiv.criterion import check_general
+from nondiv.report import decay_dict
+from nondiv.witness import (HSampler, build_escape_witness, decay_table,
+                            realize_divergence_sequence)
 path = sys.argv[1]
 with open(path, encoding="utf-8") as fh:
     config = build_config(parse_problem(fh.read(), path))
-sampler = HSampler.default(config, grid_points=2)
-print(len(config.m_generators), len(sampler.m_words))
+cert = check_general(config).certificate
+seq = realize_divergence_sequence(cert, build_escape_witness(cert, config), config,
+                                  [0, 1, 2, 3])
+sampler = HSampler.default(config)
+print(json.dumps([len(config.m_generators), len(sampler.a_points),
+                  decay_dict(decay_table(seq, sampler, config))]))
 """
 
 
@@ -608,8 +631,13 @@ class TestImportFootprint:
         assert stripped_report(blocked) == stripped_report(free)
 
     def test_nontrivial_m_sampler_builds_with_numpy_and_scipy_blocked(self):
-        res = subprocess.run([sys.executable, "-c", BLOCKED_SAMPLER,
-                              str(CONFIGS / "example2.cfg")],
+        res = subprocess.run([sys.executable, "-c", BLOCKED_DECAY,
+                              str(CONFIGS / "example2-line.cfg")],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["3", "9"]  # SO(2,1) M: identity + 8 words
+        gens, points, rows = json.loads(res.stdout)
+        assert (gens, points) == (3, 21)  # SO(2,1) M, a line Lie(A)
+        norms = [row["max_min_norm"] for row in rows]
+        assert [row["N"] for row in rows] == [0, 1, 2, 3]
+        assert all(a > b for a, b in zip(norms, norms[1:]))
+        assert all(sum(row["fired"].values()) == points for row in rows)

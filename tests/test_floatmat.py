@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import expm as scipy_expm
 
-from nondiv.floatmat import det, diagonal, exp, expm, fmat, inverse, mat_mul
+from nondiv.floatmat import det, diagonal, exp, fmat, inverse, mat_mul
 
 entries = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
                     allow_subnormal=False)
@@ -105,29 +104,3 @@ class TestExp:
         assert exp(-1000.0) == 0.0
         for x in itertools.chain(range(-5, 6), (0.5, -2.25)):
             assert exp(x) == math.exp(x)
-
-
-class TestExpm:
-    def test_matches_scipy(self):
-        # Random 2-4-dim matrices of spectral norm at most 8, against scipy's
-        # Pade approximant, relative to the largest entry of the result.
-        rng = np.random.default_rng(4321)
-        for _ in range(300):
-            n = int(rng.integers(2, 5))
-            a = rng.normal(size=(n, n))
-            a *= rng.uniform(0.0, 8.0) / np.linalg.norm(a, 2)
-            ref = scipy_expm(a)
-            assert np.abs(np.array(expm(a)) - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_matrix_unit_exact(self):
-        for n in (2, 3, 4):
-            unit = [[1.0 if (i, j) == (0, n - 1) else 0.0 for j in range(n)]
-                    for i in range(n)]
-            assert expm(unit) == fmat(np.eye(n) + np.array(unit))
-
-    def test_zero_and_diagonal(self):
-        assert expm([[0.0, 0.0], [0.0, 0.0]]) == diagonal([1.0, 1.0])
-        got = expm(diagonal([2.5, -1.0, 0.0]))
-        assert [got[i][i] for i in range(3)] == pytest.approx(
-            [math.exp(2.5), math.exp(-1.0), 1.0], rel=1e-14)
-        assert all(got[i][j] == 0.0 for i in range(3) for j in range(3) if i != j)

@@ -15,6 +15,12 @@ passes `bench/oracle.py::check_certificate`.  Every other digest is unchanged.
 The `example2-nonmonomial.cfg` digests were captured from the scan that
 transported Lie(A) by each w' class, before w' became a relabelling of w.
 
+The `example1-m2.cfg` probe digest was re-pinned when the decay table began
+to order its H samples by exact exponents.  Only its N = 0 row moved, from
+"t=(-1/2);id" with 1.0000000000000002 to "t=(-5);id" with 1.0: every a-point
+has exponent 0 there and both lines base norm 1, an exact tie, which now
+goes to the first sample instead of to the last bits of the float norms.
+
 The `probe` report holds float tables (decay norms, lattice minima), so its
 floats are rounded to 10 significant digits before hashing; last-digit
 differences between BLAS builds then do not change the digest.
@@ -70,7 +76,7 @@ CERTIFY_SHA256 = {
 
 PROBE_SHA256 = {
     "example1-m2.cfg":
-        "19c38a57e15612e9e05485942de65aabd41504598f149e21cbdf7ee89ecc8647",
+        "a9fefcddbf29ddc5ba9ad982ea218c9ebe4297bd13eb11fd6c6482a00a31913d",
 }
 
 

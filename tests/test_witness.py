@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nondiv import witness as witness_module
+from nondiv.config import build_config, parse_problem
 from nondiv.criterion import Certificate, check_general, check_torus
 from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.linalg import Subspace, dot
@@ -25,7 +27,16 @@ from nondiv.witness import (
     wedge_norm,
 )
 
-from helpers import delta_line_subspace, so21_config, torus_config
+from helpers import (
+    delta_line_subspace,
+    dense_wedge_norm,
+    float_decay_table,
+    m_words,
+    so21_config,
+    torus_config,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def example1_m2_setup():
@@ -43,6 +54,38 @@ def so21_line_setup():
     verdict = check_general(config)
     witness = build_escape_witness(verdict.certificate, config)
     return config, verdict.certificate, witness
+
+
+def shipped_setup(name):
+    path = CONFIGS / name
+    config = build_config(parse_problem(path.read_text(encoding="utf-8"), str(path)))
+    verdict = check_general(config)
+    witness = build_escape_witness(verdict.certificate, config)
+    return config, verdict.certificate, witness
+
+
+def random_torus_line_setups(count=12, seed=31):
+    """Divergent trivial-M instances on seeded random lines Lie(A) in the
+    Cartan of SL_3 and Res SL_3 (m = 2); some certify a two-index subset,
+    whose lines' exponents vary over the a-grid."""
+    rng = random.Random(seed)
+    setups = []
+    while len(setups) < count:
+        spec = GroupSpec(3, rng.choice((1, 2)))
+        v = []
+        for _ in range(spec.m):
+            block = [F(rng.randint(-3, 3)) for _ in range(2)]
+            v += block + [-sum(block)]
+        if not any(v):
+            continue
+        a = Subspace.span(spec.ambient_dim, [v])
+        verdict = check_torus(spec, a)
+        if verdict.nondivergent:
+            continue
+        config = torus_config(spec, a)
+        setups.append((config, verdict.certificate,
+                       build_escape_witness(verdict.certificate, config)))
+    return setups
 
 
 class TestMissedOrthant:
@@ -92,21 +135,6 @@ def norm_at(line, g):
     """`wedge_norm` at g, with the factor inverses formed here."""
     g = [fmat(f) for f in g]
     return wedge_norm(line, g, [inverse(f) for f in g])
-
-
-def dense_wedge_norm(line, g):
-    """Reference: conjugate each matrix unit as a dense m-tuple, g E_ab g^-1
-    in every factor, and take the Gram determinant summed over factors."""
-    g_inv = [np.linalg.inv(f) for f in g]
-    n = g[0].shape[0]
-    moved = []
-    for k, a, b in line.units:
-        units = [np.zeros((n, n)) for _ in g]
-        units[k][a, b] = 1.0
-        moved.append([gf @ u @ gi for gf, u, gi in zip(g, units, g_inv)])
-    gram = np.array([[sum(float(np.sum(x * y)) for x, y in zip(mi, mj))
-                      for mj in moved] for mi in moved])
-    return math.sqrt(max(np.linalg.det(gram), 0.0))
 
 
 class TestWedgeNorm:
@@ -201,18 +229,22 @@ class TestClosedForm:
 
 class TestMInvariance:
     def test_wedge_line_fixed_by_m_words(self):
-        config, cert, witness = so21_line_setup()
-        spec = config.spec
-        sampler = HSampler.default(config, grid_points=3, grid_radius=1)
-        seq = realize_divergence_sequence(cert, witness, config, [1])
-        g = seq.elements[0]
-        lines = [WedgeLine.of(spec, j, side)
-                 for j in cert.subset for side in ParabolicSide]
-        for word in sampler.m_words:
-            for line in lines:
-                base = norm_at(line, g)
-                moved = norm_at(line, tuple(mat_mul(w, gf) for w, gf in zip(word, g)))
-                assert moved == pytest.approx(base, rel=1e-6)
+        # M moves no certified line's norm, which is why the decay table
+        # samples Lie(A) alone: checked on seeded words in exp(Lie(M)).
+        for config, cert, witness in (so21_line_setup(),
+                                      shipped_setup("example2-nonmonomial.cfg")):
+            words = m_words(config)
+            assert len(words) == 9
+            seq = realize_divergence_sequence(cert, witness, config, [0, 1, 2])
+            lines = [WedgeLine.of(config.spec, j, side)
+                     for j in cert.subset for side in ParabolicSide]
+            for g in seq.elements:
+                for line in lines:
+                    base = norm_at(line, g)
+                    for _, word in words[1:]:
+                        moved = norm_at(line, [w @ np.array(gf)
+                                               for w, gf in zip(word, g)])
+                        assert moved == pytest.approx(base, rel=1e-9)
 
 
 class TestSampler:
@@ -221,21 +253,42 @@ class TestSampler:
         s1 = HSampler.default(config)
         s2 = HSampler.default(config)
         assert len(s1.a_points) == 21
-        assert s1.a_points == s2.a_points and s1.word_labels == s2.word_labels
+        assert s1 == s2
+        assert (s1.a_labels[0], s1.a_labels[10]) == ("t=(-5);id", "t=(0);id")
 
-    def test_m_words_seeded(self):
-        config, _, _ = so21_line_setup()
-        s1 = HSampler.default(config, seed=0x5EED)
-        s2 = HSampler.default(config, seed=0x5EED)
-        s3 = HSampler.default(config, seed=1)
-        assert s1.word_labels == s2.word_labels
-        assert len(s1.m_words) == 9  # identity + 8 words
-        assert s1.word_labels != s3.word_labels
 
-    def test_trivial_m_single_word(self):
-        config, _, _ = example1_m2_setup()
-        sampler = HSampler.default(config)
-        assert len(sampler.m_words) == 1
+class TestFloatReference:
+    """The exact-order decay table against float sampling of H = A M."""
+
+    @staticmethod
+    def compare(config, cert, witness, grid_points=21):
+        seq = realize_divergence_sequence(cert, witness, config, [0, 1, 2, 3])
+        sampler = HSampler.default(config, grid_points=grid_points)
+        rows = decay_table(seq, sampler, config)
+        ref = float_decay_table(seq, sampler, config)
+        assert [r.n_value for r in rows] == [r["N"] for r in ref]
+        decided = 0
+        for row, r in zip(rows, ref):
+            assert row.max_min_norm == pytest.approx(r["max_min_norm"], rel=1e-9)
+            assert sum(count for _, count in row.fired) == len(sampler.a_points)
+            top = sorted(r["a_values"], reverse=True)
+            if top[0] - top[1] > 1e-9 * top[0]:
+                a_label = row.worst_sample.rsplit(";", 1)[0]
+                assert a_label == r["worst_sample"].rsplit(";", 1)[0]
+                decided += 1
+        return decided
+
+    @pytest.mark.parametrize("setup", [
+        example1_m2_setup,
+        so21_line_setup,
+        lambda: shipped_setup("example2-nonmonomial.cfg"),
+    ], ids=["example1-m2", "so21-line", "example2-nonmonomial"])
+    def test_matches_float_sampling(self, setup):
+        self.compare(*setup())
+
+    def test_matches_float_sampling_on_random_torus_lines(self):
+        decided = sum(self.compare(*setup) for setup in random_torus_line_setups())
+        assert decided > 0
 
 
 class TestVerifyDivergence:
@@ -261,23 +314,27 @@ class TestVerifyDivergence:
             assert row.max_min_norm <= math.exp(-row.n_value) * values[0] * (1 + 1e-9)
 
     def test_decay_inverts_each_h_g_once(self, monkeypatch):
-        # Two wedge lines are normed at every sample; the factors of each
-        # distinct h*g are inverted once for both.
+        # The factors of g_0 are inverted once for the base norms, and each
+        # row inverts the one h*g it prints; the wedge norms are one per
+        # certified line plus one per row.
         config, cert, witness = example1_m2_setup()
         seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
         sampler = HSampler.default(config)
-        calls = []
+        calls, norms = [], []
         inverse = witness_module.inverse
         monkeypatch.setattr(witness_module, "inverse",
                             lambda f: calls.append(f) or inverse(f))
+        wedge_norm = witness_module.wedge_norm
+        monkeypatch.setattr(witness_module, "wedge_norm",
+                            lambda *args: norms.append(args) or wedge_norm(*args))
         rows = decay_table(seq, sampler, config)
-        distinct = len(list(sampler.samples())) * len(rows)
-        assert len(cert.subset) * 2 == 2 and distinct == 84
-        assert len(calls) == config.spec.m * distinct
+        assert len(cert.subset) * 2 == 2 and len(rows) == 4
+        assert len(calls) == config.spec.m * (1 + len(rows))
+        assert len(norms) == 2 + len(rows)
 
     def test_decay_builds_each_h_sample_once(self, monkeypatch):
-        # The H samples are built once and reused for every N row, so each
-        # a-point is exponentiated once, not once per row.
+        # Samples are ordered by exact exponents, so a row exponentiates
+        # only the a-point it prints.
         config, cert, witness = example1_m2_setup()
         seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
         sampler = HSampler.default(config)
@@ -287,4 +344,4 @@ class TestVerifyDivergence:
                             lambda spec, a: calls.append(a) or exp_cartan(spec, a))
         rows = decay_table(seq, sampler, config)
         assert len(rows) == 4 and len(sampler.a_points) == 21
-        assert calls == list(sampler.a_points)
+        assert calls == [sampler.a_points[0]] * len(rows)
