@@ -1,4 +1,4 @@
-"""Problem-file parsing and serialization.
+"""Problem-file parsing and validation.
 
 A problem file is INI-structured text with JSON-encoded values for vectors and
 matrices; rational entries are strings like "3/4" (or bare integers).  Parsing
@@ -232,47 +232,3 @@ def build_config(problem: ProblemFile) -> GroupConfig:
     return GroupConfig(spec, problem.m_generators, d, a,
                        tuple(map(CentralizerWeylElement, problem.centralizer_elements)))
 
-
-def _mat_json_obj(m) -> list:
-    return [[str(e) for e in row] for row in m]
-
-
-def serialize_problem(problem: ProblemFile) -> str:
-    """Deterministic round-trip serialization of a problem file."""
-    lines = []
-    lines.append("[group]")
-    lines.append("family = res-sl")
-    lines.append(f"n = {problem.spec.n}")
-    lines.append(f"m = {problem.spec.m}")
-    lines.append("")
-    lines.append("[subgroup-m]")
-    if not problem.m_generators:
-        lines.append("generators = trivial")
-    else:
-        gens = [[_mat_json_obj(f) for f in g.factors] for g in problem.m_generators]
-        lines.append(f"generators = {json.dumps(gens)}")
-    lines.append("")
-    lines.append("[torus-d]")
-    lines.append("basis = " + json.dumps([[str(e) for e in v]
-                                          for v in problem.d_vectors]))
-    lines.append("")
-    lines.append("[torus-a]")
-    lines.append("basis = " + json.dumps([[str(e) for e in v]
-                                          for v in problem.a_vectors]))
-    lines.append("")
-    lines.append("[centralizer-weyl]")
-    lines.append(f"mode = {problem.centralizer_mode}")
-    if problem.centralizer_mode == "explicit":
-        elems = [[_mat_json_obj(f) for f in e] for e in problem.centralizer_elements]
-        lines.append(f"elements = {json.dumps(elems)}")
-    if problem.probe is not None:
-        p = problem.probe
-        lines.append("")
-        lines.append("[probe]")
-        lines.append(f"d = {p.d}")
-        radius = p.grid_radius
-        lines.append(f"grid-radius = {int(radius) if radius == int(radius) else radius}")
-        lines.append(f"grid-points = {p.grid_points}")
-        lines.append(f"n-values = {json.dumps(list(p.n_values))}")
-        lines.append(f"seed = {p.seed}")
-    return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@
 arithmetic quotient of an SL_n product.
 
 The search runs in one order: nonempty index subsets I (by cardinality,
-then lexicographic), then Weyl elements w (`enumerate_weyl` order), then
+then lexicographic), then Weyl elements w (`_weyl_digits` order), then
 centralizer Weyl representatives w' (list order, the identity first when it
 was not listed).  A pair (I, w) is admissible when the conjugated M
 generators land in both the standard and the opposite parabolic at every
@@ -288,8 +288,12 @@ IntMat = tuple[tuple[int, ...], ...]
 
 
 def _weyl_digits(idx: int, base: int, m: int) -> list[int]:
-    """Per-factor permutation indices of the idx-th element of
-    `enumerate_weyl` (factor 1 is the most significant digit)."""
+    """Per-factor permutation indices of the idx-th Weyl element.
+
+    This defines the scan order of w: the lexicographic product order of
+    the factors' one-line notations, factor 1 the most significant digit
+    and each digit indexing `itertools.permutations(range(n))`, itself in
+    lexicographic order."""
     digits = [0] * m
     for k in range(m - 1, -1, -1):
         idx, digits[k] = divmod(idx, base)
@@ -304,7 +308,7 @@ def _weyl_by_index(spec: GroupSpec, idx: int) -> WeylElement:
 def _factor_tables(spec: GroupSpec, basis: Sequence[Vec]) -> list[list[IntMat]]:
     """T[k][d][i][b]: factor k's share of n*w(chi_{i+1}) evaluated on basis
     vector b (scaled to integers) when w permutes factor k by the d-th
-    permutation in `enumerate_weyl` order."""
+    permutation of `itertools.permutations(range(n))` (`_weyl_digits`)."""
     n, r = spec.n, spec.rank
     scaled = [clear_denominators(v) for v in basis]
     perms = list(itertools.permutations(range(n)))

@@ -1,6 +1,11 @@
-"""Exact rational linear algebra: rank/kernel, orthogonal projection against a
-positive definite form, strict-inequality feasibility by Fourier-Motzkin
-elimination, and invariance dimension of H-form regions.
+"""Exact rational linear algebra: rank/kernel, orthogonal projection,
+strict-inequality feasibility by Fourier-Motzkin elimination, and invariance
+dimension of H-form regions.
+
+The one inner product is the standard form, (a | b) = `dot(a, b)`.  Every
+criterion built on it is invariant under positive scaling of the form, and
+the Killing form of an SL_n product is 2n times the standard form on each
+factor (see `rootdata`), so no other Gram matrix is needed.
 
 Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
 immutable, and no floating point is used.  Every exact elimination goes
@@ -52,10 +57,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
     return tuple(c * x for x in a)
-
-
-def mat_vec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
-    return tuple(dot(row, x) for row in m)
 
 
 def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
@@ -219,10 +220,6 @@ class Subspace:
             raise ValueError("basis vectors are linearly dependent")
         return s
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -237,40 +234,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
-
-
-@record
-class BilinearForm:
-    """Symmetric strictly positive definite rational form given by its Gram matrix."""
-
-    gram: Mat
-
-    def __post_init__(self):
-        g = self.gram
-        n = len(g)
-        if any(len(r) != n for r in g):
-            raise ValueError("gram matrix must be square")
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
-            raise ValueError("gram matrix must be symmetric")
-        # Sylvester: all leading principal minors strictly positive.
-        for k in range(1, n + 1):
-            if det([row[:k] for row in g[:k]]) <= 0:
-                raise ValueError("gram matrix must be positive definite")
-
-    @classmethod
-    def standard(cls, n: int) -> "BilinearForm":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.gram)
-
-    def pair(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        return dot(mat_vec(self.gram, a), b)
-
-    def dual_vector(self, functional: Sequence[Fraction]) -> Vec:
-        """The vector u with (u | x) = functional(x) for all x."""
-        return solve(self.gram, functional)
 
 
 @record
@@ -380,16 +343,16 @@ def primitive_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(e // g for e in ints)
 
 
-def project_subspace(w: Subspace, u: Subspace, form: BilinearForm) -> Subspace:
-    """Image of W under the orthogonal projection onto U w.r.t. the form."""
-    if w.ambient_dim != u.ambient_dim or form.dim != w.ambient_dim:
+def project_subspace(w: Subspace, u: Subspace) -> Subspace:
+    """Image of W under the orthogonal projection onto U."""
+    if w.ambient_dim != u.ambient_dim:
         raise ValueError("dimension mismatch")
     if u.is_zero() or w.is_zero():
-        return Subspace.zero(u.ambient_dim)
-    gram_u = [[form.pair(a, b) for b in u.basis] for a in u.basis]
+        return Subspace(u.ambient_dim, ())
+    gram_u = [[dot(a, b) for b in u.basis] for a in u.basis]
     images = []
     for x in w.basis:
-        rhs = [form.pair(a, x) for a in u.basis]
+        rhs = [dot(a, x) for a in u.basis]
         t = solve(gram_u, rhs)
         img = zeros(u.ambient_dim)
         for c, b in zip(t, u.basis):
@@ -399,14 +362,14 @@ def project_subspace(w: Subspace, u: Subspace, form: BilinearForm) -> Subspace:
 
 
 def restricted_independent(functionals: Sequence[Sequence[Fraction]],
-                           w: Subspace,
-                           form: Optional[BilinearForm] = None) -> bool:
+                           w: Subspace) -> bool:
     """Are the functionals linearly independent when restricted to w?
 
     Decided by the rank of the evaluation matrix [f_i(b_j)].  When the
     functionals are independent on the ambient space, the answer must agree
-    with the projection criterion pi_U(W) = U for U the span of form-duals;
-    that equivalence is cross-asserted.
+    with the projection criterion pi_U(W) = U for U the span of their duals;
+    that equivalence is cross-asserted.  Under the standard form a
+    functional is its own dual vector, so U is the span of the functionals.
     """
     fs = [vec(f) for f in functionals]
     if not fs:
@@ -417,9 +380,8 @@ def restricted_independent(functionals: Sequence[Sequence[Fraction]],
     evaluation = [[dot(f, b) for b in w.basis] for f in fs]
     result = rank(evaluation) == len(fs)
     if __debug__ and rank(fs) == len(fs):
-        frm = form if form is not None else BilinearForm.standard(w.ambient_dim)
-        duals = Subspace.span(w.ambient_dim, [frm.dual_vector(f) for f in fs])
-        assert result == (project_subspace(w, duals, frm) == duals)
+        duals = Subspace.span(w.ambient_dim, fs)
+        assert result == (project_subspace(w, duals) == duals)
     return result
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import record
-from .linalg import Mat, Subspace, Vec, mat, vec
+from .linalg import Mat, Subspace, Vec, vec
 
 
 @record
@@ -90,10 +90,6 @@ class LieElement:
                 raise ValueError("factor matrices must be square")
             if sum(f[i][i] for i in range(n)) != 0:
                 raise ValueError("factor matrices must be trace zero")
-
-    @classmethod
-    def of(cls, factors: Iterable[Iterable[Iterable]]) -> "LieElement":
-        return cls(tuple(mat(f) for f in factors))
 
     def is_zero(self) -> bool:
         return all(all(all(e == 0 for e in row) for row in f) for f in self.factors)

@@ -8,10 +8,9 @@ whole problem, so `criterion.GroupConfig` checks it."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import record
 from .linalg import Mat, Vec
@@ -49,13 +48,6 @@ def weyl_inverse(w: WeylElement) -> WeylElement:
             q[pi] = i
         out.append(tuple(q))
     return WeylElement(tuple(out))
-
-
-def enumerate_weyl(spec: GroupSpec) -> Iterator[WeylElement]:
-    """All (n!)^m elements, in lexicographic product order of one-line notations."""
-    for perms in itertools.product(itertools.permutations(range(spec.n)),
-                                   repeat=spec.m):
-        yield WeylElement(perms)
 
 
 def weyl_order(spec: GroupSpec) -> int:

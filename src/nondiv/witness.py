@@ -39,7 +39,6 @@ from ._record import record
 from .criterion import Certificate, GroupConfig, replay_certificate
 from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
 from .linalg import (
-    BilinearForm,
     Orthant,
     Subspace,
     Vec,
@@ -140,8 +139,7 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
     transported = Subspace.span(
         spec.ambient_dim,
         [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis])
-    u_prime = project_subspace(transported, u_space,
-                               BilinearForm.standard(spec.ambient_dim))
+    u_prime = project_subspace(transported, u_space)
     if u_prime.dim >= u_space.dim:
         raise NotProperError("projection of Lie(A) covers the weight span")
     sigma0 = first_missed_orthant(funcs, u_prime)
@@ -165,7 +163,8 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
                                 config: GroupConfig,
                                 n_values: Sequence[int]) -> DivergenceSequence:
     """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N;
-    a factor whose determinant drifts from 1 means the realization is broken."""
+    a factor whose determinant drifts from 1, or is NaN because an entry
+    overflowed, means the realization is broken."""
     w_mats = realize_weyl_matrices(cert.w)
     wp_mats = [fmat(f) for f in cert.w_prime.matrices]
     elements = []
@@ -174,7 +173,7 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
         factors = tuple(mat_mul(mat_mul(wp, e), wm)
                         for wp, e, wm in zip(wp_mats, exp_mats, w_mats))
         for f in factors:
-            if abs(det(f) - 1.0) > 1e-9:
+            if not abs(det(f) - 1.0) <= 1e-9:
                 raise ExactCheckFailedError("divergence element determinant drifted")
         elements.append(factors)
     return DivergenceSequence(cert, witness, tuple(int(n) for n in n_values),

@@ -1,6 +1,7 @@
 """Shared builders for test configurations."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,13 +9,14 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.linalg import expm
 
-from nondiv.criterion import GroupConfig, SearchStats
+from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index
 from nondiv.linalg import Subspace, mat
 from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide
 from nondiv.weyl import (
     CentralizerWeylElement,
     identity_centralizer_element,
     signed_permutation_matrix,
+    weyl_order,
 )
 from nondiv.witness import WedgeLine, realize_divergence_sequence
 
@@ -52,6 +54,64 @@ def w_prime(factors):
     """The centralizer Weyl representative of the given factor matrices, with
     entries converted by `linalg.mat`; `GroupConfig` validates it."""
     return CentralizerWeylElement(tuple(mat(f) for f in factors))
+
+
+def scan_order(spec):
+    """Every Weyl element, in the order the scan visits them."""
+    return [_weyl_by_index(spec, idx) for idx in range(weyl_order(spec))]
+
+
+def lie_element(factors):
+    """The Lie element of nested factor matrices, entries converted by
+    `linalg.mat`; `LieElement` checks squareness and trace zero."""
+    return LieElement(tuple(mat(f) for f in factors))
+
+
+def _mat_json_obj(m):
+    return [[str(e) for e in row] for row in m]
+
+
+def serialize_problem(problem):
+    """Deterministic problem-file text of a parsed `ProblemFile`: the
+    round-trip tests' reference writer (`parse_problem` must read it back
+    to an equal problem)."""
+    lines = []
+    lines.append("[group]")
+    lines.append("family = res-sl")
+    lines.append(f"n = {problem.spec.n}")
+    lines.append(f"m = {problem.spec.m}")
+    lines.append("")
+    lines.append("[subgroup-m]")
+    if not problem.m_generators:
+        lines.append("generators = trivial")
+    else:
+        gens = [[_mat_json_obj(f) for f in g.factors] for g in problem.m_generators]
+        lines.append(f"generators = {json.dumps(gens)}")
+    lines.append("")
+    lines.append("[torus-d]")
+    lines.append("basis = " + json.dumps([[str(e) for e in v]
+                                          for v in problem.d_vectors]))
+    lines.append("")
+    lines.append("[torus-a]")
+    lines.append("basis = " + json.dumps([[str(e) for e in v]
+                                          for v in problem.a_vectors]))
+    lines.append("")
+    lines.append("[centralizer-weyl]")
+    lines.append(f"mode = {problem.centralizer_mode}")
+    if problem.centralizer_mode == "explicit":
+        elems = [[_mat_json_obj(f) for f in e] for e in problem.centralizer_elements]
+        lines.append(f"elements = {json.dumps(elems)}")
+    if problem.probe is not None:
+        p = problem.probe
+        lines.append("")
+        lines.append("[probe]")
+        lines.append(f"d = {p.d}")
+        radius = p.grid_radius
+        lines.append(f"grid-radius = {int(radius) if radius == int(radius) else radius}")
+        lines.append(f"grid-points = {p.grid_points}")
+        lines.append(f"n-values = {json.dumps(list(p.n_values))}")
+        lines.append(f"seed = {p.seed}")
+    return "\n".join(lines) + "\n"
 
 
 def torus_config(spec, a_basis):

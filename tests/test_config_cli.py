@@ -8,15 +8,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from nondiv import cli, witness
-from nondiv.config import (
-    ProbeSettings,
-    ProblemFile,
-    build_config,
-    parse_problem,
-    serialize_problem,
-)
+from nondiv.config import ProbeSettings, ProblemFile, build_config, parse_problem
 from nondiv.criterion import ConfigError
 from nondiv.rootdata import GroupSpec, LieElement
+
+from helpers import serialize_problem
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -263,6 +259,9 @@ EDITED_CONFIGS = {
     # deeper than the JSON decoder's recursion limit
     "deeply-nested-a.cfg": ("example1-m2.cfg", 'basis = [["1", "-1", "1", "-1"]]',
                             "basis = " + "[" * 100_000 + "]" * 100_000),
+    # v = (1, -1, -1, 1), so exp(710) overflows: g_N holds inf and NaN entries
+    "n-values-710.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
+                         "n-values = [0, 710]"),
 }
 
 # (command and extra flags, input, exit code, stderr substring, report written)
@@ -293,6 +292,7 @@ EXIT_TABLE = [
     ("probe", "grid-radius-800.cfg", 2, "grid-radius", False),
     ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
     ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
+    ("probe", "n-values-710.cfg", 3, "audit failed", False),
 ]
 
 

@@ -22,7 +22,6 @@ from nondiv.config import ProblemFile, build_config, parse_problem
 from nondiv.linalg import Subspace, dot, rank, transpose
 from nondiv.rootdata import (
     GroupSpec,
-    LieElement,
     ParabolicSide,
     fundamental_weight,
     parabolic_contains,
@@ -32,7 +31,6 @@ from nondiv.weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
-    enumerate_weyl,
     identity_centralizer_element,
     signed_permutation_matrix,
     weyl_inverse,
@@ -45,11 +43,13 @@ from helpers import (
     delta_vectors,
     diagonal_element,
     diagonal_vector,
+    lie_element,
     mat_mul,
     sl2_swap_config,
     sl_block_generators,
     so21_config,
     so21_d_vectors,
+    scan_order,
     torus_config,
     w_prime,
 )
@@ -73,8 +73,9 @@ class TestIntegerEvaluation:
 
     def test_weyl_index_decode(self):
         spec = GroupSpec(3, 2)
-        for idx, w in enumerate(enumerate_weyl(spec)):
-            assert criterion._weyl_by_index(spec, idx) == w
+        perms = itertools.product(itertools.permutations(range(3)), repeat=2)
+        for idx, p in enumerate(perms):
+            assert criterion._weyl_by_index(spec, idx) == WeylElement(p)
 
     def test_evaluation_matches_rational_dot(self):
         rng = random.Random(2209)
@@ -134,7 +135,7 @@ def sparse_generators(draw):
                 factors[k][a][b] = F(draw(st.integers(1, 3) | st.integers(-3, -1)))
         k, a = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 2))
         factors[k][a][a], factors[k][a + 1][a + 1] = F(1), F(-1)
-        gens.append(LieElement.of(factors))
+        gens.append(lie_element(factors))
     indices = draw(st.lists(st.integers(0, math.factorial(n) ** m - 1),
                             min_size=1, max_size=12))
     return spec, tuple(gens), indices
@@ -149,7 +150,7 @@ class TestCutMasks:
                   else shipped_config(name))
         spec, gens = config.spec, config.m_generators
         masks = criterion._cut_masks(spec, gens)
-        for idx, w in enumerate(enumerate_weyl(spec)):
+        for idx, w in enumerate(scan_order(spec)):
             assert mask_good_cuts(spec, masks, idx) == exact_good_cuts(spec, gens, w)
 
     @settings(max_examples=150, deadline=None)
@@ -424,7 +425,7 @@ class TestCheckTorus:
 
     def test_zero_subspace_diverges(self):
         spec = GroupSpec(3, 1)
-        verdict = check_torus(spec, Subspace.zero(3))
+        verdict = check_torus(spec, Subspace(3, ()))
         assert not verdict.nondivergent
         assert verdict.certificate.subset == (1,)
         assert verdict.certificate.dependence == (F(1),)
@@ -532,7 +533,7 @@ class TestExample2FullInstance:
         config = so21_config(list(EXAMPLE2_V_GENERATORS))
         assert config.a_basis.dim == 3
         funcs_by_w = [[act_on_functional(w, chi) for chi in chis]
-                      for w in enumerate_weyl(spec)]
+                      for w in scan_order(spec)]
         for wp in config.centralizer_weyl:
             transported = [wp.transport_inverse(b) for b in config.a_basis.basis]
             for funcs in funcs_by_w:
@@ -660,7 +661,7 @@ class TestConfigValidation:
 
     def test_zero_generator_rejected(self):
         spec = GroupSpec(2, 1)
-        zero = LieElement.of([[[0, 0], [0, 0]]])
+        zero = lie_element([[[0, 0], [0, 0]]])
         with pytest.raises(ConfigError):
             GroupConfig(spec, (zero,), spec.full_subspace(), spec.full_subspace(),
                         (identity_centralizer_element(spec),))
@@ -790,12 +791,12 @@ class TestConfigValidation:
                 for k, a, b in data.draw(st.lists(st.sampled_from(positions),
                                                   max_size=3)):
                     rows[k][a][b] = F(data.draw(st.sampled_from([-2, -1, 1, 3])))
-            gens.append(LieElement.of(rows))
+            gens.append(lie_element(rows))
         expected = next((gi + 1 for v in d.basis for gi, gen in enumerate(gens)
                          if any(any(row) for row in
                                 reference_commutator(diagonal_element(v, n), gen))),
                         None)
-        build = lambda: GroupConfig(spec, tuple(gens), d, Subspace.zero(n * m), ())
+        build = lambda: GroupConfig(spec, tuple(gens), d, Subspace(n * m, ()), ())
         if expected is None:
             assert build().d_basis == d
         else:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from nondiv.linalg import (
     NEG_INFINITY,
-    BilinearForm,
     Orthant,
     StrictRegion,
     Subspace,
@@ -179,36 +178,31 @@ class TestKernel:
 class TestProjection:
     def test_idempotent_on_same_axis(self):
         x_axis = Subspace.span(2, [[1, 0]])
-        f = BilinearForm.standard(2)
-        assert project_subspace(x_axis, x_axis, f) == x_axis
+        assert project_subspace(x_axis, x_axis) == x_axis
 
     def test_diagonal_onto_axis(self):
         w = Subspace.span(2, [[1, 1]])
         x_axis = Subspace.span(2, [[1, 0]])
-        f = BilinearForm.standard(2)
-        assert project_subspace(w, x_axis, f) == x_axis
+        assert project_subspace(w, x_axis) == x_axis
 
     def test_orthogonal_pair(self):
         y_axis = Subspace.span(2, [[0, 1]])
         x_axis = Subspace.span(2, [[1, 0]])
-        f = BilinearForm.standard(2)
-        assert project_subspace(y_axis, x_axis, f).is_zero()
+        assert project_subspace(y_axis, x_axis).is_zero()
 
     def test_projection_idempotence_random(self):
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randint(2, 5)
-            f = BilinearForm.standard(n)
             w = Subspace.span(n, rand_matrix(rng, rng.randint(1, n), n))
             u = Subspace.span(n, rand_matrix(rng, rng.randint(1, n), n))
-            once = project_subspace(w, u, f)
-            assert project_subspace(once, u, f) == once
+            once = project_subspace(w, u)
+            assert project_subspace(once, u) == once
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project_subspace(Subspace.span(2, [[1, 0]]),
-                             Subspace.span(3, [[1, 0, 0]]),
-                             BilinearForm.standard(3))
+                             Subspace.span(3, [[1, 0, 0]]))
 
 
 class TestRestrictedIndependent:
@@ -227,28 +221,14 @@ class TestRestrictedIndependent:
         for _ in range(60):
             n = rng.randint(2, 6)
             k = rng.randint(1, n)
-            form = BilinearForm.standard(n)
             funcs = rand_matrix(rng, k, n)
             while rank(funcs) < k:
                 funcs = rand_matrix(rng, k, n)
             w = Subspace.span(n, rand_matrix(rng, rng.randint(1, n), n))
-            duals = Subspace.span(n, [form.dual_vector(f) for f in funcs])
-            lhs = restricted_independent(funcs, w, form)
-            rhs = project_subspace(w, duals, form) == duals
+            duals = Subspace.span(n, funcs)  # each functional is its own dual
+            lhs = restricted_independent(funcs, w)
+            rhs = project_subspace(w, duals) == duals
             assert lhs == rhs
-
-    def test_scale_invariance(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            n = rng.randint(2, 5)
-            k = rng.randint(1, n)
-            funcs = rand_matrix(rng, k, n)
-            w = Subspace.span(n, rand_matrix(rng, rng.randint(1, n), n))
-            base = restricted_independent(funcs, w, BilinearForm.standard(n))
-            for c in (F(2), F(1, 3), F(7, 2)):
-                scaled = BilinearForm(tuple(tuple(c * (i == j) for j in range(n))
-                                            for i in range(n)))
-                assert restricted_independent(funcs, w, scaled) == base
 
 
 class TestOrthants:
@@ -262,7 +242,7 @@ class TestOrthants:
 
     def test_zero_subspace(self):
         assert not orthant_meets_subspace([[1, 0]], Orthant((1,)),
-                                          Subspace.zero(2))
+                                          Subspace(2, ()))
 
     def test_sign_orthant_spanning(self):
         # Points picked from every orthant of a dual system span the space.
@@ -350,24 +330,6 @@ class TestInvdim:
                 funcs = rand_matrix(rng, k, n)
             region = StrictRegion.of(n, [(f, rand_fraction(rng)) for f in funcs])
             assert invdim(region) == n - k
-
-
-class TestForm:
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            BilinearForm(((F(1), F(0)), (F(0), F(-1))))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            BilinearForm(((F(1), F(1)), (F(0), F(1))))
-
-    @settings(max_examples=40)
-    @given(st.lists(rationals, min_size=2, max_size=2),
-           st.lists(rationals, min_size=2, max_size=2))
-    def test_dual_vector_reproduces_functional(self, f, x):
-        form = BilinearForm(((F(2), F(1)), (F(1), F(3))))
-        dual = form.dual_vector(f)
-        assert form.pair(dual, x) == sum(a * b for a, b in zip(f, x))
 
 
 class TestSubspace:

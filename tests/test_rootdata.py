@@ -14,9 +14,9 @@ from nondiv.rootdata import (
     parabolic_contains,
     weight_of_nilradical,
 )
-from nondiv.linalg import BilinearForm, dot, restricted_independent
+from nondiv.linalg import dot, restricted_independent
 
-from helpers import delta_line_subspace, mat_mul
+from helpers import delta_line_subspace, lie_element, mat_mul
 
 
 def unit_element(n, m, factor, a, b):
@@ -67,8 +67,7 @@ class TestWeights:
         # diagonally embedded split torus when m = 1.
         spec = GroupSpec(4, 1)
         funcs = [fundamental_weight(spec, i) for i in (1, 2, 3)]
-        assert restricted_independent(funcs, delta_line_subspace(4, 1),
-                                      BilinearForm.standard(spec.ambient_dim))
+        assert restricted_independent(funcs, delta_line_subspace(4, 1))
 
 
 class TestParabolicContains:
@@ -107,10 +106,10 @@ class TestParabolicContains:
 
     def test_both_sides_iff_block_diagonal(self):
         spec = GroupSpec(3, 1)
-        blockdiag = LieElement.of([[[1, 0, 0], [0, -1, 2], [0, 3, 0]]])
+        blockdiag = lie_element([[[1, 0, 0], [0, -1, 2], [0, 3, 0]]])
         assert parabolic_contains(spec, [1], blockdiag, ParabolicSide.STANDARD)
         assert parabolic_contains(spec, [1], blockdiag, ParabolicSide.OPPOSITE)
-        mixed = LieElement.of([[[1, 1, 0], [0, -1, 2], [0, 3, 0]]])
+        mixed = lie_element([[[1, 1, 0], [0, -1, 2], [0, 3, 0]]])
         assert parabolic_contains(spec, [1], mixed, ParabolicSide.STANDARD)
         assert not parabolic_contains(spec, [1], mixed, ParabolicSide.OPPOSITE)
 
@@ -220,7 +219,7 @@ class TestMatMul:
 class TestLieElement:
     def test_trace_zero_enforced(self):
         with pytest.raises(ValueError):
-            LieElement.of([[[1, 0], [0, 0]]])
+            lie_element([[[1, 0], [0, 0]]])
 
     def test_trace_zero_part_canonical(self):
         spec = GroupSpec(2, 2)

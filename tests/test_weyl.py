@@ -7,14 +7,13 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from nondiv.criterion import ConfigError, GroupConfig
 from nondiv.linalg import Subspace, det, dot, mat, solve, transpose
-from nondiv.rootdata import GroupSpec, LieElement
+from nondiv.rootdata import GroupSpec
 from nondiv.weyl import (
     CentralizerWeylElement,
     WeylElement,
     act_on_functional,
     act_on_lie,
     conjugate_diagonal,
-    enumerate_weyl,
     identity_centralizer_element,
     perm_sign,
     signed_permutation_matrix,
@@ -26,7 +25,9 @@ from helpers import (
     diagonal_element,
     diagonal_vector,
     full_cartan_vectors,
+    lie_element,
     mat_mul,
+    scan_order,
     so21_centralizer_elements,
     so21_config,
     so21_d_vectors,
@@ -67,22 +68,32 @@ def random_trace_zero(rng, spec):
 
 
 class TestEnumeration:
+    """The scan's Weyl order (`criterion._weyl_by_index`)."""
+
     def test_sl2_single(self):
-        ws = list(enumerate_weyl(GroupSpec(2, 1)))
+        ws = scan_order(GroupSpec(2, 1))
         assert [w.perms for w in ws] == [((0, 1),), ((1, 0),)]
 
     def test_sl2_two_factors(self):
-        ws = [w.perms for w in enumerate_weyl(GroupSpec(2, 2))]
+        ws = [w.perms for w in scan_order(GroupSpec(2, 2))]
         assert ws == [((0, 1), (0, 1)), ((0, 1), (1, 0)),
                       ((1, 0), (0, 1)), ((1, 0), (1, 0))]
 
     def test_sl3_two_factors_size(self):
-        ws = list(enumerate_weyl(GroupSpec(3, 2)))
+        ws = scan_order(GroupSpec(3, 2))
         assert len(ws) == 36 == weyl_order(GroupSpec(3, 2))
 
     def test_no_duplicates(self):
-        ws = list(enumerate_weyl(GroupSpec(3, 2)))
+        ws = scan_order(GroupSpec(3, 2))
         assert len(set(ws)) == len(ws)
+
+    def test_lexicographic_product_order(self):
+        """Factor 1 is the most significant digit, and each factor's
+        permutations run in lexicographic order of one-line notation
+        (`test_criterion` decodes the 3x2 indices the same way)."""
+        for n, m in [(2, 3), (4, 1)]:
+            expected = itertools.product(itertools.permutations(range(n)), repeat=m)
+            assert [w.perms for w in scan_order(GroupSpec(n, m))] == list(expected)
 
 
 class TestFunctionalAction:
@@ -145,16 +156,16 @@ class TestFunctionalAction:
 class TestLieAction:
     def test_identity(self):
         spec = GroupSpec(3, 1)
-        x = LieElement.of([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
+        x = lie_element([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
         assert act_on_lie(weyl_identity(spec), x) == x
 
     def test_swap_transposes_pattern(self):
-        x = LieElement.of([[[0, 1], [0, 0]]])
+        x = lie_element([[[0, 1], [0, 0]]])
         y = act_on_lie(WeylElement(((1, 0),)), x)
         assert abs(y.factors[0][1][0]) == 1 and y.factors[0][0][1] == 0
 
     def test_cycle_moves_unit(self):
-        x = LieElement.of([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
+        x = lie_element([[[0, 1, 0], [0, 0, 0], [0, 0, 0]]])
         y = act_on_lie(WeylElement(((1, 2, 0),)), x)
         assert abs(y.factors[0][1][2]) == 1
 
@@ -167,7 +178,7 @@ class TestLieAction:
         for n in (2, 3, 4):
             for p in itertools.permutations(range(n)):
                 w = WeylElement((p, p[::-1]))
-                x = LieElement.of([random_sl(rng, n) for _ in w.perms])
+                x = lie_element([random_sl(rng, n) for _ in w.perms])
                 y = act_on_lie(w, x)
                 for q, f, g in zip(w.perms, x.factors, y.factors):
                     # signed permutation matrices are orthogonal
@@ -222,7 +233,7 @@ class TestCentralizerValidation:
         turn = ((F(0), F(1)), (F(-1), F(0)))
         with pytest.raises(ConfigError,
                            match="centralizer Weyl candidate #2: does not normalize D$"):
-            GroupConfig(spec, (), d, Subspace.zero(4), build_all([(turn, turn), (turn, eye)]))
+            GroupConfig(spec, (), d, Subspace(4, ()), build_all([(turn, turn), (turn, eye)]))
 
     def test_rejects_bad_determinant(self):
         spec = GroupSpec(2, 1)
@@ -243,7 +254,7 @@ class TestCentralizerValidation:
     def test_rejects_non_centralizing(self):
         spec = GroupSpec(2, 1)
         d = Subspace.span(2, [[F(1), F(-1)]])
-        gen = LieElement.of([[[0, 1], [0, 0]]])
+        gen = lie_element([[[0, 1], [0, 0]]])
         swap = [(signed_permutation_matrix((1, 0)),)]
         with pytest.raises(ConfigError, match="centralizer Weyl candidate #1: "
                                               "does not centralize M generator #1"):
@@ -484,7 +495,7 @@ def w_prime_validation_case(draw):
             t = sum(x[i][i] for i in range(n)) / n
             factors.append([[e - t if i == j else e for j, e in enumerate(row)]
                             for i, row in enumerate(x)])
-        gens.append(LieElement.of(factors))
+        gens.append(lie_element(factors))
 
     spec = GroupSpec(n, m)
     if draw(st.integers(0, 4)) == 0:
@@ -516,7 +527,7 @@ class TestIntegerValidation:
         expected = reference_w_prime_error(n, m, gens, d, elems)
         event(expected.split(": ", 1)[1] if expected else "accepted")
         try:
-            GroupConfig(GroupSpec(n, m), gens, d, Subspace.zero(n * m), elems)
+            GroupConfig(GroupSpec(n, m), gens, d, Subspace(n * m, ()), elems)
             message = None
         except ConfigError as exc:
             message = str(exc)

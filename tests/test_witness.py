@@ -99,12 +99,12 @@ class TestMissedOrthant:
 
     def test_zero_subspace_takes_first(self):
         funcs = [(F(1), F(0)), (F(0), F(1))]
-        sigma0 = first_missed_orthant(funcs, Subspace.zero(2))
+        sigma0 = first_missed_orthant(funcs, Subspace(2, ()))
         assert sigma0.signs == (1, 1)
 
     def test_line_case(self):
         funcs = [(F(1),)]
-        sigma0 = first_missed_orthant(funcs, Subspace.zero(1))
+        sigma0 = first_missed_orthant(funcs, Subspace(1, ()))
         assert sigma0.signs == (1,)
         assert escape_vector(funcs, funcs, sigma0) == (F(2),)
 
