@@ -32,8 +32,6 @@ from .report import (
 from .witness import (
     ExactCheckFailedError,
     HSampler,
-    NoMissedOrthantError,
-    NotProperError,
     build_escape_witness,
     check_witness_exact,
     decay_table,
@@ -83,6 +81,10 @@ def cmd_pipeline(args) -> int:
         if config.spec.n != 2 or config.spec.m != 2:
             return _fail("the lattice probe supports n = 2, m = 2 instances only",
                          EXIT_CONFIG_ERROR)
+        try:
+            order = QuadraticOrder(problem.probe.d)
+        except ValueError as exc:
+            return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
     t0 = time.perf_counter()
     try:
         verdict = check_general(config)
@@ -97,16 +99,11 @@ def cmd_pipeline(args) -> int:
         try:
             witness = build_escape_witness(cert, config)
             check_witness_exact(witness)
-        except (ExactCheckFailedError, NotProperError, NoMissedOrthantError,
-                ValueError) as exc:
+        except (ExactCheckFailedError, ValueError) as exc:
             return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
         sections["witness"] = witness_dict(witness)
         if command == "probe":
             settings = problem.probe
-            try:
-                order = QuadraticOrder(settings.d)
-            except ValueError as exc:
-                return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
             try:
                 seq = realize_divergence_sequence(cert, witness, config,
                                                   settings.n_values)
@@ -114,7 +111,7 @@ def cmd_pipeline(args) -> int:
                 return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
             sections["decay"] = decay_dict(
                 decay_table(seq, HSampler.default(config), config))
-            rows = [(n_val, orbit_probe(order, 2, mats,
+            rows = [(n_val, orbit_probe(order, mats,
                                         grid_radius=settings.grid_radius,
                                         grid_points=settings.grid_points))
                     for n_val, mats in zip(seq.n_values, seq.elements)]
@@ -124,7 +121,10 @@ def cmd_pipeline(args) -> int:
     report = build_report(args.path, text, verdict, **sections,
                           timing={"seconds": time.perf_counter() - t0},
                           exit_code=code)
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except OSError as exc:
+        return _fail(f"cannot write report: {exc}", EXIT_CONFIG_ERROR)
     if code == EXIT_PROBE_MISMATCH:
         return _fail("probe follows the divergence witness, but the verdict "
                      "is uniformly nondivergent", EXIT_PROBE_MISMATCH)
@@ -137,6 +137,8 @@ def cmd_replay(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
+    except UnicodeDecodeError as exc:
+        return _fail(f"report is not valid UTF-8: {exc}", EXIT_CONFIG_ERROR)
     except json.JSONDecodeError as exc:
         return _fail(f"report is not valid JSON: {exc}", EXIT_CONFIG_ERROR)
     except RecursionError:

@@ -37,10 +37,11 @@ fixed (W_I fixes every chi_i with i in I: Humphreys, Reflection Groups and
 Coxeter Groups, 1.10).  So the outcome is cached per cut mask met, one byte
 per orbit key (`_orbit_tables`), and the w' are tried in list order: the
 least (subset, w, w') hit is the one the documented order certifies.
-`_first_dependent` runs on the actual u, and since weights dependent on
-Lie(D) are dependent for every w', the Lie(D) audit runs on the actual w,
-only on the least subset hit at that w.  The scan runs in the calling
-process.
+`_first_dependent` runs on the actual u.  The scan only searches, in the
+calling process: `check_general` audits the one hit it returns against the
+declared maximality of D.  Weights dependent on Lie(D) are dependent for
+every w', since w' maps Lie(D) onto itself, so the audit is one rank of the
+hit's weights w(chi_i) on Lie(D), untransported.
 
 The scan runs in exact integer arithmetic.  Scaling each chi_i by n and each
 basis vector of Lie(A) and Lie(D) by the LCM of its denominators changes no
@@ -97,10 +98,10 @@ class ConfigError(ValueError):
 
 
 class ConfigInconsistencyError(RuntimeError):
-    """The declared data contradicts itself during enumeration.
+    """The declared data contradicts itself at the certified hit.
 
-    Raised when transported fundamental weights become dependent on Lie(D)
-    for an admissible pair, which signals that D is not maximal in the
+    Raised by `check_general` when the hit's transported fundamental weights
+    are dependent on Lie(D), which signals that D is not maximal in the
     centralizer of M as declared.
     """
 
@@ -456,8 +457,8 @@ def _scan(config: GroupConfig) -> tuple:
     """Scan every Weyl element in the documented order.
 
     Returns (key, admissible_count): key is the least (subset index, w
-    index, w' index) hit, with w' index -1 for a Lie(D) audit violation,
-    or None.  The count is complete only when no hit was found.
+    index, w' index) hit, or None.  The count is complete only when no hit
+    was found.  The scan only searches: `check_general` audits the hit.
     """
     spec = config.spec
     r, m = spec.rank, spec.m
@@ -468,7 +469,6 @@ def _scan(config: GroupConfig) -> tuple:
     masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
     a_tables = _factor_tables(spec, config.a_basis.basis)
-    d_tables = None  # read only by the audit at a hit
     relabellings = _relabellings(spec, config.centralizer_weyl)
     # family[mask] = (orbit tables, outcomes): outcomes[key] is 0 untested,
     # 1 independent, 2 dependent rows cuts_of[mask] of E(u), u in the orbit.
@@ -507,14 +507,8 @@ def _scan(config: GroupConfig) -> tuple:
             si = _first_dependent(rows, cuts, subset_index, bound)
             if si is not None:
                 best = (si, w_idx, wp_idx)
-        if best and best[1] == w_idx:
-            d_tables = d_tables or _factor_tables(spec, config.d_basis.basis)
-            rows = _evaluation(d_tables, digits)
-            subset = subsets[best[0]]
-            if rank([rows[i - 1] for i in subset]) < len(subset):
-                best = (best[0], w_idx, -1)
-            if best[0] == 0:
-                break  # no later w can hit the first subset earlier
+        if best and best[0] == 0:
+            break  # no later w can hit the first subset earlier
     return best, admissible
 
 
@@ -527,6 +521,8 @@ def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subsp
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     """Full criterion for H = A*M: the first admissible (I, w, w') in the
     documented order whose transported weights are dependent on Lie(A).
+    That hit is audited once: its weights must stay independent on Lie(D),
+    or ConfigInconsistencyError is raised.
 
     `workers` is accepted and has no effect: the scan runs in the calling
     process."""
@@ -538,14 +534,15 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
         return Verdict.uniformly_nondivergent(SearchStats(pairs, admissible, total_w))
     si, w_idx, wp_idx = hit
     subset = _subsets_by_size(spec.rank)[si]
-    if wp_idx < 0:
+    w = _weyl_by_index(spec, w_idx)
+    funcs = [act_on_functional(w, fundamental_weight(spec, i)) for i in subset]
+    # w' maps Lie(D) onto itself, so dependence on Lie(D) needs no transport.
+    if rank([[dot(f, b) for b in config.d_basis.basis] for f in funcs]) < len(subset):
         raise ConfigInconsistencyError(
             f"transported weights {subset} are dependent on Lie(D) for an "
             f"admissible pair (Weyl #{w_idx}); "
             "Lie(D) is not maximal in the centralizer of M as declared")
-    w = _weyl_by_index(spec, w_idx)
     wp = config.centralizer_weyl[wp_idx]
-    funcs = [act_on_functional(w, fundamental_weight(spec, i)) for i in subset]
     coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
     cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)

@@ -47,17 +47,19 @@ class QuadraticOrder:
         return math.sqrt(self.d)
 
 
-def embed_lattice(order: QuadraticOrder, n: int, g: Sequence) -> FMat:
+def embed_lattice(order: QuadraticOrder, g: Sequence) -> FMat:
     """Basis of the rank-2n lattice with columns (g1 s1(v), g2 s2(v)) over
-    {e_i, sqrt(d) e_i}; the columns of the returned 2n x 2n matrix are the
-    lattice vectors.
+    {e_i, sqrt(d) e_i}, n the size of g1; the columns of the returned
+    2n x 2n matrix are the lattice vectors.
 
     Column order: e_1..e_n then sqrt(d) e_1..sqrt(d) e_n.
     """
     g1, g2 = fmat(g[0]), fmat(g[1])
+    n = len(g1)
     if any(len(f) != n or any(len(row) != n for row in f) for f in (g1, g2)):
         raise ValueError("g must be a pair of n x n matrices")
-    if abs(det(g1)) < 1e-12 or abs(det(g2)) < 1e-12:
+    # written to fail on a NaN determinant as well
+    if not (abs(det(g1)) >= 1e-12 and abs(det(g2)) >= 1e-12):
         raise ValueError("g factors must be invertible")
     s = order.sqrt_d
     return (tuple(row + tuple(s * x for x in row) for row in g1)
@@ -205,15 +207,16 @@ class ProbeStats:
     values: tuple[tuple[float, float], ...]
 
 
-def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence,
+def orbit_probe(order: QuadraticOrder, g0: Sequence,
                 grid_radius: float = 5.0, grid_points: int = 21) -> ProbeStats:
-    """Shortest vectors along the diagonal-line torus orbit of g0.
+    """Shortest vectors along the diagonal-line torus orbit of g0, a pair of
+    2 x 2 matrices.
 
     Torus samples are determinant-one pairs (diag(e^t, e^-t), diag(e^t, e^-t))
     over the symmetric grid of t values: t_k = k * step - radius with the
     last point set to +radius, as `numpy.linspace` places them.
     """
-    if n != 2:
+    if len(g0) != 2 or any(len(f) != 2 or any(len(r) != 2 for r in f) for f in g0):
         raise ValueError("the orbit probe samples the diagonal line of SL_2 pairs")
     start, stop = -float(grid_radius), float(grid_radius)
     step = (stop - start) / max(grid_points - 1, 1)
@@ -224,8 +227,8 @@ def orbit_probe(order: QuadraticOrder, n: int, g0: Sequence,
     minimum, maximum, argmin_t = math.inf, -math.inf, 0.0
     for t in ts:
         a = diagonal([math.exp(t), math.exp(-t)])
-        sv = shortest_vector(embed_lattice(order, n, (mat_mul(a, g0[0]),
-                                                      mat_mul(a, g0[1]))))
+        sv = shortest_vector(embed_lattice(order, (mat_mul(a, g0[0]),
+                                                   mat_mul(a, g0[1]))))
         values.append((t, sv))
         if sv < minimum:
             minimum, argmin_t = sv, t

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .criterion import Certificate, GroupConfig, replay_certificate
+from .criterion import Certificate, GroupConfig, _transport_subspace, replay_certificate
 from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
 from .linalg import (
     Orthant,
@@ -59,16 +59,9 @@ from .rootdata import (
 from .weyl import act_on_functional, signed_permutation_matrix
 
 
-class NotProperError(RuntimeError):
-    """The projected subspace is not proper; contradicts the certificate."""
-
-
-class NoMissedOrthantError(RuntimeError):
-    """No orthant avoids the projected subspace; contradicts the certificate."""
-
-
 class ExactCheckFailedError(RuntimeError):
-    """An exact witness condition failed on re-verification."""
+    """An exact witness condition failed, in construction or on
+    re-verification; either contradicts the certificate."""
 
 
 @record
@@ -113,7 +106,7 @@ def first_missed_orthant(funcs: Sequence[Vec], u_prime: Subspace) -> Orthant:
         cand = Orthant(signs)
         if not orthant_meets_subspace(funcs, cand, u_prime):
             return cand
-    raise NoMissedOrthantError("every orthant meets the projected subspace")
+    raise ExactCheckFailedError("every orthant meets the projected subspace")
 
 
 def escape_vector(funcs: Sequence[Vec], u_vectors: Sequence[Vec],
@@ -136,12 +129,10 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
     funcs = [act_on_functional(cert.w, fundamental_weight(spec, i)) for i in cert.subset]
     u_vectors = tuple(funcs)  # standard form: dual vector = coefficient vector
     u_space = Subspace.span(spec.ambient_dim, u_vectors)
-    transported = Subspace.span(
-        spec.ambient_dim,
-        [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis])
-    u_prime = project_subspace(transported, u_space)
+    u_prime = project_subspace(_transport_subspace(config.a_basis, cert.w_prime),
+                               u_space)
     if u_prime.dim >= u_space.dim:
-        raise NotProperError("projection of Lie(A) covers the weight span")
+        raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
     sigma0 = first_missed_orthant(funcs, u_prime)
     v = escape_vector(funcs, u_vectors, sigma0)
     return EscapeWitness(u_vectors, u_space, u_prime, sigma0, v)
@@ -226,24 +217,26 @@ def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
     return math.exp(float(exponent)) * base_norm
 
 
+GRID_RADIUS = 5  # half-width of the H grid in each Lie(A) basis coordinate
+
+
 @record
 class HSampler:
-    """Deterministic H samples: a grid in Lie(A).  M moves no certified
-    wedge line's norm (module docstring), so it needs no samples; each label
-    keeps the `;id` of the identity M-word."""
+    """Deterministic H samples: a grid in Lie(A), GRID_RADIUS wide on each
+    side.  M moves no certified wedge line's norm (module docstring), so it
+    needs no samples; each label keeps the `;id` of the identity M-word."""
 
     a_points: tuple[Vec, ...]
     a_labels: tuple[str, ...]
 
     @classmethod
-    def default(cls, config: GroupConfig, grid_radius: int = 5,
-                grid_points: int = 21) -> "HSampler":
+    def default(cls, config: GroupConfig, grid_points: int = 21) -> "HSampler":
         spec = config.spec
         basis = config.a_basis.basis
         if grid_points < 2:
             raise ValueError("grid needs at least two points per dimension")
-        step = Fraction(2 * grid_radius, grid_points - 1)
-        coords = [(-Fraction(grid_radius) + k * step) for k in range(grid_points)]
+        step = Fraction(2 * GRID_RADIUS, grid_points - 1)
+        coords = [(-Fraction(GRID_RADIUS) + k * step) for k in range(grid_points)]
         points = []
         a_labels = []
         if basis:

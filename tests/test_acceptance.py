@@ -275,7 +275,7 @@ def test_criterion_7_lattice_probe():
     order = QuadraticOrder(2)
     maxima = {}
     for n_val, mats in zip(seq.n_values, seq.elements):
-        maxima[n_val] = orbit_probe(order, 2, mats).maximum
+        maxima[n_val] = orbit_probe(order, mats).maximum
     series = [maxima[n] for n in (0, 2, 4, 6)]
     assert all(x > y for x, y in zip(series, series[1:]))
     assert maxima[6] < 0.5 * maxima[0]

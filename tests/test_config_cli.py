@@ -230,10 +230,33 @@ class TestParserFuzz:
 _W2_FACTOR2 = ('[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
                '["0", "0", "0", "1"], ["0", "0", "-1", "0"]]')
 
-# Inputs of the exit-code table that are a shipped config with one edit:
-# name -> (shipped config, old text, new text).  Any other name is read from
-# configs/ as it is, so a name not shipped there is a missing file.
+# An sl_2 block M in SL_4 with Lie(D) = Lie(A) declared as a line: the
+# least hit's weights are dependent on Lie(D) itself, so D is not maximal.
+D_NOT_MAXIMAL = """[group]
+family = res-sl
+n = 4
+m = 1
+
+[subgroup-m]
+generators = [[[["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]], [[["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]]]
+
+[torus-d]
+basis = [["1", "1", "-1", "-1"]]
+
+[torus-a]
+basis = [["1", "1", "-1", "-1"]]
+
+[centralizer-weyl]
+mode = explicit
+elements = []
+"""
+
+# Inputs of the exit-code table that are a config with one edit: name ->
+# (source, old text, new text), the source a shipped config or another
+# entry here; (None, None, text) is a whole file.  Any other name is read
+# from configs/ as it is, so a name not shipped there is a missing file.
 EDITED_CONFIGS = {
+    "d-not-maximal.cfg": (None, None, D_NOT_MAXIMAL),
     "zero-denominator.cfg": ("example1-m2.cfg", '"1", "-1", "1", "-1"',
                              '"1/0", "-1", "1", "-1"'),
     "dependent-d.cfg": ("example1-m2.cfg",
@@ -250,6 +273,7 @@ EDITED_CONFIGS = {
     "full-cartan-a.cfg": ("example1-m2.cfg",
                           '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
                           '[torus-a]\nbasis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'),
+    "full-cartan-a-d5.cfg": ("full-cartan-a.cfg", "d = 2", "d = 5"),
     # factor 2 of the second centralizer Weyl element, scaled to det 2 and
     # sheared so that it no longer maps the diagonal Lie(D) to diagonals
     "w-prime-det-2.cfg": ("example2-line.cfg", _W2_FACTOR2,
@@ -278,7 +302,10 @@ EXIT_TABLE = [
      "centralizer Weyl candidate #2: does not normalize D", False),
     ("check", "deeply-nested-a.cfg", 2, "[torus-a] basis: JSON is nested too deeply",
      False),
+    ("check", "d-not-maximal.cfg", 2, "not maximal", False),
     ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
+    # the last --output wins, and a directory cannot be opened as a file
+    ("check --output .", "example1-m2.cfg", 2, "cannot write report: ", False),
     ("certify", "example1-m2.cfg", 10, None, True),
     ("certify", "example1-m3.cfg", 0, None, True),
     ("certify --workers 0", "example1-m2.cfg", 2, "at least 1", False),
@@ -289,6 +316,7 @@ EXIT_TABLE = [
     ("probe", "example1-m3.cfg", 2, "the [probe] section is missing", False),
     ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
     ("probe", "probe-d5.cfg", 2, "[probe] d:", False),
+    ("probe", "full-cartan-a-d5.cfg", 2, "[probe] d:", False),
     ("probe", "grid-radius-800.cfg", 2, "grid-radius", False),
     ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
     ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
@@ -296,14 +324,22 @@ EXIT_TABLE = [
 ]
 
 
+def table_text(name):
+    if name not in EDITED_CONFIGS:
+        return (CONFIGS / name).read_text()
+    source, old, new = EDITED_CONFIGS[name]
+    if source is None:
+        return new
+    text = table_text(source)
+    assert old in text
+    return text.replace(old, new)
+
+
 def table_input(name, tmp_path):
     if name not in EDITED_CONFIGS:
         return CONFIGS / name
-    source, old, new = EDITED_CONFIGS[name]
-    text = (CONFIGS / source).read_text()
-    assert old in text
     path = tmp_path / name
-    path.write_text(text.replace(old, new))
+    path.write_text(table_text(name))
     return path
 
 
@@ -476,6 +512,15 @@ def test_replay_deeply_nested_report_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("nondiv: error: report is not valid JSON")
+
+
+def test_replay_non_utf8_report_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"format": "report-v1", "x": "\xff"}')
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nondiv: error: report is not valid UTF-8")
 
 
 class TestCliReplay:

@@ -53,6 +53,7 @@ from helpers import (
     torus_config,
     w_prime,
 )
+from first_hit import first_hit
 
 
 class TestIntegerEvaluation:
@@ -513,8 +514,15 @@ class TestCheckGeneral:
         line = Subspace.span(4, [[F(1), F(1), F(-1), F(-1)]])
         cw = (identity_centralizer_element(spec),)
         config = GroupConfig(spec, gens, line, line, cw)
-        with pytest.raises(ConfigInconsistencyError):
+        with pytest.raises(ConfigInconsistencyError) as err:
             check_general(config)
+        # Lie(A) = Lie(D), so the audited hit is the least hit on Lie(A).
+        subset, perms, _, _ = first_hit(4, 1, [g.factors for g in gens], line.basis,
+                                        [e.matrices for e in config.centralizer_weyl])
+        w_idx = [w.perms for w in scan_order(spec)].index(perms)
+        assert f"weights {subset} are dependent on Lie(D)" in str(err.value)
+        assert f"(Weyl #{w_idx});" in str(err.value)
+        assert "not maximal" in str(err.value)
 
 
 EXAMPLE2_V_GENERATORS = (

@@ -62,14 +62,14 @@ class TestQuadraticOrder:
 
 class TestEmbedLattice:
     def test_degenerate_demo_covolume(self):
-        basis = embed_lattice(QuadraticOrder(2), 1,
+        basis = embed_lattice(QuadraticOrder(2),
                               (np.array([[1.0]]), np.array([[1.0]])))
         covolume = abs(np.linalg.det(basis))
         assert covolume == pytest.approx(2 * math.sqrt(2), rel=1e-12)
         assert basis[0][0] == 1.0 and basis[1][1] == pytest.approx(-math.sqrt(2))
 
     def test_identity_pair_block_pattern(self):
-        basis = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
+        basis = embed_lattice(QuadraticOrder(2), (np.eye(2), np.eye(2)))
         s = math.sqrt(2)
         expected = np.array([
             [1, 0, s, 0],
@@ -81,16 +81,27 @@ class TestEmbedLattice:
 
     def test_unimodular_torus_preserves_covolume(self):
         order = QuadraticOrder(2)
-        base = abs(np.linalg.det(embed_lattice(order, 2, (np.eye(2), np.eye(2)))))
+        base = abs(np.linalg.det(embed_lattice(order, (np.eye(2), np.eye(2)))))
         for c in (0.5, 2.0, 3.7):
             a = np.diag([c, 1.0 / c])
-            basis = embed_lattice(order, 2, (a, a))
+            basis = embed_lattice(order, (a, a))
             assert abs(np.linalg.det(basis)) == pytest.approx(base, rel=1e-9)
 
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
-            embed_lattice(QuadraticOrder(2), 2,
+            embed_lattice(QuadraticOrder(2),
                           (np.zeros((2, 2)), np.eye(2)))
+
+    def test_rejects_nan_factor(self):
+        # abs(det) < tol is False for a NaN determinant, so the test must
+        # be written to fail on NaN
+        with pytest.raises(ValueError, match="invertible"):
+            embed_lattice(QuadraticOrder(2),
+                          (np.eye(2), np.array([[math.nan, 0.0], [0.0, 1.0]])))
+
+    def test_rejects_factors_of_different_sizes(self):
+        with pytest.raises(ValueError, match="pair of n x n"):
+            embed_lattice(QuadraticOrder(2), (np.eye(2), np.eye(3)))
 
 
 class TestShortestVector:
@@ -101,7 +112,7 @@ class TestShortestVector:
         assert shortest_vector(0.5 * np.eye(4)) == pytest.approx(0.5)
 
     def test_d2_identity_pair(self):
-        basis = embed_lattice(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)))
+        basis = embed_lattice(QuadraticOrder(2), (np.eye(2), np.eye(2)))
         assert shortest_vector(basis) == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_agrees_with_brute_force(self):
@@ -156,7 +167,7 @@ def enumeration_basis(draw):
             f = [[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
             assume(abs(np.linalg.det(f)) > 0.2)
             g.append(f)
-    return embed_lattice(QuadraticOrder(draw(st.sampled_from((2, 3, 7)))), 2, g)
+    return embed_lattice(QuadraticOrder(draw(st.sampled_from((2, 3, 7)))), g)
 
 
 class TestEnumerationFromGramSchmidt:
@@ -230,7 +241,7 @@ class TestOrbitProbe:
                                            config, n_values)
 
     def test_identity_baseline_positive(self):
-        stats = orbit_probe(QuadraticOrder(2), 2, (np.eye(2), np.eye(2)),
+        stats = orbit_probe(QuadraticOrder(2), (np.eye(2), np.eye(2)),
                             grid_radius=2.0, grid_points=5)
         assert stats.maximum >= stats.minimum > 0
 
@@ -242,7 +253,7 @@ class TestOrbitProbe:
         vols = []
         for t in ts:
             a = np.diag([math.exp(t), math.exp(-t)])
-            basis = embed_lattice(order, 2, (a @ g0[0], a @ g0[1]))
+            basis = embed_lattice(order, (a @ g0[0], a @ g0[1]))
             vols.append(abs(np.linalg.det(basis)))
         assert max(vols) / min(vols) == pytest.approx(1.0, rel=1e-9)
 
@@ -250,12 +261,11 @@ class TestOrbitProbe:
         seq = self._witness_sequence([0, 2, 4, 6])
         prev = None
         for n_val, mats in zip(seq.n_values, seq.elements):
-            stats = orbit_probe(QuadraticOrder(2), 2, mats)
+            stats = orbit_probe(QuadraticOrder(2), mats)
             if prev is not None:
                 assert stats.maximum < prev
             prev = stats.maximum
 
     def test_probe_requires_rank_one_setup(self):
         with pytest.raises(ValueError):
-            orbit_probe(QuadraticOrder(2), 3,
-                        (np.eye(3), np.eye(3)))
+            orbit_probe(QuadraticOrder(2), (np.eye(3), np.eye(3)))
