@@ -116,8 +116,7 @@ def cmd_pipeline(args) -> int:
                                         grid_points=settings.grid_points))
                     for n_val, mats in zip(seq.n_values, seq.elements)]
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
-                                           settings.grid_points, settings.seed,
-                                           rows)
+                                           settings.grid_points, rows)
     report = build_report(args.path, text, verdict, **sections,
                           timing={"seconds": time.perf_counter() - t0},
                           exit_code=code)

@@ -23,7 +23,6 @@ from .rootdata import GroupSpec, LieElement
 from .weyl import CentralizerWeylElement
 
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
-DEFAULT_SEED = 0x5EED
 # The probe evaluates exp(t) for |t| up to the grid radius.
 MAX_GRID_RADIUS = math.log(sys.float_info.max)
 
@@ -34,7 +33,6 @@ class ProbeSettings:
     grid_radius: float
     grid_points: int
     n_values: tuple[int, ...]
-    seed: int
 
 
 @record
@@ -43,7 +41,6 @@ class ProblemFile:
     m_generators: tuple[LieElement, ...]
     d_vectors: tuple[Vec, ...]
     a_vectors: tuple[Vec, ...]
-    centralizer_mode: str
     centralizer_elements: tuple[tuple[Mat, ...], ...]
     probe: Optional[ProbeSettings]
 
@@ -183,7 +180,6 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
             d = int(sec.get("d", "2"))
             radius = float(Fraction(sec.get("grid-radius", "5")))
             points = int(sec.get("grid-points", "21"))
-            seed = int(sec.get("seed", str(DEFAULT_SEED)), 0)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"[probe]: {exc}")
         nv_raw = sec.get("n-values", None)
@@ -203,9 +199,9 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         if radius > MAX_GRID_RADIUS:
             raise ConfigError(f"[probe] grid-radius: must be at most "
                               f"{MAX_GRID_RADIUS:.2f}, or exp(radius) overflows")
-        probe = ProbeSettings(d, radius, points, n_values, seed)
+        probe = ProbeSettings(d, radius, points, n_values)
 
-    return ProblemFile(spec, gens, d_vectors, a_vectors, mode, elements, probe)
+    return ProblemFile(spec, gens, d_vectors, a_vectors, elements, probe)
 
 
 def build_config(problem: ProblemFile) -> GroupConfig:

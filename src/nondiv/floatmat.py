@@ -9,10 +9,9 @@ returns that form.
 
 Floats follow IEEE semantics throughout: an exponential that overflows is
 `inf`.  `det` reads a determinant as sign * exp(sum of log|pivot|), the
-convention of `numpy.linalg.det`, so the wedge norms a decay table prints
-keep the last bits that form gives.  Which norm a row prints is decided by
-exact exponents, not by these floats (the `witness` module docstring says
-why M needs no samples).
+convention of `numpy.linalg.det`.  In the decay table it sets only the base
+norm of each certified line at g_0; each printed row is that norm times an
+exact exponential (the `witness` module docstring says why).
 """
 
 from __future__ import annotations

@@ -93,7 +93,7 @@ def decay_dict(rows: tuple[DecayRow, ...]) -> list[dict]:
     } for row in rows]
 
 
-def probe_dict(d: int, grid_radius: float, grid_points: int, seed: int,
+def probe_dict(d: int, grid_radius: float, grid_points: int,
                rows: list[tuple[int, ProbeStats]]) -> dict:
     return {
         "d": d,
@@ -101,7 +101,6 @@ def probe_dict(d: int, grid_radius: float, grid_points: int, seed: int,
         "note": ("the divergence verdict is certified by the exact criterion; "
                  "this table only demonstrates it on a finite grid"),
         "grid": {"radius": grid_radius, "points": grid_points},
-        "seed": seed,
         "rows": [{
             "N": n_val,
             "max": st.maximum,

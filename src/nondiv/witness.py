@@ -16,15 +16,16 @@ exp(a) w' = w' exp(Ad(w'^-1) a), the norm of the line l under exp(a) mu g_N
 is exp((w omega)(Ad(w'^-1) a + N v)) * |Ad(w' w) l|, omega the nilradical's
 weight: an exact rational exponent times one base norm per line.  So the H
 samples are points of Lie(A) only, and `decay_table` orders them by their
-exact exponents.
+exact exponents and prints that closed form.
 
-Only the numeric part uses floats, along one path: every g_N, the N = 0
-baseline included, comes from `realize_divergence_sequence`, and
-`wedge_norm` moves each nilradical matrix unit, held as its (factor, row,
-column) position, by an outer product of a column of g and a row of g^-1.
-Matrices over the reals are tuples of float row tuples, multiplied,
-inverted and reduced to determinants by the plain-Python kernels of
-`floatmat`, so the module needs neither numpy nor scipy.
+Only the numeric part uses floats.  Every g_N comes from
+`realize_divergence_sequence`: the lattice probe reads each, the decay table
+only g_0 = w' w, where `wedge_norm` takes the base norms.  It moves each
+nilradical matrix unit, held as its (factor, row, column) position, by an
+outer product of a column of g and a row of g^-1.  Matrices over the reals
+are tuples of float row tuples, multiplied, inverted and reduced to
+determinants by the plain-Python kernels of `floatmat`, so the module needs
+neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -223,8 +224,8 @@ GRID_RADIUS = 5  # half-width of the H grid in each Lie(A) basis coordinate
 @record
 class HSampler:
     """Deterministic H samples: a grid in Lie(A), GRID_RADIUS wide on each
-    side.  M moves no certified wedge line's norm (module docstring), so it
-    needs no samples; each label keeps the `;id` of the identity M-word."""
+    side, labelled by its coordinates.  M moves no certified wedge line's
+    norm (module docstring), so it needs no samples."""
 
     a_points: tuple[Vec, ...]
     a_labels: tuple[str, ...]
@@ -245,10 +246,10 @@ class HSampler:
                 for c, b in zip(combo, basis):
                     p = vec_add(p, vec_scale(c, b))
                 points.append(p)
-                a_labels.append("t=(" + ",".join(str(c) for c in combo) + ");id")
+                a_labels.append("t=(" + ",".join(str(c) for c in combo) + ")")
         else:
             points.append(tuple(Fraction(0) for _ in range(spec.ambient_dim)))
-            a_labels.append("t=();id")
+            a_labels.append("t=()")
         return cls(tuple(points), tuple(a_labels))
 
 
@@ -300,38 +301,36 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     within a sample, and samples within a row, are ordered by the key
     float(x_l(a) + N y_l) + log B_l; ties go to the first line, then to the
     first sample, and equal exponents over equal bases tie exactly.  Each row
-    prints the Gram-path norm of its chosen line at the chosen h * g_N.
+    prints `closed_form_torus_norm` of its chosen line at the chosen a-point,
+    so only g_0 is realized and no norm underflows before exp does.
     """
     spec = config.spec
-    cert = seq.certificate
+    cert, witness = seq.certificate, seq.witness
     lines = [WedgeLine.of(spec, j, side)
              for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
     names = [f"{line.rep_index}:{line.side.value}" for line in lines]
-    n_to_mats = dict(zip(seq.n_values, seq.elements))
-    if 0 not in n_to_mats:
-        n_to_mats[0] = realize_divergence_sequence(cert, seq.witness, config,
-                                                   [0]).elements[0]
-    g0 = n_to_mats[0]
+    g0 = realize_divergence_sequence(cert, witness, config, [0]).elements[0]
     g0_inv = [inverse(f) for f in g0]
-    log_bases = [math.log(wedge_norm(line, g0, g0_inv)) for line in lines]
+    bases = [wedge_norm(line, g0, g0_inv) for line in lines]
+    log_bases = [math.log(b) for b in bases]
     weights = [_line_weight(spec, cert, line) for line in lines]
-    slopes = [dot(w_omega, seq.witness.v) for w_omega in weights]
+    slopes = [dot(w_omega, witness.v) for w_omega in weights]
     offsets = []
     for a in sampler.a_points:
         x_prime = cert.w_prime.transport_inverse(a)
         offsets.append([dot(w_omega, x_prime) for w_omega in weights])
 
     rows = []
-    for n_val in sorted(n_to_mats):
+    for n_val in sorted({0, *seq.n_values}):
         # (key, line index) of each sample's min; the first line wins ties
         chosen = [min((float(x + n_val * y) + lb, i)
                       for i, (x, y, lb) in enumerate(zip(xs, slopes, log_bases)))
                   for xs in offsets]
         worst = max(range(len(chosen)), key=lambda i: chosen[i][0])
-        hg = tuple(mat_mul(hf, gf) for hf, gf in
-                   zip(_exp_cartan(spec, sampler.a_points[worst]), n_to_mats[n_val]))
-        value = wedge_norm(lines[chosen[worst][1]], hg, [inverse(f) for f in hg])
+        best = chosen[worst][1]
+        value = closed_form_torus_norm(config, cert, witness, lines[best],
+                                       sampler.a_points[worst], n_val, bases[best])
         fired = Counter(names[i] for _, i in chosen)
         rows.append(DecayRow(n_val, value, sampler.a_labels[worst],
                              tuple(sorted(fired.items()))))

@@ -74,7 +74,8 @@ def _mat_json_obj(m):
 def serialize_problem(problem):
     """Deterministic problem-file text of a parsed `ProblemFile`: the
     round-trip tests' reference writer (`parse_problem` must read it back
-    to an equal problem)."""
+    to an equal problem).  The centralizer mode is auto-trivial-m exactly
+    when M and the element list are both empty."""
     lines = []
     lines.append("[group]")
     lines.append("family = res-sl")
@@ -97,8 +98,10 @@ def serialize_problem(problem):
                                           for v in problem.a_vectors]))
     lines.append("")
     lines.append("[centralizer-weyl]")
-    lines.append(f"mode = {problem.centralizer_mode}")
-    if problem.centralizer_mode == "explicit":
+    if not problem.m_generators and not problem.centralizer_elements:
+        lines.append("mode = auto-trivial-m")
+    else:
+        lines.append("mode = explicit")
         elems = [[_mat_json_obj(f) for f in e] for e in problem.centralizer_elements]
         lines.append(f"elements = {json.dumps(elems)}")
     if problem.probe is not None:
@@ -110,7 +113,6 @@ def serialize_problem(problem):
         lines.append(f"grid-radius = {int(radius) if radius == int(radius) else radius}")
         lines.append(f"grid-points = {p.grid_points}")
         lines.append(f"n-values = {json.dumps(list(p.n_values))}")
-        lines.append(f"seed = {p.seed}")
     return "\n".join(lines) + "\n"
 
 
@@ -403,7 +405,7 @@ def float_decay_table(seq, sampler, config):
                 best = min(dense_wedge_norm(line, hg) for line in lines)
                 if best > worst:
                     worst = best
-                    worst_label = a_label.rsplit(";", 1)[0] + ";" + w_label
+                    worst_label = a_label + ";" + w_label
                 a_best = max(a_best, best)
             a_values.append(a_best)
         rows.append({"N": n_val, "max_min_norm": worst,

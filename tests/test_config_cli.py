@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -111,21 +112,17 @@ def problem_files(draw):
 
     gens = tuple(LieElement(tuple(matrix(True) for _ in range(m)))
                  for _ in range(draw(st.integers(0, 2))))
+    elements = ()
     if gens or draw(st.booleans()):
-        mode = "explicit"
         elements = tuple(tuple(matrix() for _ in range(m))
                          for _ in range(draw(st.integers(0, 2))))
-    else:
-        mode, elements = "auto-trivial-m", ()
     probe = None
     if draw(st.booleans()):
         probe = ProbeSettings(
             draw(st.integers(1, 50)), draw(st.sampled_from((0.5, 2.0, 5.0, 12.25))),
             draw(st.integers(2, 30)),
-            tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))),
-            draw(st.integers(0, 1 << 16)))
-    return ProblemFile(GroupSpec(n, m), gens, vectors(), vectors(), mode, elements,
-                       probe)
+            tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))))
+    return ProblemFile(GroupSpec(n, m), gens, vectors(), vectors(), elements, probe)
 
 
 def respell(text, spell):
@@ -283,6 +280,10 @@ EDITED_CONFIGS = {
     # deeper than the JSON decoder's recursion limit
     "deeply-nested-a.cfg": ("example1-m2.cfg", 'basis = [["1", "-1", "1", "-1"]]',
                             "basis = " + "[" * 100_000 + "]" * 100_000),
+    # generator #1 stays valid and every entry of #2 is zero
+    "zero-generator-2.cfg": ("example2-line.cfg",
+                             '["0", "0", "0", "1"], ["0", "0", "0", "0"], ["0", "1", "0", "0"]',
+                             '["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]'),
     # v = (1, -1, -1, 1), so exp(710) overflows: g_N holds inf and NaN entries
     "n-values-710.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
                          "n-values = [0, 710]"),
@@ -303,6 +304,7 @@ EXIT_TABLE = [
     ("check", "deeply-nested-a.cfg", 2, "[torus-a] basis: JSON is nested too deeply",
      False),
     ("check", "d-not-maximal.cfg", 2, "not maximal", False),
+    ("check", "zero-generator-2.cfg", 2, "M generator #2 is zero", False),
     ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
     # the last --output wins, and a directory cannot be opened as a file
     ("check --output .", "example1-m2.cfg", 2, "cannot write report: ", False),
@@ -446,9 +448,8 @@ class TestCliProbe:
         assert all(a > b for a, b in zip(maxima, maxima[1:]))
         assert data["decay"] is not None
 
-    def test_seed_override_reproduces_table(self, tmp_path):
-        # The probe has no seed to override (H is sampled on a fixed grid of
-        # Lie(A)): two runs give one report.
+    def test_two_runs_give_one_report(self, tmp_path):
+        # H is sampled on a fixed grid of Lie(A), so nothing varies by run.
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
                 "--output", str(out1))
@@ -463,8 +464,39 @@ class TestCliProbe:
         assert cli.main(["probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
                          "--output", str(out)]) == 10
         row = json.loads(out.read_text())["decay"][0]
-        assert row == {"N": 0, "max_min_norm": 1.0, "worst_sample": "t=(-5);id",
+        assert row == {"N": 0, "max_min_norm": 1.0, "worst_sample": "t=(-5)",
                        "fired": {"1:standard": 21}}
+
+    def test_rows_are_exact_below_the_gram_underflow(self, tmp_path):
+        # The squared Gram-path norm exp(-8N) underflows from N ~ 93, but each
+        # row is the closed form exp(x + N y) B: here exp(-4N), with B = 1.
+        text = (CONFIGS / "example1-m2.cfg").read_text()
+        path = tmp_path / "n100.cfg"
+        path.write_text(text.replace("n-values = [0, 2, 4, 6]", "n-values = [0, 100, 150]"))
+        out = tmp_path / "r.json"
+        assert cli.main(["probe", str(path), "--output", str(out)]) == 10
+        rows = json.loads(out.read_text())["decay"]
+        assert [r["N"] for r in rows] == [0, 100, 150]
+        for row in rows:
+            assert row["max_min_norm"] > 0.0
+            assert row["max_min_norm"] == pytest.approx(math.exp(-4 * row["N"]),
+                                                        rel=1e-12)
+
+    def test_seed_key_is_ignored(self, tmp_path):
+        # `seed` is not a [probe] key: like any unknown key it changes no byte
+        # of the decay and probe sections.
+        text = (CONFIGS / "example1-m2.cfg").read_text()
+        assert "seed = 24301\n" in text
+        path = tmp_path / "seed7.cfg"
+        path.write_text(text.replace("seed = 24301\n", "seed = 7\n"))
+        reports = []
+        for source in (CONFIGS / "example1-m2.cfg", path):
+            out = tmp_path / f"{source.stem}.json"
+            assert cli.main(["probe", str(source), "--output", str(out)]) == 10
+            reports.append(json.loads(out.read_text()))
+        assert "seed" not in reports[0]["probe"]
+        for section in ("decay", "probe"):
+            assert reports[0][section] == reports[1][section]
 
     def test_drifted_realization_exits_3(self, tmp_path, monkeypatch, capsys):
         exp_cartan = witness._exp_cartan

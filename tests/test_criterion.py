@@ -682,6 +682,15 @@ class TestConfigValidation:
         d = Subspace.span(4, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))
         return spec, gens, d
 
+    def test_bad_generator_is_named_by_number(self):
+        # generator #1 is valid, so the message must count to the bad #2
+        spec, gens, d = self._sl2_block()
+        identity = (identity_centralizer_element(spec),)
+        for bad, message in ((lie_element([[[1, 0], [0, -1]]]), "has wrong shape"),
+                             (lie_element([[[0] * 4] * 4]), "is zero")):
+            with pytest.raises(ConfigError, match=f"^M generator #2 {message}$"):
+                GroupConfig(spec, (gens[0], bad), d, d, identity)
+
     def test_non_centralizing_w_prime_rejected(self):
         spec, gens, d = self._sl2_block()
         swap = w_prime((signed_permutation_matrix((0, 2, 1, 3)),))
@@ -764,8 +773,7 @@ class TestConfigValidation:
             identity_centralizer_element(problem.spec).matrices)
         problem = ProblemFile(
             problem.spec, problem.m_generators, problem.d_vectors,
-            problem.a_vectors, problem.centralizer_mode,
-            problem.centralizer_elements[1:], problem.probe)
+            problem.a_vectors, problem.centralizer_elements[1:], problem.probe)
         in_code = GroupConfig(
             problem.spec, problem.m_generators,
             Subspace.span(8, problem.d_vectors), Subspace.span(8, problem.a_vectors),

@@ -20,6 +20,10 @@ to order its H samples by exact exponents.  Only its N = 0 row moved, from
 "t=(-1/2);id" with 1.0000000000000002 to "t=(-5);id" with 1.0: every a-point
 has exponent 0 there and both lines base norm 1, an exact tie, which now
 goes to the first sample instead of to the last bits of the float norms.
+It was re-pinned once more when `[probe] seed` stopped being read and the
+sample labels lost their constant ";id" suffix: the report no longer has
+`probe.seed`, and "t=(-5);id" is now "t=(-5)".  No decay or probe value
+moved; every row here already equalled the closed form the rows now print.
 
 The `probe` report holds float tables (decay norms, lattice minima), so its
 floats are rounded to 10 significant digits before hashing; last-digit
@@ -76,7 +80,7 @@ CERTIFY_SHA256 = {
 
 PROBE_SHA256 = {
     "example1-m2.cfg":
-        "a9fefcddbf29ddc5ba9ad982ea218c9ebe4297bd13eb11fd6c6482a00a31913d",
+        "f6e7b39d417515dc24a048f9b9c59976c7769ff14ac19ea365269a8dd4d1340b",
 }
 
 

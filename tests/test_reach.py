@@ -28,7 +28,6 @@ ALLOWED_UNREACHED = {
     "linalg.StrictRegion.__post_init__": "acceptance criterion 5, through StrictRegion.of",
     "linalg._region_feasible": "acceptance criterion 5, through invdim",
     "linalg.mat": "acceptance criterion 5, through integral_kernel_vector",
-    "witness.closed_form_torus_norm": "acceptance criterion 6",
     "witness.verify_divergence": "acceptance criterion 6",
     "_record.record.<locals>.bind": "record closure: keyword or wrong-arity construction",
     "_record.record.<locals>.__repr__": "record closure: no command prints a record",

@@ -254,7 +254,7 @@ class TestSampler:
         s2 = HSampler.default(config)
         assert len(s1.a_points) == 21
         assert s1 == s2
-        assert (s1.a_labels[0], s1.a_labels[10]) == ("t=(-5);id", "t=(0);id")
+        assert (s1.a_labels[0], s1.a_labels[10]) == ("t=(-5)", "t=(0)")
 
 
 class TestFloatReference:
@@ -273,8 +273,7 @@ class TestFloatReference:
             assert sum(count for _, count in row.fired) == len(sampler.a_points)
             top = sorted(r["a_values"], reverse=True)
             if top[0] - top[1] > 1e-9 * top[0]:
-                a_label = row.worst_sample.rsplit(";", 1)[0]
-                assert a_label == r["worst_sample"].rsplit(";", 1)[0]
+                assert row.worst_sample == r["worst_sample"].rsplit(";", 1)[0]
                 decided += 1
         return decided
 
@@ -313,10 +312,9 @@ class TestVerifyDivergence:
         for row in rows:
             assert row.max_min_norm <= math.exp(-row.n_value) * values[0] * (1 + 1e-9)
 
-    def test_decay_inverts_each_h_g_once(self, monkeypatch):
-        # The factors of g_0 are inverted once for the base norms, and each
-        # row inverts the one h*g it prints; the wedge norms are one per
-        # certified line plus one per row.
+    def test_decay_inverts_only_g0(self, monkeypatch):
+        # Rows print the closed form, so the m factors of g_0 are the only
+        # inverses and the wedge norms are one per certified line.
         config, cert, witness = example1_m2_setup()
         seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
         sampler = HSampler.default(config)
@@ -329,19 +327,22 @@ class TestVerifyDivergence:
                             lambda *args: norms.append(args) or wedge_norm(*args))
         rows = decay_table(seq, sampler, config)
         assert len(cert.subset) * 2 == 2 and len(rows) == 4
-        assert len(calls) == config.spec.m * (1 + len(rows))
-        assert len(norms) == 2 + len(rows)
+        assert len(calls) == config.spec.m
+        assert len(norms) == 2
 
-    def test_decay_builds_each_h_sample_once(self, monkeypatch):
-        # Samples are ordered by exact exponents, so a row exponentiates
-        # only the a-point it prints.
+    def test_decay_exponentiates_no_h_sample(self, monkeypatch):
+        # Samples are ordered and printed by exact exponents: g_0 is
+        # realized once, at scale 0, whether or not 0 is among the n-values,
+        # and no a-point is exponentiated.
         config, cert, witness = example1_m2_setup()
-        seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
         sampler = HSampler.default(config)
-        calls = []
         exp_cartan = witness_module._exp_cartan
-        monkeypatch.setattr(witness_module, "_exp_cartan",
-                            lambda spec, a: calls.append(a) or exp_cartan(spec, a))
-        rows = decay_table(seq, sampler, config)
-        assert len(rows) == 4 and len(sampler.a_points) == 21
-        assert calls == [sampler.a_points[0]] * len(rows)
+        for n_values in ([0, 2, 4, 6], [3, 5]):
+            seq = realize_divergence_sequence(cert, witness, config, n_values)
+            scales = []
+            monkeypatch.setattr(witness_module, "_exp_cartan",
+                                lambda spec, v, scale=1.0: scales.append(scale)
+                                or exp_cartan(spec, v, scale))
+            rows = decay_table(seq, sampler, config)
+            assert [r.n_value for r in rows] == sorted({0, *n_values})
+            assert scales == [0.0]
