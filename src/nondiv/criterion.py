@@ -330,14 +330,6 @@ def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
                  for rows in zip(*[table[d] for table, d in zip(tables, digits)]))
 
 
-def check_torus(spec: GroupSpec, a_basis: Subspace) -> Verdict:
-    """Torus criterion: nondivergent iff every Weyl image of the fundamental
-    weight family stays independent as functionals on Lie(A).  This is the
-    general check with trivial M, Lie(D) the full Cartan space and w' = {id}."""
-    config = GroupConfig(spec, (), spec.full_subspace(), a_basis, ())
-    return check_general(config)
-
-
 def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
                        coeffs) -> Certificate:
     if coeffs is None:

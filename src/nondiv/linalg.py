@@ -1,6 +1,7 @@
-"""Exact rational linear algebra: rank/kernel, orthogonal projection,
-strict-inequality feasibility by Fourier-Motzkin elimination, and invariance
-dimension of H-form regions.
+"""Exact rational linear algebra for the scan and the escape witness:
+rank, kernels, solves and determinants, canonical subspaces, orthogonal
+projection, and strict/weak feasibility by Fourier-Motzkin elimination
+(`fm_feasible`), which decides the sign test `orthant_meets_subspace`.
 
 The one inner product is the standard form, (a | b) = `dot(a, b)`.  Every
 criterion built on it is invariant under positive scaling of the form, and
@@ -21,25 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ._record import record
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-NEG_INFINITY = float("-inf")
-
 
 def vec(entries: Iterable) -> Vec:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
 
 
 def zeros(n: int) -> Vec:
@@ -247,26 +239,6 @@ class Orthant:
             raise ValueError("orthant signs must be +1 or -1")
 
 
-@record
-class StrictRegion:
-    """Intersection of strict half-spaces {x : f_i(x) < a_i}."""
-
-    ambient_dim: int
-    constraints: tuple[tuple[Vec, Fraction], ...]
-
-    def __post_init__(self):
-        for f, _ in self.constraints:
-            if len(f) != self.ambient_dim:
-                raise ValueError("constraint/ambient dimension mismatch")
-            if all(e == 0 for e in f):
-                raise ValueError("constraint functionals must be nonzero")
-
-    @classmethod
-    def of(cls, ambient_dim: int, constraints: Iterable[tuple[Sequence, object]]) -> "StrictRegion":
-        return cls(ambient_dim,
-                   tuple((vec(f), Fraction(a)) for f, a in constraints))
-
-
 # --- Fourier-Motzkin feasibility -------------------------------------------
 
 # A constraint is (coeffs, rhs, strict): coeffs.x < rhs if strict else <= rhs.
@@ -317,25 +289,6 @@ def fm_feasible(constraints: Sequence[tuple[Sequence[Fraction], Fraction, bool]]
 
 # --- spec'd operations -------------------------------------------------------
 
-def integral_kernel_vector(m: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """A nonzero integer kernel vector with coprime entries, or None.
-
-    Input entries must be integers; the rational kernel vector from the
-    free-variable construction has its denominators cleared and common factor
-    removed.
-    """
-    rows = mat(m)
-    for r in rows:
-        for e in r:
-            if e.denominator != 1:
-                raise ValueError("integral_kernel_vector expects integer entries")
-    ncols = len(rows[0]) if rows else 0
-    kern = _kernel_vectors(rows, ncols)
-    if not kern:
-        return None
-    return primitive_vector(kern[0])
-
-
 def primitive_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """The nonzero rational vector scaled to coprime integers, same direction."""
     ints = clear_denominators(v)
@@ -361,30 +314,6 @@ def project_subspace(w: Subspace, u: Subspace) -> Subspace:
     return Subspace.span(u.ambient_dim, images)
 
 
-def restricted_independent(functionals: Sequence[Sequence[Fraction]],
-                           w: Subspace) -> bool:
-    """Are the functionals linearly independent when restricted to w?
-
-    Decided by the rank of the evaluation matrix [f_i(b_j)].  When the
-    functionals are independent on the ambient space, the answer must agree
-    with the projection criterion pi_U(W) = U for U the span of their duals;
-    that equivalence is cross-asserted.  Under the standard form a
-    functional is its own dual vector, so U is the span of the functionals.
-    """
-    fs = [vec(f) for f in functionals]
-    if not fs:
-        return True
-    for f in fs:
-        if len(f) != w.ambient_dim:
-            raise ValueError("dimension mismatch")
-    evaluation = [[dot(f, b) for b in w.basis] for f in fs]
-    result = rank(evaluation) == len(fs)
-    if __debug__ and rank(fs) == len(fs):
-        duals = Subspace.span(w.ambient_dim, fs)
-        assert result == (project_subspace(w, duals) == duals)
-    return result
-
-
 def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
                            sigma: Orthant,
                            u: Subspace) -> bool:
@@ -400,35 +329,3 @@ def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
         coeffs = tuple(-s * dot(f, b) for b in u.basis)
         constraints.append((coeffs, Fraction(0), True))
     return fm_feasible(constraints, u.dim)
-
-
-def _region_feasible(region: StrictRegion) -> bool:
-    return fm_feasible([(f, a, True) for f, a in region.constraints],
-                       region.ambient_dim)
-
-
-def invdim(region: StrictRegion):
-    """Dimension of the translation stabilizer; NEG_INFINITY for the empty set.
-
-    For a nonempty region the stabilizer is the common kernel of the
-    constraint functionals that survive sequential redundancy removal
-    (a constraint is redundant iff its reversal is infeasible against the
-    remaining ones; sequential removal keeps duplicate constraints sound).
-    """
-    if not _region_feasible(region):
-        return NEG_INFINITY
-    cons = list(region.constraints)
-    active = list(range(len(cons)))
-    for i in range(len(cons)):
-        if i not in active:
-            continue
-        others = [j for j in active if j != i]
-        f_i, a_i = cons[i]
-        system = [(cons[j][0], cons[j][1], True) for j in others]
-        system.append((vec_scale(Fraction(-1), f_i), -a_i, False))  # f_i(x) >= a_i
-        if not fm_feasible(system, region.ambient_dim):
-            active = others
-    r = rank([cons[j][0] for j in active]) if active else 0
-    # For nonempty regions redundant constraints never add rank.
-    assert r == (rank([f for f, _ in cons]) if cons else 0)
-    return region.ambient_dim - r

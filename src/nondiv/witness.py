@@ -203,21 +203,6 @@ def _line_weight(spec: GroupSpec, cert: Certificate, line: WedgeLine) -> Vec:
                                                           line.side))
 
 
-def closed_form_torus_norm(config: GroupConfig, cert: Certificate,
-                           witness: EscapeWitness, line: WedgeLine,
-                           a_vec: Vec, n_val: int, base_norm: float) -> float:
-    """Norm of the wedge line under exp(a) * g_N for a torus sample a in Lie(A).
-
-    The weight exponent is evaluated exactly in rational arithmetic; only the
-    final exponential is floating point.  base_norm is the line norm under
-    w'w alone.
-    """
-    w_omega = _line_weight(config.spec, cert, line)
-    x_prime = cert.w_prime.transport_inverse(a_vec)
-    exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
-    return math.exp(float(exponent)) * base_norm
-
-
 GRID_RADIUS = 5  # half-width of the H grid in each Lie(A) basis coordinate
 
 
@@ -301,8 +286,9 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     within a sample, and samples within a row, are ordered by the key
     float(x_l(a) + N y_l) + log B_l; ties go to the first line, then to the
     first sample, and equal exponents over equal bases tie exactly.  Each row
-    prints `closed_form_torus_norm` of its chosen line at the chosen a-point,
-    so only g_0 is realized and no norm underflows before exp does.
+    prints exp(x_l(a) + N y_l) B_l of its chosen line at the chosen a-point,
+    the exponent exact until the one float conversion, so only g_0 is
+    realized and no norm underflows before exp does.
     """
     spec = config.spec
     cert, witness = seq.certificate, seq.witness
@@ -329,8 +315,7 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
                   for xs in offsets]
         worst = max(range(len(chosen)), key=lambda i: chosen[i][0])
         best = chosen[worst][1]
-        value = closed_form_torus_norm(config, cert, witness, lines[best],
-                                       sampler.a_points[worst], n_val, bases[best])
+        value = math.exp(float(offsets[worst][best] + n_val * slopes[best])) * bases[best]
         fired = Counter(names[i] for _, i in chosen)
         rows.append(DecayRow(n_val, value, sampler.a_labels[worst],
                              tuple(sorted(fired.items()))))

@@ -9,11 +9,12 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.linalg import expm
 
-from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index
-from nondiv.linalg import Subspace, mat
-from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide
+from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index, check_general
+from nondiv.linalg import Subspace, dot
+from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, weight_of_nilradical
 from nondiv.weyl import (
     CentralizerWeylElement,
+    act_on_functional,
     identity_centralizer_element,
     signed_permutation_matrix,
     weyl_order,
@@ -21,6 +22,7 @@ from nondiv.weyl import (
 from nondiv.witness import WedgeLine, realize_divergence_sequence
 
 from first_hit import dependence_vanishes, first_hit
+from reference_linalg import mat
 
 
 def full_cartan_vectors(n, m):
@@ -52,7 +54,7 @@ def delta_line_subspace(n, m):
 
 def w_prime(factors):
     """The centralizer Weyl representative of the given factor matrices, with
-    entries converted by `linalg.mat`; `GroupConfig` validates it."""
+    entries converted by `reference_linalg.mat`; `GroupConfig` validates it."""
     return CentralizerWeylElement(tuple(mat(f) for f in factors))
 
 
@@ -63,7 +65,7 @@ def scan_order(spec):
 
 def lie_element(factors):
     """The Lie element of nested factor matrices, entries converted by
-    `linalg.mat`; `LieElement` checks squareness and trace zero."""
+    `reference_linalg.mat`; `LieElement` checks squareness and trace zero."""
     return LieElement(tuple(mat(f) for f in factors))
 
 
@@ -120,6 +122,11 @@ def torus_config(spec, a_basis):
     """Trivial-M configuration over the full Cartan torus."""
     return GroupConfig(spec, (), spec.full_subspace(), a_basis,
                        (identity_centralizer_element(spec),))
+
+
+def check_torus(spec, a_basis):
+    """The torus criterion: the general check of `torus_config`."""
+    return check_general(torus_config(spec, a_basis))
 
 
 def assert_first_hit(config, verdict):
@@ -374,6 +381,18 @@ def dense_wedge_norm(line, g):
     gram = np.array([[sum(float(np.sum(x * y)) for x, y in zip(mi, mj))
                       for mj in moved] for mi in moved])
     return math.sqrt(max(np.linalg.det(gram), 0.0))
+
+
+def closed_form_torus_norm(config, cert, witness, line, a_vec, n_val, base_norm):
+    """Norm of the wedge line under exp(a) * g_N for a torus sample a in
+    Lie(A): exp((w omega)(Ad(w'^-1) a) + N (w omega)(v)) * base_norm, omega
+    the weight of the line's nilradical and base_norm its norm under w'w.
+    The exponent is exact; only the final exponential is floating point."""
+    w_omega = act_on_functional(cert.w, weight_of_nilradical(config.spec, line.rep_index,
+                                                             line.side))
+    x_prime = cert.w_prime.transport_inverse(a_vec)
+    exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
+    return math.exp(float(exponent)) * base_norm
 
 
 def float_decay_table(seq, sampler, config):

@@ -9,18 +9,10 @@ from pathlib import Path
 
 from nondiv import cli
 from nondiv.config import build_config, parse_problem
-from nondiv.criterion import GroupConfig, check_general, check_torus, replay_certificate
+from nondiv.criterion import GroupConfig, check_general, replay_certificate
 from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.lattice import QuadraticOrder, orbit_probe
-from nondiv.linalg import (
-    StrictRegion,
-    Subspace,
-    integral_kernel_vector,
-    invdim,
-    project_subspace,
-    rank,
-    restricted_independent,
-)
+from nondiv.linalg import Subspace, project_subspace, rank
 from nondiv.report import verdict_fields
 from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import identity_centralizer_element
@@ -29,7 +21,6 @@ from nondiv.witness import (
     WedgeLine,
     _exp_cartan,
     build_escape_witness,
-    closed_form_torus_norm,
     realize_divergence_sequence,
     realize_weyl_matrices,
     verify_divergence,
@@ -39,6 +30,8 @@ from nondiv.witness import (
 from helpers import (
     assert_first_hit,
     block_centralizer_torus_vectors,
+    check_torus,
+    closed_form_torus_norm,
     delta_line_subspace,
     delta_vectors,
     sl2_swap_config,
@@ -46,6 +39,12 @@ from helpers import (
     so21_config,
     so21_d_vectors,
     torus_config,
+)
+from reference_linalg import (
+    StrictRegion,
+    integral_kernel_vector,
+    invdim,
+    restricted_independent,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -261,6 +260,13 @@ def test_criterion_6_witness_decay():
                                                   a_vec, n_val, base)
                 actual = wedge_norm(line, hg, hg_inv)
                 assert abs(actual - expected) <= 1e-9 * expected
+    # each decay row is the reference at its a-point and the line that is
+    # least there
+    for row in report.rows:
+        a_vec = sampler.a_points[sampler.a_labels.index(row.worst_sample)]
+        assert row.max_min_norm == min(
+            closed_form_torus_norm(config, cert, witness, line, a_vec, row.n_value, base)
+            for line, base in zip(lines, bases))
     _line(6, f"N=20 decay ratio {rows[20] / rows[0]:.2e} < 1e-6 with 1e-9 closed-form agreement")
 
 

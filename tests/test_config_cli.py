@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nondiv import cli, witness
 from nondiv.config import ProbeSettings, ProblemFile, build_config, parse_problem
 from nondiv.criterion import ConfigError
+from nondiv.report import input_digest
 from nondiv.rootdata import GroupSpec, LieElement
 
 from helpers import serialize_problem
@@ -553,6 +557,87 @@ def test_replay_non_utf8_report_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("nondiv: error: report is not valid UTF-8")
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON value, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# What a malformed report puts in place of a field.
+WRONG_VALUES = [None, True, 0, -3, 1.5, "", "x", "report-v1", [], [[]], ["1"], {}, {"k": 1}]
+# Characters a tampered problem text takes in place of one of its own.
+TEXT_CHARS = '0123456789-/"[],= #\nabn'
+
+
+def _tampered_content(rng, text):
+    """One random edit of a problem text whose n and m stay at most 4:
+    set n or m, replace one character, delete or repeat a line, or swap two
+    lines."""
+    while True:
+        lines = text.split("\n")
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        kind = rng.randrange(5)
+        if kind == 0:
+            key = rng.choice("nm")
+            edited = re.sub(rf"^{key} = \d+$", f"{key} = {rng.randint(1, 4)}", text,
+                            flags=re.M)
+        elif kind == 1:
+            k = rng.randrange(len(text))
+            edited = text[:k] + rng.choice(TEXT_CHARS) + text[k + 1:]
+        elif kind == 2:
+            edited = "\n".join(lines[:i] + lines[i + 1:])
+        elif kind == 3:
+            edited = "\n".join(lines[:i] + [lines[i]] + lines[i:])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+            edited = "\n".join(lines)
+        if all(int(v) <= 4 for v in re.findall(r"^\s*[nm]\s*=\s*(\d+)\s*$", edited, re.M)):
+            return edited
+
+
+def test_replay_of_malformed_reports_exits_0_2_or_3(tmp_path, capsys):
+    """Seeded fuzz of `replay` over certify reports: fields replaced by
+    values of the wrong type, deleted keys, the report inside a non-object,
+    and an edited embedded problem text with its digest recomputed.  Every
+    case is decided (0), rejected (2) or fails its audit (3); none raises."""
+    rng = random.Random(0x28F0)
+    cases = [7, "report", None, True]
+    for name in ("example1-m2.cfg", "example2-line.cfg"):
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["certify", str(CONFIGS / name), "--output", str(out)]) == 10
+        report = json.loads(out.read_text())
+        cases.append([report])
+        paths = list(_paths(report))
+        for _ in range(150):
+            data = copy.deepcopy(report)
+            *parents, key = rng.choice(paths)
+            target = data
+            for step in parents:
+                target = target[step]
+            if rng.random() < 0.3:
+                del target[key]
+            else:
+                target[key] = rng.choice(WRONG_VALUES)
+            cases.append(data)
+        for _ in range(100):
+            data = copy.deepcopy(report)
+            data["input"]["content"] = _tampered_content(rng, data["input"]["content"])
+            data["input"]["sha256"] = input_digest(data["input"]["content"])
+            cases.append(data)
+    seen = set()
+    for i, data in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["replay", str(path)])
+        assert code in (0, 2, 3), json.dumps(data)[:2000]
+        seen.add(code)
+    capsys.readouterr()
+    assert seen == {0, 2, 3}
 
 
 class TestCliReplay:

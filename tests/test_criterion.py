@@ -14,7 +14,6 @@ from nondiv.criterion import (
     ConfigInconsistencyError,
     GroupConfig,
     check_general,
-    check_torus,
     dependence_coefficients,
     replay_certificate,
 )
@@ -39,6 +38,7 @@ from nondiv.weyl import (
 from helpers import (
     assert_first_hit,
     block_centralizer_torus_vectors,
+    check_torus,
     delta_line_subspace,
     delta_vectors,
     diagonal_element,

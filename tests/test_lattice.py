@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nondiv.criterion import check_torus
 from nondiv.floatmat import dot, fmat, transpose
 from nondiv.lattice import (
     QuadraticOrder,
@@ -20,7 +19,7 @@ from nondiv.lattice import (
 from nondiv.rootdata import GroupSpec
 from nondiv.witness import build_escape_witness, realize_divergence_sequence
 
-from helpers import delta_line_subspace, gram_cholesky_minimum, torus_config
+from helpers import check_torus, delta_line_subspace, gram_cholesky_minimum, torus_config
 
 
 def brute_force_shortest(basis: np.ndarray) -> float:

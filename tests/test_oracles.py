@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import sympy
 from scipy.optimize import linprog
 
-from nondiv.criterion import check_torus
 from nondiv.linalg import (
     Orthant,
     Subspace,
@@ -21,7 +20,7 @@ from nondiv.linalg import (
 from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import WeylElement, act_on_lie, signed_permutation_matrix
 
-from helpers import assert_first_hit, torus_config
+from helpers import assert_first_hit, check_torus, torus_config
 
 
 def _sym(x: F):
@@ -80,6 +79,40 @@ def test_fm_feasible_matches_lp_relaxation():
         assert got == oracle, (rows, got)
         decided += 1
     assert decided >= 100
+
+
+def test_strict_homogeneous_fm_matches_lp_relaxation():
+    # The strict homogeneous systems `orthant_meets_subspace` poses: is
+    # there an x with r.x < 0 for every row r?  The LP maximizes t subject
+    # to r.x + t <= 0 and t <= 1; such a system is feasible iff the optimum
+    # has t > 0.  Zero rows and positive multiples of earlier rows are mixed
+    # in.
+    rng = random.Random(13570)
+    outcomes, zero_rows, repeats = set(), 0, 0
+    for t in range(200):
+        nvars = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            if roll < 0.1:
+                rows.append((F(0),) * nvars)
+                zero_rows += 1
+            elif roll < 0.3 and rows:
+                c = F(rng.randint(1, 3), rng.randint(1, 2))
+                rows.append(tuple(c * x for x in rng.choice(rows)))
+                repeats += 1
+            else:
+                rows.append(tuple(F(rng.randint(-4, 4)) for _ in range(nvars)))
+        got = fm_feasible([(r, F(0), True) for r in rows], nvars)
+        res = linprog(c=[0.0] * nvars + [-1.0],
+                      A_ub=[[float(x) for x in r] + [1.0] for r in rows] + [[0.0] * nvars + [1.0]],
+                      b_ub=[0.0] * len(rows) + [1.0],
+                      bounds=[(None, None)] * (nvars + 1), method="highs")
+        assert res.status == 0
+        assert got == bool(res.x[-1] > 1e-9), (rows, got)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+    assert zero_rows >= 20 and repeats >= 20
 
 
 def test_orthant_confirms_sampled_points():

@@ -8,7 +8,10 @@ pins it (named below), when only such a function reaches it, or when it is
 a closure of `_record.record` that no record in the package exercises.
 Anything else unreached is code to wire into a command, move into the
 tests or delete; anything allowed here that a command starts to reach is
-taken off the list.
+taken off the list.  Definitions the engine's rank test is equivalent to
+(the projection criterion and the invariance dimension) live in
+`tests/reference_linalg.py`, and other test-only references in
+`tests/helpers.py`.
 """
 
 import json
@@ -20,14 +23,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # "module.qualname" -> why no CLI run needs to reach it
 ALLOWED_UNREACHED = {
-    "criterion.check_torus": "acceptance criteria 1, 2, 6 and 7",
-    "linalg.integral_kernel_vector": "acceptance criterion 5",
-    "linalg.restricted_independent": "acceptance criterion 5",
-    "linalg.invdim": "acceptance criterion 5",
-    "linalg.StrictRegion.of": "acceptance criterion 5",
-    "linalg.StrictRegion.__post_init__": "acceptance criterion 5, through StrictRegion.of",
-    "linalg._region_feasible": "acceptance criterion 5, through invdim",
-    "linalg.mat": "acceptance criterion 5, through integral_kernel_vector",
     "witness.verify_divergence": "acceptance criterion 6",
     "_record.record.<locals>.bind": "record closure: keyword or wrong-arity construction",
     "_record.record.<locals>.__repr__": "record closure: no command prints a record",

@@ -14,9 +14,10 @@ from nondiv.rootdata import (
     parabolic_contains,
     weight_of_nilradical,
 )
-from nondiv.linalg import dot, restricted_independent
+from nondiv.linalg import dot
 
 from helpers import delta_line_subspace, lie_element, mat_mul
+from reference_linalg import restricted_independent
 
 
 def unit_element(n, m, factor, a, b):

@@ -8,7 +8,7 @@ import pytest
 
 from nondiv import witness as witness_module
 from nondiv.config import build_config, parse_problem
-from nondiv.criterion import Certificate, check_general, check_torus
+from nondiv.criterion import Certificate, check_general
 from nondiv.floatmat import fmat, inverse, mat_mul
 from nondiv.linalg import Subspace, dot
 from nondiv.rootdata import GroupSpec, ParabolicSide
@@ -17,7 +17,6 @@ from nondiv.witness import (
     WedgeLine,
     build_escape_witness,
     check_witness_exact,
-    closed_form_torus_norm,
     decay_table,
     escape_vector,
     first_missed_orthant,
@@ -28,6 +27,8 @@ from nondiv.witness import (
 )
 
 from helpers import (
+    check_torus,
+    closed_form_torus_norm,
     delta_line_subspace,
     dense_wedge_norm,
     float_decay_table,
