@@ -26,7 +26,6 @@ from .report import (
     input_digest,
     probe_dict,
     to_json,
-    verdict_fields,
     witness_dict,
 )
 from .witness import (
@@ -59,48 +58,49 @@ def _emit(report: dict, output) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    problem = parse_problem(text, path)
-    return text, problem, build_config(problem)
+class _StageFailed(Exception):
+    """A stage stopped the pipeline: args are (message, exit code)."""
 
 
-def cmd_pipeline(args) -> int:
-    """check, certify and probe: load -> check -> audit and witness -> probe
-    -> emit, stopping at the stage the command asks for."""
-    command = args.command
+def run_pipeline(command: str, name: str, text: str) -> tuple[int, dict]:
+    """check, certify and probe of one problem text: parse and build -> check
+    -> audit and witness -> probe, up to the command's stage; (code, report)."""
     try:
-        text, problem, config = _load(args.path)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
+        problem = parse_problem(text, name)
+        config = build_config(problem)
+    except ValueError as exc:
+        raise _StageFailed(str(exc), EXIT_CONFIG_ERROR)
     if command == "probe":
         if problem.probe is None:
-            return _fail("probe requested but the [probe] section is missing",
-                         EXIT_CONFIG_ERROR)
+            raise _StageFailed("probe requested but the [probe] section is missing",
+                               EXIT_CONFIG_ERROR)
         if config.spec.n != 2 or config.spec.m != 2:
-            return _fail("the lattice probe supports n = 2, m = 2 instances only",
-                         EXIT_CONFIG_ERROR)
+            raise _StageFailed("the lattice probe supports n = 2, m = 2 instances only",
+                               EXIT_CONFIG_ERROR)
         try:
             order = QuadraticOrder(problem.probe.d)
         except ValueError as exc:
-            return _fail(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
+            raise _StageFailed(f"[probe] d: {exc}", EXIT_CONFIG_ERROR)
     t0 = time.perf_counter()
     try:
         verdict = check_general(config)
     except ConfigInconsistencyError as exc:
-        return _fail(str(exc), EXIT_CONFIG_ERROR)
+        raise _StageFailed(str(exc), EXIT_CONFIG_ERROR)
     code = EXIT_NONDIVERGENT if verdict.nondivergent else EXIT_DIVERGENT
+    cert = verdict.certificate
     sections = {}
     if command == "probe" and verdict.nondivergent:
         code = EXIT_PROBE_MISMATCH
-    elif command != "check" and not verdict.nondivergent:
-        cert = verdict.certificate
+    elif command == "check":  # certify and probe re-verify in the witness
+        if cert is not None and not replay_certificate(config, cert):
+            raise _StageFailed("audit failed: certificate does not replay",
+                               EXIT_AUDIT_FAILED)
+    elif cert is not None:
         try:
             witness = build_escape_witness(cert, config)
             check_witness_exact(witness)
         except (ExactCheckFailedError, ValueError) as exc:
-            return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
+            raise _StageFailed(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
         sections["witness"] = witness_dict(witness)
         if command == "probe":
             settings = problem.probe
@@ -108,7 +108,7 @@ def cmd_pipeline(args) -> int:
                 seq = realize_divergence_sequence(cert, witness, config,
                                                   settings.n_values)
             except ExactCheckFailedError as exc:
-                return _fail(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
+                raise _StageFailed(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
             sections["decay"] = decay_dict(
                 decay_table(seq, HSampler.default(config), config))
             rows = [(n_val, orbit_probe(order, mats,
@@ -117,9 +117,22 @@ def cmd_pipeline(args) -> int:
                     for n_val, mats in zip(seq.n_values, seq.elements)]
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
                                            settings.grid_points, rows)
-    report = build_report(args.path, text, verdict, **sections,
-                          timing={"seconds": time.perf_counter() - t0},
-                          exit_code=code)
+    return code, build_report(name, text, verdict, **sections,
+                              timing={"seconds": time.perf_counter() - t0},
+                              exit_code=code)
+
+
+def cmd_pipeline(args) -> int:
+    """check, certify and probe: read the file, run, write the report."""
+    try:
+        with open(args.path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc), EXIT_CONFIG_ERROR)
+    try:
+        code, report = run_pipeline(args.command, args.path, text)
+    except _StageFailed as exc:
+        return _fail(*exc.args)
     try:
         _emit(report, args.output)
     except OSError as exc:
@@ -131,6 +144,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    """Re-run the stage that wrote a report and compare all but `timing`; an
+    edited report that names the wrong stage gets a different report."""
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -138,7 +153,7 @@ def cmd_replay(args) -> int:
         return _fail(str(exc), EXIT_CONFIG_ERROR)
     except UnicodeDecodeError as exc:
         return _fail(f"report is not valid UTF-8: {exc}", EXIT_CONFIG_ERROR)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         return _fail(f"report is not valid JSON: {exc}", EXIT_CONFIG_ERROR)
     except RecursionError:
         return _fail("report is not valid JSON: nested too deeply", EXIT_CONFIG_ERROR)
@@ -150,9 +165,7 @@ def cmd_replay(args) -> int:
     if not isinstance(data.get("input", {}), dict):
         return _fail("report field 'input' is not an object", EXIT_CONFIG_ERROR)
     try:
-        content = data["input"]["content"]
-        stored_digest = data["input"]["sha256"]
-        stored = {key: data[key] for key in ("verdict", "certificate", "stats")}
+        content, stored_digest = data["input"]["content"], data["input"]["sha256"]
     except KeyError as exc:
         return _fail(f"report is missing field {exc}", EXIT_CONFIG_ERROR)
     if not isinstance(content, str):
@@ -161,23 +174,18 @@ def cmd_replay(args) -> int:
     if input_digest(content) != stored_digest:
         return _fail("input digest mismatch: report was tampered with",
                      EXIT_AUDIT_FAILED)
+    stage = ("probe" if data.get("probe") is not None or data.get("exit_code") == 4
+             else "certify" if data.get("witness") is not None else "check")
     try:
-        problem = parse_problem(content, "<embedded>")
-        config = build_config(problem)
-        verdict = check_general(config)
-    except (ConfigInconsistencyError, ValueError) as exc:
-        return _fail(f"embedded configuration no longer checks out: {exc}",
+        _, fresh = run_pipeline(stage, data["input"].get("name"), content)
+    except _StageFailed as exc:
+        return _fail(f"embedded configuration no longer checks out: {exc.args[0]}",
                      EXIT_AUDIT_FAILED)
-    fresh = verdict_fields(verdict)
-    if fresh != stored:
-        return _fail("replay mismatch: recomputed verdict differs from the report",
-                     EXIT_AUDIT_FAILED)
-    if (verdict.certificate is not None
-            and not replay_certificate(config, verdict.certificate)):
-        return _fail("stored certificate fails re-verification",
-                     EXIT_AUDIT_FAILED)
-    sys.stdout.write(json.dumps({"replay": "ok",
-                                 "verdict": stored["verdict"]}) + "\n")
+    data["timing"] = fresh["timing"]
+    if json.dumps(fresh, sort_keys=True) != json.dumps(data, sort_keys=True):
+        return _fail("replay mismatch: the recomputed report differs from the "
+                     "stored one", EXIT_AUDIT_FAILED)
+    sys.stdout.write(json.dumps({"replay": "ok", "verdict": fresh["verdict"]}) + "\n")
     return 0
 
 
@@ -187,28 +195,21 @@ def main(argv=None) -> int:
         description="Exact uniform-nondivergence checker for SL_n-product quotients")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for command, text in (
+            ("check", "decide the verdict and re-verify its certificate"),
+            ("certify", "decide, replay the certificate, and audit the witness"),
+            ("probe", "lattice-probe corroboration along the witness sequence")):
+        p = sub.add_parser(command, help=text)
         p.add_argument("path", help="problem configuration file")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility and has no effect: "
                             "the scan runs in one process (must be at least 1)")
         p.add_argument("--output", help="write the report to this file instead of stdout")
+        p.set_defaults(func=cmd_pipeline)
 
-    p_check = sub.add_parser("check", help="decide the verdict")
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_pipeline)
-
-    p_certify = sub.add_parser("certify",
-                               help="decide, replay the certificate, and audit the witness")
-    add_common(p_certify)
-    p_certify.set_defaults(func=cmd_pipeline)
-
-    p_probe = sub.add_parser("probe",
-                             help="lattice-probe corroboration along the witness sequence")
-    add_common(p_probe)
-    p_probe.set_defaults(func=cmd_pipeline)
-
-    p_replay = sub.add_parser("replay", help="re-run a report and compare bit for bit")
+    p_replay = sub.add_parser(
+        "replay", help="re-run the stage that wrote a report and compare the "
+                       "whole report but its timing")
     p_replay.add_argument("path", help="report JSON file")
     p_replay.set_defaults(func=cmd_replay)
 

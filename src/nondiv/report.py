@@ -2,7 +2,8 @@
 
 Certificate data is serialized as exact rational strings only; floating point
 appears solely in the numeric witness/probe tables.  Reports embed the full
-input text so a replay can reproduce the verdict bit for bit.
+input text, so `replay` re-runs the stage that wrote one and compares the
+whole report, `timing` excepted.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
-from nondiv import cli, witness
+from nondiv import cli, criterion, witness
 from nondiv.config import ProbeSettings, ProblemFile, build_config, parse_problem
 from nondiv.criterion import ConfigError
 from nondiv.report import input_digest
@@ -291,6 +291,9 @@ EDITED_CONFIGS = {
     # v = (1, -1, -1, 1), so exp(710) overflows: g_N holds inf and NaN entries
     "n-values-710.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
                          "n-values = [0, 710]"),
+    # g_400 is finite, but the lattice reduction of its orbit goes NaN
+    "n-values-400.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
+                         "n-values = [0, 400]"),
 }
 
 # (command and extra flags, input, exit code, stderr substring, report written)
@@ -372,6 +375,18 @@ def test_exit_code_table(command, name, code, message, written, tmp_path, capsys
         assert json.loads(out.read_text())["exit_code"] == code
 
 
+def test_probe_at_n_400_still_raises_nan(tmp_path):
+    """A known defect, pinned as the benchmark's witness-probe workload
+    expects it: the probe at N = 400 ends in an uncaught ValueError out of
+    `cli.main` and writes no report.  Only parse and build errors are caught
+    as ValueError."""
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="cannot convert float NaN to integer"):
+        cli.main(["probe", str(table_input("n-values-400.cfg", tmp_path)),
+                  "--output", str(out)])
+    assert not out.exists()
+
+
 class TestCliCheck:
     def test_example1_m2_exits_10(self, tmp_path):
         out = tmp_path / "r.json"
@@ -406,6 +421,15 @@ class TestCliCheck:
             return True
 
         assert no_floats(cert)
+
+    def test_certificate_that_does_not_replay_exits_3(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(cli, "replay_certificate", lambda config, cert: False)
+        out = tmp_path / "r.json"
+        code = cli.main(["check", str(CONFIGS / "example1-m2.cfg"), "--output", str(out)])
+        assert code == 3
+        assert "audit failed: certificate does not replay" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCertify:
@@ -559,6 +583,18 @@ def test_replay_non_utf8_report_exits_2(tmp_path, capsys):
     assert captured.err.startswith("nondiv: error: report is not valid UTF-8")
 
 
+def test_replay_of_an_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    """Python's JSON decoder refuses an integer longer than its conversion
+    limit (4300 digits by default) with a plain ValueError: reported, not
+    raised."""
+    path = tmp_path / "report.json"
+    path.write_text('{"format": "report-v1", "exit_code": ' + "7" * 5000 + "}")
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nondiv: error: report ")
+
+
 def _paths(node, prefix=()):
     """Every key path into a JSON value, containers included."""
     items = node.items() if isinstance(node, dict) else (
@@ -600,18 +636,32 @@ def _tampered_content(rng, text):
             return edited
 
 
+def _untimed_unnamed(report):
+    """A report's JSON text with `timing` and `input.name` blanked: all that
+    a replay that exits 0 must leave as it was."""
+    body = dict(report, timing=None)
+    if isinstance(body.get("input"), dict):
+        body["input"] = dict(body["input"], name=None)
+    return json.dumps(body, sort_keys=True)
+
+
 def test_replay_of_malformed_reports_exits_0_2_or_3(tmp_path, capsys):
     """Seeded fuzz of `replay` over certify reports: fields replaced by
     values of the wrong type, deleted keys, the report inside a non-object,
     and an edited embedded problem text with its digest recomputed.  Every
-    case is decided (0), rejected (2) or fails its audit (3); none raises."""
+    case is decided (0), rejected (2) or fails its audit (3); none raises.
+    A field edit is decided only if it leaves, outside `timing` and
+    `input.name`, the report as it was or the one `check` writes (the
+    certify report with `witness` null)."""
     rng = random.Random(0x28F0)
-    cases = [7, "report", None, True]
+    cases = [(7, None), ("report", None), (None, None), (True, None)]
     for name in ("example1-m2.cfg", "example2-line.cfg"):
         out = tmp_path / f"{name}.json"
         assert cli.main(["certify", str(CONFIGS / name), "--output", str(out)]) == 10
         report = json.loads(out.read_text())
-        cases.append([report])
+        assert cli.main(["check", str(CONFIGS / name), "--output", str(out)]) == 10
+        allowed = {_untimed_unnamed(report), _untimed_unnamed(json.loads(out.read_text()))}
+        cases.append(([report], None))
         paths = list(_paths(report))
         for _ in range(150):
             data = copy.deepcopy(report)
@@ -623,18 +673,20 @@ def test_replay_of_malformed_reports_exits_0_2_or_3(tmp_path, capsys):
                 del target[key]
             else:
                 target[key] = rng.choice(WRONG_VALUES)
-            cases.append(data)
+            cases.append((data, allowed))
         for _ in range(100):
             data = copy.deepcopy(report)
             data["input"]["content"] = _tampered_content(rng, data["input"]["content"])
             data["input"]["sha256"] = input_digest(data["input"]["content"])
-            cases.append(data)
+            cases.append((data, None))
     seen = set()
-    for i, data in enumerate(cases):
+    for i, (data, allowed) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(data))
         code = cli.main(["replay", str(path)])
         assert code in (0, 2, 3), json.dumps(data)[:2000]
+        if code == 0 and allowed is not None:
+            assert _untimed_unnamed(data) in allowed, json.dumps(data)[:2000]
         seen.add(code)
     capsys.readouterr()
     assert seen == {0, 2, 3}
@@ -678,6 +730,50 @@ class TestCliReplay:
         assert captured.out == ""
         assert "replay mismatch" in captured.err
 
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=".".join(map(str, path))) for path, value in [
+            (("witness", "v"), "x"),
+            (("decay", 1, "max_min_norm"), "wrong"),
+            (("probe",), None),
+            (("exit_code",), 0),
+            (("tool", "version"), "0.0.0"),
+        ]])
+    def test_edited_probe_report_exits_3(self, path, value, tmp_path, capsys):
+        # Every field outside `timing` is compared, not just the verdict.
+        out = tmp_path / "r.json"
+        assert cli.main(["probe", str(CONFIGS / "example1-m2.cfg"),
+                         "--output", str(out)]) == 10
+        data = json.loads(out.read_text())
+        *parents, field = path
+        target = data
+        for key in parents:
+            target = target[key]
+        assert target[field] != value
+        target[field] = value
+        edited = tmp_path / "e.json"
+        edited.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["replay", str(edited)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "replay mismatch" in captured.err
+
+    def test_every_written_report_replays(self, tmp_path, capsys):
+        # The exit-4 probe report of full-cartan-a.cfg included.
+        names = sorted(p.name for p in CONFIGS.glob("*.cfg")) + ["full-cartan-a.cfg"]
+        written = []
+        for name in names:
+            for command in ("check", "certify", "probe"):
+                out = tmp_path / f"{name}.{command}.json"
+                code = cli.main([command, str(table_input(name, tmp_path)),
+                                 "--output", str(out)])
+                if out.exists():
+                    written.append((name, command, code))
+                    assert cli.main(["replay", str(out)]) == 0, (name, command)
+        capsys.readouterr()
+        assert len(written) == 24
+        assert ("full-cartan-a.cfg", "probe", 4) in written
+
     def test_tampered_content_exits_3(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("check", str(CONFIGS / "example1-m2.cfg"), "--workers", "1",
@@ -689,6 +785,34 @@ class TestCliReplay:
         res = run_cli("replay", str(tampered))
         assert res.returncode == 3
         assert "digest" in res.stderr
+
+
+@pytest.mark.parametrize("name", ["example1-m2.cfg", "example2-line.cfg"])
+def test_each_divergent_verdict_is_reverified_once(name, tmp_path, monkeypatch, capsys):
+    """One `replay_certificate` call per divergent check, certify and probe
+    run, and per replay of its report, wherever an engine module holds it."""
+    calls = []
+    original = criterion.replay_certificate
+
+    def counted(config, cert):
+        calls.append(cert)
+        return original(config, cert)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "nondiv"
+                and getattr(module, "replay_certificate", None) is original):
+            monkeypatch.setattr(module, "replay_certificate", counted)
+    commands = ("check", "certify", "probe") if name == "example1-m2.cfg" \
+        else ("check", "certify")
+    for command in commands:
+        out = tmp_path / f"{command}.json"
+        calls.clear()
+        assert cli.main([command, str(CONFIGS / name), "--output", str(out)]) == 10
+        assert len(calls) == 1, command
+        calls.clear()
+        assert cli.main(["replay", str(out)]) == 0
+        assert len(calls) == 1, f"replay of {command}"
+    capsys.readouterr()
 
 
 class TestExitCodeStability:
