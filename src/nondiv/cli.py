@@ -105,16 +105,16 @@ def run_pipeline(command: str, name: str, text: str) -> tuple[int, dict]:
         if command == "probe":
             settings = problem.probe
             try:
-                seq = realize_divergence_sequence(cert, witness, config,
-                                                  settings.n_values)
+                elements = realize_divergence_sequence(cert, witness, config,
+                                                       settings.n_values)
             except ExactCheckFailedError as exc:
                 raise _StageFailed(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
-            sections["decay"] = decay_dict(
-                decay_table(seq, HSampler.default(config), config))
+            sections["decay"] = decay_dict(decay_table(
+                cert, witness, settings.n_values, HSampler.default(config), config))
             rows = [(n_val, orbit_probe(order, mats,
                                         grid_radius=settings.grid_radius,
                                         grid_points=settings.grid_points))
-                    for n_val, mats in zip(seq.n_values, seq.elements)]
+                    for n_val, mats in zip(settings.n_values, elements)]
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
                                            settings.grid_points, rows)
     return code, build_report(name, text, verdict, **sections,

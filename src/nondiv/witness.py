@@ -18,14 +18,15 @@ weight: an exact rational exponent times one base norm per line.  So the H
 samples are points of Lie(A) only, and `decay_table` orders them by their
 exact exponents and prints that closed form.
 
-Only the numeric part uses floats.  Every g_N comes from
-`realize_divergence_sequence`: the lattice probe reads each, the decay table
-only g_0 = w' w, where `wedge_norm` takes the base norms.  It moves each
-nilradical matrix unit, held as its (factor, row, column) position, by an
-outer product of a column of g and a row of g^-1.  Matrices over the reals
-are tuples of float row tuples, multiplied, inverted and reduced to
-determinants by the plain-Python kernels of `floatmat`, so the module needs
-neither numpy nor scipy.
+The base norms are exact too.  In factor k, Ad(g)E_ab is the outer product of
+column a of g and row b of g^-1, so two moved units have Frobenius product
+C[a][a'] * C^-1[b][b'], C = g^T g; with g = w' w both are rational, and
+`wedge_norm` returns the squared base norm as the determinant of that Gram
+matrix.  The decay table realizes nothing: each row rounds the one exact
+square root and the one exponential.  Only the lattice probe reads g_N, from
+`realize_divergence_sequence`, as tuples of float row tuples multiplied and
+reduced to determinants by the plain-Python kernels of `floatmat`, so the
+module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from typing import Sequence
 
 from ._record import record
 from .criterion import Certificate, GroupConfig, _transport_subspace, replay_certificate
-from .floatmat import FMat, det, diagonal, exp, fmat, inverse, mat_mul
+from .floatmat import FMat, det, diagonal, exp, fmat, mat_mul
 from .linalg import (
+    Mat,
     Orthant,
     Subspace,
     Vec,
+    det as exact_det,
     dot,
     orthant_meets_subspace,
     project_subspace,
@@ -57,7 +60,8 @@ from .rootdata import (
     nilradical_basis,
     weight_of_nilradical,
 )
-from .weyl import act_on_functional, signed_permutation_matrix
+from .weyl import (CentralizerWeylElement, WeylElement, act_on_functional,
+                   signed_permutation_matrix)
 
 
 class ExactCheckFailedError(RuntimeError):
@@ -90,14 +94,6 @@ class WedgeLine:
     @classmethod
     def of(cls, spec: GroupSpec, j: int, side: ParabolicSide) -> "WedgeLine":
         return cls(j, side, tuple(nilradical_basis(spec, j, side)))
-
-
-@record
-class DivergenceSequence:
-    certificate: Certificate
-    witness: EscapeWitness
-    n_values: tuple[int, ...]
-    elements: tuple[tuple[FMat, ...], ...]  # one m-tuple per N
 
 
 def first_missed_orthant(funcs: Sequence[Vec], u_prime: Subspace) -> Orthant:
@@ -151,9 +147,9 @@ def _exp_cartan(spec: GroupSpec, v: Sequence, scale: float = 1.0) -> list[FMat]:
             for k in range(spec.m)]
 
 
-def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
-                                config: GroupConfig,
-                                n_values: Sequence[int]) -> DivergenceSequence:
+def realize_divergence_sequence(
+        cert: Certificate, witness: EscapeWitness, config: GroupConfig,
+        n_values: Sequence[int]) -> tuple[tuple[FMat, ...], ...]:
     """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N;
     a factor whose determinant drifts from 1, or is NaN because an entry
     overflowed, means the realization is broken."""
@@ -168,32 +164,52 @@ def realize_divergence_sequence(cert: Certificate, witness: EscapeWitness,
             if not abs(det(f) - 1.0) <= 1e-9:
                 raise ExactCheckFailedError("divergence element determinant drifted")
         elements.append(factors)
-    return DivergenceSequence(cert, witness, tuple(int(n) for n in n_values),
-                              tuple(elements))
+    return tuple(elements)
 
 
-def wedge_norm(line: WedgeLine, g: Sequence[FMat],
-               g_inv: Sequence[FMat]) -> float:
-    """Norm of the wedge line image under Ad(g), via the Gram determinant.
+# --- exact base norms -------------------------------------------------------
+
+def factor_grams(w: WeylElement, w_prime: CentralizerWeylElement) -> list[tuple[Mat, Mat]]:
+    """Per factor k, (C_k, C_k^-1) with C_k = g_k^T g_k and g_k = w'_k S(w_k),
+    S the signed permutation representative: exact rationals."""
+    grams = []
+    for wp, p in zip(w_prime.matrices, w.perms):
+        cols = [[dot(row, s_col) for row in wp]
+                for s_col in zip(*signed_permutation_matrix(p))]
+        c = tuple(tuple(dot(x, y) for y in cols) for x in cols)
+        unit = [[Fraction(int(i == j)) for i in range(len(c))] for j in range(len(c))]
+        grams.append((c, tuple(solve(c, e) for e in unit)))  # C^-1 is symmetric
+    return grams
+
+
+def wedge_norm(line: WedgeLine, grams: Sequence[tuple[Mat, Mat]]) -> Fraction:
+    """Squared norm beta of the wedge line under Ad(g_0), g_0 = w' w, exactly.
 
     The ambient inner product makes matrix units orthonormal in each factor;
-    no wedge space is materialized, only a d x d determinant.  In factor k,
-    Ad(g)E_ab = g_k E_ab g_k^-1 is the outer product of column a of g_k and
-    row b of g_k^-1: each entry is one product, the same rounding a dense
-    conjugation gives, since every other term it sums is an exact zero.  Two
-    units in different factors live in orthogonal summands, so their Gram
-    entry is exactly 0.0.  `g_inv` holds the factor inverses, so a caller
-    that norms several lines at one g computes each once.
+    no wedge space is materialized, only a d x d Gram determinant.  Units
+    (k, a, b) and (k, a', b') of one factor have Gram entry
+    C_k[a][a'] C_k^-1[b][b'] (module docstring); units of different factors
+    live in orthogonal summands, so theirs is 0.  `grams` comes from
+    `factor_grams`, formed once for all lines of a certificate.
     """
-    moved = [[x * y for x in (row[a] for row in g[k]) for y in g_inv[k][b]]
-             for k, a, b in line.units]
-    d = len(moved)
-    gram = [[0.0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1):
-            if line.units[i][0] == line.units[j][0]:
-                gram[i][j] = gram[j][i] = sum(x * y for x, y in zip(moved[i], moved[j]))
-    return math.sqrt(max(det(gram), 0.0))
+    return exact_det([[grams[k][0][a][a2] * grams[k][1][b][b2] if k == k2
+                       else Fraction(0) for k2, a2, b2 in line.units]
+                      for k, a, b in line.units])
+
+
+def sqrt_rounded(q: Fraction) -> float:
+    """sqrt(q) of a positive rational, correctly rounded to the nearest double.
+
+    The root of q 4^s is taken in integers with s chosen so that it has at
+    least 56 bits; an inexact root gets its last bit set (round to odd), so
+    the one rounding in the int-to-float conversion is the correct one, and
+    scaling by 2^-s is exact in the normal range.
+    """
+    p, r = q.numerator, q.denominator
+    s = (112 - p.bit_length() + r.bit_length()) // 2
+    num, den = (p << 2 * s, r) if s >= 0 else (p, r << -2 * s)
+    root = math.isqrt(num // den)
+    return math.ldexp(float(root | (root * root * den != num)), -s)
 
 
 def _line_weight(spec: GroupSpec, cert: Certificate, line: WedgeLine) -> Vec:
@@ -274,32 +290,31 @@ def check_witness_exact(witness: EscapeWitness) -> None:
             raise ExactCheckFailedError("escape vector weight values are not as certified")
 
 
-def decay_table(seq: DivergenceSequence, sampler: HSampler,
-                config: GroupConfig) -> tuple[DecayRow, ...]:
+def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[int],
+                sampler: HSampler, config: GroupConfig) -> tuple[DecayRow, ...]:
     """Max over H samples of the min wedge-line norm, one row per N.
 
     The minimum ranges over the certified indices and both parabolic sides;
     a row for N = 0 is always included as the baseline.  By the module
     docstring the norm of line l at the a-point a is exp(x_l(a) + N y_l) B_l,
     with exact exponents x_l(a) = (w omega_l)(Ad(w'^-1) a), y_l =
-    (w omega_l)(v) and one Gram-path base norm B_l at g_0 = w' w.  Lines
-    within a sample, and samples within a row, are ordered by the key
-    float(x_l(a) + N y_l) + log B_l; ties go to the first line, then to the
-    first sample, and equal exponents over equal bases tie exactly.  Each row
-    prints exp(x_l(a) + N y_l) B_l of its chosen line at the chosen a-point,
-    the exponent exact until the one float conversion, so only g_0 is
-    realized and no norm underflows before exp does.
+    (w omega_l)(v) and the exact base norm B_l = sqrt(beta_l), beta_l = p/q
+    from `wedge_norm`.  Lines within a sample, and samples within a row, are
+    ordered by the key float(x_l(a) + N y_l) + (log p - log q)/2; ties go to
+    the first line, then to the first sample, and equal exponents over equal
+    bases tie exactly.  Each row prints exp(x_l(a) + N y_l) times B_l rounded
+    once, of its chosen line at the chosen a-point, so nothing is realized
+    and no norm underflows before exp does.
     """
     spec = config.spec
-    cert, witness = seq.certificate, seq.witness
     lines = [WedgeLine.of(spec, j, side)
              for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
     names = [f"{line.rep_index}:{line.side.value}" for line in lines]
-    g0 = realize_divergence_sequence(cert, witness, config, [0]).elements[0]
-    g0_inv = [inverse(f) for f in g0]
-    bases = [wedge_norm(line, g0, g0_inv) for line in lines]
-    log_bases = [math.log(b) for b in bases]
+    grams = factor_grams(cert.w, cert.w_prime)
+    betas = [wedge_norm(line, grams) for line in lines]
+    bases = [sqrt_rounded(b) for b in betas]
+    log_bases = [(math.log(b.numerator) - math.log(b.denominator)) / 2 for b in betas]
     weights = [_line_weight(spec, cert, line) for line in lines]
     slopes = [dot(w_omega, witness.v) for w_omega in weights]
     offsets = []
@@ -308,7 +323,7 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
         offsets.append([dot(w_omega, x_prime) for w_omega in weights])
 
     rows = []
-    for n_val in sorted({0, *seq.n_values}):
+    for n_val in sorted({0, *n_values}):
         # (key, line index) of each sample's min; the first line wins ties
         chosen = [min((float(x + n_val * y) + lb, i)
                       for i, (x, y, lb) in enumerate(zip(xs, slopes, log_bases)))
@@ -322,7 +337,8 @@ def decay_table(seq: DivergenceSequence, sampler: HSampler,
     return tuple(rows)
 
 
-def verify_divergence(seq: DivergenceSequence, sampler: HSampler,
+def verify_divergence(cert: Certificate, witness: EscapeWitness,
+                      n_values: Sequence[int], sampler: HSampler,
                       n_target: int, config: GroupConfig) -> WitnessReport:
     """Two-part divergence verification.
 
@@ -334,8 +350,8 @@ def verify_divergence(seq: DivergenceSequence, sampler: HSampler,
     rows at N beyond the derived threshold must drop below 1/n_target, and
     violations are reported (not fatal) with the offending sample.
     """
-    check_witness_exact(seq.witness)
-    rows = decay_table(seq, sampler, config)
+    check_witness_exact(witness)
+    rows = decay_table(cert, witness, n_values, sampler, config)
     baseline = next(r.max_min_norm for r in rows if r.n_value == 0)
     n_zero_required = math.log(max(n_target * baseline, 1e-300))
     anomalies = []

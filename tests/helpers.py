@@ -395,24 +395,23 @@ def closed_form_torus_norm(config, cert, witness, line, a_vec, n_val, base_norm)
     return math.exp(float(exponent)) * base_norm
 
 
-def float_decay_table(seq, sampler, config):
+def float_decay_table(cert, witness, n_values, sampler, config):
     """Reference decay table by float sampling of H = A M: every a-point of
     `sampler` times every M-word of `m_words`, the min over the
-    certified lines of their dense Gram norms at h * g_N, and the max over
-    samples, first sample winning float ties.  One dict per N, sorted, with
+    certified lines of their dense Gram norms at h * g_N, g_N realized in
+    floats for N = 0 and each of `n_values`, and the max over samples, first
+    sample winning float ties.  One dict per N, sorted, with
     `max_min_norm`, `worst_sample` ("<a label>;<word label>") and `a_values`,
     per a-point the max over words."""
-    spec, cert = config.spec, seq.certificate
+    spec = config.spec
     words = m_words(config)
     lines = [WedgeLine.of(spec, j, side) for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
-    n_to_mats = dict(zip(seq.n_values, seq.elements))
-    if 0 not in n_to_mats:
-        n_to_mats[0] = realize_divergence_sequence(
-            cert, seq.witness, config, [0]).elements[0]
+    n_sorted = sorted({0, *n_values})
     rows = []
-    for n_val in sorted(n_to_mats):
-        g = [np.array(f) for f in n_to_mats[n_val]]
+    for n_val, mats in zip(n_sorted, realize_divergence_sequence(cert, witness, config,
+                                                                 n_sorted)):
+        g = [np.array(f) for f in mats]
         worst, worst_label, a_values = -1.0, "", []
         for a, a_label in zip(sampler.a_points, sampler.a_labels):
             exps = np.exp([float(x) for x in a])

@@ -10,7 +10,7 @@ from pathlib import Path
 from nondiv import cli
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, replay_certificate
-from nondiv.floatmat import fmat, inverse, mat_mul
+from nondiv.floatmat import mat_mul
 from nondiv.lattice import QuadraticOrder, orbit_probe
 from nondiv.linalg import Subspace, project_subspace, rank
 from nondiv.report import verdict_fields
@@ -21,8 +21,9 @@ from nondiv.witness import (
     WedgeLine,
     _exp_cartan,
     build_escape_witness,
+    factor_grams,
     realize_divergence_sequence,
-    realize_weyl_matrices,
+    sqrt_rounded,
     verify_divergence,
     wedge_norm,
 )
@@ -34,6 +35,7 @@ from helpers import (
     closed_form_torus_norm,
     delta_line_subspace,
     delta_vectors,
+    dense_wedge_norm,
     sl2_swap_config,
     sl_block_generators,
     so21_config,
@@ -234,31 +236,28 @@ def test_criterion_6_witness_decay():
     verdict = check_torus(spec, a)
     cert = verdict.certificate
     witness = build_escape_witness(cert, config)
-    seq = realize_divergence_sequence(cert, witness, config, [0, 20])
     sampler = HSampler.default(config)  # |t| <= 5, 21 points
-    report = verify_divergence(seq, sampler, 10 ** 6, config)
+    report = verify_divergence(cert, witness, [0, 20], sampler, 10 ** 6, config)
     assert report.exact_passed
     rows = {r.n_value: r.max_min_norm for r in report.rows}
     assert rows[20] < 1e-6 * rows[0]
     assert not report.anomalies
 
-    # closed-form cross-check on every torus sample, both sides, both N values
-    w_mats = realize_weyl_matrices(cert.w)
-    wp_mats = [fmat(f) for f in cert.w_prime.matrices]
-    g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
+    # closed-form cross-check on every torus sample, both sides, both N
+    # values: exact base norms at g_0 against dense norms at h * g_N
     lines = [WedgeLine.of(spec, j, side)
              for j in cert.subset for side in ParabolicSide]
-    g0_inv = [inverse(f) for f in g0]
-    bases = [wedge_norm(line, g0, g0_inv) for line in lines]
-    for n_val, mats in zip(seq.n_values, seq.elements):
+    grams = factor_grams(cert.w, cert.w_prime)
+    bases = [sqrt_rounded(wedge_norm(line, grams)) for line in lines]
+    for n_val, mats in zip((0, 20), realize_divergence_sequence(cert, witness, config,
+                                                                [0, 20])):
         for a_vec in sampler.a_points:
             h = _exp_cartan(spec, a_vec)
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
-            hg_inv = [inverse(f) for f in hg]
             for line, base in zip(lines, bases):
                 expected = closed_form_torus_norm(config, cert, witness, line,
                                                   a_vec, n_val, base)
-                actual = wedge_norm(line, hg, hg_inv)
+                actual = dense_wedge_norm(line, hg)
                 assert abs(actual - expected) <= 1e-9 * expected
     # each decay row is the reference at its a-point and the line that is
     # least there
@@ -276,11 +275,11 @@ def test_criterion_7_lattice_probe():
     config = torus_config(spec, a)
     verdict = check_torus(spec, a)
     witness = build_escape_witness(verdict.certificate, config)
-    seq = realize_divergence_sequence(verdict.certificate, witness, config,
-                                      [0, 2, 4, 6])
+    elements = realize_divergence_sequence(verdict.certificate, witness, config,
+                                           [0, 2, 4, 6])
     order = QuadraticOrder(2)
     maxima = {}
-    for n_val, mats in zip(seq.n_values, seq.elements):
+    for n_val, mats in zip((0, 2, 4, 6), elements):
         maxima[n_val] = orbit_probe(order, mats).maximum
     series = [maxima[n] for n in (0, 2, 4, 6)]
     assert all(x > y for x, y in zip(series, series[1:]))

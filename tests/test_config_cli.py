@@ -496,8 +496,9 @@ class TestCliProbe:
                        "fired": {"1:standard": 21}}
 
     def test_rows_are_exact_below_the_gram_underflow(self, tmp_path):
-        # The squared Gram-path norm exp(-8N) underflows from N ~ 93, but each
-        # row is the closed form exp(x + N y) B: here exp(-4N), with B = 1.
+        # A squared norm taken at g_N in floats, exp(-8N), underflows from
+        # N ~ 93, but each row is the closed form exp(x + N y) B: here
+        # exp(-4N), with B = 1.
         text = (CONFIGS / "example1-m2.cfg").read_text()
         path = tmp_path / "n100.cfg"
         path.write_text(text.replace("n-values = [0, 2, 4, 6]", "n-values = [0, 100, 150]"))
@@ -509,6 +510,22 @@ class TestCliProbe:
             assert row["max_min_norm"] > 0.0
             assert row["max_min_norm"] == pytest.approx(math.exp(-4 * row["N"]),
                                                         rel=1e-12)
+
+    def test_non_orthogonal_w_prime_rows_round_once(self, tmp_path):
+        # example1-m2 with one explicit w' that is not orthogonal: the base
+        # norm is sqrt(2401/50625) = 49/225, rounded once from integers (a
+        # float Gram determinant at g_0 gives 0.2177777777777777, one ulp
+        # low), and each row is exp(exact exponent) times it.
+        path = tmp_path / "skew.cfg"
+        path.write_text(SKEW_W_PRIME_CFG)
+        out = tmp_path / "r.json"
+        assert cli.main(["probe", str(path), "--output", str(out)]) == 10
+        data = json.loads(out.read_text())
+        assert data["certificate"]["centralizer"]["index"] == 1
+        rows = {r["N"]: r["max_min_norm"] for r in data["decay"]}
+        assert rows[0] == float(F(49, 225)) == 0.21777777777777776
+        assert [rows[n] for n in (2, 4, 6)] == [
+            7.305630563210258e-05, 2.4507660272194207e-08, 8.221404118652257e-12]
 
     def test_seed_key_is_ignored(self, tmp_path):
         # `seed` is not a [probe] key: like any unknown key it changes no byte
@@ -540,6 +557,33 @@ class TestCliProbe:
         assert code == 3
         assert "determinant drifted" in capsys.readouterr().err
         assert not out.exists()
+
+
+SKEW_W_PRIME_CFG = """\
+[group]
+family = res-sl
+n = 2
+m = 2
+
+[subgroup-m]
+generators = trivial
+
+[torus-d]
+basis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]
+
+[torus-a]
+basis = [["1", "-1", "1", "-1"]]
+
+[centralizer-weyl]
+mode = explicit
+elements = [[[["3", "0"], ["0", "1/3"]], [["0", "-7/5"], ["5/7", "0"]]]]
+
+[probe]
+d = 2
+grid-radius = 5
+grid-points = 21
+n-values = [0, 2, 4, 6]
+"""
 
 
 # (report JSON that replay reads, stderr substring); each must exit 2.
@@ -879,17 +923,15 @@ sys.modules["numpy"] = sys.modules["scipy"] = None
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import check_general
 from nondiv.report import decay_dict
-from nondiv.witness import (HSampler, build_escape_witness, decay_table,
-                            realize_divergence_sequence)
+from nondiv.witness import HSampler, build_escape_witness, decay_table
 path = sys.argv[1]
 with open(path, encoding="utf-8") as fh:
     config = build_config(parse_problem(fh.read(), path))
 cert = check_general(config).certificate
-seq = realize_divergence_sequence(cert, build_escape_witness(cert, config), config,
-                                  [0, 1, 2, 3])
+witness = build_escape_witness(cert, config)
 sampler = HSampler.default(config)
 print(json.dumps([len(config.m_generators), len(sampler.a_points),
-                  decay_dict(decay_table(seq, sampler, config))]))
+                  decay_dict(decay_table(cert, witness, [0, 1, 2, 3], sampler, config))]))
 """
 
 

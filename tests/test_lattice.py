@@ -246,8 +246,7 @@ class TestOrbitProbe:
 
     def test_covolume_constant_over_grid(self):
         order = QuadraticOrder(2)
-        seq = self._witness_sequence([4])
-        g0 = seq.elements[0]
+        g0 = self._witness_sequence([4])[0]
         ts = np.linspace(-5, 5, 21)
         vols = []
         for t in ts:
@@ -257,9 +256,8 @@ class TestOrbitProbe:
         assert max(vols) / min(vols) == pytest.approx(1.0, rel=1e-9)
 
     def test_witness_coherence_decreasing(self):
-        seq = self._witness_sequence([0, 2, 4, 6])
         prev = None
-        for n_val, mats in zip(seq.n_values, seq.elements):
+        for mats in self._witness_sequence([0, 2, 4, 6]):
             stats = orbit_probe(QuadraticOrder(2), mats)
             if prev is not None:
                 assert stats.maximum < prev

@@ -9,19 +9,22 @@ import pytest
 from nondiv import witness as witness_module
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import Certificate, check_general
-from nondiv.floatmat import fmat, inverse, mat_mul
+from nondiv.floatmat import mat_mul
 from nondiv.linalg import Subspace, dot
 from nondiv.rootdata import GroupSpec, ParabolicSide
+from nondiv.weyl import CentralizerWeylElement, WeylElement, signed_permutation_matrix
 from nondiv.witness import (
     HSampler,
     WedgeLine,
+    _exp_cartan,
     build_escape_witness,
     check_witness_exact,
     decay_table,
     escape_vector,
+    factor_grams,
     first_missed_orthant,
     realize_divergence_sequence,
-    realize_weyl_matrices,
+    sqrt_rounded,
     verify_divergence,
     wedge_norm,
 )
@@ -132,62 +135,152 @@ class TestEscapeWitness:
             build_escape_witness(bad, config)
 
 
-def norm_at(line, g):
-    """`wedge_norm` at g, with the factor inverses formed here."""
-    g = [fmat(f) for f in g]
-    return wedge_norm(line, g, [inverse(f) for f in g])
+def exact_beta(line, w, w_prime):
+    """The exact squared base norm of the line under w' w."""
+    return wedge_norm(line, factor_grams(w, w_prime))
+
+
+def base_norms(cert, lines):
+    """Each line's base norm at g_0 = w' w, as the decay table rounds it."""
+    grams = factor_grams(cert.w, cert.w_prime)
+    return [sqrt_rounded(wedge_norm(line, grams)) for line in lines]
+
+
+def skew_factor(rng, n):
+    """A rational diagonal times a signed permutation, of determinant 1."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    diag = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n - 1)]
+    diag.append(1 / math.prod(diag))
+    signs = [rng.choice((1, -1)) for _ in range(n - 1)]
+    signs.append(round(np.linalg.det(np.eye(n)[perm])) * math.prod(signs))
+    return tuple(tuple(diag[i] * signs[i] if perm[i] == j else F(0) for j in range(n))
+                 for i in range(n))
+
+
+def float_g0(w, w_prime):
+    """g_0 = w' w in floats, with numpy, for the dense reference."""
+    return [np.array(wp, dtype=float) @ np.array(signed_permutation_matrix(p), dtype=float)
+            for wp, p in zip(w_prime.matrices, w.perms)]
 
 
 class TestWedgeNorm:
     def test_matches_dense_conjugation(self):
-        rng = np.random.default_rng(808)
-        checked = 0
-        for n, m in ((2, 1), (3, 2), (4, 2)):
+        # Exact beta against dense float conjugation on seeded trivial-M
+        # instances: every line of a random Weyl element w, under an explicit
+        # non-orthogonal w' (diagonal times signed permutation, det 1).
+        rng = random.Random(808)
+        checked = skewed = 0
+        for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
             spec = GroupSpec(n, m)
             for _ in range(10):
-                g = [rng.normal(size=(n, n)) for _ in range(m)]
-                for f in g:
-                    while abs(np.linalg.det(f)) < 0.2:
-                        f[:] = rng.normal(size=(n, n))
+                w = WeylElement(tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
+                w_prime = CentralizerWeylElement(tuple(skew_factor(rng, n)
+                                                       for _ in range(m)))
+                assert all(np.linalg.det(np.array(f, dtype=float)) == pytest.approx(1.0)
+                           for f in w_prime.matrices)
                 for j in range(1, n):
                     for side in ParabolicSide:
                         line = WedgeLine.of(spec, j, side)
-                        assert norm_at(line, g) == pytest.approx(
-                            dense_wedge_norm(line, g), rel=1e-12)
+                        beta = exact_beta(line, w, w_prime)
+                        assert type(beta) is F
+                        assert sqrt_rounded(beta) == pytest.approx(
+                            dense_wedge_norm(line, float_g0(w, w_prime)), rel=1e-12)
                         checked += 1
-        assert checked == 10 * 2 * (1 + 2 + 3)
+                        skewed += beta != 1
+        assert checked == 10 * 2 * (1 + 1 + 2 + 2)
+        assert skewed > checked // 2
 
     def test_identity_is_one(self):
-        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
-        assert norm_at(line, [np.eye(2)]) == pytest.approx(1.0, abs=1e-12)
+        spec = GroupSpec(3, 2)
+        w = WeylElement(((0, 1, 2), (0, 1, 2)))
+        w_prime = CentralizerWeylElement(tuple(
+            tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+            for _ in range(2)))
+        for j in (1, 2):
+            for side in ParabolicSide:
+                assert exact_beta(WedgeLine.of(spec, j, side), w, w_prime) == 1
 
     def test_sl2_weight(self):
-        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
+        # Under diag(q, 1/q) the line E_12 scales by q^2 and E_21 by q^-2, in
+        # the exact routine at g_0 and in the dense reference at any diagonal.
+        spec = GroupSpec(2, 1)
+        w = WeylElement(((0, 1),))
+        for q in (F(1, 2), F(3), F(7, 5)):
+            w_prime = CentralizerWeylElement((((q, F(0)), (F(0), 1 / q)),))
+            assert exact_beta(WedgeLine.of(spec, 1, ParabolicSide.STANDARD),
+                              w, w_prime) == q ** 4
+            assert exact_beta(WedgeLine.of(spec, 1, ParabolicSide.OPPOSITE),
+                              w, w_prime) == q ** -4
+        line = WedgeLine.of(spec, 1, ParabolicSide.STANDARD)
         for t in (0.5, -1.0, 2.0):
             g = [np.diag([math.exp(t), math.exp(-t)])]
-            assert norm_at(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
+            assert dense_wedge_norm(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
 
     def test_sl2_t_minus_one(self):
         line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
         g = [np.diag([math.exp(-1.0), math.exp(1.0)])]
-        assert norm_at(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
+        assert dense_wedge_norm(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
 
     def test_sign_independence(self):
-        # Norms are blind to the representative sign correction.
-        config, cert, witness = example1_m2_setup()
-        line = WedgeLine.of(config.spec, 1, ParabolicSide.STANDARD)
-        mats = realize_weyl_matrices(cert.w)
-        flipped = list(mats)
-        flipped[1] = (tuple(-x for x in mats[1][0]),) + mats[1][1:]
-        assert norm_at(line, mats) == pytest.approx(
-            norm_at(line, flipped), rel=1e-12)
+        # Base norms are blind to the representative sign correction: beta
+        # is exactly unchanged when the signs of w's representative flip.
+        rng = random.Random(4)
+        for n, m in ((2, 2), (3, 2)):
+            spec = GroupSpec(n, m)
+            for _ in range(5):
+                w = WeylElement(tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
+                w_prime = CentralizerWeylElement(tuple(skew_factor(rng, n)
+                                                       for _ in range(m)))
+                lines = [WedgeLine.of(spec, j, side)
+                         for j in range(1, n) for side in ParabolicSide]
+                betas = [exact_beta(line, w, w_prime) for line in lines]
+                flips = [rng.choice((1, -1)) for _ in range(n)]
+
+                def flipped(p):
+                    return tuple(tuple(x * s for x, s in zip(row, flips))
+                                 for row in signed_permutation_matrix(p))
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(witness_module, "signed_permutation_matrix", flipped)
+                    assert [exact_beta(line, w, w_prime) for line in lines] == betas
+
+
+class TestSqrtRounded:
+    @staticmethod
+    def assert_correctly_rounded(beta):
+        r = sqrt_rounded(beta)
+        lo = (F(math.nextafter(r, 0.0)) + F(r)) / 2
+        hi = (F(r) + F(math.nextafter(r, math.inf))) / 2
+        assert lo * lo <= beta <= hi * hi, beta
+
+    def test_random_rationals(self):
+        rng = random.Random(1931)
+        for _ in range(2000):
+            digits = rng.randint(1, 40)
+            beta = F(rng.randint(1, 10 ** digits), rng.randint(1, 10 ** rng.randint(1, 40)))
+            self.assert_correctly_rounded(beta)
+
+    def test_squares_and_powers_of_four(self):
+        rng = random.Random(1932)
+        for _ in range(500):
+            root = F(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 20))
+            assert sqrt_rounded(root * root) == float(root)
+            self.assert_correctly_rounded(root * root)
+        for e in range(-70, 71):
+            beta = F(4) ** e
+            assert sqrt_rounded(beta) == 2.0 ** e
+            self.assert_correctly_rounded(beta)
+        # the base norms of the skew-w' probe in test_config_cli, where a
+        # float Gram determinant at g_0 gives 0.2177777777777777, one ulp low
+        assert sqrt_rounded(F(2401, 50625)) == float(F(49, 225)) == 0.21777777777777776
+        assert sqrt_rounded(F(50625, 2401)) == float(F(225, 49)) == 4.591836734693878
 
 
 class TestDivergenceSequence:
     def test_determinants_one(self):
         config, cert, witness = example1_m2_setup()
-        seq = realize_divergence_sequence(cert, witness, config, [0, 5, 10])
-        for mats in seq.elements:
+        for mats in realize_divergence_sequence(cert, witness, config, [0, 5, 10]):
             for f in mats:
                 assert abs(np.linalg.det(f) - 1.0) < 1e-9
 
@@ -198,16 +291,15 @@ class TestDivergenceSequence:
 
 class TestClosedForm:
     def test_matches_gram_on_random_instances(self):
+        # The closed form over exact base norms against dense norms at the
+        # realized h * g_N.
         rng = random.Random(2024)
         checked = 0
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             spec = config.spec
-            w_mats = realize_weyl_matrices(cert.w)
-            wp_mats = [fmat(f) for f in cert.w_prime.matrices]
-            g0 = tuple(mat_mul(wp, wm) for wp, wm in zip(wp_mats, w_mats))
             lines = [WedgeLine.of(spec, j, side)
                      for j in cert.subset for side in ParabolicSide]
-            bases = {id(ln): norm_at(ln, g0) for ln in lines}
+            bases = base_norms(cert, lines)
             for _ in range(50):
                 coeffs = [F(rng.randint(-8, 8), rng.randint(1, 2))
                           for _ in config.a_basis.basis]
@@ -215,14 +307,13 @@ class TestClosedForm:
                                    zip(coeffs, config.a_basis.basis)), F(0))
                               for j in range(spec.ambient_dim))
                 n_val = rng.randint(0, 3)
-                seq = realize_divergence_sequence(cert, witness, config, [n_val])
-                from nondiv.witness import _exp_cartan
+                g = realize_divergence_sequence(cert, witness, config, [n_val])[0]
                 h = _exp_cartan(spec, a_vec)
-                hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, seq.elements[0]))
-                for ln in lines:
+                hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g))
+                for ln, base in zip(lines, bases):
                     expected = closed_form_torus_norm(
-                        config, cert, witness, ln, a_vec, n_val, bases[id(ln)])
-                    actual = norm_at(ln, hg)
+                        config, cert, witness, ln, a_vec, n_val, base)
+                    actual = dense_wedge_norm(ln, hg)
                     assert actual == pytest.approx(expected, rel=1e-9)
                     checked += 1
         assert checked >= 100
@@ -231,20 +322,24 @@ class TestClosedForm:
 class TestMInvariance:
     def test_wedge_line_fixed_by_m_words(self):
         # M moves no certified line's norm, which is why the decay table
-        # samples Lie(A) alone: checked on seeded words in exp(Lie(M)).
+        # samples Lie(A) alone: checked on seeded words in exp(Lie(M)), with
+        # dense norms at g_N and the exact base norm at N = 0.
         for config, cert, witness in (so21_line_setup(),
                                       shipped_setup("example2-nonmonomial.cfg")):
             words = m_words(config)
             assert len(words) == 9
-            seq = realize_divergence_sequence(cert, witness, config, [0, 1, 2])
+            elements = realize_divergence_sequence(cert, witness, config, [0, 1, 2])
             lines = [WedgeLine.of(config.spec, j, side)
                      for j in cert.subset for side in ParabolicSide]
-            for g in seq.elements:
+            for line, exact in zip(lines, base_norms(cert, lines)):
+                assert dense_wedge_norm(line, elements[0]) == pytest.approx(exact,
+                                                                            rel=1e-12)
+            for g in elements:
                 for line in lines:
-                    base = norm_at(line, g)
+                    base = dense_wedge_norm(line, g)
                     for _, word in words[1:]:
-                        moved = norm_at(line, [w @ np.array(gf)
-                                               for w, gf in zip(word, g)])
+                        moved = dense_wedge_norm(line, [w @ np.array(gf)
+                                                        for w, gf in zip(word, g)])
                         assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -263,10 +358,9 @@ class TestFloatReference:
 
     @staticmethod
     def compare(config, cert, witness, grid_points=21):
-        seq = realize_divergence_sequence(cert, witness, config, [0, 1, 2, 3])
         sampler = HSampler.default(config, grid_points=grid_points)
-        rows = decay_table(seq, sampler, config)
-        ref = float_decay_table(seq, sampler, config)
+        rows = decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
+        ref = float_decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
         assert [r.n_value for r in rows] == [r["N"] for r in ref]
         decided = 0
         for row, r in zip(rows, ref):
@@ -294,9 +388,8 @@ class TestFloatReference:
 class TestVerifyDivergence:
     def test_baseline_and_decay(self):
         config, cert, witness = example1_m2_setup()
-        seq = realize_divergence_sequence(cert, witness, config, [0, 10])
         sampler = HSampler.default(config)
-        report = verify_divergence(seq, sampler, 1000, config)
+        report = verify_divergence(cert, witness, [0, 10], sampler, 1000, config)
         assert report.exact_passed
         rows = {r.n_value: r.max_min_norm for r in report.rows}
         assert rows[0] == pytest.approx(1.0, rel=1e-9)
@@ -305,45 +398,43 @@ class TestVerifyDivergence:
 
     def test_decay_monotone_on_samples(self):
         config, cert, witness = so21_line_setup()
-        seq = realize_divergence_sequence(cert, witness, config, [0, 1, 2, 3])
         sampler = HSampler.default(config, grid_points=5)
-        rows = decay_table(seq, sampler, config)
+        rows = decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
         values = [r.max_min_norm for r in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
         for row in rows:
             assert row.max_min_norm <= math.exp(-row.n_value) * values[0] * (1 + 1e-9)
 
-    def test_decay_inverts_only_g0(self, monkeypatch):
-        # Rows print the closed form, so the m factors of g_0 are the only
-        # inverses and the wedge norms are one per certified line.
-        config, cert, witness = example1_m2_setup()
-        seq = realize_divergence_sequence(cert, witness, config, [0, 2, 4, 6])
-        sampler = HSampler.default(config)
-        calls, norms = [], []
-        inverse = witness_module.inverse
-        monkeypatch.setattr(witness_module, "inverse",
-                            lambda f: calls.append(f) or inverse(f))
-        wedge_norm = witness_module.wedge_norm
-        monkeypatch.setattr(witness_module, "wedge_norm",
-                            lambda *args: norms.append(args) or wedge_norm(*args))
-        rows = decay_table(seq, sampler, config)
-        assert len(cert.subset) * 2 == 2 and len(rows) == 4
-        assert len(calls) == config.spec.m
-        assert len(norms) == 2
+    def test_decay_realizes_nothing(self, monkeypatch):
+        # Rows print the closed form over exact base norms: no g_N and no
+        # exponentiated Cartan element is formed, and `wedge_norm` runs once
+        # per certified line whatever the n-values.
+        for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
+            sampler = HSampler.default(config, grid_points=5)
+            calls, norms = [], []
+            for name in ("realize_divergence_sequence", "_exp_cartan"):
+                monkeypatch.setattr(witness_module, name,
+                                    lambda *args, name=name, **kw: calls.append(name))
+            wedge_norm = witness_module.wedge_norm
+            monkeypatch.setattr(witness_module, "wedge_norm",
+                                lambda *args: norms.append(args) or wedge_norm(*args))
+            rows = decay_table(cert, witness, [0, 2, 4, 6], sampler, config)
+            assert len(rows) == 4
+            assert calls == []
+            assert len(norms) == 2 * len(cert.subset)
+            monkeypatch.undo()
 
     def test_decay_exponentiates_no_h_sample(self, monkeypatch):
-        # Samples are ordered and printed by exact exponents: g_0 is
-        # realized once, at scale 0, whether or not 0 is among the n-values,
-        # and no a-point is exponentiated.
+        # Samples are ordered and printed by exact exponents: nothing is
+        # exponentiated as a matrix, whether or not 0 is among the n-values.
         config, cert, witness = example1_m2_setup()
         sampler = HSampler.default(config)
         exp_cartan = witness_module._exp_cartan
         for n_values in ([0, 2, 4, 6], [3, 5]):
-            seq = realize_divergence_sequence(cert, witness, config, n_values)
             scales = []
             monkeypatch.setattr(witness_module, "_exp_cartan",
                                 lambda spec, v, scale=1.0: scales.append(scale)
                                 or exp_cartan(spec, v, scale))
-            rows = decay_table(seq, sampler, config)
+            rows = decay_table(cert, witness, n_values, sampler, config)
             assert [r.n_value for r in rows] == sorted({0, *n_values})
-            assert scales == [0.0]
+            assert scales == []
