@@ -98,7 +98,7 @@ def run_pipeline(command: str, name: str, text: str) -> tuple[int, dict]:
     elif cert is not None:
         try:
             witness = build_escape_witness(cert, config)
-            check_witness_exact(witness)
+            check_witness_exact(witness, cert.dependence)
         except (ExactCheckFailedError, ValueError) as exc:
             raise _StageFailed(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
         sections["witness"] = witness_dict(witness)

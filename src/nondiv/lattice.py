@@ -21,6 +21,11 @@ from ._record import record
 from .floatmat import FMat, det, diagonal, dot, fmat, mat_mul, transpose
 
 
+# Largest d the probe takes.  Squarefreeness is decided by trial division up
+# to sqrt(d), 10^6 steps here, and math.sqrt(d) is exact well below 2^53.
+MAX_D = 10 ** 12
+
+
 def _is_squarefree(d: int) -> bool:
     k = 2
     while k * k <= d:
@@ -37,6 +42,8 @@ class QuadraticOrder:
     d: int
 
     def __post_init__(self):
+        if self.d > MAX_D:
+            raise ValueError(f"d must be at most {MAX_D}")
         if self.d <= 1 or not _is_squarefree(self.d):
             raise ValueError("d must be a squarefree integer > 1")
         if self.d % 4 not in (2, 3):

@@ -1,7 +1,6 @@
 """Exact rational linear algebra for the scan and the escape witness:
-rank, kernels, solves and determinants, canonical subspaces, orthogonal
-projection, and strict/weak feasibility by Fourier-Motzkin elimination
-(`fm_feasible`), which decides the sign test `orthant_meets_subspace`.
+rank, kernels, solves and determinants, canonical subspaces and orthogonal
+projection.
 
 The one inner product is the standard form, (a | b) = `dot(a, b)`.  Every
 criterion built on it is invariant under positive scaling of the form, and
@@ -19,7 +18,6 @@ spans is plain `==`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -239,54 +237,6 @@ class Orthant:
             raise ValueError("orthant signs must be +1 or -1")
 
 
-# --- Fourier-Motzkin feasibility -------------------------------------------
-
-# A constraint is (coeffs, rhs, strict): coeffs.x < rhs if strict else <= rhs.
-_FMRow = tuple[Vec, Fraction, bool]
-
-
-def _fm_normalize(coeffs: Vec, rhs: Fraction, strict: bool) -> _FMRow:
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead is None:
-        return coeffs, rhs, strict
-    s = abs(lead)
-    return tuple(c / s for c in coeffs), rhs / s, strict
-
-
-def fm_feasible(constraints: Sequence[tuple[Sequence[Fraction], Fraction, bool]],
-                nvars: int) -> bool:
-    """Exact feasibility of a system of strict/weak linear inequalities."""
-    rows: set[_FMRow] = set()
-    consts: list[tuple[Fraction, bool]] = []
-    for coeffs, rhs, strict in constraints:
-        coeffs = vec(coeffs)
-        if len(coeffs) != nvars:
-            raise ValueError("constraint arity mismatch")
-        if all(c == 0 for c in coeffs):
-            consts.append((Fraction(rhs), strict))
-        else:
-            rows.add(_fm_normalize(coeffs, Fraction(rhs), strict))
-    for rhs, strict in consts:
-        if (strict and rhs <= 0) or (not strict and rhs < 0):
-            return False
-    for j in range(nvars):
-        pos = [r for r in rows if r[0][j] > 0]
-        neg = [r for r in rows if r[0][j] < 0]
-        keep = {r for r in rows if r[0][j] == 0}
-        for (cp, bp, sp), (cn, bn, sn) in itertools.product(pos, neg):
-            mp, mn = -cn[j], cp[j]  # positive multipliers eliminating x_j
-            coeffs = tuple(mp * a + mn * b for a, b in zip(cp, cn))
-            rhs = mp * bp + mn * bn
-            strict = sp or sn
-            if all(c == 0 for c in coeffs):
-                if (strict and rhs <= 0) or (not strict and rhs < 0):
-                    return False
-            else:
-                keep.add(_fm_normalize(coeffs, rhs, strict))
-        rows = keep
-    return True
-
-
 # --- spec'd operations -------------------------------------------------------
 
 def primitive_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -313,19 +263,3 @@ def project_subspace(w: Subspace, u: Subspace) -> Subspace:
         images.append(img)
     return Subspace.span(u.ambient_dim, images)
 
-
-def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
-                           sigma: Orthant,
-                           u: Subspace) -> bool:
-    """Does u contain a point with sign(f_i(x)) = sigma_i for every i?"""
-    fs = [vec(f) for f in functionals]
-    if len(fs) != len(sigma.signs):
-        raise ValueError("functional/orthant arity mismatch")
-    if u.is_zero():
-        return False
-    # Coordinates c on the basis of u; each strict sign is -sigma_i*f_i(Bc) < 0.
-    constraints = []
-    for f, s in zip(fs, sigma.signs):
-        coeffs = tuple(-s * dot(f, b) for b in u.basis)
-        constraints.append((coeffs, Fraction(0), True))
-    return fm_feasible(constraints, u.dim)

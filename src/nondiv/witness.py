@@ -7,6 +7,20 @@ g_N = w' exp(N v) w, and a two-part verification: the exact part re-checks the
 rational conditions that carry the universal quantifier over H, the numeric
 part measures wedge-line norm decay along h * g_N over a grid of H = A M.
 
+The missed orthant is the sign pattern of the certified dependence c, with
+f_i = w(chi_i) and sum_i c_i f_i = 0 on the transported Lie(A): sigma0_i = -1
+where c_i < 0 and +1 elsewhere.  Each f_i lies in U, so the sum vanishes on U'
+too, and sigma0 misses U': a point x of U' with sign pattern sigma0 would give
+0 = sum_i c_i f_i(x) = sum_i (sigma0_i c_i)(sigma0_i f_i(x)) > 0, as every
+sigma0_i c_i >= 0 and c != 0.  The audit checks exactly these three facts, so
+it holds for any such c, zero coefficients included.  A certificate from the
+scan has none: its subset I is the least hit, and every proper subset of I is
+admissible for the same (w, w') and comes earlier, so it is independent.  The
+certified weights are then a circuit on the transported Lie(A), c is unique
+up to scale with c_1 > 0, and by Stiemke's transposition theorem (Schrijver,
+Theory of Linear and Integer Programming, 7.8) the orthants U' misses are
+exactly +-sign(c): sigma0 is the first of them with +1 before -1 per index.
+
 H acts on a certified wedge line through A alone.  Take mu in M: it commutes
 with w', which centralizes M, and with exp(N v), since D centralizes M, so
 mu g_N = g_N (w^-1 mu w).  The two parabolic containments that replay checks
@@ -47,7 +61,6 @@ from .linalg import (
     Vec,
     det as exact_det,
     dot,
-    orthant_meets_subspace,
     project_subspace,
     solve,
     vec_add,
@@ -96,43 +109,34 @@ class WedgeLine:
         return cls(j, side, tuple(nilradical_basis(spec, j, side)))
 
 
-def first_missed_orthant(funcs: Sequence[Vec], u_prime: Subspace) -> Orthant:
-    """First orthant in scan order (+1 before -1, per index) avoiding u_prime."""
-    k = len(funcs)
-    for signs in itertools.product((1, -1), repeat=k):
-        cand = Orthant(signs)
-        if not orthant_meets_subspace(funcs, cand, u_prime):
-            return cand
-    raise ExactCheckFailedError("every orthant meets the projected subspace")
-
-
-def escape_vector(funcs: Sequence[Vec], u_vectors: Sequence[Vec],
-                  sigma0: Orthant) -> Vec:
-    """The combination of the in-span dual basis with every weight value +-2."""
-    gram = [[dot(f, u) for u in u_vectors] for f in funcs]
+def escape_vector(funcs: Sequence[Vec], sigma0: Orthant) -> Vec:
+    """The combination of the functionals, each its own dual under the
+    standard form, with every weight value +-2."""
+    gram = [[dot(f, u) for u in funcs] for f in funcs]
     coeffs = solve(gram, [Fraction(2 * s) for s in sigma0.signs])
-    v: Vec = tuple(Fraction(0) for _ in u_vectors[0])
-    for c, u in zip(coeffs, u_vectors):
+    v: Vec = tuple(Fraction(0) for _ in funcs[0])
+    for c, u in zip(coeffs, funcs):
         v = vec_add(v, vec_scale(c, u))
     assert all(dot(f, v) == 2 * s for f, s in zip(funcs, sigma0.signs))
     return v
 
 
 def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitness:
-    """Escape data for a certificate: U, U', the missed orthant, and v."""
+    """Escape data for a certificate: U, U', the missed orthant (the sign
+    pattern of the dependence, module docstring), and v."""
     if not replay_certificate(config, cert):
         raise ValueError("certificate does not replay against the configuration")
     spec = config.spec
-    funcs = [act_on_functional(cert.w, fundamental_weight(spec, i)) for i in cert.subset]
-    u_vectors = tuple(funcs)  # standard form: dual vector = coefficient vector
-    u_space = Subspace.span(spec.ambient_dim, u_vectors)
+    # standard form: dual vector = coefficient vector
+    funcs = tuple(act_on_functional(cert.w, fundamental_weight(spec, i))
+                  for i in cert.subset)
+    u_space = Subspace.span(spec.ambient_dim, funcs)
     u_prime = project_subspace(_transport_subspace(config.a_basis, cert.w_prime),
                                u_space)
     if u_prime.dim >= u_space.dim:
         raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
-    sigma0 = first_missed_orthant(funcs, u_prime)
-    v = escape_vector(funcs, u_vectors, sigma0)
-    return EscapeWitness(u_vectors, u_space, u_prime, sigma0, v)
+    sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
+    return EscapeWitness(funcs, u_space, u_prime, sigma0, escape_vector(funcs, sigma0))
 
 
 # --- realization over the reals ---------------------------------------------
@@ -272,19 +276,26 @@ class WitnessReport:
     anomalies: tuple[tuple[int, float, str], ...]
 
 
-def check_witness_exact(witness: EscapeWitness) -> None:
+def check_witness_exact(witness: EscapeWitness, dependence: Sequence[Fraction]) -> None:
     """Exact part of the divergence verification, in rational arithmetic.
 
-    The orthant-emptiness plus the weight values on v exceeding 1 with the
-    certified sign pattern carry the uniform bound over all of H; any failure
-    means the certificate or the witness construction is unsound.
+    The dependence c certifies that sigma0 misses U' (module docstring):
+    sigma0_i c_i >= 0 for every i, c != 0, and sum_i c_i (f_i | b) = 0 for
+    every basis vector b of U'.  That plus the weight values on v exceeding 1
+    with the sign pattern sigma0 carry the uniform bound over all of H; any
+    failure means the certificate or the witness construction is unsound.
     """
     funcs = witness.u_vectors
+    signs = witness.sigma0.signs
     if witness.u_prime.dim >= witness.u_space.dim:
         raise ExactCheckFailedError("projected subspace is not proper")
-    if orthant_meets_subspace(funcs, witness.sigma0, witness.u_prime):
-        raise ExactCheckFailedError("witness orthant meets the projected subspace")
-    for f, s in zip(funcs, witness.sigma0.signs):
+    if (not (len(dependence) == len(signs) == len(funcs)) or not any(dependence)
+            or any(s * c < 0 for s, c in zip(signs, dependence))
+            or any(sum((c * dot(f, b) for c, f in zip(dependence, funcs)), Fraction(0))
+                   for b in witness.u_prime.basis)):
+        raise ExactCheckFailedError("the dependence does not certify that the "
+                                    "witness orthant misses the projected subspace")
+    for f, s in zip(funcs, signs):
         val = dot(f, witness.v)
         if not (abs(val) > 1 and (val > 0) == (s > 0)):
             raise ExactCheckFailedError("escape vector weight values are not as certified")
@@ -342,15 +353,16 @@ def verify_divergence(cert: Certificate, witness: EscapeWitness,
                       n_target: int, config: GroupConfig) -> WitnessReport:
     """Two-part divergence verification.
 
-    Exact part: re-checks, in rational arithmetic, that the witness orthant
-    misses the projected subspace and that every weight value on v exceeds 1
-    in absolute value with the witness sign pattern.  Numeric part: samples H,
-    evaluates the minimum wedge-line norm over the certified indices and both
-    parabolic sides on h * g_N, and reports the maximum over samples per N;
-    rows at N beyond the derived threshold must drop below 1/n_target, and
-    violations are reported (not fatal) with the offending sample.
+    Exact part: re-checks, in rational arithmetic, that the certified
+    dependence shows the witness orthant missing the projected subspace and
+    that every weight value on v exceeds 1 in absolute value with the witness
+    sign pattern.  Numeric part: samples H, evaluates the minimum wedge-line
+    norm over the certified indices and both parabolic sides on h * g_N, and
+    reports the maximum over samples per N; rows at N beyond the derived
+    threshold must drop below 1/n_target, and violations are reported (not
+    fatal) with the offending sample.
     """
-    check_witness_exact(witness)
+    check_witness_exact(witness, cert.dependence)
     rows = decay_table(cert, witness, n_values, sampler, config)
     baseline = next(r.max_min_norm for r in rows if r.n_value == 0)
     n_zero_required = math.log(max(n_target * baseline, 1e-300))

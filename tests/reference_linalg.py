@@ -1,28 +1,33 @@
-"""Reference exact linear algebra that no command runs: the definitions the
-engine's rank test is equivalent to, kept as test oracles.
+"""Reference exact linear algebra that no command runs, kept as test oracles:
+the definitions the engine's rank test is equivalent to, and the
+Fourier-Motzkin sign test that the engine's escape orthant is checked against.
 
 - `restricted_independent`: functionals independent on W, cross-asserted
   against the projection criterion pi_U(W) = U.
+- `fm_feasible`: exact feasibility of strict/weak linear inequalities by
+  Fourier-Motzkin elimination.
+- `orthant_meets_subspace`: the sign test decided by `fm_feasible`, the
+  oracle for the escape orthant the engine reads off the certified
+  dependence.
 - `invdim`: the invariance dimension of a region cut out by strict affine
-  inequalities (`StrictRegion`), decided by the engine's Fourier-Motzkin
-  elimination `linalg.fm_feasible`, the one that also decides
-  `linalg.orthant_meets_subspace`.
+  inequalities (`StrictRegion`), decided by `fm_feasible`.
 - `integral_kernel_vector`: a primitive integer kernel vector.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from nondiv._record import record
 from nondiv.linalg import (
     Mat,
+    Orthant,
     Subspace,
     Vec,
     _kernel_vectors,
     dot,
-    fm_feasible,
     primitive_vector,
     project_subspace,
     rank,
@@ -31,6 +36,71 @@ from nondiv.linalg import (
 )
 
 NEG_INFINITY = float("-inf")
+
+
+# --- Fourier-Motzkin feasibility -------------------------------------------
+
+# A constraint is (coeffs, rhs, strict): coeffs.x < rhs if strict else <= rhs.
+_FMRow = tuple[Vec, Fraction, bool]
+
+
+def _fm_normalize(coeffs: Vec, rhs: Fraction, strict: bool) -> _FMRow:
+    lead = next((c for c in coeffs if c != 0), None)
+    if lead is None:
+        return coeffs, rhs, strict
+    s = abs(lead)
+    return tuple(c / s for c in coeffs), rhs / s, strict
+
+
+def fm_feasible(constraints: Sequence[tuple[Sequence[Fraction], Fraction, bool]],
+                nvars: int) -> bool:
+    """Exact feasibility of a system of strict/weak linear inequalities."""
+    rows: set[_FMRow] = set()
+    consts: list[tuple[Fraction, bool]] = []
+    for coeffs, rhs, strict in constraints:
+        coeffs = vec(coeffs)
+        if len(coeffs) != nvars:
+            raise ValueError("constraint arity mismatch")
+        if all(c == 0 for c in coeffs):
+            consts.append((Fraction(rhs), strict))
+        else:
+            rows.add(_fm_normalize(coeffs, Fraction(rhs), strict))
+    for rhs, strict in consts:
+        if (strict and rhs <= 0) or (not strict and rhs < 0):
+            return False
+    for j in range(nvars):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        keep = {r for r in rows if r[0][j] == 0}
+        for (cp, bp, sp), (cn, bn, sn) in itertools.product(pos, neg):
+            mp, mn = -cn[j], cp[j]  # positive multipliers eliminating x_j
+            coeffs = tuple(mp * a + mn * b for a, b in zip(cp, cn))
+            rhs = mp * bp + mn * bn
+            strict = sp or sn
+            if all(c == 0 for c in coeffs):
+                if (strict and rhs <= 0) or (not strict and rhs < 0):
+                    return False
+            else:
+                keep.add(_fm_normalize(coeffs, rhs, strict))
+        rows = keep
+    return True
+
+
+def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
+                           sigma: Orthant,
+                           u: Subspace) -> bool:
+    """Does u contain a point with sign(f_i(x)) = sigma_i for every i?"""
+    fs = [vec(f) for f in functionals]
+    if len(fs) != len(sigma.signs):
+        raise ValueError("functional/orthant arity mismatch")
+    if u.is_zero():
+        return False
+    # Coordinates c on the basis of u; each strict sign is -sigma_i*f_i(Bc) < 0.
+    constraints = []
+    for f, s in zip(fs, sigma.signs):
+        coeffs = tuple(-s * dot(f, b) for b in u.basis)
+        constraints.append((coeffs, Fraction(0), True))
+    return fm_feasible(constraints, u.dim)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

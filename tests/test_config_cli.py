@@ -11,7 +11,7 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
-from nondiv import cli, criterion, witness
+from nondiv import cli, criterion, lattice, witness
 from nondiv.config import ProbeSettings, ProblemFile, build_config, parse_problem
 from nondiv.criterion import ConfigError
 from nondiv.report import input_digest
@@ -266,6 +266,9 @@ EDITED_CONFIGS = {
     "n3-with-probe.cfg": ("example1-n3-m2.cfg", "mode = auto-trivial-m\n",
                           "mode = auto-trivial-m\n\n[probe]\nd = 2\n"),
     "probe-d5.cfg": ("example1-m2.cfg", "d = 2", "d = 5"),
+    # 2 mod 4 and far above the bound: trial division to sqrt(d) would not end
+    "probe-d-30-digits.cfg": ("example1-m2.cfg", "d = 2",
+                              "d = 100000000000000000000000000002"),
     "split-so.cfg": ("example1-m2.cfg", "family = res-sl", "family = split-so"),
     # exp(800) overflows a float; 1e400 overflows the float conversion
     "grid-radius-800.cfg": ("example1-m2.cfg", "grid-radius = 5", "grid-radius = 800"),
@@ -326,6 +329,8 @@ EXIT_TABLE = [
     ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
     ("probe", "probe-d5.cfg", 2, "[probe] d:", False),
     ("probe", "full-cartan-a-d5.cfg", 2, "[probe] d:", False),
+    ("probe", "probe-d-30-digits.cfg", 2, "[probe] d: d must be at most 1000000000000",
+     False),
     ("probe", "grid-radius-800.cfg", 2, "grid-radius", False),
     ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
     ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
@@ -373,6 +378,21 @@ def test_exit_code_table(command, name, code, message, written, tmp_path, capsys
     assert out.exists() == written
     if written:
         assert json.loads(out.read_text())["exit_code"] == code
+
+
+def test_probe_bounds_d_before_any_work(tmp_path, monkeypatch, capsys):
+    """A d above the bound exits 2 before trial division or the scan."""
+    def forbidden(*args):
+        raise AssertionError("ran past the bound on d")
+
+    monkeypatch.setattr(lattice, "_is_squarefree", forbidden)
+    monkeypatch.setattr(cli, "check_general", forbidden)
+    out = tmp_path / "report.json"
+    assert cli.main(["probe", str(table_input("probe-d-30-digits.cfg", tmp_path)),
+                     "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "nondiv: error: [probe] d: d must be at most 1000000000000\n")
+    assert not out.exists()
 
 
 def test_probe_at_n_400_still_raises_nan(tmp_path):

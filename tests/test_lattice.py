@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nondiv import lattice
 from nondiv.floatmat import dot, fmat, transpose
 from nondiv.lattice import (
+    MAX_D,
     QuadraticOrder,
     _enumerate_minimum,
     _size_reduce,
@@ -57,6 +59,17 @@ class TestQuadraticOrder:
     def test_rejects_square_factor(self):
         with pytest.raises(ValueError):
             QuadraticOrder(8)
+
+    def test_rejects_d_above_the_bound_before_trial_division(self, monkeypatch):
+        # MAX_D itself is tested, and fails as a square multiple; above it
+        # nothing is tested, so a 30-digit d fails at once.
+        assert MAX_D == 10 ** 12
+        with pytest.raises(ValueError, match="squarefree"):
+            QuadraticOrder(MAX_D)
+        monkeypatch.setattr(lattice, "_is_squarefree", None)
+        for d in (MAX_D + 2, MAX_D + 3, 10 ** 29 + 2):
+            with pytest.raises(ValueError, match=f"d must be at most {MAX_D}"):
+                QuadraticOrder(d)
 
 
 class TestEmbedLattice:

@@ -10,8 +10,6 @@ from nondiv.linalg import (
     _kernel_vectors,
     _rref,
     det,
-    fm_feasible,
-    orthant_meets_subspace,
     project_subspace,
     rank,
     transpose,
@@ -20,9 +18,11 @@ from nondiv.linalg import (
 from reference_linalg import (
     NEG_INFINITY,
     StrictRegion,
+    fm_feasible,
     integral_kernel_vector,
     invdim,
     mat,
+    orthant_meets_subspace,
     restricted_independent,
 )
 

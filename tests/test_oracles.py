@@ -13,14 +13,13 @@ from nondiv.linalg import (
     Orthant,
     Subspace,
     _kernel_vectors,
-    fm_feasible,
-    orthant_meets_subspace,
     rank,
 )
 from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import WeylElement, act_on_lie, signed_permutation_matrix
 
 from helpers import assert_first_hit, check_torus, torus_config
+from reference_linalg import fm_feasible, orthant_meets_subspace
 
 
 def _sym(x: F):

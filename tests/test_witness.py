@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -10,10 +11,13 @@ from nondiv import witness as witness_module
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import Certificate, check_general
 from nondiv.floatmat import mat_mul
-from nondiv.linalg import Subspace, dot
+from nondiv.linalg import Orthant, Subspace, dot
 from nondiv.rootdata import GroupSpec, ParabolicSide
-from nondiv.weyl import CentralizerWeylElement, WeylElement, signed_permutation_matrix
+from nondiv.weyl import (CentralizerWeylElement, WeylElement, identity_centralizer_element,
+                         signed_permutation_matrix)
 from nondiv.witness import (
+    EscapeWitness,
+    ExactCheckFailedError,
     HSampler,
     WedgeLine,
     _exp_cartan,
@@ -22,7 +26,6 @@ from nondiv.witness import (
     decay_table,
     escape_vector,
     factor_grams,
-    first_missed_orthant,
     realize_divergence_sequence,
     sqrt_rounded,
     verify_divergence,
@@ -32,13 +35,17 @@ from nondiv.witness import (
 from helpers import (
     check_torus,
     closed_form_torus_norm,
+    block_centralizer_torus_vectors,
     delta_line_subspace,
     dense_wedge_norm,
     float_decay_table,
     m_words,
+    sl2_swap_config,
     so21_config,
+    so21_d_vectors,
     torus_config,
 )
+from reference_linalg import orthant_meets_subspace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,25 +99,158 @@ def random_torus_line_setups(count=12, seed=31):
     return setups
 
 
-class TestMissedOrthant:
-    def test_plane_with_diagonal(self):
-        funcs = [(F(1), F(0)), (F(0), F(1))]
-        u_prime = Subspace.span(2, [[1, 1]])
-        sigma0 = first_missed_orthant(funcs, u_prime)
-        assert sigma0.signs == (1, -1)
-        v = escape_vector(funcs, funcs, sigma0)
-        assert v == (F(2), F(-2))
+def seeded_torus_setups(count=60, seed=32):
+    """Divergent trivial-M instances, n x m up to 5x1 and 4x2, on seeded
+    random Lie(A) of dimension 1 to 3; most certify |I| >= 2."""
+    rng = random.Random(seed)
+    setups = []
+    while len(setups) < count:
+        spec = GroupSpec(*rng.choice(((3, 1), (4, 1), (5, 1), (3, 2), (4, 2))))
+        a = Subspace.span(spec.ambient_dim, [
+            spec.trace_zero_part([F(rng.randint(-3, 3)) for _ in range(spec.ambient_dim)])
+            for _ in range(rng.randint(1, min(3, spec.rank)))])
+        verdict = check_torus(spec, a)
+        if a.is_zero() or verdict.nondivergent:
+            continue
+        config = torus_config(spec, a)
+        setups.append((config, verdict.certificate,
+                       build_escape_witness(verdict.certificate, config)))
+    return setups
 
-    def test_zero_subspace_takes_first(self):
-        funcs = [(F(1), F(0)), (F(0), F(1))]
-        sigma0 = first_missed_orthant(funcs, Subspace(2, ()))
-        assert sigma0.signs == (1, 1)
+
+def block_setups(seed=5):
+    """Divergent SO(2,1)- and SL_2-block instances, Lie(A) spanned by seeded
+    random combinations of the Lie(D) basis; some certify w' != id."""
+    rng = random.Random(seed)
+    setups = []
+    for make, d in ((so21_config, so21_d_vectors()),
+                    (sl2_swap_config, block_centralizer_torus_vectors(4, 1, {0}, 2, 2))):
+        for _ in range(12):
+            rows = [[rng.randint(-3, 3) for _ in d] for _ in range(rng.randint(1, len(d) - 1))]
+            a = [tuple(sum((c * v[j] for c, v in zip(row, d)), F(0))
+                       for j in range(len(d[0])))
+                 for row in rows]
+            if not any(map(any, a)):
+                continue
+            config = make(a)
+            verdict = check_general(config)
+            if not verdict.nondivergent:
+                setups.append((config, verdict.certificate,
+                               build_escape_witness(verdict.certificate, config)))
+    return setups
+
+
+def shipped_divergent_setups():
+    setups = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        config = build_config(parse_problem(path.read_text(encoding="utf-8"), str(path)))
+        verdict = check_general(config)
+        if not verdict.nondivergent:
+            setups.append((config, verdict.certificate,
+                           build_escape_witness(verdict.certificate, config)))
+    return setups
+
+
+def reference_missed_orthants(witness):
+    """The orthants, +1 before -1 per index, that Fourier-Motzkin finds
+    missed by U'."""
+    return [Orthant(signs)
+            for signs in itertools.product((1, -1), repeat=len(witness.u_vectors))
+            if not orthant_meets_subspace(witness.u_vectors, Orthant(signs),
+                                          witness.u_prime)]
+
+
+def edited(witness, **fields):
+    return EscapeWitness(**{**witness.__dict__, **fields})
+
+
+class TestMissedOrthant:
+    """sigma0 is the sign pattern of the certified dependence; the
+    Fourier-Motzkin reference is the oracle."""
+
+    def test_matches_reference_on_certificates(self):
+        shipped, blocks = shipped_divergent_setups(), block_setups()
+        setups = shipped + seeded_torus_setups() + blocks
+        for config, cert, witness in setups:
+            missed = reference_missed_orthants(witness)
+            # the first missed orthant, and (the weights being a circuit,
+            # Stiemke) the only other one is its negative
+            assert witness.sigma0 == missed[0]
+            assert missed == [witness.sigma0,
+                              Orthant(tuple(-s for s in witness.sigma0.signs))]
+            check_witness_exact(witness, cert.dependence)
+        assert len(shipped) == 6
+        assert sum(len(cert.subset) >= 2 for _, cert, _ in setups) >= 20
+        assert any(len(cert.subset) >= 3 for _, cert, _ in setups)
+        assert any(cert.w_prime_index for _, cert, _ in blocks)
+
+    def test_plane_with_diagonal(self):
+        # U' = span(1, 1) in the plane of f_1 = e_1, f_2 = e_2, and
+        # f_1 - f_2 vanishes on it: sigma0 = (1, -1), and v = (2, -2).
+        funcs = ((F(1), F(0)), (F(0), F(1)))
+        u_prime = Subspace.span(2, [[1, 1]])
+        sigma0 = Orthant((1, -1))
+        v = escape_vector(funcs, sigma0)
+        assert v == (F(2), F(-2))
+        witness = EscapeWitness(funcs, Subspace.span(2, funcs), u_prime, sigma0, v)
+        check_witness_exact(witness, (F(1), F(-1)))
+        assert reference_missed_orthants(witness) == [Orthant((1, -1)), Orthant((-1, 1))]
 
     def test_line_case(self):
-        funcs = [(F(1),)]
-        sigma0 = first_missed_orthant(funcs, Subspace(1, ()))
-        assert sigma0.signs == (1,)
-        assert escape_vector(funcs, funcs, sigma0) == (F(2),)
+        funcs = ((F(1),),)
+        v = escape_vector(funcs, Orthant((1,)))
+        assert v == (F(2),)
+        check_witness_exact(EscapeWitness(funcs, Subspace.span(1, funcs),
+                                          Subspace(1, ()), Orthant((1,)), v), (F(1),))
+
+    def test_zero_coefficient_takes_plus(self):
+        # A hand-built certificate on I = {1, 2} with dependence (c, 0): chi_1
+        # alone vanishes on Lie(A).  The zero coefficient gets +1, the audit
+        # passes, and every orthant misses U', on which f_1 is 0.
+        spec = GroupSpec(3, 1)
+        a = Subspace.span(3, [[0, 1, -1]])
+        config = torus_config(spec, a)
+        w = WeylElement(((0, 1, 2),))
+        for c, signs in ((F(1), (1, 1)), (F(-2), (-1, 1))):
+            cert = Certificate((1, 2), w, identity_centralizer_element(spec), 0,
+                               (c, F(0)), None)
+            witness = build_escape_witness(cert, config)
+            assert witness.sigma0.signs == signs
+            check_witness_exact(witness, cert.dependence)
+            assert len(reference_missed_orthants(witness)) == 4
+
+
+class TestCheckWitnessExact:
+    """Each failing branch of the audit, one witness field edited at a time."""
+
+    def setup_method(self):
+        self.config, self.cert, self.witness = next(
+            s for s in seeded_torus_setups(count=10) if len(s[1].subset) >= 2)
+        check_witness_exact(self.witness, self.cert.dependence)
+
+    def test_u_prime_equal_to_u_fails(self):
+        with pytest.raises(ExactCheckFailedError, match="not proper"):
+            check_witness_exact(edited(self.witness, u_prime=self.witness.u_space),
+                                self.cert.dependence)
+
+    def test_each_flipped_sign_fails(self):
+        signs = self.witness.sigma0.signs
+        for i in range(len(signs)):
+            flipped = Orthant(signs[:i] + (-signs[i],) + signs[i + 1:])
+            with pytest.raises(ExactCheckFailedError, match="orthant"):
+                check_witness_exact(edited(self.witness, sigma0=flipped),
+                                    self.cert.dependence)
+
+    def test_quarter_v_fails(self):
+        v = tuple(x / 4 for x in self.witness.v)
+        with pytest.raises(ExactCheckFailedError, match="weight values"):
+            check_witness_exact(edited(self.witness, v=v), self.cert.dependence)
+
+    def test_dependence_that_certifies_nothing_fails(self):
+        c = self.cert.dependence
+        for bad in (tuple(F(0) for _ in c), (c[0] + 1,) + c[1:], c[:-1]):
+            with pytest.raises(ExactCheckFailedError, match="orthant"):
+                check_witness_exact(self.witness, bad)
 
 
 class TestEscapeWitness:
@@ -125,7 +265,7 @@ class TestEscapeWitness:
     def test_so21_line(self):
         config, cert, witness = so21_line_setup()
         assert witness.u_prime.dim < witness.u_space.dim
-        check_witness_exact(witness)
+        check_witness_exact(witness, cert.dependence)
 
     def test_rejects_unreplayable_certificate(self):
         config, cert, _ = example1_m2_setup()
