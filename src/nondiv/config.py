@@ -25,6 +25,10 @@ from .weyl import CentralizerWeylElement
 DEFAULT_PROBE_N_VALUES = (0, 2, 4, 6)
 # The probe evaluates exp(t) for |t| up to the grid radius.
 MAX_GRID_RADIUS = math.log(sys.float_info.max)
+# Each (grid point, N) pair of the probe costs one lattice reduction and
+# enumeration, so both counts are bounded before any work starts.
+MAX_GRID_POINTS = 1001
+MAX_N_VALUES = 64
 
 
 @record
@@ -188,12 +192,16 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         else:
             data = _json_value("probe", "n-values", nv_raw)
             if (not isinstance(data, list) or not data
-                    or any(not isinstance(x, int) or x < 0 for x in data)):
+                    or any(type(x) is not int or x < 0 for x in data)):
                 raise ConfigError("[probe] n-values: expected nonempty list of "
                                   "nonnegative integers")
+            if len(data) > MAX_N_VALUES:
+                raise ConfigError(f"[probe] n-values: at most {MAX_N_VALUES} values")
             n_values = tuple(data)
         if points < 2:
             raise ConfigError("[probe] grid-points: need at least 2")
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"[probe] grid-points: need at most {MAX_GRID_POINTS}")
         if radius <= 0:
             raise ConfigError("[probe] grid-radius: must be positive")
         if radius > MAX_GRID_RADIUS:

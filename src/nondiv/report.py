@@ -112,13 +112,11 @@ def probe_dict(d: int, grid_radius: float, grid_points: int,
     }
 
 
-def build_report(name: str, content: str, verdict: Verdict,
-                 witness: Optional[dict] = None,
+def build_report(name: str, content: str, verdict: Verdict, timing: dict,
+                 exit_code: int, witness: Optional[dict] = None,
                  decay: Optional[list] = None,
-                 probe: Optional[dict] = None,
-                 timing: Optional[dict] = None,
-                 exit_code: Optional[int] = None) -> dict:
-    report = {
+                 probe: Optional[dict] = None) -> dict:
+    return {
         "format": REPORT_FORMAT,
         "tool": {"name": "nondiv", "version": __version__},
         "input": {
@@ -130,11 +128,9 @@ def build_report(name: str, content: str, verdict: Verdict,
         "witness": witness,
         "decay": decay,
         "probe": probe,
-        "timing": timing or {},
+        "timing": timing,
+        "exit_code": exit_code,
     }
-    if exit_code is not None:
-        report["exit_code"] = exit_code
-    return report
 
 
 def to_json(report: dict) -> str:

@@ -147,17 +147,3 @@ def nilradical_basis(spec: GroupSpec, i: int,
                 out.append((k, a, b) if side is ParabolicSide.STANDARD else (k, b, a))
     return out
 
-
-def weight_of_nilradical(spec: GroupSpec, i: int, side: ParabolicSide) -> Vec:
-    """Character of the Cartan action on the wedge line of the nilradical.
-
-    Sum of the roots e_r - e_c of the matrix units (k, r, c) of
-    `nilradical_basis`; equal to n*chi_i on the standard side and its
-    negative on the opposite side.
-    """
-    n = spec.n
-    v = [Fraction(0)] * spec.ambient_dim
-    for k, r, c in nilradical_basis(spec, i, side):
-        v[k * n + r] += 1
-        v[k * n + c] -= 1
-    return tuple(v)

@@ -20,6 +20,8 @@ certified weights are then a circuit on the transported Lie(A), c is unique
 up to scale with c_1 > 0, and by Stiemke's transposition theorem (Schrijver,
 Theory of Linear and Integer Programming, 7.8) the orthants U' misses are
 exactly +-sign(c): sigma0 is the first of them with +1 before -1 per index.
+The f_i are independent (the chi_i of distinct cuts are, and w is
+invertible), so dim U = |I| and U' is proper when its dimension is below |I|.
 
 H acts on a certified wedge line through A alone.  Take mu in M: it commutes
 with w', which centralizes M, and with exp(N v), since D centralizes M, so
@@ -28,9 +30,15 @@ put w^-1 mu w in the Levi of P_I, which acts on the top wedge of the
 nilradical by a character, trivial on the semisimple M.  With
 exp(a) w' = w' exp(Ad(w'^-1) a), the norm of the line l under exp(a) mu g_N
 is exp((w omega)(Ad(w'^-1) a + N v)) * |Ad(w' w) l|, omega the nilradical's
-weight: an exact rational exponent times one base norm per line.  So the H
-samples are points of Lie(A) only, and `decay_table` orders them by their
-exact exponents and prints that closed form.
+weight: an exact rational exponent times one base norm per line.  At cut i
+omega is the sum of the roots e_a - e_b of the units (a < i <= b in every
+factor), which is n chi_i on the standard side and -n chi_i on the
+opposite one, so w omega = +-n f_i, the certified weight the witness holds,
+and the slope (w omega)(v) = +-n (f_i | v) = +-2n sigma0_i: every certified
+index has one line of slope -2n.  So the H samples are coordinates in the
+Lie(A) basis only, the exponent is linear in them, and `decay_table`
+transports each basis vector once, orders the samples by their exact
+exponents and prints that closed form.
 
 The base norms are exact too.  In factor k, Ad(g)E_ab is the outer product of
 column a of g and row b of g^-1, so two moved units have Frobenius product
@@ -66,13 +74,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .rootdata import (
-    GroupSpec,
-    ParabolicSide,
-    fundamental_weight,
-    nilradical_basis,
-    weight_of_nilradical,
-)
+from .rootdata import GroupSpec, ParabolicSide, fundamental_weight, nilradical_basis
 from .weyl import (CentralizerWeylElement, WeylElement, act_on_functional,
                    signed_permutation_matrix)
 
@@ -84,8 +86,7 @@ class ExactCheckFailedError(RuntimeError):
 
 @record
 class EscapeWitness:
-    u_vectors: tuple[Vec, ...]   # duals of the w-transported weights
-    u_space: Subspace            # U = span(u_vectors)
+    u_vectors: tuple[Vec, ...]   # duals of the w-transported weights, a basis of U
     u_prime: Subspace            # projection of the transported Lie(A) onto U
     sigma0: Orthant              # orthant missed by u_prime
     v: Vec                       # escape vector, each weight value exactly +-2
@@ -130,13 +131,12 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
     # standard form: dual vector = coefficient vector
     funcs = tuple(act_on_functional(cert.w, fundamental_weight(spec, i))
                   for i in cert.subset)
-    u_space = Subspace.span(spec.ambient_dim, funcs)
     u_prime = project_subspace(_transport_subspace(config.a_basis, cert.w_prime),
-                               u_space)
-    if u_prime.dim >= u_space.dim:
+                               Subspace.span(spec.ambient_dim, funcs))
+    if u_prime.dim >= len(funcs):
         raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
     sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
-    return EscapeWitness(funcs, u_space, u_prime, sigma0, escape_vector(funcs, sigma0))
+    return EscapeWitness(funcs, u_prime, sigma0, escape_vector(funcs, sigma0))
 
 
 # --- realization over the reals ---------------------------------------------
@@ -216,46 +216,27 @@ def sqrt_rounded(q: Fraction) -> float:
     return math.ldexp(float(root | (root * root * den != num)), -s)
 
 
-def _line_weight(spec: GroupSpec, cert: Certificate, line: WedgeLine) -> Vec:
-    """w omega, omega the weight of the line's nilradical: the line's norm
-    under exp(x) w' w is exp((w omega)(Ad(w'^-1) x)) times its norm under w' w."""
-    return act_on_functional(cert.w, weight_of_nilradical(spec, line.rep_index,
-                                                          line.side))
-
-
 GRID_RADIUS = 5  # half-width of the H grid in each Lie(A) basis coordinate
 
 
 @record
 class HSampler:
     """Deterministic H samples: a grid in Lie(A), GRID_RADIUS wide on each
-    side, labelled by its coordinates.  M moves no certified wedge line's
-    norm (module docstring), so it needs no samples."""
+    side, held as coordinates in the Lie(A) basis and labelled by them (a
+    zero-dimensional Lie(A) has the one sample t=()).  M moves no certified
+    wedge line's norm (module docstring), so it needs no samples."""
 
-    a_points: tuple[Vec, ...]
+    a_coords: tuple[tuple[Fraction, ...], ...]
     a_labels: tuple[str, ...]
 
     @classmethod
     def default(cls, config: GroupConfig, grid_points: int = 21) -> "HSampler":
-        spec = config.spec
-        basis = config.a_basis.basis
         if grid_points < 2:
             raise ValueError("grid needs at least two points per dimension")
         step = Fraction(2 * GRID_RADIUS, grid_points - 1)
-        coords = [(-Fraction(GRID_RADIUS) + k * step) for k in range(grid_points)]
-        points = []
-        a_labels = []
-        if basis:
-            for combo in itertools.product(coords, repeat=len(basis)):
-                p = tuple(Fraction(0) for _ in range(spec.ambient_dim))
-                for c, b in zip(combo, basis):
-                    p = vec_add(p, vec_scale(c, b))
-                points.append(p)
-                a_labels.append("t=(" + ",".join(str(c) for c in combo) + ")")
-        else:
-            points.append(tuple(Fraction(0) for _ in range(spec.ambient_dim)))
-            a_labels.append("t=()")
-        return cls(tuple(points), tuple(a_labels))
+        coords = [-GRID_RADIUS + k * step for k in range(grid_points)]
+        grid = tuple(itertools.product(coords, repeat=config.a_basis.dim))
+        return cls(grid, tuple("t=(" + ",".join(map(str, c)) + ")" for c in grid))
 
 
 @record
@@ -287,7 +268,7 @@ def check_witness_exact(witness: EscapeWitness, dependence: Sequence[Fraction]) 
     """
     funcs = witness.u_vectors
     signs = witness.sigma0.signs
-    if witness.u_prime.dim >= witness.u_space.dim:
+    if witness.u_prime.dim >= len(funcs):
         raise ExactCheckFailedError("projected subspace is not proper")
     if (not (len(dependence) == len(signs) == len(funcs)) or not any(dependence)
             or any(s * c < 0 for s, c in zip(signs, dependence))
@@ -307,9 +288,11 @@ def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[in
 
     The minimum ranges over the certified indices and both parabolic sides;
     a row for N = 0 is always included as the baseline.  By the module
-    docstring the norm of line l at the a-point a is exp(x_l(a) + N y_l) B_l,
-    with exact exponents x_l(a) = (w omega_l)(Ad(w'^-1) a), y_l =
-    (w omega_l)(v) and the exact base norm B_l = sqrt(beta_l), beta_l = p/q
+    docstring the norm of line l at the a-point a = sum_j c_j b_j is
+    exp(x_l(a) + N y_l) B_l, with the line weight +-n f_q (f_q the certified
+    weight of the line's cut, + on the standard side), exact exponents
+    x_l(a) = sum_j c_j (+-n f_q | Ad(w'^-1) b_j), slopes y_l = (+-n f_q | v)
+    = +-2n sigma0_q and the exact base norm B_l = sqrt(beta_l), beta_l = p/q
     from `wedge_norm`.  Lines within a sample, and samples within a row, are
     ordered by the key float(x_l(a) + N y_l) + (log p - log q)/2; ties go to
     the first line, then to the first sample, and equal exponents over equal
@@ -326,12 +309,13 @@ def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[in
     betas = [wedge_norm(line, grams) for line in lines]
     bases = [sqrt_rounded(b) for b in betas]
     log_bases = [(math.log(b.numerator) - math.log(b.denominator)) / 2 for b in betas]
-    weights = [_line_weight(spec, cert, line) for line in lines]
+    # the line weights +-n f_q, in the order of `lines`
+    weights = [vec_scale(sign * spec.n, f) for f in witness.u_vectors for sign in (1, -1)]
     slopes = [dot(w_omega, witness.v) for w_omega in weights]
-    offsets = []
-    for a in sampler.a_points:
-        x_prime = cert.w_prime.transport_inverse(a)
-        offsets.append([dot(w_omega, x_prime) for w_omega in weights])
+    moved = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
+    on_basis = [[dot(w_omega, b) for b in moved] for w_omega in weights]
+    offsets = [[sum((c * x for c, x in zip(coords, xs)), Fraction(0)) for xs in on_basis]
+               for coords in sampler.a_coords]
 
     rows = []
     for n_val in sorted({0, *n_values}):

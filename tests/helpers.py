@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index, check_general
 from nondiv.linalg import Subspace, dot
-from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, weight_of_nilradical
+from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, nilradical_basis
 from nondiv.weyl import (
     CentralizerWeylElement,
     act_on_functional,
@@ -383,6 +383,24 @@ def dense_wedge_norm(line, g):
     return math.sqrt(max(np.linalg.det(gram), 0.0))
 
 
+def weight_of_nilradical(spec, i, side):
+    """Character of the Cartan action on the wedge line of the nilradical at
+    cut i: the sum of the roots e_r - e_c of its matrix units (k, r, c), from
+    the unit positions alone (the engine uses n*chi_i and its negative)."""
+    n = spec.n
+    v = [F(0)] * spec.ambient_dim
+    for k, r, c in nilradical_basis(spec, i, side):
+        v[k * n + r] += 1
+        v[k * n + c] -= 1
+    return tuple(v)
+
+
+def a_point(config, coords):
+    """The point of Lie(A) with the given coordinates in its basis."""
+    return tuple(sum((c * b[j] for c, b in zip(coords, config.a_basis.basis)), F(0))
+                 for j in range(config.spec.ambient_dim))
+
+
 def closed_form_torus_norm(config, cert, witness, line, a_vec, n_val, base_norm):
     """Norm of the wedge line under exp(a) * g_N for a torus sample a in
     Lie(A): exp((w omega)(Ad(w'^-1) a) + N (w omega)(v)) * base_norm, omega
@@ -413,8 +431,8 @@ def float_decay_table(cert, witness, n_values, sampler, config):
                                                                  n_sorted)):
         g = [np.array(f) for f in mats]
         worst, worst_label, a_values = -1.0, "", []
-        for a, a_label in zip(sampler.a_points, sampler.a_labels):
-            exps = np.exp([float(x) for x in a])
+        for coords, a_label in zip(sampler.a_coords, sampler.a_labels):
+            exps = np.exp([float(x) for x in a_point(config, coords)])
             a_mats = [np.diag(exps[k * spec.n:(k + 1) * spec.n])
                       for k in range(spec.m)]
             a_best = -1.0

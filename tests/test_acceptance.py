@@ -29,6 +29,7 @@ from nondiv.witness import (
 )
 
 from helpers import (
+    a_point,
     assert_first_hit,
     block_centralizer_torus_vectors,
     check_torus,
@@ -251,7 +252,8 @@ def test_criterion_6_witness_decay():
     bases = [sqrt_rounded(wedge_norm(line, grams)) for line in lines]
     for n_val, mats in zip((0, 20), realize_divergence_sequence(cert, witness, config,
                                                                 [0, 20])):
-        for a_vec in sampler.a_points:
+        for coords in sampler.a_coords:
+            a_vec = a_point(config, coords)
             h = _exp_cartan(spec, a_vec)
             hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
             for line, base in zip(lines, bases):
@@ -262,7 +264,8 @@ def test_criterion_6_witness_decay():
     # each decay row is the reference at its a-point and the line that is
     # least there
     for row in report.rows:
-        a_vec = sampler.a_points[sampler.a_labels.index(row.worst_sample)]
+        coords = sampler.a_coords[sampler.a_labels.index(row.worst_sample)]
+        a_vec = a_point(config, coords)
         assert row.max_min_norm == min(
             closed_form_torus_norm(config, cert, witness, line, a_vec, row.n_value, base)
             for line, base in zip(lines, bases))

@@ -297,6 +297,17 @@ EDITED_CONFIGS = {
     # g_400 is finite, but the lattice reduction of its orbit goes NaN
     "n-values-400.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
                          "n-values = [0, 400]"),
+    # JSON booleans are not integers, although Python's bool is an int
+    "n-values-bool.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
+                          "n-values = [false, true, 2]"),
+    # one past each bound on the probe's work: rejected before the scan
+    "grid-points-1002.cfg": ("example1-m2.cfg", "grid-points = 21",
+                             "grid-points = 1002"),
+    "n-values-65.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
+                        f"n-values = {list(range(65))}"),
+    # Lie(A) = 0: the H grid is the one empty sample t=()
+    "zero-dim-a.cfg": ("example1-m2.cfg", '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
+                       "[torus-a]\nbasis = []"),
 }
 
 # (command and extra flags, input, exit code, stderr substring, report written)
@@ -335,6 +346,10 @@ EXIT_TABLE = [
     ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
     ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
     ("probe", "n-values-710.cfg", 3, "audit failed", False),
+    ("probe", "n-values-bool.cfg", 2,
+     "[probe] n-values: expected nonempty list of nonnegative integers", False),
+    ("probe", "grid-points-1002.cfg", 2, "[probe] grid-points: need at most 1001", False),
+    ("probe", "n-values-65.cfg", 2, "[probe] n-values: at most 64 values", False),
 ]
 
 
@@ -393,6 +408,35 @@ def test_probe_bounds_d_before_any_work(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "nondiv: error: [probe] d: d must be at most 1000000000000\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["n-values-bool.cfg", "grid-points-1002.cfg",
+                                  "n-values-65.cfg"])
+def test_probe_bounds_its_work_before_the_scan(name, tmp_path, monkeypatch, capsys):
+    """Boolean n-values and too many grid points or n-values exit 2 at parse
+    time, before the scan or any lattice probe."""
+    def forbidden(*args, **kw):
+        raise AssertionError("ran past the [probe] checks")
+
+    monkeypatch.setattr(cli, "check_general", forbidden)
+    monkeypatch.setattr(cli, "orbit_probe", forbidden)
+    assert cli.main(["probe", str(table_input(name, tmp_path)),
+                     "--output", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err.startswith("nondiv: error: [probe] ")
+
+
+def test_probe_on_zero_dimensional_lie_a(tmp_path, capsys):
+    """With Lie(A) = 0 the decay table samples only t=(): each row's worst
+    sample is t=() and one line fires, and the report replays."""
+    out = tmp_path / "report.json"
+    assert cli.main(["probe", str(table_input("zero-dim-a.cfg", tmp_path)),
+                     "--output", str(out)]) == 10
+    decay = json.loads(out.read_text())["decay"]
+    assert [row["N"] for row in decay] == [0, 2, 4, 6]
+    assert all(row["worst_sample"] == "t=()" and sum(row["fired"].values()) == 1
+               for row in decay)
+    assert cli.main(["replay", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_probe_at_n_400_still_raises_nan(tmp_path):
@@ -950,7 +994,7 @@ with open(path, encoding="utf-8") as fh:
 cert = check_general(config).certificate
 witness = build_escape_witness(cert, config)
 sampler = HSampler.default(config)
-print(json.dumps([len(config.m_generators), len(sampler.a_points),
+print(json.dumps([len(config.m_generators), len(sampler.a_coords),
                   decay_dict(decay_table(cert, witness, [0, 1, 2, 3], sampler, config))]))
 """
 

@@ -12,11 +12,10 @@ from nondiv.rootdata import (
     fundamental_weight,
     nilradical_basis,
     parabolic_contains,
-    weight_of_nilradical,
 )
 from nondiv.linalg import dot
 
-from helpers import delta_line_subspace, lie_element, mat_mul
+from helpers import delta_line_subspace, lie_element, mat_mul, weight_of_nilradical
 from reference_linalg import restricted_independent
 
 

@@ -33,6 +33,7 @@ from nondiv.witness import (
 )
 
 from helpers import (
+    a_point,
     check_torus,
     closed_form_torus_norm,
     block_centralizer_torus_vectors,
@@ -192,7 +193,7 @@ class TestMissedOrthant:
         sigma0 = Orthant((1, -1))
         v = escape_vector(funcs, sigma0)
         assert v == (F(2), F(-2))
-        witness = EscapeWitness(funcs, Subspace.span(2, funcs), u_prime, sigma0, v)
+        witness = EscapeWitness(funcs, u_prime, sigma0, v)
         check_witness_exact(witness, (F(1), F(-1)))
         assert reference_missed_orthants(witness) == [Orthant((1, -1)), Orthant((-1, 1))]
 
@@ -200,8 +201,8 @@ class TestMissedOrthant:
         funcs = ((F(1),),)
         v = escape_vector(funcs, Orthant((1,)))
         assert v == (F(2),)
-        check_witness_exact(EscapeWitness(funcs, Subspace.span(1, funcs),
-                                          Subspace(1, ()), Orthant((1,)), v), (F(1),))
+        check_witness_exact(EscapeWitness(funcs, Subspace(1, ()), Orthant((1,)), v),
+                            (F(1),))
 
     def test_zero_coefficient_takes_plus(self):
         # A hand-built certificate on I = {1, 2} with dependence (c, 0): chi_1
@@ -229,8 +230,9 @@ class TestCheckWitnessExact:
         check_witness_exact(self.witness, self.cert.dependence)
 
     def test_u_prime_equal_to_u_fails(self):
+        u_space = Subspace.span(self.config.spec.ambient_dim, self.witness.u_vectors)
         with pytest.raises(ExactCheckFailedError, match="not proper"):
-            check_witness_exact(edited(self.witness, u_prime=self.witness.u_space),
+            check_witness_exact(edited(self.witness, u_prime=u_space),
                                 self.cert.dependence)
 
     def test_each_flipped_sign_fails(self):
@@ -264,7 +266,7 @@ class TestEscapeWitness:
 
     def test_so21_line(self):
         config, cert, witness = so21_line_setup()
-        assert witness.u_prime.dim < witness.u_space.dim
+        assert witness.u_prime.dim < len(witness.u_vectors)
         check_witness_exact(witness, cert.dependence)
 
     def test_rejects_unreplayable_certificate(self):
@@ -443,9 +445,7 @@ class TestClosedForm:
             for _ in range(50):
                 coeffs = [F(rng.randint(-8, 8), rng.randint(1, 2))
                           for _ in config.a_basis.basis]
-                a_vec = tuple(sum((c * b[j] for c, b in
-                                   zip(coeffs, config.a_basis.basis)), F(0))
-                              for j in range(spec.ambient_dim))
+                a_vec = a_point(config, coeffs)
                 n_val = rng.randint(0, 3)
                 g = realize_divergence_sequence(cert, witness, config, [n_val])[0]
                 h = _exp_cartan(spec, a_vec)
@@ -488,8 +488,9 @@ class TestSampler:
         config, _, _ = example1_m2_setup()
         s1 = HSampler.default(config)
         s2 = HSampler.default(config)
-        assert len(s1.a_points) == 21
+        assert len(s1.a_coords) == 21
         assert s1 == s2
+        assert (s1.a_coords[0], s1.a_coords[10]) == ((F(-5),), (F(0),))
         assert (s1.a_labels[0], s1.a_labels[10]) == ("t=(-5)", "t=(0)")
 
 
@@ -505,7 +506,7 @@ class TestFloatReference:
         decided = 0
         for row, r in zip(rows, ref):
             assert row.max_min_norm == pytest.approx(r["max_min_norm"], rel=1e-9)
-            assert sum(count for _, count in row.fired) == len(sampler.a_points)
+            assert sum(count for _, count in row.fired) == len(sampler.a_coords)
             top = sorted(r["a_values"], reverse=True)
             if top[0] - top[1] > 1e-9 * top[0]:
                 assert row.worst_sample == r["worst_sample"].rsplit(";", 1)[0]
@@ -562,6 +563,21 @@ class TestVerifyDivergence:
             assert len(rows) == 4
             assert calls == []
             assert len(norms) == 2 * len(cert.subset)
+            monkeypatch.undo()
+
+    def test_decay_transports_each_basis_vector_once(self, monkeypatch):
+        # The exponents are linear in the Lie(A) coordinates: Ad(w'^-1) runs
+        # once per basis vector of Lie(A), not once per grid sample.
+        transport_inverse = CentralizerWeylElement.transport_inverse
+        for config, cert, witness in (example1_m2_setup(), so21_line_setup(),
+                                      shipped_setup("example2-nonmonomial.cfg")):
+            sampler = HSampler.default(config)
+            calls = []
+            monkeypatch.setattr(CentralizerWeylElement, "transport_inverse",
+                                lambda self, v: calls.append(v)
+                                or transport_inverse(self, v))
+            decay_table(cert, witness, [0, 2, 4, 6], sampler, config)
+            assert len(calls) == config.a_basis.dim < len(sampler.a_labels)
             monkeypatch.undo()
 
     def test_decay_exponentiates_no_h_sample(self, monkeypatch):
