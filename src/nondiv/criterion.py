@@ -330,8 +330,7 @@ def _evaluation(tables: list[list[IntMat]], digits: Sequence[int]) -> IntMat:
                  for rows in zip(*[table[d] for table, d in zip(tables, digits)]))
 
 
-def _build_certificate(spec: GroupSpec, subset, w, w_prime, w_prime_index,
-                       coeffs) -> Certificate:
+def _build_certificate(subset, w, w_prime, w_prime_index, coeffs) -> Certificate:
     if coeffs is None:
         raise AssertionError("certificate requested without a dependence")
     if all(isinstance(c, int) for c in coeffs):
@@ -536,7 +535,7 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
             "Lie(D) is not maximal in the centralizer of M as declared")
     wp = config.centralizer_weyl[wp_idx]
     coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
-    cert = _build_certificate(spec, subset, w, wp, wp_idx, coeffs)
+    cert = _build_certificate(subset, w, wp, wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)
 
 

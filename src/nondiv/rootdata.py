@@ -129,21 +129,3 @@ def parabolic_contains(spec: GroupSpec, cuts: Iterable[int], x: LieElement,
                 return False
     return True
 
-
-def nilradical_basis(spec: GroupSpec, i: int,
-                     side: ParabolicSide) -> list[tuple[int, int, int]]:
-    """Positions (factor, row, column) of the matrix units spanning the
-    nilradical at cut i.
-
-    Factor-major, then row-major in the standard side's positions; the
-    opposite side lists the transposed positions in the same order.
-    """
-    _check_index(spec, i)
-    n, m = spec.n, spec.m
-    out = []
-    for k in range(m):
-        for a in range(i):
-            for b in range(i, n):
-                out.append((k, a, b) if side is ParabolicSide.STANDARD else (k, b, a))
-    return out
-

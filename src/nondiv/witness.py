@@ -41,14 +41,17 @@ transports each basis vector once, orders the samples by their exact
 exponents and prints that closed form.
 
 The base norms are exact too.  In factor k, Ad(g)E_ab is the outer product of
-column a of g and row b of g^-1, so two moved units have Frobenius product
-C[a][a'] * C^-1[b][b'], C = g^T g; with g = w' w both are rational, and
-`wedge_norm` returns the squared base norm as the determinant of that Gram
-matrix.  The decay table realizes nothing: each row rounds the one exact
-square root and the one exponential.  Only the lattice probe reads g_N, from
-`realize_divergence_sequence`, as tuples of float row tuples multiplied and
-reduced to determinants by the plain-Python kernels of `floatmat`, so the
-module needs neither numpy nor scipy.
+column a of g and row b of g^-1, so with C = g^T g the cut-i line has Gram
+matrix C[A,A] (x) C^-1[B,B], A = {0..i-1}, B = {i..n-1} (swapped on the
+opposite side), of determinant det C[A,A]^|B| det C^-1[B,B]^|A|; as det C = 1,
+Jacobi's identity (Horn and Johnson, Matrix Analysis, 0.8.4) makes
+det C^-1[B,B] = det C[A,A], so beta = prod_k det C_k[S,S]^n, S = A standard
+and B opposite.  Column j of g = w' w is +-column p[j] of w', so C[S,S] is the
+Gram matrix of the columns p[S] of w'.  The decay table realizes nothing:
+each row rounds the one exact square root and the one exponential.  Only the
+lattice probe reads g_N, from `realize_divergence_sequence`, as tuples of
+float row tuples multiplied and reduced to determinants by the plain-Python
+kernels of `floatmat`, so the module needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from ._record import record
 from .criterion import Certificate, GroupConfig, _transport_subspace, replay_certificate
 from .floatmat import FMat, det, diagonal, exp, fmat, mat_mul
 from .linalg import (
-    Mat,
     Orthant,
     Subspace,
     Vec,
@@ -74,7 +76,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .rootdata import GroupSpec, ParabolicSide, fundamental_weight, nilradical_basis
+from .rootdata import GroupSpec, ParabolicSide, fundamental_weight
 from .weyl import (CentralizerWeylElement, WeylElement, act_on_functional,
                    signed_permutation_matrix)
 
@@ -90,24 +92,6 @@ class EscapeWitness:
     u_prime: Subspace            # projection of the transported Lie(A) onto U
     sigma0: Orthant              # orthant missed by u_prime
     v: Vec                       # escape vector, each weight value exactly +-2
-
-
-@record
-class WedgeLine:
-    """Wedge of the nilradical at cut `rep_index` on one parabolic side.
-
-    The nilradical is spanned by matrix units E_ab; `units` holds their
-    (factor, row, column) positions, so the line never needs an exact
-    matrix realized over the reals.
-    """
-
-    rep_index: int
-    side: ParabolicSide
-    units: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def of(cls, spec: GroupSpec, j: int, side: ParabolicSide) -> "WedgeLine":
-        return cls(j, side, tuple(nilradical_basis(spec, j, side)))
 
 
 def escape_vector(funcs: Sequence[Vec], sigma0: Orthant) -> Vec:
@@ -173,32 +157,18 @@ def realize_divergence_sequence(
 
 # --- exact base norms -------------------------------------------------------
 
-def factor_grams(w: WeylElement, w_prime: CentralizerWeylElement) -> list[tuple[Mat, Mat]]:
-    """Per factor k, (C_k, C_k^-1) with C_k = g_k^T g_k and g_k = w'_k S(w_k),
-    S the signed permutation representative: exact rationals."""
-    grams = []
+def wedge_norm(cut: int, side: ParabolicSide, w: WeylElement,
+               w_prime: CentralizerWeylElement) -> Fraction:
+    """Squared norm beta of the wedge line at `cut` on `side` under Ad(w' w),
+    exactly: the product over factors of det C_k[S,S]^n, a Gram determinant
+    of columns of w'_k (module docstring)."""
+    beta = Fraction(1)
     for wp, p in zip(w_prime.matrices, w.perms):
-        cols = [[dot(row, s_col) for row in wp]
-                for s_col in zip(*signed_permutation_matrix(p))]
-        c = tuple(tuple(dot(x, y) for y in cols) for x in cols)
-        unit = [[Fraction(int(i == j)) for i in range(len(c))] for j in range(len(c))]
-        grams.append((c, tuple(solve(c, e) for e in unit)))  # C^-1 is symmetric
-    return grams
-
-
-def wedge_norm(line: WedgeLine, grams: Sequence[tuple[Mat, Mat]]) -> Fraction:
-    """Squared norm beta of the wedge line under Ad(g_0), g_0 = w' w, exactly.
-
-    The ambient inner product makes matrix units orthonormal in each factor;
-    no wedge space is materialized, only a d x d Gram determinant.  Units
-    (k, a, b) and (k, a', b') of one factor have Gram entry
-    C_k[a][a'] C_k^-1[b][b'] (module docstring); units of different factors
-    live in orthogonal summands, so theirs is 0.  `grams` comes from
-    `factor_grams`, formed once for all lines of a certificate.
-    """
-    return exact_det([[grams[k][0][a][a2] * grams[k][1][b][b2] if k == k2
-                       else Fraction(0) for k2, a2, b2 in line.units]
-                      for k, a, b in line.units])
+        n = len(p)
+        s = range(cut) if side is ParabolicSide.STANDARD else range(cut, n)
+        cols = [[row[p[j]] for row in wp] for j in s]
+        beta *= exact_det([[dot(x, y) for y in cols] for x in cols]) ** n
+    return beta
 
 
 def sqrt_rounded(q: Fraction) -> float:
@@ -301,12 +271,10 @@ def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[in
     and no norm underflows before exp does.
     """
     spec = config.spec
-    lines = [WedgeLine.of(spec, j, side)
-             for j in cert.subset
+    lines = [(j, side) for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
-    names = [f"{line.rep_index}:{line.side.value}" for line in lines]
-    grams = factor_grams(cert.w, cert.w_prime)
-    betas = [wedge_norm(line, grams) for line in lines]
+    names = [f"{j}:{side.value}" for j, side in lines]
+    betas = [wedge_norm(j, side, cert.w, cert.w_prime) for j, side in lines]
     bases = [sqrt_rounded(b) for b in betas]
     log_bases = [(math.log(b.numerator) - math.log(b.denominator)) / 2 for b in betas]
     # the line weights +-n f_q, in the order of `lines`

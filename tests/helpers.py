@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index, check_general
 from nondiv.linalg import Subspace, dot
-from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, nilradical_basis
+from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, _check_index
 from nondiv.weyl import (
     CentralizerWeylElement,
     act_on_functional,
@@ -19,7 +19,7 @@ from nondiv.weyl import (
     signed_permutation_matrix,
     weyl_order,
 )
-from nondiv.witness import WedgeLine, realize_divergence_sequence
+from nondiv.witness import realize_divergence_sequence
 
 from first_hit import dependence_vanishes, first_hit
 from reference_linalg import mat
@@ -366,15 +366,32 @@ def m_words(config, count=8, max_len=3, seed=0x5EED):
     return words
 
 
+def nilradical_basis(spec, i, side):
+    """Positions (factor, row, column) of the matrix units spanning the
+    nilradical at cut i.
+
+    Factor-major, then row-major in the standard side's positions; the
+    opposite side lists the transposed positions in the same order.
+    """
+    _check_index(spec, i)
+    n, m = spec.n, spec.m
+    out = []
+    for k in range(m):
+        for a in range(i):
+            for b in range(i, n):
+                out.append((k, a, b) if side is ParabolicSide.STANDARD else (k, b, a))
+    return out
+
+
 def dense_wedge_norm(line, g):
-    """Norm of a wedge line under Ad(g) by dense conjugation: each matrix
-    unit as an m-tuple, g E_ab g^-1 in every factor, and the Gram
-    determinant summed over factors."""
+    """Norm of the wedge line (cut, side) under Ad(g) by dense conjugation:
+    each matrix unit of `nilradical_basis` as an m-tuple, g E_ab g^-1 in
+    every factor, and the Gram determinant summed over factors."""
     g = [np.asarray(f, dtype=float) for f in g]
     g_inv = [np.linalg.inv(f) for f in g]
     n = g[0].shape[0]
     moved = []
-    for k, a, b in line.units:
+    for k, a, b in nilradical_basis(GroupSpec(n, len(g)), *line):
         units = [np.zeros((n, n)) for _ in g]
         units[k][a, b] = 1.0
         moved.append([gf @ u @ gi for gf, u, gi in zip(g, units, g_inv)])
@@ -406,8 +423,7 @@ def closed_form_torus_norm(config, cert, witness, line, a_vec, n_val, base_norm)
     Lie(A): exp((w omega)(Ad(w'^-1) a) + N (w omega)(v)) * base_norm, omega
     the weight of the line's nilradical and base_norm its norm under w'w.
     The exponent is exact; only the final exponential is floating point."""
-    w_omega = act_on_functional(cert.w, weight_of_nilradical(config.spec, line.rep_index,
-                                                             line.side))
+    w_omega = act_on_functional(cert.w, weight_of_nilradical(config.spec, *line))
     x_prime = cert.w_prime.transport_inverse(a_vec)
     exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
     return math.exp(float(exponent)) * base_norm
@@ -423,7 +439,7 @@ def float_decay_table(cert, witness, n_values, sampler, config):
     per a-point the max over words."""
     spec = config.spec
     words = m_words(config)
-    lines = [WedgeLine.of(spec, j, side) for j in cert.subset
+    lines = [(j, side) for j in cert.subset
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
     n_sorted = sorted({0, *n_values})
     rows = []

@@ -12,6 +12,10 @@ Fourier-Motzkin sign test that the engine's escape orthant is checked against.
 - `invdim`: the invariance dimension of a region cut out by strict affine
   inequalities (`StrictRegion`), decided by `fm_feasible`.
 - `integral_kernel_vector`: a primitive integer kernel vector.
+- `factor_grams` and `gram_wedge_norm`: the squared norm of a wedge line
+  under Ad(w' w) as the determinant of the d x d Gram matrix of its moved
+  matrix units, C_k[a][a'] C_k^-1[b][b'] per factor, the oracle for the
+  engine's product of principal minors.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ from nondiv.linalg import (
     Subspace,
     Vec,
     _kernel_vectors,
+    det,
     dot,
     primitive_vector,
     project_subspace,
     rank,
+    solve,
     vec,
     vec_scale,
 )
+from nondiv.weyl import signed_permutation_matrix
 
 NEG_INFINITY = float("-inf")
 
@@ -203,3 +210,29 @@ def invdim(region: StrictRegion):
     # For nonempty regions redundant constraints never add rank.
     assert r == (rank([f for f, _ in cons]) if cons else 0)
     return region.ambient_dim - r
+
+
+# --- wedge-line norms by Kronecker Gram determinant -------------------------
+
+def factor_grams(w, w_prime) -> list[tuple[Mat, Mat]]:
+    """Per factor k, (C_k, C_k^-1) with C_k = g_k^T g_k and g_k = w'_k S(w_k),
+    S the signed permutation representative: exact rationals."""
+    grams = []
+    for wp, p in zip(w_prime.matrices, w.perms):
+        cols = [[dot(row, s_col) for row in wp]
+                for s_col in zip(*signed_permutation_matrix(p))]
+        c = tuple(tuple(dot(x, y) for y in cols) for x in cols)
+        unit = [[Fraction(int(i == j)) for i in range(len(c))] for j in range(len(c))]
+        grams.append((c, tuple(solve(c, e) for e in unit)))  # C^-1 is symmetric
+    return grams
+
+
+def gram_wedge_norm(units: Sequence[tuple[int, int, int]],
+                    grams: Sequence[tuple[Mat, Mat]]) -> Fraction:
+    """Squared norm of the wedge of the matrix units (factor, row, column)
+    under Ad(g), as the determinant of their Gram matrix: units (k, a, b)
+    and (k, a', b') have entry C_k[a][a'] C_k^-1[b][b'], units of different
+    factors 0; `grams` comes from `factor_grams`."""
+    return det([[grams[k][0][a][a2] * grams[k][1][b][b2] if k == k2
+                 else Fraction(0) for k2, a2, b2 in units]
+                for k, a, b in units])

@@ -18,10 +18,8 @@ from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import identity_centralizer_element
 from nondiv.witness import (
     HSampler,
-    WedgeLine,
     _exp_cartan,
     build_escape_witness,
-    factor_grams,
     realize_divergence_sequence,
     sqrt_rounded,
     verify_divergence,
@@ -246,10 +244,8 @@ def test_criterion_6_witness_decay():
 
     # closed-form cross-check on every torus sample, both sides, both N
     # values: exact base norms at g_0 against dense norms at h * g_N
-    lines = [WedgeLine.of(spec, j, side)
-             for j in cert.subset for side in ParabolicSide]
-    grams = factor_grams(cert.w, cert.w_prime)
-    bases = [sqrt_rounded(wedge_norm(line, grams)) for line in lines]
+    lines = [(j, side) for j in cert.subset for side in ParabolicSide]
+    bases = [sqrt_rounded(wedge_norm(j, side, cert.w, cert.w_prime)) for j, side in lines]
     for n_val, mats in zip((0, 20), realize_divergence_sequence(cert, witness, config,
                                                                 [0, 20])):
         for coords in sampler.a_coords:

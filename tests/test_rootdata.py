@@ -10,12 +10,12 @@ from nondiv.rootdata import (
     LieElement,
     ParabolicSide,
     fundamental_weight,
-    nilradical_basis,
     parabolic_contains,
 )
 from nondiv.linalg import dot
 
-from helpers import delta_line_subspace, lie_element, mat_mul, weight_of_nilradical
+from helpers import (delta_line_subspace, lie_element, mat_mul, nilradical_basis,
+                     weight_of_nilradical)
 from reference_linalg import restricted_independent
 
 

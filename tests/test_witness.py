@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nondiv import witness as witness_module
+from nondiv import linalg as linalg_module, witness as witness_module
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import Certificate, check_general
 from nondiv.floatmat import mat_mul
-from nondiv.linalg import Orthant, Subspace, dot
+from nondiv.linalg import Orthant, Subspace, det as exact_det, dot
 from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import (CentralizerWeylElement, WeylElement, identity_centralizer_element,
                          signed_permutation_matrix)
@@ -19,19 +19,18 @@ from nondiv.witness import (
     EscapeWitness,
     ExactCheckFailedError,
     HSampler,
-    WedgeLine,
     _exp_cartan,
     build_escape_witness,
     check_witness_exact,
     decay_table,
     escape_vector,
-    factor_grams,
     realize_divergence_sequence,
     sqrt_rounded,
     verify_divergence,
     wedge_norm,
 )
 
+import reference_linalg
 from helpers import (
     a_point,
     check_torus,
@@ -41,12 +40,14 @@ from helpers import (
     dense_wedge_norm,
     float_decay_table,
     m_words,
+    mat_mul as exact_mat_mul,
+    nilradical_basis,
     sl2_swap_config,
     so21_config,
     so21_d_vectors,
     torus_config,
 )
-from reference_linalg import orthant_meets_subspace
+from reference_linalg import factor_grams, gram_wedge_norm, orthant_meets_subspace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -278,26 +279,41 @@ class TestEscapeWitness:
 
 
 def exact_beta(line, w, w_prime):
-    """The exact squared base norm of the line under w' w."""
-    return wedge_norm(line, factor_grams(w, w_prime))
+    """The exact squared base norm of the line (cut, side) under w' w."""
+    return wedge_norm(*line, w, w_prime)
+
+
+def reference_beta(spec, line, w, w_prime):
+    """The same by the Kronecker Gram determinant of the line's matrix units."""
+    return gram_wedge_norm(nilradical_basis(spec, *line), factor_grams(w, w_prime))
 
 
 def base_norms(cert, lines):
     """Each line's base norm at g_0 = w' w, as the decay table rounds it."""
-    grams = factor_grams(cert.w, cert.w_prime)
-    return [sqrt_rounded(wedge_norm(line, grams)) for line in lines]
+    return [sqrt_rounded(exact_beta(line, cert.w, cert.w_prime)) for line in lines]
 
 
-def skew_factor(rng, n):
-    """A rational diagonal times a signed permutation, of determinant 1."""
+def skew_factor(rng, n, dense=False):
+    """A rational diagonal times a signed permutation, of determinant 1; when
+    `dense`, between unit lower and upper triangular factors with nonzero
+    rational entries, so that C = g^T g is not diagonal."""
     perm = list(range(n))
     rng.shuffle(perm)
     diag = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n - 1)]
     diag.append(1 / math.prod(diag))
     signs = [rng.choice((1, -1)) for _ in range(n - 1)]
     signs.append(round(np.linalg.det(np.eye(n)[perm])) * math.prod(signs))
-    return tuple(tuple(diag[i] * signs[i] if perm[i] == j else F(0) for j in range(n))
-                 for i in range(n))
+    f = tuple(tuple(diag[i] * signs[i] if perm[i] == j else F(0) for j in range(n))
+              for i in range(n))
+    if not dense:
+        return f
+
+    def unit_triangular(lower):
+        return tuple(tuple(F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                           if (j < i if lower else j > i) else F(int(i == j))
+                           for j in range(n)) for i in range(n))
+
+    return exact_mat_mul(exact_mat_mul(unit_triangular(True), f), unit_triangular(False))
 
 
 def float_g0(w, w_prime):
@@ -306,76 +322,111 @@ def float_g0(w, w_prime):
             for wp, p in zip(w_prime.matrices, w.perms)]
 
 
+def random_instance(rng, n, m, dense):
+    """A random Weyl element and a w' of `skew_factor`s, checked to have
+    determinant 1 in every factor."""
+    w = WeylElement(tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
+    w_prime = CentralizerWeylElement(tuple(skew_factor(rng, n, dense) for _ in range(m)))
+    assert all(exact_det(f) == 1 for f in w_prime.matrices)
+    return w, w_prime
+
+
 class TestWedgeNorm:
+    def test_equals_kronecker_gram_determinant(self):
+        # The product of principal minors against the determinant of the
+        # d x d Gram matrix of the moved matrix units, exactly, on dense
+        # det-1 w': every cut, both sides, (n, m) in {2..5} x {1, 2}.
+        rng = random.Random(3535)
+        checked = skewed = 0
+        for n, m in itertools.product(range(2, 6), (1, 2)):
+            spec = GroupSpec(n, m)
+            for _ in range(3):
+                w, w_prime = random_instance(rng, n, m, dense=True)
+                assert all(sum(e != 0 for row in f for e in row) > n
+                           for f in w_prime.matrices)
+                for line in itertools.product(range(1, n), ParabolicSide):
+                    beta = exact_beta(line, w, w_prime)
+                    assert type(beta) is F
+                    assert beta == reference_beta(spec, line, w, w_prime)
+                    checked += 1
+                    skewed += beta != 1
+        assert checked == 3 * 2 * 2 * (1 + 2 + 3 + 4)
+        assert skewed > 0.9 * checked
+
+    def test_hand_values(self):
+        # n = 3, w' = ((2,1,0),(1,1,0),(0,0,1)): the columns of w' indexed by
+        # p[S] have Gram determinants 5, 2, 1, 1 under w = id and 2, 5, 1, 1
+        # under w = (1,0,2), each cubed.
+        spec = GroupSpec(3, 1)
+        w_prime = CentralizerWeylElement(((tuple(map(F, (2, 1, 0))),
+                                           tuple(map(F, (1, 1, 0))),
+                                           tuple(map(F, (0, 0, 1)))),))
+        lines = [(1, ParabolicSide.STANDARD), (1, ParabolicSide.OPPOSITE),
+                 (2, ParabolicSide.STANDARD), (2, ParabolicSide.OPPOSITE)]
+        for perm, expected in (((0, 1, 2), [125, 8, 1, 1]), ((1, 0, 2), [8, 125, 1, 1])):
+            w = WeylElement((perm,))
+            assert [exact_beta(line, w, w_prime) for line in lines] == expected
+            assert [reference_beta(spec, line, w, w_prime) for line in lines] == expected
+
     def test_matches_dense_conjugation(self):
         # Exact beta against dense float conjugation on seeded trivial-M
         # instances: every line of a random Weyl element w, under an explicit
-        # non-orthogonal w' (diagonal times signed permutation, det 1).
+        # non-orthogonal w' of determinant 1, monomial and dense in turn.  A
+        # dense w' is worse conditioned, and the float inverse and Gram
+        # determinant of the reference lose digits to it.
         rng = random.Random(808)
         checked = skewed = 0
         for n, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
-            spec = GroupSpec(n, m)
-            for _ in range(10):
-                w = WeylElement(tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
-                w_prime = CentralizerWeylElement(tuple(skew_factor(rng, n)
-                                                       for _ in range(m)))
-                assert all(np.linalg.det(np.array(f, dtype=float)) == pytest.approx(1.0)
-                           for f in w_prime.matrices)
-                for j in range(1, n):
-                    for side in ParabolicSide:
-                        line = WedgeLine.of(spec, j, side)
-                        beta = exact_beta(line, w, w_prime)
-                        assert type(beta) is F
-                        assert sqrt_rounded(beta) == pytest.approx(
-                            dense_wedge_norm(line, float_g0(w, w_prime)), rel=1e-12)
-                        checked += 1
-                        skewed += beta != 1
+            for trial in range(10):
+                dense = trial % 2 == 1
+                w, w_prime = random_instance(rng, n, m, dense)
+                for line in itertools.product(range(1, n), ParabolicSide):
+                    beta = exact_beta(line, w, w_prime)
+                    assert type(beta) is F
+                    assert sqrt_rounded(beta) == pytest.approx(
+                        dense_wedge_norm(line, float_g0(w, w_prime)),
+                        rel=1e-10 if dense else 1e-12)
+                    checked += 1
+                    skewed += beta != 1
         assert checked == 10 * 2 * (1 + 1 + 2 + 2)
         assert skewed > checked // 2
 
     def test_identity_is_one(self):
-        spec = GroupSpec(3, 2)
         w = WeylElement(((0, 1, 2), (0, 1, 2)))
         w_prime = CentralizerWeylElement(tuple(
             tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
             for _ in range(2)))
-        for j in (1, 2):
-            for side in ParabolicSide:
-                assert exact_beta(WedgeLine.of(spec, j, side), w, w_prime) == 1
+        for line in itertools.product((1, 2), ParabolicSide):
+            assert exact_beta(line, w, w_prime) == 1
 
     def test_sl2_weight(self):
         # Under diag(q, 1/q) the line E_12 scales by q^2 and E_21 by q^-2, in
         # the exact routine at g_0 and in the dense reference at any diagonal.
-        spec = GroupSpec(2, 1)
         w = WeylElement(((0, 1),))
         for q in (F(1, 2), F(3), F(7, 5)):
             w_prime = CentralizerWeylElement((((q, F(0)), (F(0), 1 / q)),))
-            assert exact_beta(WedgeLine.of(spec, 1, ParabolicSide.STANDARD),
-                              w, w_prime) == q ** 4
-            assert exact_beta(WedgeLine.of(spec, 1, ParabolicSide.OPPOSITE),
-                              w, w_prime) == q ** -4
-        line = WedgeLine.of(spec, 1, ParabolicSide.STANDARD)
+            assert exact_beta((1, ParabolicSide.STANDARD), w, w_prime) == q ** 4
+            assert exact_beta((1, ParabolicSide.OPPOSITE), w, w_prime) == q ** -4
         for t in (0.5, -1.0, 2.0):
             g = [np.diag([math.exp(t), math.exp(-t)])]
-            assert dense_wedge_norm(line, g) == pytest.approx(math.exp(2 * t), rel=1e-9)
+            assert dense_wedge_norm((1, ParabolicSide.STANDARD), g) == pytest.approx(
+                math.exp(2 * t), rel=1e-9)
 
     def test_sl2_t_minus_one(self):
-        line = WedgeLine.of(GroupSpec(2, 1), 1, ParabolicSide.STANDARD)
         g = [np.diag([math.exp(-1.0), math.exp(1.0)])]
-        assert dense_wedge_norm(line, g) == pytest.approx(0.1353352832366127, abs=1e-9)
+        assert dense_wedge_norm((1, ParabolicSide.STANDARD), g) == pytest.approx(
+            0.1353352832366127, abs=1e-9)
 
     def test_sign_independence(self):
-        # Base norms are blind to the representative sign correction: beta
-        # is exactly unchanged when the signs of w's representative flip.
+        # Base norms are blind to the representative's signs: the Kronecker
+        # reference gives the engine's beta exactly when the signs of w's
+        # representative flip.
         rng = random.Random(4)
         for n, m in ((2, 2), (3, 2)):
             spec = GroupSpec(n, m)
-            for _ in range(5):
-                w = WeylElement(tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
-                w_prime = CentralizerWeylElement(tuple(skew_factor(rng, n)
-                                                       for _ in range(m)))
-                lines = [WedgeLine.of(spec, j, side)
-                         for j in range(1, n) for side in ParabolicSide]
+            for trial in range(6):
+                w, w_prime = random_instance(rng, n, m, dense=trial % 2 == 1)
+                lines = list(itertools.product(range(1, n), ParabolicSide))
                 betas = [exact_beta(line, w, w_prime) for line in lines]
                 flips = [rng.choice((1, -1)) for _ in range(n)]
 
@@ -384,8 +435,9 @@ class TestWedgeNorm:
                                  for row in signed_permutation_matrix(p))
 
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(witness_module, "signed_permutation_matrix", flipped)
-                    assert [exact_beta(line, w, w_prime) for line in lines] == betas
+                    mp.setattr(reference_linalg, "signed_permutation_matrix", flipped)
+                    assert [reference_beta(spec, line, w, w_prime)
+                            for line in lines] == betas
 
 
 class TestSqrtRounded:
@@ -439,7 +491,7 @@ class TestClosedForm:
         checked = 0
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             spec = config.spec
-            lines = [WedgeLine.of(spec, j, side)
+            lines = [(j, side)
                      for j in cert.subset for side in ParabolicSide]
             bases = base_norms(cert, lines)
             for _ in range(50):
@@ -469,7 +521,7 @@ class TestMInvariance:
             words = m_words(config)
             assert len(words) == 9
             elements = realize_divergence_sequence(cert, witness, config, [0, 1, 2])
-            lines = [WedgeLine.of(config.spec, j, side)
+            lines = [(j, side)
                      for j in cert.subset for side in ParabolicSide]
             for line, exact in zip(lines, base_norms(cert, lines)):
                 assert dense_wedge_norm(line, elements[0]) == pytest.approx(exact,
@@ -548,21 +600,26 @@ class TestVerifyDivergence:
 
     def test_decay_realizes_nothing(self, monkeypatch):
         # Rows print the closed form over exact base norms: no g_N and no
-        # exponentiated Cartan element is formed, and `wedge_norm` runs once
-        # per certified line whatever the n-values.
+        # exponentiated Cartan element is formed, `wedge_norm` runs once per
+        # certified line whatever the n-values, and no linear system is
+        # solved, C^-1 included.
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             sampler = HSampler.default(config, grid_points=5)
-            calls, norms = [], []
+            calls, norms, solves = [], [], []
             for name in ("realize_divergence_sequence", "_exp_cartan"):
                 monkeypatch.setattr(witness_module, name,
                                     lambda *args, name=name, **kw: calls.append(name))
             wedge_norm = witness_module.wedge_norm
             monkeypatch.setattr(witness_module, "wedge_norm",
                                 lambda *args: norms.append(args) or wedge_norm(*args))
+            for module in (witness_module, linalg_module):
+                monkeypatch.setattr(module, "solve", lambda *args, solve=module.solve:
+                                    solves.append(args) or solve(*args))
             rows = decay_table(cert, witness, [0, 2, 4, 6], sampler, config)
             assert len(rows) == 4
             assert calls == []
             assert len(norms) == 2 * len(cert.subset)
+            assert solves == []
             monkeypatch.undo()
 
     def test_decay_transports_each_basis_vector_once(self, monkeypatch):
