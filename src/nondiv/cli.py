@@ -18,7 +18,7 @@ from .criterion import (
     check_general,
     replay_certificate,
 )
-from .lattice import QuadraticOrder, orbit_probe
+from .lattice import QuadraticOrder, orbit_probe, realize_divergence_sequence
 from .report import (
     REPORT_FORMAT,
     build_report,
@@ -34,7 +34,6 @@ from .witness import (
     build_escape_witness,
     check_witness_exact,
     decay_table,
-    realize_divergence_sequence,
 )
 
 EXIT_NONDIVERGENT = 0
@@ -105,15 +104,14 @@ def run_pipeline(command: str, name: str, text: str) -> tuple[int, dict]:
         if command == "probe":
             settings = problem.probe
             try:
-                elements = realize_divergence_sequence(cert, witness, config,
+                elements = realize_divergence_sequence(cert, witness.v,
                                                        settings.n_values)
             except ExactCheckFailedError as exc:
                 raise _StageFailed(f"audit failed: {exc}", EXIT_AUDIT_FAILED)
             sections["decay"] = decay_dict(decay_table(
                 cert, witness, settings.n_values, HSampler.default(config), config))
-            rows = [(n_val, orbit_probe(order, mats,
-                                        grid_radius=settings.grid_radius,
-                                        grid_points=settings.grid_points))
+            rows = [(n_val, orbit_probe(order, mats, settings.grid_radius,
+                                        settings.grid_points))
                     for n_val, mats in zip(settings.n_values, elements)]
             sections["probe"] = probe_dict(settings.d, settings.grid_radius,
                                            settings.grid_points, rows)

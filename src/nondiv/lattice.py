@@ -3,22 +3,106 @@ as module lattices and measures shortest nonzero vectors along torus orbits.
 
 The probe is corroborative: certificates come from the exact criterion, and
 this module only demonstrates the predicted escape on a finite grid.  It is
-the only float code besides the witness realization, and like it runs on
-plain Python floats (`floatmat`): a basis is a tuple of float row tuples
-whose columns are the lattice vectors.  Each shortest vector comes from an
-LLL reduction (Lenstra, Lenstra and Lovasz 1982) followed by an exhaustive
-Fincke-Pohst enumeration, so it is exact-optimal up to float rounding.  The
-enumeration reads the triangular factor off the Gram-Schmidt data that LLL
-leaves, so no Gram matrix or Cholesky factor is formed.
+the engine's one float module, on plain Python floats: an array library
+would cost more in import time and per-call overhead than the 2 x 2 factors
+of g_N and the 4 x 4 lattice bases need.  A matrix is a tuple of float row
+tuples (`fmat` takes any nested row sequence); a basis holds the lattice
+vectors as its columns.  Floats follow IEEE semantics: an exponential that
+overflows is `inf`, and `det` reads a determinant as
+sign * exp(sum of log|pivot|), the convention of `numpy.linalg.det`.
+
+g_N = w' exp(N v) w is read off the columns of w': column j of factor k is
+s_j e^{N v_p(j)} times column p(j) of w'_k, p the factor's permutation and s
+the signs of its determinant-one representative.  Each shortest vector comes
+from an LLL reduction (Lenstra, Lenstra and Lovasz 1982) followed by an
+exhaustive Fincke-Pohst enumeration, so it is exact-optimal up to float
+rounding.  The enumeration reads the triangular factor off the Gram-Schmidt
+data that LLL leaves, so no Gram matrix or Cholesky factor is formed.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Sequence
 
 from ._record import record
-from .floatmat import FMat, det, diagonal, dot, fmat, mat_mul, transpose
+from .criterion import Certificate
+from .weyl import representative_signs
+from .witness import ExactCheckFailedError
+
+FMat = tuple[tuple[float, ...], ...]
+
+
+def fmat(m) -> FMat:
+    """Any nested row sequence as a tuple of float row tuples."""
+    return tuple(tuple(float(e) for e in row) for row in m)
+
+
+def transpose(m) -> FMat:
+    return tuple(zip(*m))
+
+
+def dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def exp(x: float) -> float:
+    """e**x with IEEE overflow: a result beyond the largest double is inf."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def det(m) -> float:
+    """Determinant by elimination with partial pivoting, read as
+    sign * exp(sum of log|pivot|); 0.0 when a column has no nonzero pivot."""
+    a = [[float(e) for e in row] for row in m]
+    n = len(a)
+    sign, log_abs = 1.0, 0.0
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))  # first of the largest
+        pivot_row = a[p]
+        pivot = pivot_row[j]
+        if pivot == 0.0:
+            return 0.0
+        if p != j:
+            a[j], a[p] = pivot_row, a[j]
+            sign = -sign
+        if pivot < 0.0:
+            sign = -sign
+        log_abs += math.log(abs(pivot))
+        for row in a[j + 1:]:
+            f = row[j] / pivot
+            for c in range(j + 1, n):
+                row[c] -= f * pivot_row[c]
+    return sign * exp(log_abs)
+
+
+def realize_divergence_sequence(cert: Certificate, v: Sequence,
+                                n_values: Sequence[int]) -> tuple[tuple[FMat, ...], ...]:
+    """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N,
+    read off the columns of w' (module docstring).  The sign goes on the
+    exact entry before the float product, so a zero of w' stays +0.0.  A
+    factor whose determinant drifts from 1, or is NaN because an entry
+    overflowed, means the realization is broken."""
+    n = len(cert.w.perms[0])
+    # per factor, float(w' S(w)) = g_0 and the permutation p
+    g0 = [(tuple(tuple(float(s * row[i]) for s, i in zip(representative_signs(p), p))
+                 for row in wp), p)
+          for wp, p in zip(cert.w_prime.matrices, cert.w.perms)]
+    elements = []
+    for n_val in n_values:
+        factors = []
+        for k, (g, p) in enumerate(g0):
+            e = [exp(float(x) * float(n_val)) for x in v[k * n:(k + 1) * n]]
+            f = tuple(tuple(x * e[i] for x, i in zip(row, p)) for row in g)
+            if not abs(det(f) - 1.0) <= 1e-9:
+                raise ExactCheckFailedError("divergence element determinant drifted")
+            factors.append(f)
+        elements.append(tuple(factors))
+    return tuple(elements)
 
 
 # Largest d the probe takes.  Squarefreeness is decided by trial division up
@@ -215,27 +299,28 @@ class ProbeStats:
 
 
 def orbit_probe(order: QuadraticOrder, g0: Sequence,
-                grid_radius: float = 5.0, grid_points: int = 21) -> ProbeStats:
+                grid_radius: float, grid_points: int) -> ProbeStats:
     """Shortest vectors along the diagonal-line torus orbit of g0, a pair of
     2 x 2 matrices.
 
     Torus samples are determinant-one pairs (diag(e^t, e^-t), diag(e^t, e^-t))
     over the symmetric grid of t values: t_k = k * step - radius with the
-    last point set to +radius, as `numpy.linspace` places them.
+    last point set to +radius, as `numpy.linspace` places them; the problem
+    file guarantees at least two points.  A sample scales row 1 of each
+    factor by e^t and row 2 by e^-t.
     """
     if len(g0) != 2 or any(len(f) != 2 or any(len(r) != 2 for r in f) for f in g0):
         raise ValueError("the orbit probe samples the diagonal line of SL_2 pairs")
     start, stop = -float(grid_radius), float(grid_radius)
-    step = (stop - start) / max(grid_points - 1, 1)
+    step = (stop - start) / (grid_points - 1)
     ts = [k * step + start for k in range(grid_points)]
-    if grid_points > 1:
-        ts[-1] = stop
+    ts[-1] = stop
     values = []
     minimum, maximum, argmin_t = math.inf, -math.inf, 0.0
     for t in ts:
-        a = diagonal([math.exp(t), math.exp(-t)])
-        sv = shortest_vector(embed_lattice(order, (mat_mul(a, g0[0]),
-                                                   mat_mul(a, g0[1]))))
+        scale = (math.exp(t), math.exp(-t))
+        sv = shortest_vector(embed_lattice(order, [
+            tuple(tuple(c * x for x in row) for c, row in zip(scale, f)) for f in g0]))
         values.append((t, sv))
         if sv < minimum:
             minimum, argmin_t = sv, t

@@ -84,7 +84,7 @@ def perm_sign(p: Permutation) -> int:
     return sign
 
 
-def _representative_signs(p: Permutation) -> list[int]:
+def representative_signs(p: Permutation) -> list[int]:
     """sigma[i], the sign of entry (p[i], i) of the determinant-one representative.
 
     For odd permutations one row is negated; the row of the largest moved
@@ -96,21 +96,12 @@ def _representative_signs(p: Permutation) -> list[int]:
     return [-1 if pi == negate else 1 for pi in p]
 
 
-def signed_permutation_matrix(p: Permutation) -> Mat:
-    """Determinant-one representative of the permutation."""
-    n = len(p)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, s in enumerate(_representative_signs(p)):
-        rows[p[i]][i] = Fraction(s)
-    return tuple(tuple(r) for r in rows)
-
-
 def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
     """Conjugation by the signed permutation representatives, per factor."""
     factors = []
     for p, f in zip(w.perms, x.factors):
         n = len(p)
-        sigma = _representative_signs(p)
+        sigma = representative_signs(p)
         out = [[Fraction(0)] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):

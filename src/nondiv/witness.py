@@ -2,10 +2,12 @@
 
 From a replayable certificate this module builds an escape vector v in the
 span U of the transported weight duals, a sign orthant missed by the
-projection U' of the transported Lie(A), the divergence sequence
+projection U' of the transported Lie(A), and so the divergence sequence
 g_N = w' exp(N v) w, and a two-part verification: the exact part re-checks the
 rational conditions that carry the universal quantifier over H, the numeric
-part measures wedge-line norm decay along h * g_N over a grid of H = A M.
+part measures wedge-line norm decay along h * g_N over a grid of H = A M from
+exact exponents and exact base norms.  The module is exact-only: it forms
+no float matrix.
 
 The missed orthant is the sign pattern of the certified dependence c, with
 f_i = w(chi_i) and sum_i c_i f_i = 0 on the transported Lie(A): sigma0_i = -1
@@ -48,10 +50,9 @@ Jacobi's identity (Horn and Johnson, Matrix Analysis, 0.8.4) makes
 det C^-1[B,B] = det C[A,A], so beta = prod_k det C_k[S,S]^n, S = A standard
 and B opposite.  Column j of g = w' w is +-column p[j] of w', so C[S,S] is the
 Gram matrix of the columns p[S] of w'.  The decay table realizes nothing:
-each row rounds the one exact square root and the one exponential.  Only the
-lattice probe reads g_N, from `realize_divergence_sequence`, as tuples of
-float row tuples multiplied and reduced to determinants by the plain-Python
-kernels of `floatmat`, so the module needs neither numpy nor scipy.
+each row rounds the one exact square root and the one exponential, so the
+module holds no float kernel.  Only the lattice probe reads g_N, and
+`lattice.realize_divergence_sequence` realizes it there.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from typing import Sequence
 
 from ._record import record
 from .criterion import Certificate, GroupConfig, _transport_subspace, replay_certificate
-from .floatmat import FMat, det, diagonal, exp, fmat, mat_mul
 from .linalg import (
     Orthant,
     Subspace,
@@ -76,9 +76,8 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .rootdata import GroupSpec, ParabolicSide, fundamental_weight
-from .weyl import (CentralizerWeylElement, WeylElement, act_on_functional,
-                   signed_permutation_matrix)
+from .rootdata import ParabolicSide, fundamental_weight
+from .weyl import CentralizerWeylElement, WeylElement, act_on_functional
 
 
 class ExactCheckFailedError(RuntimeError):
@@ -121,38 +120,6 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
         raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
     sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
     return EscapeWitness(funcs, u_prime, sigma0, escape_vector(funcs, sigma0))
-
-
-# --- realization over the reals ---------------------------------------------
-
-def realize_weyl_matrices(w) -> list[FMat]:
-    return [fmat(signed_permutation_matrix(p)) for p in w.perms]
-
-
-def _exp_cartan(spec: GroupSpec, v: Sequence, scale: float = 1.0) -> list[FMat]:
-    n = spec.n
-    return [diagonal([exp(float(e) * scale) for e in v[k * n:(k + 1) * n]])
-            for k in range(spec.m)]
-
-
-def realize_divergence_sequence(
-        cert: Certificate, witness: EscapeWitness, config: GroupConfig,
-        n_values: Sequence[int]) -> tuple[tuple[FMat, ...], ...]:
-    """g_N = w' exp(N v) w as float matrices, one m-tuple per requested N;
-    a factor whose determinant drifts from 1, or is NaN because an entry
-    overflowed, means the realization is broken."""
-    w_mats = realize_weyl_matrices(cert.w)
-    wp_mats = [fmat(f) for f in cert.w_prime.matrices]
-    elements = []
-    for n_val in n_values:
-        exp_mats = _exp_cartan(config.spec, witness.v, scale=float(n_val))
-        factors = tuple(mat_mul(mat_mul(wp, e), wm)
-                        for wp, e, wm in zip(wp_mats, exp_mats, w_mats))
-        for f in factors:
-            if not abs(det(f) - 1.0) <= 1e-9:
-                raise ExactCheckFailedError("divergence element determinant drifted")
-        elements.append(factors)
-    return tuple(elements)
 
 
 # --- exact base norms -------------------------------------------------------

@@ -10,19 +10,36 @@ import numpy as np
 from scipy.linalg import expm
 
 from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index, check_general
-from nondiv.linalg import Subspace, dot
+from nondiv.lattice import realize_divergence_sequence
+from nondiv.linalg import Mat, Subspace, dot, vec
 from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, _check_index
 from nondiv.weyl import (
     CentralizerWeylElement,
     act_on_functional,
     identity_centralizer_element,
-    signed_permutation_matrix,
+    representative_signs,
     weyl_order,
 )
-from nondiv.witness import realize_divergence_sequence
 
 from first_hit import dependence_vanishes, first_hit
-from reference_linalg import mat
+
+
+def mat(rows) -> Mat:
+    """Nested rows as an exact matrix of Fractions; ragged rows are rejected."""
+    m = tuple(vec(r) for r in rows)
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return m
+
+
+def signed_permutation_matrix(p):
+    """Determinant-one representative of the permutation p: entry (p[i], i)
+    is the sign `representative_signs(p)[i]`, every other entry 0."""
+    n = len(p)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, s in enumerate(representative_signs(p)):
+        rows[p[i]][i] = F(s)
+    return tuple(tuple(r) for r in rows)
 
 
 def full_cartan_vectors(n, m):
@@ -54,7 +71,7 @@ def delta_line_subspace(n, m):
 
 def w_prime(factors):
     """The centralizer Weyl representative of the given factor matrices, with
-    entries converted by `reference_linalg.mat`; `GroupConfig` validates it."""
+    entries converted by `mat`; `GroupConfig` validates it."""
     return CentralizerWeylElement(tuple(mat(f) for f in factors))
 
 
@@ -65,7 +82,7 @@ def scan_order(spec):
 
 def lie_element(factors):
     """The Lie element of nested factor matrices, entries converted by
-    `reference_linalg.mat`; `LieElement` checks squareness and trace zero."""
+    `mat`; `LieElement` checks squareness and trace zero."""
     return LieElement(tuple(mat(f) for f in factors))
 
 
@@ -443,7 +460,7 @@ def float_decay_table(cert, witness, n_values, sampler, config):
              for side in (ParabolicSide.STANDARD, ParabolicSide.OPPOSITE)]
     n_sorted = sorted({0, *n_values})
     rows = []
-    for n_val, mats in zip(n_sorted, realize_divergence_sequence(cert, witness, config,
+    for n_val, mats in zip(n_sorted, realize_divergence_sequence(cert, witness.v,
                                                                  n_sorted)):
         g = [np.array(f) for f in mats]
         worst, worst_label, a_values = -1.0, "", []

@@ -16,12 +16,16 @@ Fourier-Motzkin sign test that the engine's escape orthant is checked against.
   under Ad(w' w) as the determinant of the d x d Gram matrix of its moved
   matrix units, C_k[a][a'] C_k^-1[b][b'] per factor, the oracle for the
   engine's product of principal minors.
+- `two_product_divergence_sequence`: g_N = w' exp(N v) w in floats by two
+  matrix products per factor, `float_mat_mul` over `exp_cartan`, the
+  bit-for-bit reference for the engine's column formula.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from nondiv._record import record
@@ -40,7 +44,9 @@ from nondiv.linalg import (
     vec,
     vec_scale,
 )
-from nondiv.weyl import signed_permutation_matrix
+from nondiv.lattice import exp, fmat
+
+from helpers import mat, signed_permutation_matrix
 
 NEG_INFINITY = float("-inf")
 
@@ -108,13 +114,6 @@ def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
         coeffs = tuple(-s * dot(f, b) for b in u.basis)
         constraints.append((coeffs, Fraction(0), True))
     return fm_feasible(constraints, u.dim)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
 
 
 @record
@@ -236,3 +235,37 @@ def gram_wedge_norm(units: Sequence[tuple[int, int, int]],
     return det([[grams[k][0][a][a2] * grams[k][1][b][b2] if k == k2
                  else Fraction(0) for k2, a2, b2 in units]
                 for k, a, b in units])
+
+
+# --- g_N by two float matrix products ---------------------------------------
+
+def float_diagonal(values: Sequence[float]) -> tuple:
+    n = len(values)
+    return tuple(tuple(values[i] if i == j else 0.0 for j in range(n))
+                 for i in range(n))
+
+
+def float_mat_mul(a, b) -> tuple:
+    """Float product, each entry summed from the integer 0 in column order."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def exp_cartan(spec, v: Sequence, scale: float = 1.0) -> list:
+    """exp(scale v) for a diagonal Cartan vector v: one float diagonal matrix
+    per factor, entries from the IEEE-overflowing `lattice.exp`."""
+    n = spec.n
+    return [float_diagonal([exp(float(e) * scale) for e in v[k * n:(k + 1) * n]])
+            for k in range(spec.m)]
+
+
+def two_product_divergence_sequence(cert, spec, v: Sequence,
+                                    n_values: Sequence[int]) -> tuple:
+    """g_N = w' exp(N v) w as (w' exp(N v)) S(w) in floats, S(w) the signed
+    permutation representative: one m-tuple per N, with no drift guard."""
+    w_mats = [fmat(signed_permutation_matrix(p)) for p in cert.w.perms]
+    wp_mats = [fmat(f) for f in cert.w_prime.matrices]
+    return tuple(tuple(float_mat_mul(float_mat_mul(wp, e), wm)
+                       for wp, e, wm in zip(wp_mats, exp_cartan(spec, v, float(n_val)),
+                                            w_mats))
+                 for n_val in n_values)

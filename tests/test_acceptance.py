@@ -10,17 +10,14 @@ from pathlib import Path
 from nondiv import cli
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, replay_certificate
-from nondiv.floatmat import mat_mul
-from nondiv.lattice import QuadraticOrder, orbit_probe
+from nondiv.lattice import QuadraticOrder, orbit_probe, realize_divergence_sequence
 from nondiv.linalg import Subspace, project_subspace, rank
 from nondiv.report import verdict_fields
 from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import identity_centralizer_element
 from nondiv.witness import (
     HSampler,
-    _exp_cartan,
     build_escape_witness,
-    realize_divergence_sequence,
     sqrt_rounded,
     verify_divergence,
     wedge_norm,
@@ -43,6 +40,8 @@ from helpers import (
 )
 from reference_linalg import (
     StrictRegion,
+    exp_cartan,
+    float_mat_mul,
     integral_kernel_vector,
     invdim,
     restricted_independent,
@@ -246,12 +245,11 @@ def test_criterion_6_witness_decay():
     # values: exact base norms at g_0 against dense norms at h * g_N
     lines = [(j, side) for j in cert.subset for side in ParabolicSide]
     bases = [sqrt_rounded(wedge_norm(j, side, cert.w, cert.w_prime)) for j, side in lines]
-    for n_val, mats in zip((0, 20), realize_divergence_sequence(cert, witness, config,
-                                                                [0, 20])):
+    for n_val, mats in zip((0, 20), realize_divergence_sequence(cert, witness.v, [0, 20])):
         for coords in sampler.a_coords:
             a_vec = a_point(config, coords)
-            h = _exp_cartan(spec, a_vec)
-            hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, mats))
+            h = exp_cartan(spec, a_vec)
+            hg = tuple(float_mat_mul(hf, gf) for hf, gf in zip(h, mats))
             for line, base in zip(lines, bases):
                 expected = closed_form_torus_norm(config, cert, witness, line,
                                                   a_vec, n_val, base)
@@ -274,12 +272,11 @@ def test_criterion_7_lattice_probe():
     config = torus_config(spec, a)
     verdict = check_torus(spec, a)
     witness = build_escape_witness(verdict.certificate, config)
-    elements = realize_divergence_sequence(verdict.certificate, witness, config,
-                                           [0, 2, 4, 6])
+    elements = realize_divergence_sequence(verdict.certificate, witness.v, [0, 2, 4, 6])
     order = QuadraticOrder(2)
     maxima = {}
     for n_val, mats in zip((0, 2, 4, 6), elements):
-        maxima[n_val] = orbit_probe(order, mats).maximum
+        maxima[n_val] = orbit_probe(order, mats, 5.0, 21).maximum
     series = [maxima[n] for n in (0, 2, 4, 6)]
     assert all(x > y for x, y in zip(series, series[1:]))
     assert maxima[6] < 0.5 * maxima[0]

@@ -608,13 +608,8 @@ class TestCliProbe:
             assert reports[0][section] == reports[1][section]
 
     def test_drifted_realization_exits_3(self, tmp_path, monkeypatch, capsys):
-        exp_cartan = witness._exp_cartan
-
-        def drifted(spec, v, scale=1.0):
-            return [tuple(tuple(2 * x for x in row) for row in e)
-                    for e in exp_cartan(spec, v, scale)]
-
-        monkeypatch.setattr(witness, "_exp_cartan", drifted)
+        exp = lattice.exp
+        monkeypatch.setattr(lattice, "exp", lambda x: 2 * exp(x))
         out = tmp_path / "r.json"
         code = cli.main(["probe", str(CONFIGS / "example1-m2.cfg"),
                          "--workers", "1", "--output", str(out)])

@@ -31,7 +31,6 @@ from nondiv.weyl import (
     act_on_functional,
     act_on_lie,
     identity_centralizer_element,
-    signed_permutation_matrix,
     weyl_inverse,
 )
 
@@ -50,6 +49,7 @@ from helpers import (
     so21_config,
     so21_d_vectors,
     scan_order,
+    signed_permutation_matrix,
     torus_config,
     w_prime,
 )

@@ -1,27 +1,42 @@
 import itertools
 import math
 import random
+from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nondiv import lattice
-from nondiv.floatmat import dot, fmat, transpose
+from nondiv.config import build_config, parse_problem
+from nondiv.criterion import check_general
 from nondiv.lattice import (
     MAX_D,
     QuadraticOrder,
     _enumerate_minimum,
     _size_reduce,
     _vector_norm,
+    det,
+    dot,
     embed_lattice,
+    exp,
+    fmat,
     orbit_probe,
+    realize_divergence_sequence,
     shortest_vector,
+    transpose,
 )
 from nondiv.rootdata import GroupSpec
-from nondiv.witness import build_escape_witness, realize_divergence_sequence
+from nondiv.weyl import CentralizerWeylElement, WeylElement
+from nondiv.witness import build_escape_witness
 
-from helpers import check_torus, delta_line_subspace, gram_cholesky_minimum, torus_config
+from helpers import (check_torus, delta_line_subspace, gram_cholesky_minimum, mat_mul,
+                     signed_permutation_matrix, torus_config)
+from reference_linalg import float_diagonal, float_mat_mul, two_product_divergence_sequence
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_shortest(basis: np.ndarray) -> float:
@@ -249,12 +264,10 @@ class TestOrbitProbe:
         verdict = check_torus(spec, a)
         config = torus_config(spec, a)
         witness = build_escape_witness(verdict.certificate, config)
-        return realize_divergence_sequence(verdict.certificate, witness,
-                                           config, n_values)
+        return realize_divergence_sequence(verdict.certificate, witness.v, n_values)
 
     def test_identity_baseline_positive(self):
-        stats = orbit_probe(QuadraticOrder(2), (np.eye(2), np.eye(2)),
-                            grid_radius=2.0, grid_points=5)
+        stats = orbit_probe(QuadraticOrder(2), (np.eye(2), np.eye(2)), 2.0, 5)
         assert stats.maximum >= stats.minimum > 0
 
     def test_covolume_constant_over_grid(self):
@@ -271,11 +284,183 @@ class TestOrbitProbe:
     def test_witness_coherence_decreasing(self):
         prev = None
         for mats in self._witness_sequence([0, 2, 4, 6]):
-            stats = orbit_probe(QuadraticOrder(2), mats)
+            stats = orbit_probe(QuadraticOrder(2), mats, 5.0, 21)
             if prev is not None:
                 assert stats.maximum < prev
             prev = stats.maximum
 
     def test_probe_requires_rank_one_setup(self):
         with pytest.raises(ValueError):
-            orbit_probe(QuadraticOrder(2), (np.eye(3), np.eye(3)))
+            orbit_probe(QuadraticOrder(2), (np.eye(3), np.eye(3)), 5.0, 21)
+
+
+# --- float kernels ------------------------------------------------------------
+
+entries = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
+                    allow_subnormal=False)
+
+
+@st.composite
+def square(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def hadamard_bound(m) -> float:
+    return math.prod(math.sqrt(sum(x * x for x in row)) for row in m)
+
+
+class TestDet:
+    @settings(max_examples=200, deadline=None)
+    @given(square())
+    def test_matches_numpy(self, m):
+        assert det(m) == pytest.approx(np.linalg.det(np.array(m)),
+                                       abs=1e-12 * max(hadamard_bound(m), 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(entries.filter(lambda x: x != 0.0), min_size=1, max_size=6))
+    def test_diagonal_bit_identical_to_numpy(self, values):
+        # A diagonal determinant is sign * exp(sum of log|pivot|) exactly as
+        # numpy forms it.
+        assert det(float_diagonal(values)) == float(np.linalg.det(np.diag(values)))
+
+    def test_singular_is_zero(self):
+        assert det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+        assert det([[0.0, 0.0], [0.0, 1.0]]) == 0.0
+
+    def test_overflow_is_inf(self):
+        assert det(float_diagonal([1e200, 1e200])) == math.inf
+        assert det(float_diagonal([-1e200, 1e200])) == -math.inf
+
+
+class TestExp:
+    def test_overflow_is_inf(self):
+        assert exp(1000.0) == math.inf
+        assert exp(math.inf) == math.inf
+
+    def test_underflow_and_ordinary(self):
+        assert exp(-1000.0) == 0.0
+        for x in itertools.chain(range(-5, 6), (0.5, -2.25)):
+            assert exp(x) == math.exp(x)
+
+
+# --- the divergence sequence, read off the columns of w' -----------------------
+
+rational_entries = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+nonzero_rationals = rational_entries.filter(bool)
+
+
+@st.composite
+def realization_case(draw, max_n=4, max_m=3):
+    """A certificate's (w, w') and an escape vector: w' has determinant-one
+    factors, each monomial or a monomial between unit lower and unit upper
+    triangular factors, and v is trace zero per factor with |N v| <= 12."""
+    n, m = draw(st.integers(2, max_n)), draw(st.integers(1, max_m))
+    perms = tuple(tuple(draw(st.permutations(range(n)))) for _ in range(m))
+    factors = []
+    for _ in range(m):
+        q = draw(st.permutations(range(n)))
+        d = [draw(nonzero_rationals) for _ in range(n - 1)]
+        sign = round(np.linalg.det(np.eye(n)[q]))
+        d.append(sign / math.prod(d))
+        f = tuple(tuple(d[i] if q[i] == j else F(0) for j in range(n)) for i in range(n))
+        if draw(st.booleans()):
+            lower, upper = ([[draw(rational_entries) if (j < i if low else j > i)
+                              else F(int(i == j)) for j in range(n)] for i in range(n)]
+                            for low in (True, False))
+            f = mat_mul(mat_mul(lower, f), upper)
+        factors.append(f)
+    n_val = draw(st.integers(0, 4))
+    v = []
+    for _ in range(m):
+        block = [draw(st.builds(F, st.integers(-2, 2), st.integers(2, 4)))
+                 for _ in range(n - 1)]
+        v += block + [-sum(block, F(0))]
+    cert = SimpleNamespace(w=WeylElement(perms),
+                           w_prime=CentralizerWeylElement(tuple(factors)))
+    return cert, GroupSpec(n, m), tuple(v), n_val
+
+
+class TestRealization:
+    @settings(max_examples=100, deadline=None)
+    @given(realization_case())
+    def test_bit_identical_to_two_products(self, case):
+        # Column j of w' exp(N v) S(w) is s_j e^{N v_p(j)} times column p(j)
+        # of w': every entry, zero signs included, is the two-product
+        # reference's, and both match numpy's product.
+        cert, spec, v, n_val = case
+        got, = realize_divergence_sequence(cert, v, [n_val])
+        ref, = two_product_divergence_sequence(cert, spec, v, [n_val])
+        assert repr(got) == repr(ref)
+        for f, wp, p, k in zip(got, cert.w_prime.matrices, cert.w.perms, itertools.count()):
+            e = np.diag(np.exp([float(x) * n_val for x in v[k * spec.n:(k + 1) * spec.n]]))
+            s = np.array(signed_permutation_matrix(p), dtype=float)
+            assert np.allclose(f, np.array(wp, dtype=float) @ e @ s, rtol=1e-12, atol=0)
+
+    def test_shapes_and_types(self):
+        config, cert, witness = probe_setup((CONFIGS / "example1-m4.cfg").read_text())
+        elements = realize_divergence_sequence(cert, witness.v, [0, 3])
+        assert len(elements) == 2
+        for factors in elements:
+            assert len(factors) == config.spec.m == 4
+            assert all(type(x) is float for f in factors for row in f for x in row)
+            assert all(len(f) == len(row) == 2 for f in factors for row in f)
+
+
+def probe_setup(text, name="instance.cfg"):
+    config = build_config(parse_problem(text, name))
+    cert = check_general(config).certificate
+    return config, cert, build_escape_witness(cert, config)
+
+
+def bit_identity_texts():
+    """example1-m2 and example1-m4 (divergent, so each factor reads its own
+    block of v), example1-m2 with the skew explicit w' of the CLI tests, and
+    seeded witness-probe lines c (1, -1, s, -s) in place of its Lie(A)."""
+    m2 = (CONFIGS / "example1-m2.cfg").read_text()
+    texts = {"example1-m2": m2,
+             "example1-m4": (CONFIGS / "example1-m4.cfg").read_text(),
+             "skew-w-prime": m2.replace(
+                 "mode = auto-trivial-m",
+                 'mode = explicit\nelements = [[[["3", "0"], ["0", "1/3"]], '
+                 '[["0", "-7/5"], ["5/7", "0"]]]]')}
+    rng = random.Random(41)
+    for i in range(6):
+        c = F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 3))
+        s = rng.choice((1, -1))
+        line = ", ".join(f'"{x}"' for x in (c, -c, s * c, -s * c))
+        texts[f"witness-probe-{i}"] = m2.replace('basis = [["1", "-1", "1", "-1"]]',
+                                                 f"basis = [[{line}]]")
+    assert len(set(texts.values())) == len(texts)
+    return texts
+
+
+BIT_IDENTITY_TEXTS = bit_identity_texts()
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTITY_TEXTS))
+def test_realization_bit_identical_on_probe_instances(name):
+    config, cert, witness = probe_setup(BIT_IDENTITY_TEXTS[name], name)
+    n_values = [0, 1, 2, 6, 20, 100, 400]
+    got = realize_divergence_sequence(cert, witness.v, n_values)
+    ref = two_product_divergence_sequence(cert, config.spec, witness.v, n_values)
+    for n_val, factors, ref_factors in zip(n_values, got, ref):
+        for f, r in zip(factors, ref_factors):
+            assert repr(f) == repr(r), (n_val, f, r)
+
+
+def test_orbit_samples_bit_identical_to_diagonal_products(monkeypatch):
+    # Scaling the rows of each factor by e^t and e^-t gives the product
+    # diag(e^t, e^-t) g bit for bit.
+    _, cert, witness = probe_setup((CONFIGS / "example1-m2.cfg").read_text())
+    seen = []
+    embed = lattice.embed_lattice
+    monkeypatch.setattr(lattice, "embed_lattice",
+                        lambda order, g: seen.append(g) or embed(order, g))
+    for g in realize_divergence_sequence(cert, witness.v, [0, 3, 6]):
+        seen.clear()
+        stats = orbit_probe(QuadraticOrder(2), g, 5.0, 21)
+        assert len(seen) == len(stats.values) == 21
+        for (t, _), sample in zip(stats.values, seen):
+            a = float_diagonal([math.exp(t), math.exp(-t)])
+            assert repr(tuple(sample)) == repr(tuple(float_mat_mul(a, f) for f in g))

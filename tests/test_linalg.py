@@ -15,13 +15,13 @@ from nondiv.linalg import (
     transpose,
 )
 
+from helpers import mat
 from reference_linalg import (
     NEG_INFINITY,
     StrictRegion,
     fm_feasible,
     integral_kernel_vector,
     invdim,
-    mat,
     orthant_meets_subspace,
     restricted_independent,
 )

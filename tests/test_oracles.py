@@ -16,9 +16,9 @@ from nondiv.linalg import (
     rank,
 )
 from nondiv.rootdata import GroupSpec, LieElement
-from nondiv.weyl import WeylElement, act_on_lie, signed_permutation_matrix
+from nondiv.weyl import WeylElement, act_on_lie
 
-from helpers import assert_first_hit, check_torus, torus_config
+from helpers import assert_first_hit, check_torus, signed_permutation_matrix, torus_config
 from reference_linalg import fm_feasible, orthant_meets_subspace
 
 

@@ -16,7 +16,6 @@ from nondiv.weyl import (
     conjugate_diagonal,
     identity_centralizer_element,
     perm_sign,
-    signed_permutation_matrix,
     weyl_inverse,
     weyl_order,
 )
@@ -26,15 +25,16 @@ from helpers import (
     diagonal_vector,
     full_cartan_vectors,
     lie_element,
+    mat,
     mat_mul,
     scan_order,
     so21_centralizer_elements,
     so21_config,
     so21_d_vectors,
     so21_generators,
+    signed_permutation_matrix,
     w_prime,
 )
-from reference_linalg import mat
 
 
 def weyl_identity(spec):

@@ -7,24 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nondiv import linalg as linalg_module, witness as witness_module
+from nondiv import (lattice as lattice_module, linalg as linalg_module,
+                    witness as witness_module)
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import Certificate, check_general
-from nondiv.floatmat import mat_mul
 from nondiv.linalg import Orthant, Subspace, det as exact_det, dot
 from nondiv.rootdata import GroupSpec, ParabolicSide
-from nondiv.weyl import (CentralizerWeylElement, WeylElement, identity_centralizer_element,
-                         signed_permutation_matrix)
+from nondiv.lattice import realize_divergence_sequence
+from nondiv.weyl import CentralizerWeylElement, WeylElement, identity_centralizer_element
 from nondiv.witness import (
     EscapeWitness,
     ExactCheckFailedError,
     HSampler,
-    _exp_cartan,
     build_escape_witness,
     check_witness_exact,
     decay_table,
     escape_vector,
-    realize_divergence_sequence,
     sqrt_rounded,
     verify_divergence,
     wedge_norm,
@@ -42,12 +40,14 @@ from helpers import (
     m_words,
     mat_mul as exact_mat_mul,
     nilradical_basis,
+    signed_permutation_matrix,
     sl2_swap_config,
     so21_config,
     so21_d_vectors,
     torus_config,
 )
-from reference_linalg import factor_grams, gram_wedge_norm, orthant_meets_subspace
+from reference_linalg import (exp_cartan, factor_grams, float_mat_mul, gram_wedge_norm,
+                              orthant_meets_subspace)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -474,7 +474,7 @@ class TestSqrtRounded:
 class TestDivergenceSequence:
     def test_determinants_one(self):
         config, cert, witness = example1_m2_setup()
-        for mats in realize_divergence_sequence(cert, witness, config, [0, 5, 10]):
+        for mats in realize_divergence_sequence(cert, witness.v, [0, 5, 10]):
             for f in mats:
                 assert abs(np.linalg.det(f) - 1.0) < 1e-9
 
@@ -499,9 +499,9 @@ class TestClosedForm:
                           for _ in config.a_basis.basis]
                 a_vec = a_point(config, coeffs)
                 n_val = rng.randint(0, 3)
-                g = realize_divergence_sequence(cert, witness, config, [n_val])[0]
-                h = _exp_cartan(spec, a_vec)
-                hg = tuple(mat_mul(hf, gf) for hf, gf in zip(h, g))
+                g = realize_divergence_sequence(cert, witness.v, [n_val])[0]
+                h = exp_cartan(spec, a_vec)
+                hg = tuple(float_mat_mul(hf, gf) for hf, gf in zip(h, g))
                 for ln, base in zip(lines, bases):
                     expected = closed_form_torus_norm(
                         config, cert, witness, ln, a_vec, n_val, base)
@@ -520,7 +520,7 @@ class TestMInvariance:
                                       shipped_setup("example2-nonmonomial.cfg")):
             words = m_words(config)
             assert len(words) == 9
-            elements = realize_divergence_sequence(cert, witness, config, [0, 1, 2])
+            elements = realize_divergence_sequence(cert, witness.v, [0, 1, 2])
             lines = [(j, side)
                      for j in cert.subset for side in ParabolicSide]
             for line, exact in zip(lines, base_norms(cert, lines)):
@@ -606,8 +606,8 @@ class TestVerifyDivergence:
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             sampler = HSampler.default(config, grid_points=5)
             calls, norms, solves = [], [], []
-            for name in ("realize_divergence_sequence", "_exp_cartan"):
-                monkeypatch.setattr(witness_module, name,
+            for name in ("realize_divergence_sequence", "exp"):
+                monkeypatch.setattr(lattice_module, name,
                                     lambda *args, name=name, **kw: calls.append(name))
             wedge_norm = witness_module.wedge_norm
             monkeypatch.setattr(witness_module, "wedge_norm",
@@ -642,12 +642,11 @@ class TestVerifyDivergence:
         # exponentiated as a matrix, whether or not 0 is among the n-values.
         config, cert, witness = example1_m2_setup()
         sampler = HSampler.default(config)
-        exp_cartan = witness_module._exp_cartan
+        exp = lattice_module.exp
         for n_values in ([0, 2, 4, 6], [3, 5]):
-            scales = []
-            monkeypatch.setattr(witness_module, "_exp_cartan",
-                                lambda spec, v, scale=1.0: scales.append(scale)
-                                or exp_cartan(spec, v, scale))
+            exponents = []
+            monkeypatch.setattr(lattice_module, "exp",
+                                lambda x: exponents.append(x) or exp(x))
             rows = decay_table(cert, witness, n_values, sampler, config)
             assert [r.n_value for r in rows] == sorted({0, *n_values})
-            assert scales == []
+            assert exponents == []
