@@ -29,6 +29,14 @@ MAX_GRID_RADIUS = math.log(sys.float_info.max)
 # enumeration, so both counts are bounded before any work starts.
 MAX_GRID_POINTS = 1001
 MAX_N_VALUES = 64
+# Every section and key a problem file may hold; [probe] seed has no effect.
+KNOWN_KEYS = {
+    "group": {"family", "n", "m"},
+    "subgroup-m": {"generators"},
+    "torus-d": {"basis"}, "torus-a": {"basis"},
+    "centralizer-weyl": {"mode", "elements"},
+    "probe": {"d", "grid-radius", "grid-points", "n-values", "seed"},
+}
 
 
 @record
@@ -110,6 +118,13 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}")
+    for section in parser.sections():  # a [DEFAULT] key shows in every section
+        known = KNOWN_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"[{section}]: unknown key {key!r}")
 
     def need(section: str, key: str) -> str:
         if not parser.has_section(section):
@@ -195,6 +210,9 @@ def parse_problem(text: str, name: str = "<config>") -> ProblemFile:
                     or any(type(x) is not int or x < 0 for x in data)):
                 raise ConfigError("[probe] n-values: expected nonempty list of "
                                   "nonnegative integers")
+            if max(data) > sys.float_info.max:
+                raise ConfigError("[probe] n-values: each value must be at most "
+                                  f"the largest float, {sys.float_info.max:.2g}")
             if len(data) > MAX_N_VALUES:
                 raise ConfigError(f"[probe] n-values: at most {MAX_N_VALUES} values")
             n_values = tuple(data)

@@ -86,7 +86,6 @@ from .weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
-    conjugate_diagonal,
     identity_centralizer_element,
     weyl_inverse,
     weyl_order,
@@ -175,9 +174,11 @@ class GroupConfig:
         The w' checks run on integers.  l x = x l iff the denominator-free
         multiples of l and x commute, decided once per distinct pair of
         factors.  A factor of determinant 1 has a nonzero term in its
-        Leibniz expansion, so a support permutation sigma.  Where Ad(w') is
-        defined on diagonal vectors it is v -> v o sigma, hence injective, so
-        the images of a basis of Lie(D) span Lie(D) iff each lies in it: one
+        Leibniz expansion, so a support permutation sigma.  l diag(v) l^-1 =
+        diag(y) iff y_i = v_j at every nonzero l_ij, so y = v o sigma^-1 is
+        the only candidate image, and Ad(w') is diagonal on Lie(D) iff that
+        holds for each basis vector v.  Ad(w') is then injective on Lie(D),
+        so the images of a basis span Lie(D) iff each lies in it: one
         annihilator of Lie(D) on the trace-zero coordinates (each block
         without its last entry) must kill them all.
         """
@@ -222,11 +223,14 @@ class GroupConfig:
                     if not ok:
                         raise ConfigError(f"centralizer Weyl candidate #{idx}: "
                                           f"does not centralize M generator #{gi + 1}")
-            supports = tuple(tuple(tuple(j for j, _ in row) for row in f)
-                             for f in factors)
-            try:
-                images = [conjugate_diagonal(supports, v) for v in d_vectors]
-            except ValueError:
+            source = [0] * spec.ambient_dim  # y[k n + sigma_k(j)] = v[k n + j]
+            for k, sigma in enumerate(elem.support_permutations()):
+                for j, i in enumerate(sigma):
+                    source[k * n + i] = k * n + j
+            images = [[v[j] for j in source] for v in d_vectors]
+            if any(y[k * n + i] != v[k * n + j] for v, y in zip(d_vectors, images)
+                   for k, f in enumerate(factors) for i, row in enumerate(f)
+                   for j, _ in row):
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: does not "
                                   "normalize D (image of Lie(D) not diagonal)")
             if any(sum(c * y[i] for i, c in row) for y in images for row in annihilator):

@@ -1,7 +1,7 @@
 """Restricted Weyl group of an SL_n product (a product of symmetric groups),
 its action on weights (trace-zero coefficient vectors) and Lie elements,
 and the matrices that represent centralizer Weyl elements, which act on
-diagonal Cartan vectors through the positions of their nonzero entries (no
+Lie(D) by relabelling coordinates through their support permutation (no
 inverse is formed).  A representative is a plain value: that each factor
 has determinant 1, centralizes M and normalizes Lie(D) is a property of the
 whole problem, so `criterion.GroupConfig` checks it."""
@@ -17,8 +17,6 @@ from .linalg import Mat, Vec
 from .rootdata import GroupSpec, LieElement
 
 Permutation = tuple[int, ...]  # one-line notation, 0-based: i -> p[i]
-# Per factor, per row (or column), the indices of its nonzero entries.
-Supports = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _check_permutation(p: Sequence[int], n: int) -> Permutation:
@@ -116,12 +114,12 @@ class CentralizerWeylElement:
     """A representative of the centralizer Weyl group: one rational matrix
     per factor, each of determinant 1 in a validated `GroupConfig`.
 
-    Its action on diagonal Cartan vectors is read off the nonzero entries.
-    For an invertible factor l, l diag(v) l^-1 = diag(y) iff l diag(v) =
-    diag(y) l, that is y_i = v_j at every nonzero l_ij (the rows of l, which
-    `GroupConfig.validate` reads), and l^-1 diag(v) l = diag(y) iff y_j = v_i
-    at every nonzero l_ij: :meth:`transport_inverse` reads the columns.
-    Both are defined on the normalized torus only.
+    It acts on Lie(D) through its support permutation sigma.  For an
+    invertible factor l, l^-1 diag(v) l = diag(y) iff diag(v) l = l diag(y),
+    that is y_j = v_i at every nonzero l_ij, so y = v o sigma.
+    `GroupConfig.validate` checks that Ad(w') maps Lie(D) into Lie(D); it is
+    injective, so Ad(w'^-1) maps Lie(D) onto Lie(D), and
+    :meth:`transport_inverse` is Ad(w'^-1) on Lie(D).
     """
 
     matrices: tuple[Mat, ...]
@@ -131,48 +129,24 @@ class CentralizerWeylElement:
                        for i in range(len(f)) for j in range(len(f)))
                    for f in self.matrices)
 
-    def supports(self) -> Supports:
-        """Per factor, the row indices of the nonzero entries of each column."""
-        return tuple(tuple(tuple(i for i, e in enumerate(column) if e)
-                           for column in zip(*f))
-                     for f in self.matrices)
-
     def transport_inverse(self, v: Vec) -> Vec:
-        """Ad(w'^-1) on a diagonal Cartan vector."""
-        return conjugate_diagonal(self.supports(), v)
+        """Ad(w'^-1) on a vector of Lie(D): v o sigma on each factor."""
+        n = len(self.matrices[0])
+        return tuple(v[k * n + i] for k, sigma in enumerate(self.support_permutations())
+                     for i in sigma)
 
     def support_permutations(self) -> tuple[Permutation, ...]:
-        """Per factor l, the first permutation p (lexicographic order) with
-        every l[p[j]][j] nonzero; one exists because l is invertible.  Where
-        :meth:`transport_inverse` is defined, every nonzero entry of column j
-        reads the same coordinate value, so it sends v to v[p[j]] at j."""
+        """Per factor l, the first permutation sigma (lexicographic order)
+        with every l[sigma[j]][j] nonzero; one exists because l is
+        invertible."""
         out = []
-        for k, columns in enumerate(self.supports()):
-            p = _first_transversal(columns)
-            if p is None:
+        for k, f in enumerate(self.matrices):
+            sigma = _first_transversal([[i for i, e in enumerate(column) if e]
+                                        for column in zip(*f)])
+            if sigma is None:
                 raise ValueError(f"factor {k + 1} is singular")
-            out.append(p)
+            out.append(sigma)
         return tuple(out)
-
-
-def conjugate_diagonal(supports: Supports, v: Sequence) -> tuple:
-    """One entry per line (row or column) of each factor: the single value
-    of v's block over the line's support.  Raises ValueError when a line's
-    support carries two values, or none."""
-    out = []
-    base = 0
-    for lines in supports:
-        for line in lines:
-            if not line:
-                raise ValueError("a factor has a zero row or column")
-            x = v[base + line[0]]
-            for j in line[1:]:
-                if v[base + j] != x:
-                    raise ValueError("conjugated Cartan vector is not diagonal; "
-                                     "vector is outside the normalized torus")
-            out.append(x)
-        base += len(lines)
-    return tuple(out)
 
 
 def _first_transversal(rows_of: Sequence[Sequence[int]],

@@ -154,6 +154,7 @@ def sqrt_rounded(q: Fraction) -> float:
 
 
 GRID_RADIUS = 5  # half-width of the H grid in each Lie(A) basis coordinate
+GRID_POINTS = 21  # grid points per Lie(A) basis coordinate
 
 
 @record
@@ -167,11 +168,9 @@ class HSampler:
     a_labels: tuple[str, ...]
 
     @classmethod
-    def default(cls, config: GroupConfig, grid_points: int = 21) -> "HSampler":
-        if grid_points < 2:
-            raise ValueError("grid needs at least two points per dimension")
-        step = Fraction(2 * GRID_RADIUS, grid_points - 1)
-        coords = [-GRID_RADIUS + k * step for k in range(grid_points)]
+    def default(cls, config: GroupConfig) -> "HSampler":
+        step = Fraction(2 * GRID_RADIUS, GRID_POINTS - 1)
+        coords = [-GRID_RADIUS + k * step for k in range(GRID_POINTS)]
         grid = tuple(itertools.product(coords, repeat=config.a_basis.dim))
         return cls(grid, tuple("t=(" + ",".join(map(str, c)) + ")" for c in grid))
 

@@ -305,6 +305,13 @@ EDITED_CONFIGS = {
                              "grid-points = 1002"),
     "n-values-65.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
                         f"n-values = {list(range(65))}"),
+    # 400 digits: past the largest float, so float(N) would overflow
+    "n-values-400-digits.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
+                                f"n-values = [0, 1{'0' * 399}]"),
+    # a typo of grid-points, and a section and a [DEFAULT] key no one reads
+    "grid-point-typo.cfg": ("example1-m2.cfg", "grid-points = 21", "grid-point = 5"),
+    "unknown-section.cfg": ("example1-m2.cfg", "[probe]\n", "[probes]\nd = 2\n\n[probe]\n"),
+    "default-key.cfg": ("example1-m2.cfg", "[group]\n", "[DEFAULT]\nseed = 1\n\n[group]\n"),
     # Lie(A) = 0: the H grid is the one empty sample t=()
     "zero-dim-a.cfg": ("example1-m2.cfg", '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
                        "[torus-a]\nbasis = []"),
@@ -350,6 +357,11 @@ EXIT_TABLE = [
      "[probe] n-values: expected nonempty list of nonnegative integers", False),
     ("probe", "grid-points-1002.cfg", 2, "[probe] grid-points: need at most 1001", False),
     ("probe", "n-values-65.cfg", 2, "[probe] n-values: at most 64 values", False),
+    ("probe", "n-values-400-digits.cfg", 2,
+     "[probe] n-values: each value must be at most the largest float, 1.8e+308", False),
+    ("probe", "grid-point-typo.cfg", 2, "[probe]: unknown key 'grid-point'", False),
+    ("check", "unknown-section.cfg", 2, "unknown section [probes]", False),
+    ("check", "default-key.cfg", 2, "[group]: unknown key 'seed'", False),
 ]
 
 
@@ -411,18 +423,21 @@ def test_probe_bounds_d_before_any_work(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", ["n-values-bool.cfg", "grid-points-1002.cfg",
-                                  "n-values-65.cfg"])
+                                  "n-values-65.cfg", "n-values-400-digits.cfg",
+                                  "grid-point-typo.cfg"])
 def test_probe_bounds_its_work_before_the_scan(name, tmp_path, monkeypatch, capsys):
-    """Boolean n-values and too many grid points or n-values exit 2 at parse
-    time, before the scan or any lattice probe."""
+    """Boolean n-values, too many grid points or n-values, an n-value past
+    the largest float and an unknown [probe] key exit 2 at parse time,
+    before the scan or any lattice probe."""
     def forbidden(*args, **kw):
         raise AssertionError("ran past the [probe] checks")
 
     monkeypatch.setattr(cli, "check_general", forbidden)
+    monkeypatch.setattr(cli, "realize_divergence_sequence", forbidden)
     monkeypatch.setattr(cli, "orbit_probe", forbidden)
     assert cli.main(["probe", str(table_input(name, tmp_path)),
                      "--output", str(tmp_path / "report.json")]) == 2
-    assert capsys.readouterr().err.startswith("nondiv: error: [probe] ")
+    assert capsys.readouterr().err.startswith("nondiv: error: [probe]")
 
 
 def test_probe_on_zero_dimensional_lie_a(tmp_path, capsys):
@@ -592,8 +607,8 @@ class TestCliProbe:
             7.305630563210258e-05, 2.4507660272194207e-08, 8.221404118652257e-12]
 
     def test_seed_key_is_ignored(self, tmp_path):
-        # `seed` is not a [probe] key: like any unknown key it changes no byte
-        # of the decay and probe sections.
+        # `seed` is the one [probe] key that has no effect: it changes no
+        # byte of the decay and probe sections.
         text = (CONFIGS / "example1-m2.cfg").read_text()
         assert "seed = 24301\n" in text
         path = tmp_path / "seed7.cfg"
@@ -793,6 +808,25 @@ def test_replay_of_malformed_reports_exits_0_2_or_3(tmp_path, capsys):
         seen.add(code)
     capsys.readouterr()
     assert seen == {0, 2, 3}
+
+
+@pytest.mark.parametrize("name", ["n-values-400-digits.cfg", "grid-point-typo.cfg"])
+def test_replay_of_a_report_whose_input_is_rejected_exits_3(name, tmp_path, capsys):
+    """A probe report whose embedded text holds an n-value past the largest
+    float, or an unknown [probe] key, fails its replay at parse time."""
+    out = tmp_path / "r.json"
+    assert cli.main(["probe", str(CONFIGS / "example1-m2.cfg"), "--output", str(out)]) == 10
+    data = json.loads(out.read_text())
+    data["input"]["content"] = table_text(name)
+    data["input"]["sha256"] = input_digest(data["input"]["content"])
+    edited = tmp_path / "e.json"
+    edited.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["replay", str(edited)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "nondiv: error: embedded configuration no longer checks out: [probe]")
 
 
 class TestCliReplay:

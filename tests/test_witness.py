@@ -550,8 +550,8 @@ class TestFloatReference:
     """The exact-order decay table against float sampling of H = A M."""
 
     @staticmethod
-    def compare(config, cert, witness, grid_points=21):
-        sampler = HSampler.default(config, grid_points=grid_points)
+    def compare(config, cert, witness):
+        sampler = HSampler.default(config)
         rows = decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
         ref = float_decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
         assert [r.n_value for r in rows] == [r["N"] for r in ref]
@@ -591,7 +591,7 @@ class TestVerifyDivergence:
 
     def test_decay_monotone_on_samples(self):
         config, cert, witness = so21_line_setup()
-        sampler = HSampler.default(config, grid_points=5)
+        sampler = HSampler.default(config)
         rows = decay_table(cert, witness, [0, 1, 2, 3], sampler, config)
         values = [r.max_min_norm for r in rows]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -604,7 +604,7 @@ class TestVerifyDivergence:
         # certified line whatever the n-values, and no linear system is
         # solved, C^-1 included.
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
-            sampler = HSampler.default(config, grid_points=5)
+            sampler = HSampler.default(config)
             calls, norms, solves = [], [], []
             for name in ("realize_divergence_sequence", "exp"):
                 monkeypatch.setattr(lattice_module, name,
