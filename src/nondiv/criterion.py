@@ -236,7 +236,7 @@ class GroupConfig:
             if any(sum(c * y[i] for i, c in row) for y in images for row in annihilator):
                 raise ConfigError(f"centralizer Weyl candidate #{idx}: "
                                   "does not normalize D")
-        if not self.d_basis.contains_subspace(self.a_basis):
+        if rank(self.d_basis.basis + self.a_basis.basis) != self.d_basis.dim:
             raise ConfigError("Lie(A) is not contained in Lie(D)")
         for gi, gen in enumerate(self.m_generators):
             if gen.is_zero():
@@ -507,12 +507,6 @@ def _scan(config: GroupConfig) -> tuple:
     return best, admissible
 
 
-def _transport_subspace(sub: Subspace, w_prime: CentralizerWeylElement) -> Subspace:
-    """Ad(w'^-1) applied to a subspace of Lie(D), which w' normalizes."""
-    return Subspace.span(sub.ambient_dim,
-                         [w_prime.transport_inverse(v) for v in sub.basis])
-
-
 def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
     """Full criterion for H = A*M: the first admissible (I, w, w') in the
     documented order whose transported weights are dependent on Lie(A).
@@ -538,7 +532,8 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
             f"admissible pair (Weyl #{w_idx}); "
             "Lie(D) is not maximal in the centralizer of M as declared")
     wp = config.centralizer_weyl[wp_idx]
-    coeffs = dependence_coefficients(funcs, _transport_subspace(config.a_basis, wp))
+    coeffs = dependence_coefficients(funcs, Subspace.span(
+        spec.ambient_dim, [wp.transport_inverse(b) for b in config.a_basis.basis]))
     cert = _build_certificate(subset, w, wp, wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)
 

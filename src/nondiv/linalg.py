@@ -1,6 +1,6 @@
 """Exact rational linear algebra for the scan and the escape witness:
-rank, kernels, solves and determinants, canonical subspaces and orthogonal
-projection.
+rank, kernels, reduced echelon forms and determinants, and canonical
+subspaces.
 
 The one inner product is the standard form, (a | b) = `dot(a, b)`.  Every
 criterion built on it is invariant under positive scaling of the form, and
@@ -11,7 +11,8 @@ Everything here is pure and exact: entries are `fractions.Fraction`, inputs are
 immutable, and no floating point is used.  Every exact elimination goes
 through `_eliminate`, one fraction-free (Bareiss) loop over integer rows:
 `rank` counts its pivots, `det` reads its last pivot, and `_rref` (behind
-`solve`, kernels and `Subspace.span`) runs it in Gauss-Jordan form.
+kernels, `Subspace.span` and the escape witness) runs it in Gauss-Jordan
+form.
 Subspaces are stored with a canonical reduced-echelon basis so equality of
 spans is plain `==`.
 """
@@ -32,21 +33,10 @@ def vec(entries: Iterable) -> Vec:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError("dimension mismatch")
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def transpose(m: Sequence[Sequence[Fraction]]) -> Mat:
@@ -156,18 +146,6 @@ def _kernel_vectors(m: Sequence[Sequence[Fraction]], ncols: int) -> list[Vec]:
     return out
 
 
-def solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
-    """Solve a square nonsingular system exactly."""
-    n = len(m)
-    if n != len(rhs) or any(len(r) != n for r in m):
-        raise ValueError("solve expects a square system")
-    aug = [list(row) + [r] for row, r in zip(m, rhs)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return tuple(red[i][n] for i in range(n))
-
-
 def det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant: the matrix is scaled by the LCM of its denominators
     and the determinant read off the last fraction-free pivot."""
@@ -214,17 +192,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return rank(list(self.basis) + [vec(v)]) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
 
 @record
 class Orthant:
@@ -237,29 +204,8 @@ class Orthant:
             raise ValueError("orthant signs must be +1 or -1")
 
 
-# --- spec'd operations -------------------------------------------------------
-
 def primitive_vector(v: Sequence[Fraction]) -> tuple[int, ...]:
     """The nonzero rational vector scaled to coprime integers, same direction."""
     ints = clear_denominators(v)
     g = math.gcd(*ints)
     return tuple(e // g for e in ints)
-
-
-def project_subspace(w: Subspace, u: Subspace) -> Subspace:
-    """Image of W under the orthogonal projection onto U."""
-    if w.ambient_dim != u.ambient_dim:
-        raise ValueError("dimension mismatch")
-    if u.is_zero() or w.is_zero():
-        return Subspace(u.ambient_dim, ())
-    gram_u = [[dot(a, b) for b in u.basis] for a in u.basis]
-    images = []
-    for x in w.basis:
-        rhs = [dot(a, x) for a in u.basis]
-        t = solve(gram_u, rhs)
-        img = zeros(u.ambient_dim)
-        for c, b in zip(t, u.basis):
-            img = vec_add(img, vec_scale(c, b))
-        images.append(img)
-    return Subspace.span(u.ambient_dim, images)
-

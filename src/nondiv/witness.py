@@ -25,6 +25,12 @@ exactly +-sign(c): sigma0 is the first of them with +1 before -1 per index.
 The f_i are independent (the chi_i of distinct cuts are, and w is
 invertible), so dim U = |I| and U' is proper when its dimension is below |I|.
 
+v and U' come from one exact elimination: with G = [(f_i | f_j)] nonsingular
+and b_j = Ad(w'^-1) of the Lie(A) basis, the rows [G | 2 sigma0 | (f_i | b_j)]
+reduce to [I | y | T].  So v = sum_i y_i f_i is the one vector of U with
+(f_i | v) = 2 sigma0_i, and sum_i T_ij f_i is the projection of b_j onto U;
+these span U', whose reduced-echelon basis is that of any spanning set.
+
 H acts on a certified wedge line through A alone.  Take mu in M: it commutes
 with w', which centralizes M, and with exp(N v), since D centralizes M, so
 mu g_N = g_N (w^-1 mu w).  The two parabolic containments that replay checks
@@ -64,18 +70,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .criterion import Certificate, GroupConfig, _transport_subspace, replay_certificate
-from .linalg import (
-    Orthant,
-    Subspace,
-    Vec,
-    det as exact_det,
-    dot,
-    project_subspace,
-    solve,
-    vec_add,
-    vec_scale,
-)
+from .criterion import Certificate, GroupConfig, replay_certificate
+from .linalg import Orthant, Subspace, Vec, _rref, det as exact_det, dot, transpose
 from .rootdata import ParabolicSide, fundamental_weight
 from .weyl import CentralizerWeylElement, WeylElement, act_on_functional
 
@@ -93,33 +89,30 @@ class EscapeWitness:
     v: Vec                       # escape vector, each weight value exactly +-2
 
 
-def escape_vector(funcs: Sequence[Vec], sigma0: Orthant) -> Vec:
-    """The combination of the functionals, each its own dual under the
-    standard form, with every weight value +-2."""
-    gram = [[dot(f, u) for u in funcs] for f in funcs]
-    coeffs = solve(gram, [Fraction(2 * s) for s in sigma0.signs])
-    v: Vec = tuple(Fraction(0) for _ in funcs[0])
-    for c, u in zip(coeffs, funcs):
-        v = vec_add(v, vec_scale(c, u))
-    assert all(dot(f, v) == 2 * s for f, s in zip(funcs, sigma0.signs))
-    return v
-
-
 def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitness:
-    """Escape data for a certificate: U, U', the missed orthant (the sign
-    pattern of the dependence, module docstring), and v."""
+    """Escape data for a certificate: U, the missed orthant (the sign pattern
+    of the dependence), and U' and v from one elimination (module docstring)."""
     if not replay_certificate(config, cert):
         raise ValueError("certificate does not replay against the configuration")
     spec = config.spec
     # standard form: dual vector = coefficient vector
     funcs = tuple(act_on_functional(cert.w, fundamental_weight(spec, i))
                   for i in cert.subset)
-    u_prime = project_subspace(_transport_subspace(config.a_basis, cert.w_prime),
-                               Subspace.span(spec.ambient_dim, funcs))
-    if u_prime.dim >= len(funcs):
-        raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
     sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
-    return EscapeWitness(funcs, u_prime, sigma0, escape_vector(funcs, sigma0))
+    moved = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
+    k = len(funcs)
+    red, pivots = _rref([[dot(f, g) for g in funcs] + [2 * s] + [dot(f, b) for b in moved]
+                         for f, s in zip(funcs, sigma0.signs)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("singular system")
+    # each column c past G gives the vector sum_i red[i][c] f_i of U
+    v, *images = [tuple(dot(c, x) for x in transpose(funcs)) for c in transpose(red)[k:]]
+    u_prime = Subspace.span(spec.ambient_dim, images)
+    if u_prime.dim >= k:
+        raise ExactCheckFailedError("projection of Lie(A) covers the weight span")
+    if any(dot(f, v) != 2 * s for f, s in zip(funcs, sigma0.signs)):
+        raise ExactCheckFailedError("escape vector weight values are not +-2")
+    return EscapeWitness(funcs, u_prime, sigma0, v)
 
 
 # --- exact base norms -------------------------------------------------------
@@ -244,7 +237,8 @@ def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[in
     bases = [sqrt_rounded(b) for b in betas]
     log_bases = [(math.log(b.numerator) - math.log(b.denominator)) / 2 for b in betas]
     # the line weights +-n f_q, in the order of `lines`
-    weights = [vec_scale(sign * spec.n, f) for f in witness.u_vectors for sign in (1, -1)]
+    weights = [tuple(sign * spec.n * x for x in f)
+               for f in witness.u_vectors for sign in (1, -1)]
     slopes = [dot(w_omega, witness.v) for w_omega in weights]
     moved = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
     on_basis = [[dot(w_omega, b) for b in moved] for w_omega in weights]

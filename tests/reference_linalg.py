@@ -2,6 +2,9 @@
 the definitions the engine's rank test is equivalent to, and the
 Fourier-Motzkin sign test that the engine's escape orthant is checked against.
 
+- `solve`, `project_subspace` and `escape_vector`: one elimination per
+  solved system, the reference for the escape witness's single elimination
+  (with the vector helpers `zeros`, `vec_add` and `vec_scale`).
 - `restricted_independent`: functionals independent on W, cross-asserted
   against the projection criterion pi_U(W) = U.
 - `fm_feasible`: exact feasibility of strict/weak linear inequalities by
@@ -35,20 +38,73 @@ from nondiv.linalg import (
     Subspace,
     Vec,
     _kernel_vectors,
+    _rref,
     det,
     dot,
     primitive_vector,
-    project_subspace,
     rank,
-    solve,
     vec,
-    vec_scale,
 )
 from nondiv.lattice import exp, fmat
 
 from helpers import mat, signed_permutation_matrix
 
 NEG_INFINITY = float("-inf")
+
+
+# --- solves and orthogonal projection ---------------------------------------
+
+def zeros(n: int) -> Vec:
+    return (Fraction(0),) * n
+
+
+def vec_add(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b))
+
+def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
+    return tuple(c * x for x in a)
+
+
+def solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vec:
+    """Solve a square nonsingular system exactly."""
+    n = len(m)
+    if n != len(rhs) or any(len(r) != n for r in m):
+        raise ValueError("solve expects a square system")
+    aug = [list(row) + [r] for row, r in zip(m, rhs)]
+    red, pivots = _rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return tuple(red[i][n] for i in range(n))
+
+
+def project_subspace(w: Subspace, u: Subspace) -> Subspace:
+    """Image of W under the orthogonal projection onto U."""
+    if w.ambient_dim != u.ambient_dim:
+        raise ValueError("dimension mismatch")
+    if u.dim == 0 or w.dim == 0:
+        return Subspace(u.ambient_dim, ())
+    gram_u = [[dot(a, b) for b in u.basis] for a in u.basis]
+    images = []
+    for x in w.basis:
+        rhs = [dot(a, x) for a in u.basis]
+        t = solve(gram_u, rhs)
+        img = zeros(u.ambient_dim)
+        for c, b in zip(t, u.basis):
+            img = vec_add(img, vec_scale(c, b))
+        images.append(img)
+    return Subspace.span(u.ambient_dim, images)
+
+
+def escape_vector(funcs: Sequence[Vec], sigma0: Orthant) -> Vec:
+    """The combination of the functionals, each its own dual under the
+    standard form, with every weight value +-2."""
+    gram = [[dot(f, u) for u in funcs] for f in funcs]
+    coeffs = solve(gram, [Fraction(2 * s) for s in sigma0.signs])
+    v: Vec = tuple(Fraction(0) for _ in funcs[0])
+    for c, u in zip(coeffs, funcs):
+        v = vec_add(v, vec_scale(c, u))
+    assert all(dot(f, v) == 2 * s for f, s in zip(funcs, sigma0.signs))
+    return v
 
 
 # --- Fourier-Motzkin feasibility -------------------------------------------
@@ -106,7 +162,7 @@ def orthant_meets_subspace(functionals: Sequence[Sequence[Fraction]],
     fs = [vec(f) for f in functionals]
     if len(fs) != len(sigma.signs):
         raise ValueError("functional/orthant arity mismatch")
-    if u.is_zero():
+    if u.dim == 0:
         return False
     # Coordinates c on the basis of u; each strict sign is -sigma_i*f_i(Bc) < 0.
     constraints = []

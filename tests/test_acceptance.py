@@ -11,7 +11,7 @@ from nondiv import cli
 from nondiv.config import build_config, parse_problem
 from nondiv.criterion import GroupConfig, check_general, replay_certificate
 from nondiv.lattice import QuadraticOrder, orbit_probe, realize_divergence_sequence
-from nondiv.linalg import Subspace, project_subspace, rank
+from nondiv.linalg import Subspace, rank
 from nondiv.report import verdict_fields
 from nondiv.rootdata import GroupSpec, ParabolicSide
 from nondiv.weyl import identity_centralizer_element
@@ -44,6 +44,7 @@ from reference_linalg import (
     float_mat_mul,
     integral_kernel_vector,
     invdim,
+    project_subspace,
     restricted_independent,
 )
 

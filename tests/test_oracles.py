@@ -45,7 +45,7 @@ def test_kernel_matches_sympy_nullspace():
         assert k.dim == len(null)
         for v in null:
             vec = [F(sympy.Rational(x).p, sympy.Rational(x).q) for x in v]
-            assert k.contains(vec)
+            assert rank(list(k.basis) + [vec]) == k.dim
 
 
 def test_fm_feasible_matches_lp_relaxation():
@@ -125,7 +125,7 @@ def test_orthant_confirms_sampled_points():
             continue
         u = Subspace.span(n, [[F(rng.randint(-4, 4)) for _ in range(n)]
                               for _ in range(rng.randint(1, n))])
-        if u.is_zero():
+        if u.dim == 0:
             continue
         sigma = Orthant(tuple(rng.choice((1, -1)) for _ in range(k)))
         got = orthant_meets_subspace(funcs, sigma, u)

@@ -22,7 +22,6 @@ from nondiv.witness import (
     build_escape_witness,
     check_witness_exact,
     decay_table,
-    escape_vector,
     sqrt_rounded,
     verify_divergence,
     wedge_norm,
@@ -46,8 +45,8 @@ from helpers import (
     so21_d_vectors,
     torus_config,
 )
-from reference_linalg import (exp_cartan, factor_grams, float_mat_mul, gram_wedge_norm,
-                              orthant_meets_subspace)
+from reference_linalg import (escape_vector, exp_cartan, factor_grams, float_mat_mul,
+                              gram_wedge_norm, orthant_meets_subspace, project_subspace)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,12 +68,31 @@ def so21_line_setup():
     return config, verdict.certificate, witness
 
 
-def shipped_setup(name):
+def shipped_setup(name, edit=None):
+    """The witness of a shipped config, its text first replaced by `edit`,
+    an (old, new) pair."""
     path = CONFIGS / name
-    config = build_config(parse_problem(path.read_text(encoding="utf-8"), str(path)))
+    text = path.read_text(encoding="utf-8")
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    config = build_config(parse_problem(text, str(path)))
     verdict = check_general(config)
     witness = build_escape_witness(verdict.certificate, config)
     return config, verdict.certificate, witness
+
+
+def zero_coefficient_setups():
+    """Hand-built certificates on I = {1, 2} with dependence (c, 0) for
+    c = 1 and c = -2: chi_1 alone vanishes on Lie(A)."""
+    spec = GroupSpec(3, 1)
+    config = torus_config(spec, Subspace.span(3, [[0, 1, -1]]))
+    setups = []
+    for c in (F(1), F(-2)):
+        cert = Certificate((1, 2), WeylElement(((0, 1, 2),)),
+                           identity_centralizer_element(spec), 0, (c, F(0)), None)
+        setups.append((config, cert, build_escape_witness(cert, config)))
+    return setups
 
 
 def random_torus_line_setups(count=12, seed=31):
@@ -112,7 +130,7 @@ def seeded_torus_setups(count=60, seed=32):
             spec.trace_zero_part([F(rng.randint(-3, 3)) for _ in range(spec.ambient_dim)])
             for _ in range(rng.randint(1, min(3, spec.rank)))])
         verdict = check_torus(spec, a)
-        if a.is_zero() or verdict.nondivergent:
+        if a.dim == 0 or verdict.nondivergent:
             continue
         config = torus_config(spec, a)
         setups.append((config, verdict.certificate,
@@ -206,17 +224,10 @@ class TestMissedOrthant:
                             (F(1),))
 
     def test_zero_coefficient_takes_plus(self):
-        # A hand-built certificate on I = {1, 2} with dependence (c, 0): chi_1
-        # alone vanishes on Lie(A).  The zero coefficient gets +1, the audit
+        # The zero coefficient of a hand-built certificate gets +1, the audit
         # passes, and every orthant misses U', on which f_1 is 0.
-        spec = GroupSpec(3, 1)
-        a = Subspace.span(3, [[0, 1, -1]])
-        config = torus_config(spec, a)
-        w = WeylElement(((0, 1, 2),))
-        for c, signs in ((F(1), (1, 1)), (F(-2), (-1, 1))):
-            cert = Certificate((1, 2), w, identity_centralizer_element(spec), 0,
-                               (c, F(0)), None)
-            witness = build_escape_witness(cert, config)
+        for (config, cert, witness), signs in zip(zero_coefficient_setups(),
+                                                  ((1, 1), (-1, 1))):
             assert witness.sigma0.signs == signs
             check_witness_exact(witness, cert.dependence)
             assert len(reference_missed_orthants(witness)) == 4
@@ -260,7 +271,7 @@ class TestEscapeWitness:
     def test_example1_m2(self):
         config, cert, witness = example1_m2_setup()
         assert witness.sigma0.signs == (1,)
-        assert witness.u_prime.is_zero()
+        assert witness.u_prime.dim == 0
         assert witness.v == (F(1), F(-1), F(-1), F(1))
         assert all(dot(u, witness.v) == 2 * s
                    for u, s in zip(witness.u_vectors, witness.sigma0.signs))
@@ -269,6 +280,54 @@ class TestEscapeWitness:
         config, cert, witness = so21_line_setup()
         assert witness.u_prime.dim < len(witness.u_vectors)
         check_witness_exact(witness, cert.dependence)
+
+    def test_matches_projection_reference(self):
+        # The one elimination [G | 2 sigma0 | (f_i | b_j)] gives the U', v and
+        # sigma0 of the reference: U' the projection of the transported
+        # Lie(A) onto span(f) by one solve per basis vector, v by one more.
+        blocks = block_setups()
+        torus = [s for s in seeded_torus_setups() if len(s[1].subset) >= 2]
+        zero_a = shipped_setup("example1-m2.cfg", ('[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
+                                                   "[torus-a]\nbasis = []"))
+        setups = (shipped_divergent_setups() + torus + blocks + [zero_a]
+                  + zero_coefficient_setups())
+        for config, cert, witness in setups:
+            d = config.spec.ambient_dim
+            moved = Subspace.span(d, [cert.w_prime.transport_inverse(b)
+                                      for b in config.a_basis.basis])
+            sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
+            assert witness.sigma0 == sigma0
+            assert witness.u_prime == project_subspace(moved, Subspace.span(d, witness.u_vectors))
+            assert witness.v == escape_vector(witness.u_vectors, sigma0)
+        assert any(cert.w_prime_index for _, cert, _ in blocks)
+        assert zero_a[0].a_basis.dim == 0 and len(torus) >= 20
+        assert {(config.spec.n, config.spec.m) for config, _, _ in torus} >= {(5, 1), (4, 2)}
+        assert any(witness.u_prime.dim for _, _, witness in setups)
+
+    def test_two_eliminations(self, monkeypatch):
+        # Whatever dim A is (2 here), one Gauss-Jordan pass reduces
+        # [G | 2 sigma0 | (f_i | b_j)] and one spans U'.
+        config, cert, _ = shipped_setup("example1-n3-m2.cfg")
+        calls = []
+        for module in (witness_module, linalg_module):
+            monkeypatch.setattr(module, "_rref", lambda rows, rref=module._rref:
+                                calls.append(rows) or rref(rows))
+        witness = build_escape_witness(cert, config)
+        assert len(calls) == 2
+        assert len(cert.subset) == config.a_basis.dim == 2 and witness.u_prime.dim == 1
+
+    def test_failed_elimination_raises(self, monkeypatch):
+        # A singular reduction raises the "singular system" ValueError; a v
+        # whose weight values are not 2 sigma0 fails an exact check (exit 3).
+        config, cert, _ = example1_m2_setup()
+        rref = witness_module._rref
+        monkeypatch.setattr(witness_module, "_rref", lambda rows: (rref(rows)[0], [1]))
+        with pytest.raises(ValueError, match="singular system"):
+            build_escape_witness(cert, config)
+        monkeypatch.setattr(witness_module, "_rref", lambda rows: (
+            [[x / 2 for x in row] for row in rref(rows)[0]], rref(rows)[1]))
+        with pytest.raises(ExactCheckFailedError, match="weight values"):
+            build_escape_witness(cert, config)
 
     def test_rejects_unreplayable_certificate(self):
         config, cert, _ = example1_m2_setup()
@@ -601,11 +660,11 @@ class TestVerifyDivergence:
     def test_decay_realizes_nothing(self, monkeypatch):
         # Rows print the closed form over exact base norms: no g_N and no
         # exponentiated Cartan element is formed, `wedge_norm` runs once per
-        # certified line whatever the n-values, and no linear system is
-        # solved, C^-1 included.
+        # certified line whatever the n-values, and no Gauss-Jordan
+        # elimination runs: no linear system is solved, C^-1 included.
         for config, cert, witness in (example1_m2_setup(), so21_line_setup()):
             sampler = HSampler.default(config)
-            calls, norms, solves = [], [], []
+            calls, norms, rrefs = [], [], []
             for name in ("realize_divergence_sequence", "exp"):
                 monkeypatch.setattr(lattice_module, name,
                                     lambda *args, name=name, **kw: calls.append(name))
@@ -613,13 +672,13 @@ class TestVerifyDivergence:
             monkeypatch.setattr(witness_module, "wedge_norm",
                                 lambda *args: norms.append(args) or wedge_norm(*args))
             for module in (witness_module, linalg_module):
-                monkeypatch.setattr(module, "solve", lambda *args, solve=module.solve:
-                                    solves.append(args) or solve(*args))
+                monkeypatch.setattr(module, "_rref", lambda *args, rref=module._rref:
+                                    rrefs.append(args) or rref(*args))
             rows = decay_table(cert, witness, [0, 2, 4, 6], sampler, config)
             assert len(rows) == 4
             assert calls == []
             assert len(norms) == 2 * len(cert.subset)
-            assert solves == []
+            assert rrefs == []
             monkeypatch.undo()
 
     def test_decay_transports_each_basis_vector_once(self, monkeypatch):
