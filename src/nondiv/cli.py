@@ -141,6 +141,21 @@ def cmd_pipeline(args) -> int:
     return code
 
 
+def _first_difference(stored, fresh, path="report"):
+    """(path, stored, recomputed) where two JSON values first differ, keys in
+    sorted order, each as JSON cut to 60 characters or as (missing) where a
+    side lacks the key or item; None when they are equal."""
+    if type(stored) is type(fresh) and isinstance(stored, (dict, list)):
+        keyed = [x if isinstance(x, dict) else dict(enumerate(x)) for x in (stored, fresh)]
+        step = "{}.{}" if isinstance(stored, dict) else "{}[{}]"
+        return next(filter(None, (
+            _first_difference(keyed[0].get(k, ...), keyed[1].get(k, ...), step.format(path, k))
+            for k in sorted(keyed[0].keys() | keyed[1].keys()))), None)
+    texts = ["(missing)" if x is ... else json.dumps(x, sort_keys=True) for x in (stored, fresh)]
+    if texts[0] != texts[1]:
+        return (path, *(t if len(t) <= 60 else t[:57] + "..." for t in texts))
+
+
 def cmd_replay(args) -> int:
     """Re-run the stage that wrote a report and compare all but `timing`; an
     edited report that names the wrong stage gets a different report."""
@@ -180,9 +195,9 @@ def cmd_replay(args) -> int:
         return _fail(f"embedded configuration no longer checks out: {exc.args[0]}",
                      EXIT_AUDIT_FAILED)
     data["timing"] = fresh["timing"]
-    if json.dumps(fresh, sort_keys=True) != json.dumps(data, sort_keys=True):
-        return _fail("replay mismatch: the recomputed report differs from the "
-                     "stored one", EXIT_AUDIT_FAILED)
+    if diff := _first_difference(data, fresh):
+        return _fail("replay mismatch: the recomputed report differs from the stored one "
+                     "at {}: stored {}, recomputed {}".format(*diff), EXIT_AUDIT_FAILED)
     sys.stdout.write(json.dumps({"replay": "ok", "verdict": fresh["verdict"]}) + "\n")
     return 0
 

@@ -10,10 +10,8 @@ cut in I, i.e. when I lies in the set G(w) of admissible cuts of w; the
 least admissible triple whose transported fundamental weights become
 dependent on Lie(A) yields a replayable certificate, and exhaustion proves
 uniform nondivergence.  Trivial M is the case G(w) = all cuts, Lie(D) = the
-full Cartan space and w' = {id}.  `GroupConfig` is the one place that
-validates a problem instance, on integers: commutators of denominator-free
-multiples, and Lie(D) membership of transported basis vectors (Ad(w')
-permutes coordinates, so it is injective; see `GroupConfig.validate`).
+full Cartan space and w' = {id}.  The validated instance, with each w''s
+support permutations and transported Lie(A) basis, is `config.GroupConfig`.
 
 A cut splits a nonzero entry of a conjugated generator by position alone,
 so G(w) is the AND over factors k of bitmasks mask_k[p_k] (`_cut_masks`);
@@ -60,17 +58,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._record import record
+from .config import GroupConfig
 from .linalg import (
     Subspace,
     Vec,
     _kernel_vectors,
     clear_denominators,
-    commutes,
-    det,
     dot,
     primitive_vector,
     rank,
-    sparse_integer_rows,
     transpose,
     vec,
 )
@@ -86,14 +82,9 @@ from .weyl import (
     WeylElement,
     act_on_functional,
     act_on_lie,
-    identity_centralizer_element,
     weyl_inverse,
     weyl_order,
 )
-
-
-class ConfigError(ValueError):
-    """A problem configuration violates a structural invariant."""
 
 
 class ConfigInconsistencyError(RuntimeError):
@@ -137,123 +128,6 @@ class Verdict:
     @classmethod
     def not_uniformly_nondivergent(cls, cert: Certificate) -> "Verdict":
         return cls(False, cert, None)
-
-
-@record
-class GroupConfig:
-    """Full problem instance: the group, Lie(M) generators, Lie(D), Lie(A),
-    and centralizer Weyl representatives.
-
-    Construction runs `validate`, so every instance, built from a problem
-    file or in code, satisfies every invariant the scan, replay and witness
-    rely on; the identity representative is then prepended when absent, so
-    w' = id is always searched."""
-
-    spec: GroupSpec
-    m_generators: tuple[LieElement, ...]
-    d_basis: Subspace
-    a_basis: Subspace
-    centralizer_weyl: tuple[CentralizerWeylElement, ...]
-
-    def __post_init__(self):
-        self.validate()
-        if not any(e.is_identity() for e in self.centralizer_weyl):
-            object.__setattr__(self, "centralizer_weyl",
-                               (identity_centralizer_element(self.spec),
-                                *self.centralizer_weyl))
-
-    def validate(self) -> None:
-        """Raise ConfigError naming the first violated invariant.
-
-        Shapes first (every w' factor square and of determinant 1, decided
-        once per distinct factor), then each w' (numbered from 1 in list
-        order) must centralize every M generator and map Lie(D) onto itself;
-        then Lie(A) lies in Lie(D), no M generator is zero, Lie(D) commutes
-        with M, and trivial M comes with the full Cartan space as Lie(D).
-
-        The w' checks run on integers.  l x = x l iff the denominator-free
-        multiples of l and x commute, decided once per distinct pair of
-        factors.  A factor of determinant 1 has a nonzero term in its
-        Leibniz expansion, so a support permutation sigma.  l diag(v) l^-1 =
-        diag(y) iff y_i = v_j at every nonzero l_ij, so y = v o sigma^-1 is
-        the only candidate image, and Ad(w') is diagonal on Lie(D) iff that
-        holds for each basis vector v.  Ad(w') is then injective on Lie(D),
-        so the images of a basis span Lie(D) iff each lies in it: one
-        annihilator of Lie(D) on the trace-zero coordinates (each block
-        without its last entry) must kill them all.
-        """
-        spec = self.spec
-        n, m = spec.n, spec.m
-        for name, sub in (("Lie(D)", self.d_basis), ("Lie(A)", self.a_basis)):
-            if sub.ambient_dim != spec.ambient_dim:
-                raise ConfigError(f"{name} has wrong ambient dimension")
-            for v in sub.basis:
-                if not spec.is_trace_zero(v):
-                    raise ConfigError(f"{name} basis vector is not trace zero per factor")
-        for gi, gen in enumerate(self.m_generators):
-            if len(gen.factors) != m or any(len(f) != n for f in gen.factors):
-                raise ConfigError(f"M generator #{gi + 1} has wrong shape")
-        unimodular: dict = {}  # w' factor -> det == 1, each decided once
-        for idx, elem in enumerate(self.centralizer_weyl, 1):
-            if len(elem.matrices) != m or any(
-                    len(f) != n or any(len(r) != n for r in f) for f in elem.matrices):
-                raise ConfigError(f"centralizer Weyl candidate #{idx}: wrong matrix shape")
-            for k, f in enumerate(elem.matrices, 1):
-                one = unimodular.get(f)
-                if one is None:
-                    one = unimodular[f] = det(f) == 1
-                if not one:
-                    raise ConfigError(f"centralizer Weyl candidate #{idx}: "
-                                      f"determinant is not 1 in factor {k}")
-        gen_factors = [[sparse_integer_rows(f) for f in gen.factors]
-                       for gen in self.m_generators]
-        decided: dict = {}
-        d_vectors = [clear_denominators(v) for v in self.d_basis.basis]
-        kept = [i for i in range(spec.ambient_dim) if i % n != n - 1]
-        annihilator = [[(kept[i], c) for i, c in enumerate(clear_denominators(u)) if c]
-                       for u in _kernel_vectors([[v[i] for i in kept]
-                                                 for v in self.d_basis.basis], len(kept))]
-        for idx, elem in enumerate(self.centralizer_weyl, 1):
-            factors = [sparse_integer_rows(f) for f in elem.matrices]
-            for gi, gen in enumerate(gen_factors):
-                for pair in zip(factors, gen):
-                    ok = decided.get(pair)
-                    if ok is None:
-                        ok = decided[pair] = commutes(*pair)
-                    if not ok:
-                        raise ConfigError(f"centralizer Weyl candidate #{idx}: "
-                                          f"does not centralize M generator #{gi + 1}")
-            source = [0] * spec.ambient_dim  # y[k n + sigma_k(j)] = v[k n + j]
-            for k, sigma in enumerate(elem.support_permutations()):
-                for j, i in enumerate(sigma):
-                    source[k * n + i] = k * n + j
-            images = [[v[j] for j in source] for v in d_vectors]
-            if any(y[k * n + i] != v[k * n + j] for v, y in zip(d_vectors, images)
-                   for k, f in enumerate(factors) for i, row in enumerate(f)
-                   for j, _ in row):
-                raise ConfigError(f"centralizer Weyl candidate #{idx}: does not "
-                                  "normalize D (image of Lie(D) not diagonal)")
-            if any(sum(c * y[i] for i, c in row) for y in images for row in annihilator):
-                raise ConfigError(f"centralizer Weyl candidate #{idx}: "
-                                  "does not normalize D")
-        if rank(self.d_basis.basis + self.a_basis.basis) != self.d_basis.dim:
-            raise ConfigError("Lie(A) is not contained in Lie(D)")
-        for gi, gen in enumerate(self.m_generators):
-            if gen.is_zero():
-                raise ConfigError(f"M generator #{gi + 1} is zero")
-        # [diag(v), X]_ab = (v_a - v_b) X_ab, so Lie(D) commutes with X iff
-        # v_a = v_b at every nonzero off-diagonal entry (a, b) of X.
-        entries = [[(k * n + a, k * n + b) for k, f in enumerate(gen.factors)
-                    for a, row in enumerate(f) for b, x in enumerate(row)
-                    if a != b and x != 0]
-                   for gen in self.m_generators]
-        for v in self.d_basis.basis:
-            for gi, gen_entries in enumerate(entries):
-                if any(v[a] != v[b] for a, b in gen_entries):
-                    raise ConfigError(
-                        f"Lie(D) does not commute with M generator #{gi + 1}")
-        if not self.m_generators and self.d_basis != spec.full_subspace():
-            raise ConfigError("with trivial M, Lie(D) must be the full Cartan space")
 
 
 def dependence_coefficients(functionals: Sequence[Sequence],
@@ -384,21 +258,20 @@ def _first_dependent(evaluation: IntMat, cuts: tuple[int, ...],
     return None
 
 
-def _relabellings(spec: GroupSpec,
-                  centralizer_weyl: Sequence[CentralizerWeylElement]) -> list:
-    """(w' index, R) for each w' whose support permutations sigma_k differ
-    from every earlier w''s (equal ones give equal ranks), in list order.
-    R[k][d] is the index of sigma_k o p, p the d-th permutation of factor k,
-    so the digits R[k][p_k] of w make the relabelled Weyl element u; R is
-    None when every sigma_k is the identity, so u = w."""
+def _relabellings(spec: GroupSpec, sigmas: Sequence[tuple]) -> list:
+    """(w' index, R) for each w' whose support permutations sigma_k
+    (`GroupConfig.sigmas`) differ from every earlier w''s (equal ones give
+    equal ranks), in list order.  R[k][d] is the index of sigma_k o p, p the
+    d-th permutation of factor k, so the digits R[k][p_k] of w make the
+    relabelled Weyl element u; R is None when all sigma_k = id, so u = w."""
     perms = list(itertools.permutations(range(spec.n)))
     position = {p: d for d, p in enumerate(perms)}
     seen: dict = {}
-    for wp_idx, wp in enumerate(centralizer_weyl):
-        seen.setdefault(wp.support_permutations(), wp_idx)
-    return [(wp_idx, None if all(s == perms[0] for s in sigmas) else
-             [[position[tuple(s[x] for x in p)] for p in perms] for s in sigmas])
-            for sigmas, wp_idx in seen.items()]
+    for wp_idx, sigma in enumerate(sigmas):
+        seen.setdefault(sigma, wp_idx)
+    return [(wp_idx, None if all(s == perms[0] for s in sigma) else
+             [[position[tuple(s[x] for x in p)] for p in perms] for s in sigma])
+            for sigma, wp_idx in seen.items()]
 
 
 def _orbit_tables(n: int, cuts: tuple[int, ...]) -> tuple:
@@ -464,7 +337,7 @@ def _scan(config: GroupConfig) -> tuple:
     masks = _cut_masks(spec, config.m_generators)
     base = math.factorial(spec.n)
     a_tables = _factor_tables(spec, config.a_basis.basis)
-    relabellings = _relabellings(spec, config.centralizer_weyl)
+    relabellings = _relabellings(spec, config.sigmas)
     # family[mask] = (orbit tables, outcomes): outcomes[key] is 0 untested,
     # 1 independent, 2 dependent rows cuts_of[mask] of E(u), u in the orbit.
     family: dict[int, tuple] = {}
@@ -531,10 +404,9 @@ def check_general(config: GroupConfig, workers: int = 1) -> Verdict:
             f"transported weights {subset} are dependent on Lie(D) for an "
             f"admissible pair (Weyl #{w_idx}); "
             "Lie(D) is not maximal in the centralizer of M as declared")
-    wp = config.centralizer_weyl[wp_idx]
     coeffs = dependence_coefficients(funcs, Subspace.span(
-        spec.ambient_dim, [wp.transport_inverse(b) for b in config.a_basis.basis]))
-    cert = _build_certificate(subset, w, wp, wp_idx, coeffs)
+        spec.ambient_dim, config.transported_a[wp_idx]))
+    cert = _build_certificate(subset, w, config.centralizer_weyl[wp_idx], wp_idx, coeffs)
     return Verdict.not_uniformly_nondivergent(cert)
 
 
@@ -566,9 +438,8 @@ def replay_certificate(config: GroupConfig, cert: Certificate) -> bool:
             if not parabolic_contains(spec, subset, moved, ParabolicSide.OPPOSITE):
                 return False
         funcs = [act_on_functional(cert.w, fundamental_weight(spec, i)) for i in subset]
-        transported = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
         for coeffs in coefficient_vectors:
-            for tb in transported:
+            for tb in config.transported_a[cert.w_prime_index]:
                 if sum((c * dot(f, tb) for c, f in zip(coeffs, funcs)), Fraction(0)) != 0:
                     return False
     except (ValueError, IndexError):

@@ -4,7 +4,7 @@ and the matrices that represent centralizer Weyl elements, which act on
 Lie(D) by relabelling coordinates through their support permutation (no
 inverse is formed).  A representative is a plain value: that each factor
 has determinant 1, centralizes M and normalizes Lie(D) is a property of the
-whole problem, so `criterion.GroupConfig` checks it."""
+whole problem, checked by the validated problem instance."""
 
 from __future__ import annotations
 
@@ -112,14 +112,13 @@ def act_on_lie(w: WeylElement, x: LieElement) -> LieElement:
 @record
 class CentralizerWeylElement:
     """A representative of the centralizer Weyl group: one rational matrix
-    per factor, each of determinant 1 in a validated `GroupConfig`.
+    per factor, each of determinant 1 in a validated problem instance.
 
     It acts on Lie(D) through its support permutation sigma.  For an
     invertible factor l, l^-1 diag(v) l = diag(y) iff diag(v) l = l diag(y),
-    that is y_j = v_i at every nonzero l_ij, so y = v o sigma.
-    `GroupConfig.validate` checks that Ad(w') maps Lie(D) into Lie(D); it is
-    injective, so Ad(w'^-1) maps Lie(D) onto Lie(D), and
-    :meth:`transport_inverse` is Ad(w'^-1) on Lie(D).
+    that is y_j = v_i at every nonzero l_ij, so y = v o sigma.  Validation
+    checks that Ad(w') maps Lie(D) into Lie(D); it is injective, so Ad(w'^-1)
+    maps Lie(D) onto Lie(D), and there it is v -> v o sigma on each factor.
     """
 
     matrices: tuple[Mat, ...]
@@ -128,12 +127,6 @@ class CentralizerWeylElement:
         return all(all(f[i][j] == (1 if i == j else 0)
                        for i in range(len(f)) for j in range(len(f)))
                    for f in self.matrices)
-
-    def transport_inverse(self, v: Vec) -> Vec:
-        """Ad(w'^-1) on a vector of Lie(D): v o sigma on each factor."""
-        n = len(self.matrices[0])
-        return tuple(v[k * n + i] for k, sigma in enumerate(self.support_permutations())
-                     for i in sigma)
 
     def support_permutations(self) -> tuple[Permutation, ...]:
         """Per factor l, the first permutation sigma (lexicographic order)

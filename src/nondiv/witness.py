@@ -45,8 +45,8 @@ opposite one, so w omega = +-n f_i, the certified weight the witness holds,
 and the slope (w omega)(v) = +-n (f_i | v) = +-2n sigma0_i: every certified
 index has one line of slope -2n.  So the H samples are coordinates in the
 Lie(A) basis only, the exponent is linear in them, and `decay_table`
-transports each basis vector once, orders the samples by their exact
-exponents and prints that closed form.
+reads the b_j the validated instance holds (`GroupConfig.transported_a`),
+orders the samples by their exact exponents and prints that closed form.
 
 The base norms are exact too.  In factor k, Ad(g)E_ab is the outer product of
 column a of g and row b of g^-1, so with C = g^T g the cut-i line has Gram
@@ -70,7 +70,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._record import record
-from .criterion import Certificate, GroupConfig, replay_certificate
+from .config import GroupConfig
+from .criterion import Certificate, replay_certificate
 from .linalg import Orthant, Subspace, Vec, _rref, det as exact_det, dot, transpose
 from .rootdata import ParabolicSide, fundamental_weight
 from .weyl import CentralizerWeylElement, WeylElement, act_on_functional
@@ -99,7 +100,7 @@ def build_escape_witness(cert: Certificate, config: GroupConfig) -> EscapeWitnes
     funcs = tuple(act_on_functional(cert.w, fundamental_weight(spec, i))
                   for i in cert.subset)
     sigma0 = Orthant(tuple(-1 if c < 0 else 1 for c in cert.dependence))
-    moved = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
+    moved = config.transported_a[cert.w_prime_index]
     k = len(funcs)
     red, pivots = _rref([[dot(f, g) for g in funcs] + [2 * s] + [dot(f, b) for b in moved]
                          for f, s in zip(funcs, sigma0.signs)])
@@ -240,8 +241,8 @@ def decay_table(cert: Certificate, witness: EscapeWitness, n_values: Sequence[in
     weights = [tuple(sign * spec.n * x for x in f)
                for f in witness.u_vectors for sign in (1, -1)]
     slopes = [dot(w_omega, witness.v) for w_omega in weights]
-    moved = [cert.w_prime.transport_inverse(b) for b in config.a_basis.basis]
-    on_basis = [[dot(w_omega, b) for b in moved] for w_omega in weights]
+    on_basis = [[dot(w_omega, b) for b in config.transported_a[cert.w_prime_index]]
+                for w_omega in weights]
     offsets = [[sum((c * x for c, x in zip(coords, xs)), Fraction(0)) for xs in on_basis]
                for coords in sampler.a_coords]
 

@@ -9,7 +9,8 @@ from fractions import Fraction as F
 import numpy as np
 from scipy.linalg import expm
 
-from nondiv.criterion import GroupConfig, SearchStats, _weyl_by_index, check_general
+from nondiv.config import GroupConfig
+from nondiv.criterion import SearchStats, _weyl_by_index, check_general
 from nondiv.lattice import realize_divergence_sequence
 from nondiv.linalg import Mat, Subspace, dot, vec
 from nondiv.rootdata import GroupSpec, LieElement, ParabolicSide, _check_index
@@ -73,6 +74,14 @@ def w_prime(factors):
     """The centralizer Weyl representative of the given factor matrices, with
     entries converted by `mat`; `GroupConfig` validates it."""
     return CentralizerWeylElement(tuple(mat(f) for f in factors))
+
+
+def transport_inverse(elem, v):
+    """Ad(w'^-1) v = v o sigma on each factor, sigma the support permutations
+    of w' (the engine stores it per w' as `GroupConfig.transported_a`)."""
+    n = len(elem.matrices[0])
+    return tuple(v[k * n + i] for k, sigma in enumerate(elem.support_permutations())
+                 for i in sigma)
 
 
 def scan_order(spec):
@@ -441,7 +450,7 @@ def closed_form_torus_norm(config, cert, witness, line, a_vec, n_val, base_norm)
     the weight of the line's nilradical and base_norm its norm under w'w.
     The exponent is exact; only the final exponential is floating point."""
     w_omega = act_on_functional(cert.w, weight_of_nilradical(config.spec, *line))
-    x_prime = cert.w_prime.transport_inverse(a_vec)
+    x_prime = transport_inverse(cert.w_prime, a_vec)
     exponent = dot(w_omega, x_prime) + n_val * dot(w_omega, witness.v)
     return math.exp(float(exponent)) * base_norm
 

@@ -8,8 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from nondiv import cli
-from nondiv.config import build_config, parse_problem
-from nondiv.criterion import GroupConfig, check_general, replay_certificate
+from nondiv.config import GroupConfig, build_config, parse_problem
+from nondiv.criterion import check_general, replay_certificate
 from nondiv.lattice import QuadraticOrder, orbit_probe, realize_divergence_sequence
 from nondiv.linalg import Subspace, rank
 from nondiv.report import verdict_fields

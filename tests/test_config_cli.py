@@ -12,10 +12,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from nondiv import cli, criterion, lattice, witness
-from nondiv.config import ProbeSettings, ProblemFile, build_config, parse_problem
-from nondiv.criterion import ConfigError
+from nondiv.config import (ConfigError, ProbeSettings, ProblemFile, build_config,
+                           parse_problem)
 from nondiv.report import input_digest
 from nondiv.rootdata import GroupSpec, LieElement
+from nondiv.weyl import CentralizerWeylElement
 
 from helpers import serialize_problem
 
@@ -895,6 +896,39 @@ class TestCliReplay:
         assert captured.out == ""
         assert "replay mismatch" in captured.err
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("check", lambda r: r["certificate"]["subset"].__setitem__(0, 2),
+         "at report.certificate.subset[0]: stored 2, recomputed 1"),
+        ("probe", lambda r: r["decay"][1].__setitem__("max_min_norm",
+                                                      2 * r["decay"][1]["max_min_norm"]),
+         lambda r: "at report.decay[1].max_min_norm: stored "
+                   f"{2 * r['decay'][1]['max_min_norm']!r}, "
+                   f"recomputed {r['decay'][1]['max_min_norm']!r}"),
+        ("check", lambda r: r.__setitem__("added", [1, "x"]),
+         "at report.added: stored [1, \"x\"], recomputed (missing)"),
+        ("check", lambda r: r.pop("probe"), "at report.probe: stored (missing), recomputed null"),
+        ("probe", lambda r: r.pop("witness"),
+         'at report.witness: stored (missing), recomputed {"checks": {"certificate_replay": '
+         'true, "orthant_missed":...'),
+    ], ids=["subset", "decay-row", "added-key", "deleted-null", "long-value"])
+    def test_mismatch_names_the_first_difference(self, command, edit, message, tmp_path,
+                                                  capsys):
+        # Keys are walked in sorted order; a key one side lacks is missing,
+        # not null, and a long value is cut to 60 characters.
+        out = tmp_path / "r.json"
+        assert cli.main([command, str(CONFIGS / "example1-m2.cfg"),
+                         "--output", str(out)]) == 10
+        data = json.loads(out.read_text())
+        if callable(message):  # a printed float, as this platform rounds it
+            message = message(data)
+        edit(data)
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["replay", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "nondiv: error: replay mismatch: the recomputed report differs from the "
+            f"stored one {message}\n")
+
     def test_every_written_report_replays(self, tmp_path, capsys):
         # The exit-4 probe report of full-cartan-a.cfg included.
         names = sorted(p.name for p in CONFIGS.glob("*.cfg")) + ["full-cartan-a.cfg"]
@@ -950,6 +984,37 @@ def test_each_divergent_verdict_is_reverified_once(name, tmp_path, monkeypatch, 
         assert cli.main(["replay", str(out)]) == 0
         assert len(calls) == 1, f"replay of {command}"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["example2.cfg", "example2-line.cfg",
+                                  "example1-n3-m2.cfg", "example1-m2.cfg"])
+def test_no_stage_after_build_computes_sigma(name, monkeypatch):
+    """`build_config` reads the support permutations sigma of each w' once,
+    the prepended identity included; check, certify and probe then read the
+    stored sigma and transported Lie(A), and derive sigma no more."""
+    calls, built = [], []
+    support_permutations = CentralizerWeylElement.support_permutations
+    monkeypatch.setattr(CentralizerWeylElement, "support_permutations",
+                        lambda self: calls.append(self) or support_permutations(self))
+    build = cli.build_config
+
+    def counted_build(problem):
+        config = build(problem)
+        built.append((len(calls), len(config.centralizer_weyl)))
+        return config
+
+    monkeypatch.setattr(cli, "build_config", counted_build)
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    for command in ("check", "certify", "probe"):
+        calls.clear()
+        built.clear()
+        try:
+            code, _ = cli.run_pipeline(command, name, text)
+            assert code == (0 if name == "example2.cfg" else 10)
+        except cli._StageFailed:  # the probe needs an n = m = 2 [probe] file
+            assert command == "probe" and name != "example1-m2.cfg"
+        assert built == [(len(calls), len(calls))], command
+    assert len(calls) == {"example2.cfg": 24, "example2-line.cfg": 24}.get(name, 1)
 
 
 class TestExitCodeStability:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -8,16 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nondiv import criterion
+from nondiv import config as config_module
+from nondiv.config import ConfigError, GroupConfig, ProblemFile, build_config, parse_problem
 from nondiv.criterion import (
     Certificate,
-    ConfigError,
     ConfigInconsistencyError,
-    GroupConfig,
     check_general,
     dependence_coefficients,
     replay_certificate,
 )
-from nondiv.config import ProblemFile, build_config, parse_problem
 from nondiv.linalg import Subspace, dot, rank, transpose
 from nondiv.rootdata import (
     GroupSpec,
@@ -51,9 +51,30 @@ from helpers import (
     scan_order,
     signed_permutation_matrix,
     torus_config,
+    transport_inverse,
     w_prime,
 )
 from first_hit import first_hit
+
+
+class TestModuleBoundaries:
+    def test_the_instance_is_imported_from_config(self):
+        """`criterion` holds the search: no module imports `GroupConfig` or
+        `ConfigError` from it, and `config` imports nothing from it."""
+        root = Path(__file__).resolve().parent.parent
+        files = sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")])
+        assert root / "src" / "nondiv" / "config.py" in files
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    from_criterion = (node.module or "").split(".")[-1] == "criterion"
+                    assert not (from_criterion and names & {"GroupConfig", "ConfigError"}), \
+                        path
+                    if path.name == "config.py":
+                        assert not from_criterion and "criterion" not in names
+                elif isinstance(node, ast.Import) and path.name == "config.py":
+                    assert not any("criterion" in alias.name for alias in node.names)
 
 
 class TestIntegerEvaluation:
@@ -210,14 +231,14 @@ class TestRelabelling:
         config, w_idx, wp_idx, subset = case
         spec = config.spec
         wp = config.centralizer_weyl[wp_idx]
-        [(_, relabel)] = criterion._relabellings(spec, [wp])
+        [(_, relabel)] = criterion._relabellings(spec, [config.sigmas[wp_idx]])
         digits = criterion._weyl_digits(w_idx, math.factorial(spec.n), spec.m)
         if relabel is not None:
             digits = [table[d] for table, d in zip(relabel, digits)]
         rows = criterion._evaluation(
             criterion._factor_tables(spec, config.a_basis.basis), digits)
         w = criterion._weyl_by_index(spec, w_idx)
-        transported = [wp.transport_inverse(b) for b in config.a_basis.basis]
+        transported = [transport_inverse(wp, b) for b in config.a_basis.basis]
         direct = [[dot(act_on_functional(w, fundamental_weight(spec, i)), t)
                    for t in transported] for i in subset]
         assert rank([rows[i - 1] for i in subset]) == rank(direct)
@@ -231,10 +252,11 @@ class TestRelabelling:
         for v in config.d_basis.basis:
             moved = [tuple(v[4 * k + j] for k, s in enumerate(sigma) for j in s)
                      for sigma in sigmas]
-            assert moved[0] == moved[1] == monomial.transport_inverse(v) \
-                == rotated.transport_inverse(v)
+            assert moved[0] == moved[1] == transport_inverse(monomial, v) \
+                == transport_inverse(rotated, v)
+        assert config.sigmas[1:] == tuple(sigmas)
         assert [i for i, _ in criterion._relabellings(config.spec,
-                                                      config.centralizer_weyl)] == [0, 1, 2]
+                                                      config.sigmas)] == [0, 1, 2]
 
 
 def cut_blocks(n, cuts):
@@ -543,7 +565,7 @@ class TestExample2FullInstance:
         funcs_by_w = [[act_on_functional(w, chi) for chi in chis]
                       for w in scan_order(spec)]
         for wp in config.centralizer_weyl:
-            transported = [wp.transport_inverse(b) for b in config.a_basis.basis]
+            transported = [transport_inverse(wp, b) for b in config.a_basis.basis]
             for funcs in funcs_by_w:
                 evaluation = [[dot(f, b) for b in transported] for f in funcs]
                 assert rank(evaluation) == 3
@@ -738,8 +760,8 @@ class TestConfigValidation:
         problem = parse_problem((CONFIGS / "example2.cfg").read_text())
         spans, pairs, dets = [], [], []
         span = Subspace.span.__func__
-        commutes = criterion.commutes
-        det = criterion.det
+        commutes = config_module.commutes
+        det = config_module.det
 
         def counted_span(cls, ambient_dim, vectors):
             vectors = list(vectors)
@@ -755,8 +777,8 @@ class TestConfigValidation:
             return det(f)
 
         monkeypatch.setattr(Subspace, "span", classmethod(counted_span))
-        monkeypatch.setattr(criterion, "commutes", counted_commutes)
-        monkeypatch.setattr(criterion, "det", counted_det)
+        monkeypatch.setattr(config_module, "commutes", counted_commutes)
+        monkeypatch.setattr(config_module, "det", counted_det)
         config = build_config(problem)
         assert len(config.centralizer_weyl) == 24 and len(config.m_generators) == 3
         assert spans == [problem.d_vectors, problem.a_vectors]

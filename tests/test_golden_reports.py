@@ -26,8 +26,10 @@ sample labels lost their constant ";id" suffix: the report no longer has
 moved; every row here already equalled the closed form the rows now print.
 
 The `probe` report holds float tables (decay norms, lattice minima), so its
-floats are rounded to 10 significant digits before hashing; last-digit
-differences between BLAS builds then do not change the digest.
+floats are rounded to 10 significant digits before hashing.  They pass
+through the C library's `exp` (`math.exp`, not correctly rounded in every
+libm), so their last digits can differ between platforms; the rounding keeps
+such differences out of the digest.  The engine uses no BLAS.
 """
 
 import hashlib

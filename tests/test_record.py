@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from nondiv._record import record
-from nondiv.criterion import GroupConfig
+from nondiv.config import GroupConfig
 from nondiv.linalg import Orthant, Subspace
 from nondiv.rootdata import GroupSpec
 

@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from nondiv.criterion import ConfigError, GroupConfig
+from nondiv.config import ConfigError, GroupConfig, build_config, parse_problem
 from nondiv.linalg import Subspace, det, dot, transpose
 from nondiv.rootdata import GroupSpec
 from nondiv.weyl import (
@@ -20,6 +21,7 @@ from nondiv.weyl import (
 )
 
 from helpers import (
+    block_centralizer_torus_vectors,
     diagonal_element,
     diagonal_vector,
     full_cartan_vectors,
@@ -32,6 +34,8 @@ from helpers import (
     so21_d_vectors,
     so21_generators,
     signed_permutation_matrix,
+    sl_block_generators,
+    transport_inverse,
     w_prime,
 )
 from reference_linalg import solve
@@ -289,7 +293,7 @@ class TestCentralizerValidation:
         config = so21_config(so21_d_vectors())
         for elem in config.centralizer_weyl[:6]:
             for v in config.d_basis.basis:
-                assert transport(elem, elem.transport_inverse(v)) == v
+                assert transport(elem, transport_inverse(elem, v)) == v
 
     def test_transport_rejects_outside_torus(self):
         elem = identity_centralizer_element(GroupSpec(2, 1))
@@ -372,16 +376,16 @@ class TestTransport:
     @settings(max_examples=150, deadline=None)
     @given(st.booleans().flatmap(conjugation_case))
     def test_matches_dense_reference(self, case):
-        # transport_inverse reads v o sigma wherever l^-1 diag(v) l is
-        # diagonal; `GroupConfig.validate` rejects every w' that leaves Lie(D)
-        # off the diagonal, so nothing else reaches it
+        # v o sigma, sigma the engine's support permutations, is l^-1 diag(v) l
+        # wherever that is diagonal; `GroupConfig.validate` rejects every w'
+        # that leaves Lie(D) off the diagonal, so nothing else reaches it
         factors, v = case
         elem = w_prime(factors)
         inverses = tuple(map(inverse_reference, elem.matrices))
         expected = transport_reference(inverses, v, elem.matrices)
         event("diagonal" if expected is not None else "not diagonal")
         if expected is not None:
-            assert elem.transport_inverse(v) == expected
+            assert transport_inverse(elem, v) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(conjugation_case(structured=True))
@@ -390,7 +394,7 @@ class TestTransport:
         elem = w_prime(factors)
         image = transport(elem, v)
         assert image is not None
-        assert elem.transport_inverse(image) == v
+        assert transport_inverse(elem, image) == v
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 4).flatmap(
@@ -410,6 +414,63 @@ class TestTransport:
         with pytest.raises(ConfigError, match=r"candidate #1: does not normalize D "
                                               r"\(image of Lie\(D\) not diagonal\)$"):
             GroupConfig(spec, (), d, Subspace(spec.ambient_dim, ()), (elem,))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def seeded_block_configs(seed=41, count=6):
+    """An sl_2 block M at positions 0, 1 of factor 1 of SL_5^m, Lie(D) its
+    centralizer torus, a random Lie(A) inside it, and three w' that are
+    signed permutations fixing the block.  On factor 1 they permute positions
+    2..4, and the first is the 3-cycle 2 -> 3 -> 4 -> 2, so its sigma is not
+    its own inverse, on a block M rather than the shipped SO(2,1) one."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        n, m = 5, rng.choice((1, 2))
+        d = block_centralizer_torus_vectors(n, m, {0}, 0, 2)
+        a = []
+        for _ in range(rng.choice((1, 2))):
+            c = [rng.randint(-3, 3) for _ in d]
+            a.append(tuple(sum((x * v[j] for x, v in zip(c, d)), F(0))
+                           for j in range(n * m)))
+        firsts = [(0, 1, 3, 4, 2)] + [(0, 1, *rng.sample(range(2, n), n - 2))
+                                      for _ in range(2)]
+        elems = [w_prime([signed_permutation_matrix(p)]
+                         + [signed_permutation_matrix(rng.sample(range(n), n))
+                            for _ in range(m - 1)]) for p in firsts]
+        configs.append(GroupConfig(GroupSpec(n, m), sl_block_generators(n, m, 0, 0, 2),
+                                   Subspace.span(n * m, d), Subspace.span(n * m, a),
+                                   tuple(elems)))
+    return configs
+
+
+class TestStoredTransport:
+    def test_matches_dense_reference(self):
+        """Per w' in list order, a prepended identity included, it holds the
+        support permutations of its factors and the Lie(A) basis under
+        Ad(w'^-1), which is the dense l^-1 diag(b) l; on a 3-cycle sigma
+        that differs from Ad(w') b."""
+        configs = [build_config(parse_problem(p.read_text(encoding="utf-8")))
+                   for p in sorted(CONFIGS.glob("*.cfg"))]
+        assert len(configs) == 10
+        configs += seeded_block_configs()
+        not_involutions = 0
+        for config in configs:
+            assert any(e.is_identity() for e in config.centralizer_weyl)
+            assert len(config.sigmas) == len(config.transported_a) \
+                == len(config.centralizer_weyl)
+            for elem, sigma, moved in zip(config.centralizer_weyl, config.sigmas,
+                                          config.transported_a):
+                assert sigma == elem.support_permutations()
+                inverses = tuple(map(inverse_reference, elem.matrices))
+                assert moved == tuple(transport_reference(inverses, b, elem.matrices)
+                                      for b in config.a_basis.basis)
+                not_involutions += moved != tuple(
+                    transport_reference(elem.matrices, b, inverses)
+                    for b in config.a_basis.basis)
+        assert not_involutions >= len(configs)
 
 
 def reference_w_prime_error(n, m, gens, d, elems):
