@@ -210,10 +210,6 @@ def diagonal_vector(x):
     return tuple(f[i][i] for f in x.factors for i in range(len(f)))
 
 
-def _zero_matrix(n):
-    return tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
-
-
 def so21_block_element(rows, n=4, m=2, factor=0, offset=1):
     """Embed a 3x3 generator into the given factor at the given offset."""
     mats = []

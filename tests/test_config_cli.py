@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 import random
 import re
 import subprocess
@@ -18,6 +17,8 @@ from nondiv.report import input_digest
 from nondiv.rootdata import GroupSpec, LieElement
 from nondiv.weyl import CentralizerWeylElement
 
+from cli_cases import (CASES, EDITED_CONFIGS, CaseFailed, W2_FACTOR2, check_case,
+                       invoke_in_child, run_in_child, table_input, table_text)
 from helpers import serialize_problem
 
 REPO = Path(__file__).resolve().parent.parent
@@ -207,11 +208,11 @@ class TestParserFuzz:
         bad string may follow the good one; neither may reach the parsed
         entries."""
         text = (CONFIGS / "example2-line.cfg").read_text()
-        assert _W2_FACTOR2 in text
-        bad_factor = _W2_FACTOR2.replace('["0", "0", "-1", "0"]',
+        assert W2_FACTOR2 in text
+        bad_factor = W2_FACTOR2.replace('["0", "0", "-1", "0"]',
                                          f'[1, "0", {bad}, "0"]')
         with pytest.raises(ConfigError) as err:
-            parse_problem(text.replace(_W2_FACTOR2, bad_factor, 1))
+            parse_problem(text.replace(W2_FACTOR2, bad_factor, 1))
         assert "factor 2 row 4" in str(err.value)
 
     def test_entry_memo_is_per_call(self):
@@ -229,183 +230,26 @@ class TestParserFuzz:
                        for f in e for row in f for x in row)
 
 
-_W2_FACTOR2 = ('[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
-               '["0", "0", "0", "1"], ["0", "0", "-1", "0"]]')
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_exit_code_table(case, tmp_path, capsys):
+    def invoke(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: a usage line, then the error
+            code = exc.code
+        return (code, *capsys.readouterr())
 
-# An sl_2 block M in SL_4 with Lie(D) = Lie(A) declared as a line: the
-# least hit's weights are dependent on Lie(D) itself, so D is not maximal.
-D_NOT_MAXIMAL = """[group]
-family = res-sl
-n = 4
-m = 1
-
-[subgroup-m]
-generators = [[[["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]], [[["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]]]]
-
-[torus-d]
-basis = [["1", "1", "-1", "-1"]]
-
-[torus-a]
-basis = [["1", "1", "-1", "-1"]]
-
-[centralizer-weyl]
-mode = explicit
-elements = []
-"""
-
-# Inputs of the exit-code table that are a config with one edit: name ->
-# (source, old text, new text), the source a shipped config or another
-# entry here; (None, None, text) is a whole file.  Any other name is read
-# from configs/ as it is, so a name not shipped there is a missing file.
-EDITED_CONFIGS = {
-    "d-not-maximal.cfg": (None, None, D_NOT_MAXIMAL),
-    "zero-denominator.cfg": ("example1-m2.cfg", '"1", "-1", "1", "-1"',
-                             '"1/0", "-1", "1", "-1"'),
-    "dependent-d.cfg": ("example1-m2.cfg",
-                        'basis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]',
-                        'basis = [["1", "-1", "0", "0"], ["2", "-2", "0", "0"]]'),
-    "n3-with-probe.cfg": ("example1-n3-m2.cfg", "mode = auto-trivial-m\n",
-                          "mode = auto-trivial-m\n\n[probe]\nd = 2\n"),
-    "probe-d5.cfg": ("example1-m2.cfg", "d = 2", "d = 5"),
-    # 2 mod 4 and far above the bound: trial division to sqrt(d) would not end
-    "probe-d-30-digits.cfg": ("example1-m2.cfg", "d = 2",
-                              "d = 100000000000000000000000000002"),
-    "split-so.cfg": ("example1-m2.cfg", "family = res-sl", "family = split-so"),
-    # exp(800) overflows a float; 1e400 overflows the float conversion
-    "grid-radius-800.cfg": ("example1-m2.cfg", "grid-radius = 5", "grid-radius = 800"),
-    "grid-radius-1e400.cfg": ("example1-m2.cfg", "grid-radius = 5",
-                              "grid-radius = 1e400"),
-    "full-cartan-a.cfg": ("example1-m2.cfg",
-                          '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
-                          '[torus-a]\nbasis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]'),
-    "full-cartan-a-d5.cfg": ("full-cartan-a.cfg", "d = 2", "d = 5"),
-    # factor 2 of the second centralizer Weyl element, scaled to det 2 and
-    # sheared so that it no longer maps the diagonal Lie(D) to diagonals
-    "w-prime-det-2.cfg": ("example2-line.cfg", _W2_FACTOR2,
-                          _W2_FACTOR2.replace('[["1", "0"', '[["2", "0"')),
-    "w-prime-shear.cfg": ("example2-line.cfg", _W2_FACTOR2,
-                          _W2_FACTOR2.replace('[["1", "0"', '[["1", "1"')),
-    # deeper than the JSON decoder's recursion limit
-    "deeply-nested-a.cfg": ("example1-m2.cfg", 'basis = [["1", "-1", "1", "-1"]]',
-                            "basis = " + "[" * 100_000 + "]" * 100_000),
-    # generator #1 stays valid and every entry of #2 is zero
-    "zero-generator-2.cfg": ("example2-line.cfg",
-                             '["0", "0", "0", "1"], ["0", "0", "0", "0"], ["0", "1", "0", "0"]',
-                             '["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]'),
-    # v = (1, -1, -1, 1), so exp(710) overflows: g_N holds inf and NaN entries
-    "n-values-710.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
-                         "n-values = [0, 710]"),
-    # g_400 is finite, but the lattice reduction of its orbit goes NaN
-    "n-values-400.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
-                         "n-values = [0, 400]"),
-    # JSON booleans are not integers, although Python's bool is an int
-    "n-values-bool.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
-                          "n-values = [false, true, 2]"),
-    # one past each bound on the probe's work: rejected before the scan
-    "grid-points-1002.cfg": ("example1-m2.cfg", "grid-points = 21",
-                             "grid-points = 1002"),
-    "n-values-65.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
-                        f"n-values = {list(range(65))}"),
-    # 400 digits: past the largest float, so float(N) would overflow
-    "n-values-400-digits.cfg": ("example1-m2.cfg", "n-values = [0, 2, 4, 6]",
-                                f"n-values = [0, 1{'0' * 399}]"),
-    # a typo of grid-points, and a section and a [DEFAULT] key no one reads
-    "grid-point-typo.cfg": ("example1-m2.cfg", "grid-points = 21", "grid-point = 5"),
-    "unknown-section.cfg": ("example1-m2.cfg", "[probe]\n", "[probes]\nd = 2\n\n[probe]\n"),
-    "default-key.cfg": ("example1-m2.cfg", "[group]\n", "[DEFAULT]\nseed = 1\n\n[group]\n"),
-    # Lie(A) = 0: the H grid is the one empty sample t=()
-    "zero-dim-a.cfg": ("example1-m2.cfg", '[torus-a]\nbasis = [["1", "-1", "1", "-1"]]',
-                       "[torus-a]\nbasis = []"),
-}
-
-# (command and extra flags, input, exit code, stderr substring, report written)
-EXIT_TABLE = [
-    ("check", "example1-m2.cfg", 10, None, True),
-    ("check", "example1-m3.cfg", 0, None, True),
-    ("check", "no-such-file.cfg", 2, "No such file", False),
-    ("check", "zero-denominator.cfg", 2, "torus-a", False),
-    ("check", "dependent-d.cfg", 2, "torus-d", False),
-    ("check", "split-so.cfg", 2, "[group]: unsupported group family 'split-so'", False),
-    ("check", "w-prime-det-2.cfg", 2,
-     "centralizer Weyl candidate #2: determinant is not 1 in factor 2", False),
-    ("check", "w-prime-shear.cfg", 2,
-     "centralizer Weyl candidate #2: does not normalize D", False),
-    ("check", "deeply-nested-a.cfg", 2, "[torus-a] basis: JSON is nested too deeply",
-     False),
-    ("check", "d-not-maximal.cfg", 2, "not maximal", False),
-    ("check", "zero-generator-2.cfg", 2, "M generator #2 is zero", False),
-    ("check --workers 0", "example1-m2.cfg", 2, "at least 1", False),
-    # the last --output wins, and a directory cannot be opened as a file
-    ("check --output .", "example1-m2.cfg", 2, "cannot write report: ", False),
-    ("certify", "example1-m2.cfg", 10, None, True),
-    ("certify", "example1-m3.cfg", 0, None, True),
-    ("certify --workers 0", "example1-m2.cfg", 2, "at least 1", False),
-    ("probe", "example1-m2.cfg", 10, None, True),
-    ("probe --seed 7", "example1-m2.cfg", 2,
-     "nondiv: error: unrecognized arguments: --seed 7", False),
-    ("probe", "no-such-file.cfg", 2, "No such file", False),
-    ("probe", "example1-m3.cfg", 2, "the [probe] section is missing", False),
-    ("probe", "n3-with-probe.cfg", 2, "n = 2, m = 2", False),
-    ("probe", "probe-d5.cfg", 2, "[probe] d:", False),
-    ("probe", "full-cartan-a-d5.cfg", 2, "[probe] d:", False),
-    ("probe", "probe-d-30-digits.cfg", 2, "[probe] d: d must be at most 1000000000000",
-     False),
-    ("probe", "grid-radius-800.cfg", 2, "grid-radius", False),
-    ("probe", "grid-radius-1e400.cfg", 2, "[probe]", False),
-    ("probe", "full-cartan-a.cfg", 4, "verdict is uniformly nondivergent", True),
-    ("probe", "n-values-710.cfg", 3, "audit failed", False),
-    ("probe", "n-values-bool.cfg", 2,
-     "[probe] n-values: expected nonempty list of nonnegative integers", False),
-    ("probe", "grid-points-1002.cfg", 2, "[probe] grid-points: need at most 1001", False),
-    ("probe", "n-values-65.cfg", 2, "[probe] n-values: at most 64 values", False),
-    ("probe", "n-values-400-digits.cfg", 2,
-     "[probe] n-values: each value must be at most the largest float, 1.8e+308", False),
-    ("probe", "grid-point-typo.cfg", 2, "[probe]: unknown key 'grid-point'", False),
-    ("check", "unknown-section.cfg", 2, "unknown section [probes]", False),
-    ("check", "default-key.cfg", 2, "[group]: unknown key 'seed'", False),
-]
+    check_case(case, invoke, tmp_path)
 
 
-def table_text(name):
-    if name not in EDITED_CONFIGS:
-        return (CONFIGS / name).read_text()
-    source, old, new = EDITED_CONFIGS[name]
-    if source is None:
-        return new
-    text = table_text(source)
-    assert old in text
-    return text.replace(old, new)
-
-
-def table_input(name, tmp_path):
-    if name not in EDITED_CONFIGS:
-        return CONFIGS / name
-    path = tmp_path / name
-    path.write_text(table_text(name))
-    return path
-
-
-@pytest.mark.parametrize("command, name, code, message, written", EXIT_TABLE)
-def test_exit_code_table(command, name, code, message, written, tmp_path, capsys):
-    command, *flags = command.split()
-    out = tmp_path / "report.json"
-    prefix = "nondiv: error: "
-    try:
-        got = cli.main([command, str(table_input(name, tmp_path)), "--workers", "1",
-                        "--output", str(out), *flags])
-    except SystemExit as exc:  # argparse: a usage line, then the error
-        got, prefix = exc.code, "usage: nondiv "
-    assert got == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    if message is None:
-        assert captured.err == ""
-    else:
-        assert captured.err.startswith(prefix)
-        assert message in captured.err
-    assert out.exists() == written
-    if written:
-        assert json.loads(out.read_text())["exit_code"] == code
+def test_a_stale_edit_fails_by_name(monkeypatch, tmp_path):
+    """An edit whose old text its source no longer holds names its entry,
+    also under `python -O`, which strips asserts."""
+    monkeypatch.setitem(EDITED_CONFIGS, "stale.cfg",
+                        ("example1-m2.cfg", "grid-points = 20", "grid-points = 5"))
+    with pytest.raises(CaseFailed, match=r"EDITED_CONFIGS\['stale.cfg'\]"):
+        table_input("stale.cfg", tmp_path)
+    assert not (tmp_path / "stale.cfg").exists()
 
 
 def test_probe_bounds_d_before_any_work(tmp_path, monkeypatch, capsys):
@@ -439,20 +283,6 @@ def test_probe_bounds_its_work_before_the_scan(name, tmp_path, monkeypatch, caps
     assert cli.main(["probe", str(table_input(name, tmp_path)),
                      "--output", str(tmp_path / "report.json")]) == 2
     assert capsys.readouterr().err.startswith("nondiv: error: [probe]")
-
-
-def test_probe_on_zero_dimensional_lie_a(tmp_path, capsys):
-    """With Lie(A) = 0 the decay table samples only t=(): each row's worst
-    sample is t=() and one line fires, and the report replays."""
-    out = tmp_path / "report.json"
-    assert cli.main(["probe", str(table_input("zero-dim-a.cfg", tmp_path)),
-                     "--output", str(out)]) == 10
-    decay = json.loads(out.read_text())["decay"]
-    assert [row["N"] for row in decay] == [0, 2, 4, 6]
-    assert all(row["worst_sample"] == "t=()" and sum(row["fired"].values()) == 1
-               for row in decay)
-    assert cli.main(["replay", str(out)]) == 0
-    assert capsys.readouterr().err == ""
 
 
 def test_probe_at_n_400_still_raises_nan(tmp_path):
@@ -575,38 +405,6 @@ class TestCliProbe:
         assert row == {"N": 0, "max_min_norm": 1.0, "worst_sample": "t=(-5)",
                        "fired": {"1:standard": 21}}
 
-    def test_rows_are_exact_below_the_gram_underflow(self, tmp_path):
-        # A squared norm taken at g_N in floats, exp(-8N), underflows from
-        # N ~ 93, but each row is the closed form exp(x + N y) B: here
-        # exp(-4N), with B = 1.
-        text = (CONFIGS / "example1-m2.cfg").read_text()
-        path = tmp_path / "n100.cfg"
-        path.write_text(text.replace("n-values = [0, 2, 4, 6]", "n-values = [0, 100, 150]"))
-        out = tmp_path / "r.json"
-        assert cli.main(["probe", str(path), "--output", str(out)]) == 10
-        rows = json.loads(out.read_text())["decay"]
-        assert [r["N"] for r in rows] == [0, 100, 150]
-        for row in rows:
-            assert row["max_min_norm"] > 0.0
-            assert row["max_min_norm"] == pytest.approx(math.exp(-4 * row["N"]),
-                                                        rel=1e-12)
-
-    def test_non_orthogonal_w_prime_rows_round_once(self, tmp_path):
-        # example1-m2 with one explicit w' that is not orthogonal: the base
-        # norm is sqrt(2401/50625) = 49/225, rounded once from integers (a
-        # float Gram determinant at g_0 gives 0.2177777777777777, one ulp
-        # low), and each row is exp(exact exponent) times it.
-        path = tmp_path / "skew.cfg"
-        path.write_text(SKEW_W_PRIME_CFG)
-        out = tmp_path / "r.json"
-        assert cli.main(["probe", str(path), "--output", str(out)]) == 10
-        data = json.loads(out.read_text())
-        assert data["certificate"]["centralizer"]["index"] == 1
-        rows = {r["N"]: r["max_min_norm"] for r in data["decay"]}
-        assert rows[0] == float(F(49, 225)) == 0.21777777777777776
-        assert [rows[n] for n in (2, 4, 6)] == [
-            7.305630563210258e-05, 2.4507660272194207e-08, 8.221404118652257e-12]
-
     def test_seed_key_is_ignored(self, tmp_path):
         # `seed` is the one [probe] key that has no effect: it changes no
         # byte of the decay and probe sections.
@@ -632,86 +430,6 @@ class TestCliProbe:
         assert code == 3
         assert "determinant drifted" in capsys.readouterr().err
         assert not out.exists()
-
-
-SKEW_W_PRIME_CFG = """\
-[group]
-family = res-sl
-n = 2
-m = 2
-
-[subgroup-m]
-generators = trivial
-
-[torus-d]
-basis = [["1", "-1", "0", "0"], ["0", "0", "1", "-1"]]
-
-[torus-a]
-basis = [["1", "-1", "1", "-1"]]
-
-[centralizer-weyl]
-mode = explicit
-elements = [[[["3", "0"], ["0", "1/3"]], [["0", "-7/5"], ["5/7", "0"]]]]
-
-[probe]
-d = 2
-grid-radius = 5
-grid-points = 21
-n-values = [0, 2, 4, 6]
-"""
-
-
-# (report JSON that replay reads, stderr substring); each must exit 2.
-MALFORMED_REPORTS = [
-    ([], "not a JSON object"),
-    ({"format": "report-v1", "input": "x"}, "'input' is not an object"),
-    ({"format": "report-v1", "input": {"content": 7, "sha256": "0"},
-      "verdict": "nondivergent", "certificate": None, "stats": {}},
-     "'input.content' is not a string"),
-]
-
-
-@pytest.mark.parametrize("report, message", MALFORMED_REPORTS)
-def test_replay_malformed_report_exits_2(report, message, tmp_path, capsys):
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(report))
-    assert cli.main(["replay", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("nondiv: error: ")
-    assert message in captured.err
-
-
-def test_replay_deeply_nested_report_exits_2(tmp_path, capsys):
-    """Nesting deeper than the JSON decoder's recursion limit is reported,
-    not raised."""
-    path = tmp_path / "report.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    assert cli.main(["replay", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("nondiv: error: report is not valid JSON")
-
-
-def test_replay_non_utf8_report_exits_2(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    path.write_bytes(b'{"format": "report-v1", "x": "\xff"}')
-    assert cli.main(["replay", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("nondiv: error: report is not valid UTF-8")
-
-
-def test_replay_of_an_integer_too_long_to_read_exits_2(tmp_path, capsys):
-    """Python's JSON decoder refuses an integer longer than its conversion
-    limit (4300 digits by default) with a plain ValueError: reported, not
-    raised."""
-    path = tmp_path / "report.json"
-    path.write_text('{"format": "report-v1", "exit_code": ' + "7" * 5000 + "}")
-    assert cli.main(["replay", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("nondiv: error: report ")
 
 
 def _paths(node, prefix=()):
@@ -1064,35 +782,6 @@ print(json.dumps({"codes": codes, "exact": exact, "probe": heavy(),
 """
 
 
-# Runs the CLI in a fresh interpreter where importing numpy or scipy fails.
-BLOCKED_CLI = """
-import sys
-sys.modules["numpy"] = sys.modules["scipy"] = None
-from nondiv import cli
-sys.exit(cli.main(sys.argv[1:]))
-"""
-
-
-# Builds the decay table of a nontrivial-M certificate where importing numpy
-# or scipy fails; prints the generator count, the a-grid size and the rows.
-BLOCKED_DECAY = """
-import json, sys
-sys.modules["numpy"] = sys.modules["scipy"] = None
-from nondiv.config import build_config, parse_problem
-from nondiv.criterion import check_general
-from nondiv.report import decay_dict
-from nondiv.witness import HSampler, build_escape_witness, decay_table
-path = sys.argv[1]
-with open(path, encoding="utf-8") as fh:
-    config = build_config(parse_problem(fh.read(), path))
-cert = check_general(config).certificate
-witness = build_escape_witness(cert, config)
-sampler = HSampler.default(config)
-print(json.dumps([len(config.m_generators), len(sampler.a_coords),
-                  decay_dict(decay_table(cert, witness, [0, 1, 2, 3], sampler, config))]))
-"""
-
-
 class TestImportFootprint:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, tmp_path):
         res = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
@@ -1109,21 +798,13 @@ class TestImportFootprint:
     def test_probe_runs_with_numpy_and_scipy_blocked(self, tmp_path):
         blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"
         args = ["probe", str(CONFIGS / "example1-m2.cfg"), "--workers", "1"]
-        res = subprocess.run([sys.executable, "-c", BLOCKED_CLI, *args,
-                              "--output", str(blocked)],
-                             capture_output=True, text=True)
-        assert res.returncode == 10, res.stderr
+        code, _, stderr = invoke_in_child([*args, "--output", str(blocked)])
+        assert code == 10, stderr
         assert run_cli(*args, "--output", str(free)).returncode == 10
         assert stripped_report(blocked) == stripped_report(free)
 
     def test_nontrivial_m_sampler_builds_with_numpy_and_scipy_blocked(self):
-        res = subprocess.run([sys.executable, "-c", BLOCKED_DECAY,
-                              str(CONFIGS / "example2-line.cfg")],
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        gens, points, rows = json.loads(res.stdout)
-        assert (gens, points) == (3, 21)  # SO(2,1) M, a line Lie(A)
-        norms = [row["max_min_norm"] for row in rows]
-        assert [row["N"] for row in rows] == [0, 1, 2, 3]
-        assert all(a > b for a, b in zip(norms, norms[1:]))
-        assert all(sum(row["fired"].values()) == points for row in rows)
+        run_in_child("nontrivial_m_decay_table")
+
+    def test_witness_loads_no_float_module(self):
+        run_in_child("witness_loads_no_float_module")

@@ -28,6 +28,7 @@ from nondiv.witness import (
 )
 
 import reference_linalg
+from cli_cases import hand_wedge_norms
 from helpers import (
     a_point,
     check_torus,
@@ -414,19 +415,11 @@ class TestWedgeNorm:
         assert skewed > 0.9 * checked
 
     def test_hand_values(self):
-        # n = 3, w' = ((2,1,0),(1,1,0),(0,0,1)): the columns of w' indexed by
-        # p[S] have Gram determinants 5, 2, 1, 1 under w = id and 2, 5, 1, 1
-        # under w = (1,0,2), each cubed.
-        spec = GroupSpec(3, 1)
-        w_prime = CentralizerWeylElement(((tuple(map(F, (2, 1, 0))),
-                                           tuple(map(F, (1, 1, 0))),
-                                           tuple(map(F, (0, 0, 1)))),))
-        lines = [(1, ParabolicSide.STANDARD), (1, ParabolicSide.OPPOSITE),
-                 (2, ParabolicSide.STANDARD), (2, ParabolicSide.OPPOSITE)]
-        for perm, expected in (((0, 1, 2), [125, 8, 1, 1]), ((1, 0, 2), [8, 125, 1, 1])):
-            w = WeylElement((perm,))
-            assert [exact_beta(line, w, w_prime) for line in lines] == expected
-            assert [reference_beta(spec, line, w, w_prime) for line in lines] == expected
+        # The shared hand values, by the wedge norm and by the Kronecker
+        # reference.
+        hand_wedge_norms()
+        hand_wedge_norms(lambda line, w, w_prime:
+                         reference_beta(GroupSpec(3, 1), line, w, w_prime))
 
     def test_matches_dense_conjugation(self):
         # Exact beta against dense float conjugation on seeded trivial-M
